@@ -6,6 +6,17 @@ are integers and may be negative (Laurent monomials in the polar phase
 variable), although most of the engine only ever produces ordinary
 polynomials.
 
+Coefficients are stored fraction-free, as in FLINT's ``fmpq_poly``: every
+term holds a Gaussian-integer numerator ``(re, im)`` of Python ints, and
+the polynomial holds one positive common denominator ``den``.  The inner
+loops of multiplication and addition therefore do integer arithmetic
+only, and each result is normalised with one gcd sweep.  The form is
+canonical (no zero numerators, ``gcd(den, all numerators) == 1``, and the
+zero polynomial has ``den == 1``), so equal polynomials over the same
+variables have equal ``terms`` and ``den``.  ``GaussianRational`` remains
+the scalar type at the interface: constructors, ``items()``, rendering
+and JSON.
+
 Term order is graded lexicographic with the fixed variable precedence
 
     t < A < B < Ar < Br < R < (everything else, alphabetically)
@@ -13,7 +24,10 @@ Term order is graded lexicographic with the fixed variable precedence
 which makes every text rendering deterministic.
 """
 
-from .rationals import GaussianRational, ZERO, ONE, Rat
+from math import gcd, lcm
+from operator import add
+
+from .rationals import GaussianRational, ZERO, Rat
 
 _CORE_PRECEDENCE = {"t": 0, "A": 1, "B": 2, "Ar": 3, "Br": 4, "R": 5}
 
@@ -29,26 +43,38 @@ def order_vars(names):
 
 
 class ParamPolynomial:
-    """Immutable sparse polynomial: exponent tuple -> GaussianRational."""
+    """Immutable sparse polynomial: exponent tuple -> (re, im) over den.
 
-    __slots__ = ("vars", "terms")
+    The coefficient of the monomial with exponents ``e`` is
+    ``(re + im*i) / den`` where ``terms[e] == (re, im)``.
+    """
+
+    __slots__ = ("vars", "terms", "den")
 
     def __init__(self, vars=(), terms=None):
+        """Polynomial from a dict exponent tuple -> scalar coefficient.
+
+        Scalars are GaussianRationals, rationals or ints; zeros are
+        dropped.
+        """
         self.vars = tuple(vars)
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                if c:
-                    clean[exps] = c
-        self.terms = clean
+        parts = [(e, _parts(c)) for e, c in terms.items() if c] \
+            if terms else []
+        den = lcm(*(d for _, (_, _, d) in parts)) if parts else 1
+        # Each scalar is in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it.
+        self.terms = {e: (re * (den // d), im * (den // d))
+                      for e, (re, im, d) in parts}
+        self.den = den
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, vars, terms):
+    def _raw(cls, vars, terms, den=1):
         obj = object.__new__(cls)
         obj.vars = vars
         obj.terms = terms
+        obj.den = den
         return obj
 
     @classmethod
@@ -57,19 +83,19 @@ class ParamPolynomial:
 
     @classmethod
     def const(cls, c):
-        if isinstance(c, int):
-            c = GaussianRational(c)
         if not c:
             return _ZERO_POLY
-        return cls._raw((), {(): c})
+        re, im, den = _parts(c)
+        return cls._raw((), {(): (re, im)}, den)
 
     @classmethod
-    def var(cls, name, exp=1, coeff=ONE):
+    def var(cls, name, exp=1, coeff=1):
         if not coeff:
             return _ZERO_POLY
         if exp == 0:
             return cls.const(coeff)
-        return cls._raw((name,), {(exp,): coeff})
+        re, im, den = _parts(coeff)
+        return cls._raw((name,), {(exp,): (re, im)}, den)
 
     @classmethod
     def monomial(cls, coeff, **exps):
@@ -78,7 +104,8 @@ class ParamPolynomial:
             return _ZERO_POLY
         names = order_vars(n for n, e in exps.items() if e)
         key = tuple(exps[n] for n in names)
-        return cls._raw(names, {key: coeff})
+        re, im, den = _parts(coeff)
+        return cls._raw(names, {key: (re, im)}, den)
 
     # -- alignment --------------------------------------------------------
 
@@ -95,7 +122,7 @@ class ParamPolynomial:
             for i, e in zip(own, exps):
                 key[i] = e
             terms[tuple(key)] = c
-        return ParamPolynomial._raw(tuple(vars), terms)
+        return ParamPolynomial._raw(tuple(vars), terms, self.den)
 
     def _aligned(self, other):
         if self.vars == other.vars:
@@ -112,11 +139,10 @@ class ParamPolynomial:
         if len(used) == len(self.vars):
             return self
         vars = tuple(self.vars[i] for i in used)
-        terms = {}
-        for exps, c in self.terms.items():
-            key = tuple(exps[i] for i in used)
-            terms[key] = terms.get(key, ZERO) + c
-        return ParamPolynomial(vars, terms)
+        # only all-zero exponent columns go, so keys stay distinct
+        terms = {tuple(exps[i] for i in used): c
+                 for exps, c in self.terms.items()}
+        return ParamPolynomial._raw(vars, terms, self.den)
 
     # -- ring operations --------------------------------------------------
 
@@ -125,24 +151,43 @@ class ParamPolynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._aligned(other)
-        terms = dict(a.terms)
-        for exps, c in b.terms.items():
-            s = terms.get(exps)
+        if not a.terms:
+            return b
+        if not b.terms:
+            return a
+        da, db = a.den, b.den
+        if da == db:
+            terms = dict(a.terms)
+            fb = 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            da *= fa
+            terms = {e: (re * fa, im * fa)
+                     for e, (re, im) in a.terms.items()}
+        get = terms.get
+        for exps, (re, im) in b.terms.items():
+            if fb != 1:
+                re *= fb
+                im *= fb
+            s = get(exps)
             if s is None:
-                terms[exps] = c
+                terms[exps] = (re, im)
             else:
-                s = s + c
-                if s:
-                    terms[exps] = s
+                re += s[0]
+                im += s[1]
+                if re or im:
+                    terms[exps] = (re, im)
                 else:
                     del terms[exps]
-        return ParamPolynomial._raw(a.vars, terms)
+        return _normalized(a.vars, terms, da)
 
     __radd__ = __add__
 
     def __neg__(self):
         return ParamPolynomial._raw(
-            self.vars, {e: -c for e, c in self.terms.items()})
+            self.vars, {e: (-re, -im) for e, (re, im) in self.terms.items()},
+            self.den)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -163,28 +208,36 @@ class ParamPolynomial:
         terms = {}
         get = terms.get
         bt = list(b.terms.items())
-        for ea, ca in a.terms.items():
-            for eb, cb in bt:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
+        for ea, (ar, ai) in a.terms.items():
+            for eb, (br, bi) in bt:
+                key = tuple(map(add, ea, eb))
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
                 s = get(key)
                 if s is None:
-                    terms[key] = c
+                    terms[key] = (re, im)
                 else:
-                    s = s + c
-                    if s:
-                        terms[key] = s
+                    re += s[0]
+                    im += s[1]
+                    if re or im:
+                        terms[key] = (re, im)
                     else:
                         del terms[key]
-        return ParamPolynomial._raw(a.vars, terms)
+        return _normalized(a.vars, terms, a.den * b.den)
 
     __rmul__ = __mul__
 
     def scaled(self, c):
         if not c:
             return _ZERO_POLY
-        return ParamPolynomial._raw(
-            self.vars, {e: c * v for e, v in self.terms.items()})
+        cr, ci, cd = _parts(c)
+        if ci:
+            terms = {e: (re * cr - im * ci, re * ci + im * cr)
+                     for e, (re, im) in self.terms.items()}
+        else:
+            terms = {e: (re * cr, im * cr)
+                     for e, (re, im) in self.terms.items()}
+        return _normalized(self.vars, terms, self.den * cd)
 
     def __pow__(self, n):
         if n < 0:
@@ -205,26 +258,28 @@ class ParamPolynomial:
             return _ZERO_POLY
         i = self.vars.index(name)
         terms = {}
-        for exps, c in self.terms.items():
+        for exps, (re, im) in self.terms.items():
             e = exps[i]
             if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                terms[key] = terms.get(key, ZERO) + c * e
-        return ParamPolynomial(self.vars, terms)
+                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = (re * e, im * e)
+        return _normalized(self.vars, terms, self.den)
 
     def integrate(self, name):
         """Antiderivative in ``name`` with zero constant term."""
         p = self if name in self.vars else self.reindexed(
             order_vars(self.vars + (name,)))
         i = p.vars.index(name)
-        terms = {}
-        for exps, c in p.terms.items():
-            e = exps[i]
-            if e == -1:
+        scale = 1
+        for exps in p.terms:
+            if exps[i] == -1:
                 raise ValueError("cannot integrate 1/x term")
-            key = exps[:i] + (e + 1,) + exps[i + 1:]
-            terms[key] = c * GaussianRational(Rat(1, e + 1))
-        return ParamPolynomial._raw(p.vars, terms)
+            scale = lcm(scale, exps[i] + 1)
+        terms = {}
+        for exps, (re, im) in p.terms.items():
+            e = exps[i] + 1
+            f = scale // e
+            terms[exps[:i] + (e,) + exps[i + 1:]] = (re * f, im * f)
+        return _normalized(p.vars, terms, p.den * scale)
 
     # -- substitution and extraction -------------------------------------
 
@@ -243,10 +298,10 @@ class ParamPolynomial:
         keep_vars = tuple(self.vars[i] for i in keep)
         out = _ZERO_POLY
         powcache = {}
-        for exps, c in self.terms.items():
-            residual = ParamPolynomial._raw(
-                keep_vars, {tuple(exps[i] for i in keep): c})
-            factor = residual
+        den = self.den
+        for exps, (re, im) in self.terms.items():
+            factor = _term(keep_vars, tuple(exps[i] for i in keep),
+                           re, im, den)
             for name, i in idx.items():
                 e = exps[i]
                 if not e:
@@ -263,9 +318,9 @@ class ParamPolynomial:
     def rename(self, mapping):
         """Rename variables (bijective on the occurring names)."""
         vars = tuple(mapping.get(n, n) for n in self.vars)
+        renamed = ParamPolynomial._raw(vars, dict(self.terms), self.den)
         order = order_vars(vars)
-        return ParamPolynomial._raw(vars, dict(self.terms)).reindexed(order) \
-            if vars != order else ParamPolynomial._raw(vars, dict(self.terms))
+        return renamed.reindexed(order) if vars != order else renamed
 
     def coefficient(self, name, power):
         """Polynomial coefficient of name**power (name removed)."""
@@ -273,11 +328,9 @@ class ParamPolynomial:
             return self if power == 0 else _ZERO_POLY
         i = self.vars.index(name)
         rest = self.vars[:i] + self.vars[i + 1:]
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                terms[exps[:i] + exps[i + 1:]] = c
-        return ParamPolynomial(rest, terms).compact()
+        terms = {exps[:i] + exps[i + 1:]: c
+                 for exps, c in self.terms.items() if exps[i] == power}
+        return _normalized(rest, terms, self.den).compact()
 
     def degree_in(self, name):
         if name not in self.vars or not self.terms:
@@ -302,16 +355,23 @@ class ParamPolynomial:
         i = p.vars.index(name)
         terms = {e[:i] + (e[i] - power,) + e[i + 1:]: c
                  for e, c in p.terms.items()}
-        return ParamPolynomial._raw(p.vars, terms).compact()
+        return ParamPolynomial._raw(p.vars, terms, p.den).compact()
 
     def conjugated(self):
         """Conjugate every coefficient (variables are treated as real)."""
         return ParamPolynomial._raw(
-            self.vars, {e: c.conjugate() for e, c in self.terms.items()})
+            self.vars, {e: (re, -im) for e, (re, im) in self.terms.items()},
+            self.den)
+
+    def items(self):
+        """(exponent tuple, GaussianRational coefficient) for every term."""
+        den = self.den
+        return [(exps, _scalar(re, im, den))
+                for exps, (re, im) in self.terms.items()]
 
     def constant_term(self):
-        width = len(self.vars)
-        return self.terms.get((0,) * width, ZERO)
+        c = self.terms.get((0,) * len(self.vars))
+        return ZERO if c is None else _scalar(*c, self.den)
 
     def as_constant(self):
         """The value of a constant polynomial, or None."""
@@ -320,13 +380,13 @@ class ParamPolynomial:
             return ZERO
         if p.vars:
             return None
-        return p.terms[()]
+        return _scalar(*p.terms[()], p.den)
 
     def eval_complex(self, values):
         """Floating evaluation; ``values`` maps every occurring var."""
         out = 0j
         vals = [complex(values[n]) for n in self.vars]
-        for exps, c in self.terms.items():
+        for exps, c in self.items():
             m = c.to_complex()
             for v, e in zip(vals, exps):
                 m *= v ** e
@@ -346,20 +406,20 @@ class ParamPolynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.compact(), other.compact()
-        return a.vars == b.vars and a.terms == b.terms
+        return a.vars == b.vars and a.den == b.den and a.terms == b.terms
 
     def __hash__(self):
         p = self.compact()
-        return hash((p.vars, frozenset(p.terms.items())))
+        return hash((p.vars, p.den, frozenset(p.terms.items())))
 
     # -- rendering --------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order."""
+        """Terms as in items(), in descending graded-lex order."""
         def key(item):
             exps = item[0]
             return (sum(exps), exps)
-        return sorted(self.terms.items(), key=key, reverse=True)
+        return sorted(self.items(), key=key, reverse=True)
 
     def __str__(self):
         p = self.compact()
@@ -412,14 +472,55 @@ class ParamPolynomial:
         return cls(vars, terms).compact()
 
 
+def _parts(c):
+    """(re, im, den) with c == (re + im*i)/den, den > 0, in lowest terms."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if type(c) is not GaussianRational:
+        c = GaussianRational(c)
+    re, im = c.re, c.im
+    rd, idn = int(re.denominator), int(im.denominator)
+    den = lcm(rd, idn)
+    return (int(re.numerator) * (den // rd),
+            int(im.numerator) * (den // idn), den)
+
+
+def _scalar(re, im, den):
+    return GaussianRational(Rat(re, den), Rat(im, den))
+
+
+def _normalized(vars, terms, den):
+    """Canonical polynomial from nonzero numerators over ``den``."""
+    if not terms:
+        return ParamPolynomial._raw(vars, terms, 1)
+    if den != 1:
+        g = den
+        for re, im in terms.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        else:
+            den //= g
+            terms = {e: (re // g, im // g) for e, (re, im) in terms.items()}
+    return ParamPolynomial._raw(vars, terms, den)
+
+
+def _term(vars, exps, re, im, den):
+    """Canonical single-term polynomial (re + im*i)/den * x^exps."""
+    g = gcd(re, im, den)
+    if g != 1:
+        re, im, den = re // g, im // g, den // g
+    return ParamPolynomial._raw(vars, {exps: (re, im)}, den)
+
+
 def _poly_int_power(p, e):
     if e >= 0:
         return p ** e
     # Laurent case: only invertible monomials can be raised negatively.
     if len(p.terms) != 1:
         raise ValueError("negative power of a non-monomial substitution")
-    (exps, c), = p.terms.items()
-    inv = ParamPolynomial._raw(p.vars, {tuple(-x for x in exps): c.inverse()})
+    (exps, c), = p.items()
+    inv = ParamPolynomial(p.vars, {tuple(-x for x in exps): c.inverse()})
     return inv ** (-e)
 
 
@@ -433,8 +534,8 @@ def _as_poly(x):
     return NotImplemented
 
 
-_ZERO_POLY = ParamPolynomial._raw((), {})
-_ONE_POLY = ParamPolynomial._raw((), {(): ONE})
+_ZERO_POLY = ParamPolynomial._raw((), {}, 1)
+_ONE_POLY = ParamPolynomial._raw((), {(): (1, 0)}, 1)
 
 
 def P(name):

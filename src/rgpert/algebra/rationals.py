@@ -2,16 +2,18 @@
 
 All series coefficients in the package live in Q(i): complex numbers with
 arbitrary-precision rational real and imaginary parts.  Arithmetic never
-rounds.  gmpy2 provides the rational backend when available (it is much
-faster than fractions.Fraction in the inner multiplication loops); the
-stdlib Fraction is a drop-in fallback.
+rounds.  The rational type is gmpy2's mpq when gmpy2 is installed and the
+stdlib fractions.Fraction otherwise; both give identical results.
+GaussianRational is the scalar type at the edges of the polynomial
+kernel, whose inner loops work on integer numerators (see poly.py), so
+the choice of backend matters little for speed.
 """
 
 from math import isqrt
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
+except ImportError:
     from fractions import Fraction as Rat
 
 _RAT_ZERO = Rat(0)

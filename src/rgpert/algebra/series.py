@@ -6,7 +6,7 @@ caps explicitly with truncate()/extend().
 """
 
 from ..errors import CapMismatch, DegenerateRoot, NonRationalRoot
-from .poly import ParamPolynomial, _as_poly
+from .poly import ParamPolynomial, _as_poly, _term
 from .rationals import GaussianRational, Rat, ZERO, ONE, rat_sqrt
 
 _ZP = ParamPolynomial.zero()
@@ -271,9 +271,9 @@ def substitute(obj, bindings, cap=None):
         idx = {n: p.vars.index(n) for n in active}
         keep = [i for i, n in enumerate(p.vars) if n not in series_bindings]
         keep_vars = tuple(p.vars[i] for i in keep)
-        for exps, c in p.terms.items():
-            residual = ParamPolynomial(
-                keep_vars, {tuple(exps[i] for i in keep): c})
+        for exps, (re, im) in p.terms.items():
+            residual = _term(keep_vars, tuple(exps[i] for i in keep),
+                             re, im, p.den)
             factor = EpsilonSeries.from_poly(residual, K)
             for name, i in idx.items():
                 e = exps[i]

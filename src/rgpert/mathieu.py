@@ -6,7 +6,7 @@ and solving omega^2 = 0 order by order yields the two stability-band
 edges a = 1 + eps*g of the conventional coupling a.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       Rat, rat_sqrt, ZERO, ONE)
@@ -152,7 +152,7 @@ def _solve_univariate(c, var, order):
     i = c.vars.index(var)
     deg = max(e[i] for e in c.terms)
     coef = [ZERO, ZERO, ZERO]
-    for exps, v in c.terms.items():
+    for exps, v in c.items():
         if any(e for j, e in enumerate(exps) if j != i):
             raise Underdetermined(f"constraint {c} is not univariate in {var}")
         if exps[i] > 2:

@@ -106,7 +106,7 @@ def _polar_rhs(polar, eps, order):
         for k in range(min(order, series.cap) + 1):
             c = series.coeffs[k].compact()
             terms = []
-            for exps, coeff in c.terms.items():
+            for exps, coeff in c.items():
                 r = exps[c.vars.index("R")] if "R" in c.vars else 0
                 w = exps[c.vars.index(PHASE)] if PHASE in c.vars else 0
                 terms.append((r, w, coeff.to_complex()))
@@ -163,7 +163,7 @@ def integrate_rg(system, eps, order, t_max, h=DEFAULT_STEP,
         for k in range(min(order, series.cap) + 1):
             c = series.coeffs[k].compact()
             terms = []
-            for exps, coeff in c.terms.items():
+            for exps, coeff in c.items():
                 a = exps[c.vars.index("Ar")] if "Ar" in c.vars else 0
                 b = exps[c.vars.index("Br")] if "Br" in c.vars else 0
                 terms.append((a, b, coeff.to_complex()))
@@ -204,7 +204,7 @@ def _compile_table(table, eps, order, polar):
         for k in range(min(order, series.cap) + 1):
             c = series.coeffs[k].compact()
             terms = []
-            for exps, coeff in c.terms.items():
+            for exps, coeff in c.items():
                 p = exps[c.vars.index(va)] if va in c.vars else 0
                 q = exps[c.vars.index(vb)] if vb in c.vars else 0
                 terms.append((p, q, coeff.to_complex()))

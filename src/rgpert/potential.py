@@ -93,9 +93,6 @@ class Potential:
                        for key, c in sorted(self.coeffs.items())],
         }
 
-    def to_json_str(self):
-        return json.dumps(self.to_json(), indent=2)
-
     @classmethod
     def from_json(cls, data):
         if isinstance(data, str):
@@ -447,13 +444,6 @@ class HarmonicSeries:
                     nd[n] = q
             orders.append(nd)
         return HarmonicSeries(self.cap, orders)
-
-    def max_harmonic(self):
-        out = 0
-        for d in self.orders:
-            for n in d:
-                out = max(out, abs(n))
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, HarmonicSeries):

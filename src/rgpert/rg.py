@@ -9,7 +9,7 @@ The polar form substitutes Ar = R*w, Br = R/w with w = e^{i*theta} kept
 as an exact Laurent variable.
 """
 
-from math import gcd
+from math import lcm
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       substitute, series_solve_root, series_sqrt,
@@ -132,21 +132,22 @@ def to_polar(rgsys):
 def _rational_roots(poly_u, var):
     """Rational roots of a univariate rational-coefficient polynomial.
 
-    Returns None if the coefficients are not all real rational.
+    Returns None if the coefficients are not all real rational.  With the
+    coefficients cleared to integers c_0 != 0, ..., c_n, every rational
+    root is y/c_n for an integer root y of the monic integer polynomial
+    c_n^(n-1) * f(y/c_n) (rational root theorem); _integer_roots finds
+    those in time polynomial in n and the coefficients' bit length.
     """
     poly_u = poly_u.compact()
     coeffs = {}
     vi = poly_u.vars.index(var) if var in poly_u.vars else None
-    for exps, c in poly_u.terms.items():
+    for exps, c in poly_u.items():
         if not c.is_real:
             return None
         coeffs[exps[vi] if vi is not None else 0] = c.re
     if not coeffs or max(coeffs) == 0:
         return []
-    den = 1
-    for q in coeffs.values():
-        d = int(q.denominator)
-        den = den * d // gcd(den, d)
+    den = lcm(*(int(q.denominator) for q in coeffs.values()))
     ic = {e: int(q * den) for e, q in coeffs.items() if q}
     low = min(ic)
     roots = [Rat(0)] if low > 0 else []
@@ -154,26 +155,92 @@ def _rational_roots(poly_u, var):
     deg = max(ic)
     if deg == 0:
         return roots
-    for p in _divisors(ic.get(0, 0)):
-        for q in _divisors(ic[deg]):
-            for sign in (1, -1):
-                cand = Rat(sign * p, q)
-                if sum(Rat(c) * cand ** e for e, c in ic.items()) == 0 \
-                        and cand not in roots:
-                    roots.append(cand)
+    lead = ic[deg]
+    monic = [ic.get(k, 0) * lead ** (deg - 1 - k) for k in range(deg)] + [1]
+    roots.extend(Rat(y, lead) for y in _integer_roots(monic))
     return roots
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
+def _integer_roots(g):
+    """Integer roots of a monic integer polynomial, coefficients low first.
+
+    A Sturm sequence counts the distinct real roots between two
+    half-integers, which are never roots of g.  Bisecting the Cauchy
+    bound interval down to unit width leaves at most one integer per
+    interval holding a root, and that integer is checked exactly.
+    """
+    seq = _sturm_sequence(g)
+
+    def sign_changes(u):
+        # signs at x = u/2 of each 2^deg * p(u/2), an integer
+        changes, last = 0, 0
+        for p in seq:
+            d = len(p) - 1
+            v = 0
+            for k in range(d, -1, -1):
+                v = v * u + (p[k] << (d - k))
+            if v:
+                if last and (v > 0) != (last > 0):
+                    changes += 1
+                last = v
+        return changes
+
+    bound = 1 + max(abs(c) for c in g[:-1])   # every root has |y| < bound
+    # intervals (lo/2, hi/2) with odd lo < hi, and their sign changes
+    lo, hi = -2 * bound - 1, 2 * bound + 1
+    stack = [(lo, hi, sign_changes(lo), sign_changes(hi))]
+    out = []
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 2:
+            y = (lo + 1) // 2
+            if _horner(g, y) == 0:
+                out.append(y)
+            continue
+        mid = lo + 2 * ((hi - lo) // 4)
+        vmid = sign_changes(mid)
+        stack.append((lo, mid, vlo, vmid))
+        stack.append((mid, hi, vmid, vhi))
+    return sorted(out)
+
+
+def _sturm_sequence(g):
+    """g, g', then negated remainders; each scaled to integers."""
+    seq = [[Rat(c) for c in g],
+           [Rat(k * c) for k, c in enumerate(g)][1:]]
+    while len(seq[-1]) > 1:
+        r = _poly_rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    out = []
+    for p in seq:
+        den = lcm(*(int(c.denominator) for c in p))
+        out.append([int(c * den) for c in p])
     return out
+
+
+def _poly_rem(a, b):
+    """Remainder of a by b (coefficient lists, low first, b[-1] != 0)."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for k, c in enumerate(b):
+            a[shift + k] -= q * c
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _horner(p, x):
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
 
 
 def limit_cycle(polar):
@@ -241,7 +308,7 @@ def _even_to_u(c):
     i = c.vars.index("R")
     vars = c.vars[:i] + ("u",) + c.vars[i + 1:]
     terms = {}
-    for exps, coeff in c.terms.items():
+    for exps, coeff in c.items():
         key = exps[:i] + (exps[i] // 2,) + exps[i + 1:]
         terms[key] = coeff
     return ParamPolynomial(vars, terms).reindexed(order_vars(vars))

@@ -1,13 +1,15 @@
 import math
+import time
 
 import pytest
 
-from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, gr, grq,
+from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, Rat, gr, grq,
                             substitute)
 from rgpert.errors import DegenerateRoot, ThetaDependent
 from rgpert.registry import example_expansion
+from rgpert.cli import main
 from rgpert.rg import (derive_rg, to_polar, limit_cycle,
-                       renormalization_constants, PHASE)
+                       renormalization_constants, PHASE, _rational_roots)
 
 from conftest import (trig, trig_mul, trig_scale, trig_add, phase_poly,
                       r_series)
@@ -338,3 +340,44 @@ def test_z_constants_recover_bare_amplitudes():
     pm1 = Y.secular_coefficient(-1)
     out = substitute(lhs, {"A": p1, "B": pm1})
     assert out == EpsilonSeries.from_poly(P("A"), Y.cap)
+
+
+# ---------------------------------------------------------------------------
+# Rational roots of the leading radial equation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("roots,extra,lead", [
+    ([Rat(2)], None, grq(1)),
+    ([Rat(2), Rat(2), Rat(-3)], None, grq(-7, 3)),
+    ([Rat(1, 3), Rat(-5, 2)], P("u") ** 2 + 2, grq(3, 4)),
+    ([Rat(7, 12)], P("u") ** 2 - 3, grq(5)),
+    ([], P("u") ** 3 - P("u") - 1, grq(2)),
+    ([Rat(10 ** 20, 3)], P("u"), grq(1, 2)),
+])
+def test_rational_roots(roots, extra, lead):
+    u = P("u")
+    f = ParamPolynomial.const(lead)
+    for r in roots:
+        f = f * (u - grq(r.numerator, r.denominator))
+    want = set(roots)
+    if extra is not None:
+        f = f * extra
+        if extra == u:
+            want.add(Rat(0))
+    got = _rational_roots(f, "u")
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_rational_roots_rejects_complex_coefficients():
+    assert _rational_roots(P("u") - gr(0, 1), "u") is None
+
+
+def test_limit_cycle_huge_coefficient_is_fast(capsys):
+    start = time.perf_counter()
+    code = main(["limit-cycle", "--potential",
+                 "(100000000000000000000 - y^2)*y'", "--order", "2"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0] == "R_c = 10000000000"
+    assert elapsed < 2.0
