@@ -294,14 +294,9 @@ class ParamPolynomial:
         if not bindings:
             return self
         idx = {n: self.vars.index(n) for n in bindings}
-        keep = [i for i, n in enumerate(self.vars) if n not in bindings]
-        keep_vars = tuple(self.vars[i] for i in keep)
         out = _ZERO_POLY
         powcache = {}
-        den = self.den
-        for exps, (re, im) in self.terms.items():
-            factor = _term(keep_vars, tuple(exps[i] for i in keep),
-                           re, im, den)
+        for exps, factor in self.residuals(bindings):
             for name, i in idx.items():
                 e = exps[i]
                 if not e:
@@ -314,6 +309,17 @@ class ParamPolynomial:
                 factor = factor * p
             out = out + factor
         return out.compact()
+
+    def residuals(self, names):
+        """(exps, residual) for every term, where the residual is that term
+        with the variables in ``names`` dropped: its coefficient times its
+        monomial in the remaining variables."""
+        keep = [i for i, n in enumerate(self.vars) if n not in names]
+        keep_vars = tuple(self.vars[i] for i in keep)
+        den = self.den
+        for exps, c in self.terms.items():
+            yield exps, _normalized(
+                keep_vars, {tuple(exps[i] for i in keep): c}, den)
 
     def rename(self, mapping):
         """Rename variables (bijective on the occurring names)."""
@@ -503,14 +509,6 @@ def _normalized(vars, terms, den):
             den //= g
             terms = {e: (re // g, im // g) for e, (re, im) in terms.items()}
     return ParamPolynomial._raw(vars, terms, den)
-
-
-def _term(vars, exps, re, im, den):
-    """Canonical single-term polynomial (re + im*i)/den * x^exps."""
-    g = gcd(re, im, den)
-    if g != 1:
-        re, im, den = re // g, im // g, den // g
-    return ParamPolynomial._raw(vars, {exps: (re, im)}, den)
 
 
 def _poly_int_power(p, e):

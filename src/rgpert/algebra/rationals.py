@@ -2,19 +2,14 @@
 
 All series coefficients in the package live in Q(i): complex numbers with
 arbitrary-precision rational real and imaginary parts.  Arithmetic never
-rounds.  The rational type is gmpy2's mpq when gmpy2 is installed and the
-stdlib fractions.Fraction otherwise; both give identical results.
+rounds.  The rational type is the stdlib fractions.Fraction.
 GaussianRational is the scalar type at the edges of the polynomial
-kernel, whose inner loops work on integer numerators (see poly.py), so
-the choice of backend matters little for speed.
+kernel, whose inner loops work on integer numerators (see poly.py).
 """
 
 from math import isqrt
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 _RAT_ZERO = Rat(0)
 _RAT_ONE = Rat(1)

@@ -6,7 +6,7 @@ caps explicitly with truncate()/extend().
 """
 
 from ..errors import CapMismatch, DegenerateRoot, NonRationalRoot
-from .poly import ParamPolynomial, _as_poly, _term
+from .poly import ParamPolynomial, _as_poly
 from .rationals import GaussianRational, Rat, ZERO, ONE, rat_sqrt
 
 _ZP = ParamPolynomial.zero()
@@ -269,11 +269,7 @@ def substitute(obj, bindings, cap=None):
             return EpsilonSeries.from_poly(p, K)
         out = EpsilonSeries.zero(K)
         idx = {n: p.vars.index(n) for n in active}
-        keep = [i for i, n in enumerate(p.vars) if n not in series_bindings]
-        keep_vars = tuple(p.vars[i] for i in keep)
-        for exps, (re, im) in p.terms.items():
-            residual = _term(keep_vars, tuple(exps[i] for i in keep),
-                             re, im, p.den)
+        for exps, residual in p.residuals(series_bindings):
             factor = EpsilonSeries.from_poly(residual, K)
             for name, i in idx.items():
                 e = exps[i]
