@@ -12,7 +12,7 @@ from .algebra import Rat, GaussianRational
 from .errors import RgpertError
 from .potential import parse_potential
 from .perturbation import expand
-from .rg import derive_rg, to_polar, limit_cycle, renormalization_constants
+from .rg import derive_rg, to_polar, limit_cycle
 from .verify import run_identity_suite
 from . import mathieu as mathieu_mod
 from . import numeric

@@ -249,20 +249,16 @@ def evaluate_expansion(system, amplitudes, eps, expansion_order):
 
 
 def expansion_initial_conditions(system, eps, rhs_order, expansion_order,
-                                 R0=None, theta0=None, Ar0=None, Br0=None):
+                                 Ar0, Br0):
     """(y(0), y'(0)) of the truncated expansion, including amplitude drift.
 
-    Lets the direct ODE integration start from exactly the same state as
-    the RG reconstruction.
+    ``system`` is the Cartesian RGSystem and (Ar0, Br0) the amplitudes at
+    t = 0.  Lets the direct ODE integration start from exactly the same
+    state as the RG reconstruction.
     """
-    polar = isinstance(system, PolarRG)
-    if polar:
-        Ar = R0 * cmath.exp(1j * theta0)
-        Br = R0 * cmath.exp(-1j * theta0)
-    else:
-        Ar, Br = complex(Ar0), complex(Br0)
+    Ar, Br = complex(Ar0), complex(Br0)
 
-    def num(series, order, dt=False, dA=False, dB=False):
+    def num(series, order, dA=False, dB=False):
         out = 0j
         for k in range(min(order, series.cap) + 1):
             c = series.coeffs[k]
@@ -273,9 +269,6 @@ def expansion_initial_conditions(system, eps, rhs_order, expansion_order,
             out += eps ** k * c.eval_complex({"Ar": Ar, "Br": Br})
         return out
 
-    if polar:
-        # convert once to cartesian coefficients for the drift computation
-        raise ValueError("pass the cartesian RGSystem here")
     rhs_a = num(system.rhs_A, rhs_order)
     rhs_b = num(system.rhs_B, rhs_order)
     y = 0j

@@ -12,7 +12,6 @@ class ExampleSpec:
     name: str
     dsl: str
     params: tuple
-    default_order: int
     note: str
 
     def potential(self):
@@ -21,19 +20,19 @@ class ExampleSpec:
 
 EXAMPLES = {
     "vdp": ExampleSpec(
-        "vdp", "(1 - y^2)*y'", (), 3,
+        "vdp", "(1 - y^2)*y'", (),
         "van der Pol oscillator"),
     "mathieu": ExampleSpec(
-        "mathieu", "(g + 2*cos(1t))*(-y)", ("g",), 3,
+        "mathieu", "(g + 2*cos(1t))*(-y)", ("g",),
         "parametric resonance with detuning g"),
     "duffing": ExampleSpec(
-        "duffing", "-y' - g*y^3", ("g",), 3,
+        "duffing", "-y' - g*y^3", ("g",),
         "damped Duffing oscillator"),
     "rayleigh": ExampleSpec(
-        "rayleigh", "y' - 1/3*y'^3", (), 3,
+        "rayleigh", "y' - 1/3*y'^3", (),
         "Rayleigh oscillator"),
     "nonauto": ExampleSpec(
-        "nonauto", "2*y*y'*cos(1t)", (), 3,
+        "nonauto", "2*y*y'*cos(1t)", (),
         "nonautonomous oscillator with periodic forcing"),
 }
 

@@ -17,7 +17,9 @@ from rgpert.mathieu import analyze, boundary_crosscheck
 from rgpert.perturbation import expand
 from rgpert.registry import example_expansion
 from rgpert.rg import derive_rg, to_polar, limit_cycle
-from rgpert.verify import run_identity_suite, random_potential
+from rgpert.verify import (run_identity_suite, random_potential,
+                           check_functional_relation_finite,
+                           check_inversion_finite)
 from rgpert import numeric as nm
 
 import test_rg
@@ -135,13 +137,16 @@ def test_criterion_08_nonautonomous():
 def test_criterion_09_identity_suite():
     start = time.perf_counter()
     ok = True
+    finite = (check_functional_relation_finite, check_inversion_finite)
     for name in ("vdp", "mathieu", "duffing", "rayleigh", "nonauto"):
         bindings = {"g": 1} if name in ("mathieu", "duffing") else None
         Y = example_expansion(name, 4, bindings)
         ok &= all(r.passed for r in run_identity_suite(Y, derive_rg(Y)))
+        ok &= all(check(Y).passed for check in finite)
     for seed in range(20):
         Y = expand(random_potential(seed), 3)
         ok &= all(r.passed for r in run_identity_suite(Y, derive_rg(Y)))
+        ok &= all(check(Y).passed for check in finite)
     elapsed = time.perf_counter() - start
     report(9, "exact-identity suite", ok and elapsed < 120.0)
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -74,6 +75,18 @@ def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "--example", "rayleigh", "--order", "3")
     assert code == 0
     assert out.count("pass") == 4
+
+
+def test_verify_at_printed_order(capsys):
+    # the identity checks reach the orders the golden polar output prints
+    start = time.perf_counter()
+    code, out = run(capsys, "verify", "--example", "vdp", "--order", "8")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.splitlines() == [
+        f"{name} @K=8: pass" for name in
+        ("functional_relation", "inversion", "residual", "secular_free")]
+    assert elapsed < 10.0
 
 
 def test_usage_error_exit_2():
