@@ -338,17 +338,18 @@ class ParamPolynomial:
                  for exps, c in self.terms.items() if exps[i] == power}
         return _normalized(rest, terms, self.den).compact()
 
-    def degree_in(self, name):
-        if name not in self.vars or not self.terms:
-            return 0
+    def exponents(self, name):
+        """The distinct exponents of ``name`` over the terms."""
+        if name not in self.vars:
+            return {0} if self.terms else set()
         i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return {e[i] for e in self.terms}
+
+    def degree_in(self, name):
+        return max(self.exponents(name), default=0)
 
     def min_degree_in(self, name):
-        if name not in self.vars or not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return min(e[i] for e in self.terms)
+        return min(self.exponents(name), default=0)
 
     def divide_by_var(self, name, power=1):
         """Exact division by name**power; every term must carry it."""
@@ -387,17 +388,6 @@ class ParamPolynomial:
         if p.vars:
             return None
         return _scalar(*p.terms[()], p.den)
-
-    def eval_complex(self, values):
-        """Floating evaluation; ``values`` maps every occurring var."""
-        out = 0j
-        vals = [complex(values[n]) for n in self.vars]
-        for exps, c in self.items():
-            m = c.to_complex()
-            for v, e in zip(vals, exps):
-                m *= v ** e
-            out += m
-        return out
 
     # -- predicates and hashing ------------------------------------------
 

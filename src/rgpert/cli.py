@@ -19,6 +19,14 @@ from . import numeric
 from .registry import EXAMPLES, get_example
 
 
+def _order(text):
+    """Argument type of a truncation order: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_potential_args(p):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--example", choices=sorted(EXAMPLES),
@@ -29,10 +37,9 @@ def _add_potential_args(p):
     p.add_argument("--bind", action="append", default=[],
                    metavar="NAME=VALUE",
                    help="bind a parameter to a rational value")
-    p.add_argument("--order", type=int, default=3, metavar="K",
+    p.add_argument("--order", type=_order, default=3, metavar="K",
                    help="truncation order in eps (default 3)")
-    p.add_argument("--format", default="text",
-                   choices=["text", "json", "csv", "table"],
+    p.add_argument("--format", default="text", choices=["text", "json"],
                    help="output format")
 
 
@@ -50,9 +57,22 @@ def _resolve_potential(args, parser):
         name, _, value = item.partition("=")
         if not _ or not name:
             parser.error(f"--bind expects NAME=VALUE, got {item!r}")
-        bindings[name] = GaussianRational(Rat(value))
+        try:
+            bindings[name] = GaussianRational(Rat(value))
+        except (ValueError, ZeroDivisionError):
+            parser.error(f"--bind {name}: {value!r} is not a rational")
+        if name not in V.params:
+            parser.error(f"--bind {name}: not a declared parameter")
     if bindings:
         V = V.bind(bindings)
+    return V
+
+
+def _numeric_potential(args, parser):
+    V = _resolve_potential(args, parser)
+    if V.params:
+        parser.error(f"bind the parameters {', '.join(V.params)} "
+                     "with --bind for numerics")
     return V
 
 
@@ -192,7 +212,7 @@ def _emit_rows(args, header, rows):
 
 
 def cmd_simulate(args, parser):
-    V = _resolve_potential(args, parser)
+    V = _numeric_potential(args, parser)
     if args.y0 is not None and args.dy0 is not None:
         traj = numeric.integrate_ode(V, args.y0, args.dy0, args.eps,
                                      args.tmax, args.dt)
@@ -213,7 +233,7 @@ def cmd_simulate(args, parser):
 
 
 def cmd_compare(args, parser):
-    V = _resolve_potential(args, parser)
+    V = _numeric_potential(args, parser)
     if args.R0 is None or args.theta0 is None:
         parser.error("compare needs --R0 and --theta0")
     Y = expand(V, args.order)
@@ -257,10 +277,9 @@ def build_parser():
 
     handlers = {}
 
-    def add(name, fn, sim=False, pot=True):
+    def add(name, fn, sim=False):
         p = sub.add_parser(name)
-        if pot:
-            _add_potential_args(p)
+        _add_potential_args(p)
         if sim:
             _common_sim_args(p)
         handlers[name] = fn
@@ -272,14 +291,14 @@ def build_parser():
     add("limit-cycle", cmd_limit_cycle)
     add("verify", cmd_verify)
     pm = sub.add_parser("mathieu")
-    pm.add_argument("--order", type=int, default=5)
+    pm.add_argument("--order", type=_order, default=5)
     pm.add_argument("--branch", choices=["+", "-"])
     pm.add_argument("--crosscheck", metavar="eps=v1:v2,N=n")
     pm.add_argument("--format", default="text", choices=["text", "json"])
     handlers["mathieu"] = cmd_mathieu
     add("simulate", cmd_simulate, sim=True)
     add("compare", cmd_compare, sim=True)
-    pe = sub.add_parser("examples")
+    sub.add_parser("examples")
     handlers["examples"] = cmd_examples
     return parser, handlers
 

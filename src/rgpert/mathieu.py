@@ -9,7 +9,7 @@ edges a = 1 + eps*g of the conventional coupling a.
 from dataclasses import dataclass
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      Rat, rat_sqrt, ZERO, ONE)
+                      Rat, rat_sqrt, ZERO)
 from .errors import (NotLinear, NotScalar, Underdetermined,
                      NonRationalRoot, RootNotBracketed)
 from .potential import Potential

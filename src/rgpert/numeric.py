@@ -99,40 +99,32 @@ def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
                       truncated=truncated)
 
 
-def _polar_rhs(polar, eps, order):
-    """Numeric (dlogR/dt, dtheta/dt) callables truncated at eps^order."""
-    def compile_series(series):
-        rows = []
-        for k in range(min(order, series.cap) + 1):
-            c = series.coeffs[k].compact()
-            terms = []
-            for exps, coeff in c.items():
-                r = exps[c.vars.index("R")] if "R" in c.vars else 0
-                w = exps[c.vars.index(PHASE)] if PHASE in c.vars else 0
-                terms.append((r, w, coeff.to_complex()))
-            if terms:
-                rows.append((eps ** k, terms))
-        return rows
+def _compile(series, eps, order, x, y):
+    """[(eps^k, [(x-exponent, y-exponent, complex coefficient)])] for the
+    eps-orders k <= order of a series in the two variables x and y."""
+    rows = []
+    for k in range(min(order, series.cap) + 1):
+        c = series.coeffs[k].compact()
+        unbound = set(c.vars) - {x, y}
+        if unbound:
+            raise ValueError(f"unbound variables {sorted(unbound)}; "
+                             "bind them to numbers first")
+        terms = [(p, q, coeff.to_complex())
+                 for (p, q), coeff in c.reindexed((x, y)).items()]
+        if terms:
+            rows.append((eps ** k, terms))
+    return rows
 
-    rows_logR = compile_series(polar.dlogR_dt)
-    rows_theta = compile_series(polar.dtheta_dt)
 
-    def evaluate(rows, R, theta):
-        out = 0j
-        for epsk, terms in rows:
-            acc = 0j
-            for r, wexp, c in terms:
-                acc += c * (R ** r) * cmath.exp(1j * wexp * theta)
-            out += epsk * acc
-        return out
-
-    def f(t, state):
-        R, theta = state
-        v1 = evaluate(rows_logR, R, theta)
-        v2 = evaluate(rows_theta, R, theta)
-        return (R * v1.real, v2.real)
-
-    return f
+def _evaluate(rows, x, y):
+    """Value of compiled rows at x, y: complex scalars or numpy arrays."""
+    out = 0j
+    for epsk, terms in rows:
+        acc = 0j
+        for p, q, c in terms:
+            acc += c * x ** p * y ** q
+        out += epsk * acc
+    return out
 
 
 def integrate_rg(system, eps, order, t_max, h=DEFAULT_STEP,
@@ -142,108 +134,67 @@ def integrate_rg(system, eps, order, t_max, h=DEFAULT_STEP,
     Polar systems take (R0, theta0); Cartesian systems take a complex
     conjugate pair (Ar0, Br0).
     """
-    grid = _grid(t_max, h)
     if isinstance(system, PolarRG):
         if R0 is None or theta0 is None:
             raise ValueError("polar integration needs R0 and theta0")
-        f = _polar_rhs(system, eps, order)
-        states, truncated = _rk4(f, (float(R0), float(theta0)), grid)
-        values = np.array(states)
-        return Trajectory(grid[:len(values)], ("R", "theta"), values,
-                          meta={"eps": eps, "order": order, "h": h,
-                                "kind": "rg-polar"},
-                          truncated=truncated)
-    if not isinstance(system, RGSystem):
+        rows_logR, rows_theta = (_compile(s, eps, order, "R", PHASE)
+                                 for s in (system.dlogR_dt, system.dtheta_dt))
+
+        def f(t, state):
+            R, theta = state
+            w = cmath.exp(1j * theta)
+            return (R * _evaluate(rows_logR, R, w).real,
+                    _evaluate(rows_theta, R, w).real)
+
+        state0 = (float(R0), float(theta0))
+        columns, kind = ("R", "theta"), "rg-polar"
+    elif isinstance(system, RGSystem):
+        if Ar0 is None or Br0 is None:
+            raise ValueError("cartesian integration needs Ar0 and Br0")
+        rows_a, rows_b = (_compile(s, eps, order, "Ar", "Br")
+                          for s in (system.rhs_A, system.rhs_B))
+
+        def f(t, state):
+            A = complex(state[0], state[1])
+            B = complex(state[2], state[3])
+            va = _evaluate(rows_a, A, B)
+            vb = _evaluate(rows_b, A, B)
+            return (va.real, va.imag, vb.real, vb.imag)
+
+        A0, B0 = complex(Ar0), complex(Br0)
+        state0 = (A0.real, A0.imag, B0.real, B0.imag)
+        columns, kind = ("Ar_re", "Ar_im", "Br_re", "Br_im"), "rg-cartesian"
+    else:
         raise TypeError("system must be a PolarRG or RGSystem")
-    if Ar0 is None or Br0 is None:
-        raise ValueError("cartesian integration needs Ar0 and Br0")
-
-    def compile_cart(series):
-        rows = []
-        for k in range(min(order, series.cap) + 1):
-            c = series.coeffs[k].compact()
-            terms = []
-            for exps, coeff in c.items():
-                a = exps[c.vars.index("Ar")] if "Ar" in c.vars else 0
-                b = exps[c.vars.index("Br")] if "Br" in c.vars else 0
-                terms.append((a, b, coeff.to_complex()))
-            if terms:
-                rows.append((eps ** k, terms))
-        return rows
-
-    rows_a = compile_cart(system.rhs_A)
-    rows_b = compile_cart(system.rhs_B)
-
-    def f(t, state):
-        ar_re, ar_im, br_re, br_im = state
-        A = complex(ar_re, ar_im)
-        B = complex(br_re, br_im)
-        va = sum(e * sum(c * A ** p * B ** q for p, q, c in terms)
-                 for e, terms in rows_a)
-        vb = sum(e * sum(c * A ** p * B ** q for p, q, c in terms)
-                 for e, terms in rows_b)
-        return (va.real, va.imag, vb.real, vb.imag)
-
-    A0, B0 = complex(Ar0), complex(Br0)
-    states, truncated = _rk4(
-        f, (A0.real, A0.imag, B0.real, B0.imag), grid)
+    grid = _grid(t_max, h)
+    states, truncated = _rk4(f, state0, grid)
     values = np.array(states)
-    return Trajectory(grid[:len(values)],
-                      ("Ar_re", "Ar_im", "Br_re", "Br_im"), values,
+    return Trajectory(grid[:len(values)], columns, values,
                       meta={"eps": eps, "order": order, "h": h,
-                            "kind": "rg-cartesian"},
+                            "kind": kind},
                       truncated=truncated)
-
-
-def _compile_table(table, eps, order, polar):
-    """[(n, [(eps^k, [(p_or_r, q_or_w, complexcoeff)])])] per harmonic."""
-    out = []
-    va, vb = ("R", PHASE) if polar else ("Ar", "Br")
-    for n, series in sorted(table.items()):
-        rows = []
-        for k in range(min(order, series.cap) + 1):
-            c = series.coeffs[k].compact()
-            terms = []
-            for exps, coeff in c.items():
-                p = exps[c.vars.index(va)] if va in c.vars else 0
-                q = exps[c.vars.index(vb)] if vb in c.vars else 0
-                terms.append((p, q, coeff.to_complex()))
-            if terms:
-                rows.append((eps ** k, terms))
-        if rows:
-            out.append((n, rows))
-    return out
 
 
 def evaluate_expansion(system, amplitudes, eps, expansion_order):
     """y_RG(t) from the secular-free expansion along the amplitude flow."""
-    polar = isinstance(system, PolarRG)
-    compiled = _compile_table(system.coeff_table, eps, expansion_order, polar)
     t = amplitudes.t
-    if polar:
-        R = amplitudes.column("R")
-        theta = amplitudes.column("theta")
-        base = np.exp(1j * theta)
-        amp1 = R * base        # stands for Ar = R e^{i theta}
+    if isinstance(system, PolarRG):
+        names = ("R", PHASE)
+        x = amplitudes.column("R")
+        y = np.exp(1j * amplitudes.column("theta"))
     else:
-        amp1 = amplitudes.column("Ar_re") + 1j * amplitudes.column("Ar_im")
-        amp2 = amplitudes.column("Br_re") + 1j * amplitudes.column("Br_im")
-    y = np.zeros(len(t), dtype=complex)
-    for n, rows in compiled:
-        pn = np.zeros(len(t), dtype=complex)
-        for epsk, terms in rows:
-            acc = np.zeros(len(t), dtype=complex)
-            for p, q, c in terms:
-                if polar:
-                    acc += c * (R ** p) * np.exp(1j * q * theta)
-                else:
-                    acc += c * (amp1 ** p) * (amp2 ** q)
-            pn += epsk * acc
-        y += pn * np.exp(1j * n * t)
-    resid = np.max(np.abs(y.imag)) if len(y) else 0.0
-    if resid > IMAG_TOL_EXPANSION * max(1.0, np.max(np.abs(y.real))):
+        names = ("Ar", "Br")
+        x = amplitudes.column("Ar_re") + 1j * amplitudes.column("Ar_im")
+        y = amplitudes.column("Br_re") + 1j * amplitudes.column("Br_im")
+    signal = np.zeros(len(t), dtype=complex)
+    for n, series in sorted(system.coeff_table.items()):
+        rows = _compile(series, eps, expansion_order, *names)
+        if rows:
+            signal += _evaluate(rows, x, y) * np.exp(1j * n * t)
+    resid = np.max(np.abs(signal.imag)) if len(signal) else 0.0
+    if resid > IMAG_TOL_EXPANSION * max(1.0, np.max(np.abs(signal.real))):
         raise NotReal(f"imaginary residue {resid} in reconstructed signal")
-    return Trajectory(t, ("y",), y.real.reshape(-1, 1),
+    return Trajectory(t, ("y",), signal.real.reshape(-1, 1),
                       meta={"eps": eps, "expansion_order": expansion_order,
                             "kind": "rg-expansion"})
 
@@ -258,16 +209,8 @@ def expansion_initial_conditions(system, eps, rhs_order, expansion_order,
     """
     Ar, Br = complex(Ar0), complex(Br0)
 
-    def num(series, order, dA=False, dB=False):
-        out = 0j
-        for k in range(min(order, series.cap) + 1):
-            c = series.coeffs[k]
-            if dA:
-                c = c.diff("Ar")
-            if dB:
-                c = c.diff("Br")
-            out += eps ** k * c.eval_complex({"Ar": Ar, "Br": Br})
-        return out
+    def num(series, order):
+        return _evaluate(_compile(series, eps, order, "Ar", "Br"), Ar, Br)
 
     rhs_a = num(system.rhs_A, rhs_order)
     rhs_b = num(system.rhs_B, rhs_order)
@@ -275,8 +218,9 @@ def expansion_initial_conditions(system, eps, rhs_order, expansion_order,
     dy = 0j
     for n, series in sorted(system.coeff_table.items()):
         pn = num(series, expansion_order)
-        dpn = (num(series, expansion_order, dA=True) * rhs_a +
-               num(series, expansion_order, dB=True) * rhs_b)
+        dpn = sum(num(series.map_coeffs(lambda c: c.diff(name)),
+                      expansion_order) * rhs
+                  for name, rhs in (("Ar", rhs_a), ("Br", rhs_b)))
         y += pn
         dy += dpn + 1j * n * pn
     return y.real, dy.real

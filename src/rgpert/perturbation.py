@@ -9,10 +9,9 @@ up a t-degree and their free constant is fixed by the normalization
 f_{+-1,k}(0) = 0.
 """
 
-from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      Rat, ZERO)
+from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
 from .errors import SupportOverflow
-from .potential import HarmonicSeries, eval_potential
+from .potential import HARMONIC, HarmonicSeries, eval_potential
 
 _ZP = ParamPolynomial.zero()
 
@@ -86,13 +85,14 @@ def expand(V, K, support_bound=None):
         support_bound = 1 + K * M
     y = HarmonicSeries.free_oscillation(K)
     for k in range(1, K + 1):
-        source = eval_potential(V, y, k - 1).eps_coefficient(k - 1)
-        for n in sorted(source):
+        # eps^{k-1} of V(y): a Laurent polynomial in z = e^{it}
+        source = eval_potential(V, y, k - 1).series.coeffs[k - 1]
+        for n in sorted(source.exponents(HARMONIC)):
             if abs(n) > support_bound:
                 raise SupportOverflow(
                     f"harmonic {n} at order {k} exceeds bound "
                     f"{support_bound}; potential may be outside the class")
-            p = particular_solution(n, source[n])
+            p = particular_solution(n, source.coefficient(HARMONIC, n))
             if not p.is_zero():
                 y = y.with_entry(n, k, p)
     return NaiveSeries(V, K, y)

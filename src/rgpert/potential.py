@@ -5,18 +5,33 @@ A potential is a finite table C[(k, l, m, n)] -> coefficient, meaning
     V = sum C_klmn * eps^n * e^{k i t} * y^l * (dy/dt)^m,
 
 with coefficients that are polynomials in the declared symbolic
-parameters only.  The concrete DSL (see parse_potential) expands sugar
-like cos(kt) into this table at parse time.
+parameters only.  The DSL (see parse_potential) evaluates to one
+polynomial in E = e^{it} (Laurent), y, y', eps and the parameters, which
+is split into this table.
 """
 
 import json
 import re as _re
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      ZERO, ONE, I, Rat, grq)
-from .errors import ParseError, NotInClass, TrivialLinear, SupportOverflow
+                      I, Rat, grq, order_vars)
+from .errors import ParseError, NotInClass, TrivialLinear
 
 _ZP = ParamPolynomial.zero()
+
+#: Laurent variable standing for e^{it} in a HarmonicSeries.
+HARMONIC = "z"
+
+#: Names a parameter may not take.  The engine's variables (time, the
+#: amplitudes A, B and their renormalized forms Ar, Br, the polar radius
+#: R and phase w, the limit-cycle unknown u, the harmonic variable) would
+#: silently be identified with the parameter; the DSL's own words are
+#: read before parameter names, so the parameter would silently vanish.
+RESERVED_NAMES = ("t", "A", "B", "Ar", "Br", "R", "u", "w", HARMONIC,
+                  "E", "eps", "i", "y", "cos", "sin")
+
+# DSL variables that index the quartet table (k, l, m, n).
+_QUARTET = ("E", "y", "y'", "eps")
 
 
 class Potential:
@@ -38,6 +53,10 @@ class Potential:
             self.validate()
 
     def validate(self):
+        for name in self.params:
+            if name in RESERVED_NAMES:
+                raise NotInClass(f"parameter name {name!r} is reserved for "
+                                 "an engine variable")
         for (k, l, m, n) in self.coeffs:
             if l < 0 or m < 0 or n < 0:
                 raise NotInClass("negative power of y, y' or eps")
@@ -129,46 +148,6 @@ def _tokenize(text):
     return tokens
 
 
-class _Table(dict):
-    """Intermediate parse value: quartet table with ring operations."""
-
-    def padd(self, other):
-        out = _Table(self)
-        for key, c in other.items():
-            s = out.get(key, _ZP) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
-
-    def pneg(self):
-        return _Table({k: -c for k, c in self.items()})
-
-    def pmul(self, other):
-        out = _Table()
-        for (k1, l1, m1, n1), c1 in self.items():
-            for (k2, l2, m2, n2), c2 in other.items():
-                key = (k1 + k2, l1 + l2, m1 + m2, n1 + n2)
-                s = out.get(key, _ZP) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
-
-    def ppow(self, n):
-        out = _Table({(0, 0, 0, 0): ParamPolynomial.const(ONE)})
-        for _ in range(n):
-            out = out.pmul(self)
-        return out
-
-
-def _single(key, coeff):
-    return _Table({key: ParamPolynomial.const(coeff)
-                   if isinstance(coeff, (int, GaussianRational)) else coeff})
-
-
 class _Parser:
     def __init__(self, tokens, params, text_len):
         self.tokens = tokens
@@ -205,20 +184,20 @@ class _Parser:
     def expr(self):
         if self.peek() == "-":
             self.advance()
-            value = self.term().pneg()
+            value = -self.term()
         else:
             value = self.term()
         while self.peek() in ("+", "-"):
             op, _ = self.advance()
             rhs = self.term()
-            value = value.padd(rhs.pneg() if op == "-" else rhs)
+            value = value - rhs if op == "-" else value + rhs
         return value
 
     def term(self):
         value = self.factor()
         while self.peek() == "*":
             self.advance()
-            value = value.pmul(self.factor())
+            value = value * self.factor()
         return value
 
     def factor(self):
@@ -228,7 +207,7 @@ class _Parser:
             tok, at = self.advance() if self.peek() else (None, self.here())
             if tok is None or not tok.isdigit():
                 raise ParseError("expected a nonnegative integer exponent", at)
-            value = value.ppow(int(tok))
+            value = value ** int(tok)
         return value
 
     def _int(self):
@@ -261,25 +240,19 @@ class _Parser:
                 c = GaussianRational(Rat(int(num), int(den)))
             else:
                 c = GaussianRational(int(tok))
-            return _single((0, 0, 0, 0), c)
+            return ParamPolynomial.const(c)
         if tok == "i":
             self.advance()
-            return _single((0, 0, 0, 0), I)
-        if tok == "eps":
+            return ParamPolynomial.const(I)
+        if tok in ("eps", "y", "y'"):
             self.advance()
-            return _single((0, 0, 0, 1), ONE)
-        if tok == "y":
-            self.advance()
-            return _single((0, 1, 0, 0), ONE)
-        if tok == "y'":
-            self.advance()
-            return _single((0, 0, 1, 0), ONE)
+            return ParamPolynomial.var(tok)
         if tok == "E":
             self.advance()
             self.expect("(")
             k = self._int()
             self.expect(")")
-            return _single((k, 0, 0, 0), ONE)
+            return ParamPolynomial.var("E", k)
         if tok in ("cos", "sin"):
             self.advance()
             self.expect("(")
@@ -289,27 +262,30 @@ class _Parser:
             if tname != "t":
                 raise ParseError("expected 't' inside cos(..)/sin(..)", tat)
             self.expect(")")
-            if tok == "cos":
-                half = grq(1, 2)
-                return _single((k, 0, 0, 0), half).padd(
-                    _single((-k, 0, 0, 0), half))
-            halfi = grq(0, 1, -1, 2)  # -i/2
-            return _single((k, 0, 0, 0), halfi).padd(
-                _single((-k, 0, 0, 0), grq(0, 1, 1, 2)))
+            # cos = (E(k) + E(-k))/2, sin = -i/2*E(k) + i/2*E(-k)
+            c = grq(1, 2) if tok == "cos" else grq(0, 1, -1, 2)
+            c_mirror = c if tok == "cos" else -c
+            return (ParamPolynomial.var("E", k, c) +
+                    ParamPolynomial.var("E", -k, c_mirror))
         if tok == "t":
             raise NotInClass(
                 "bare polynomial t-dependence is outside the class")
         if tok in self.params:
             self.advance()
-            return _single((0, 0, 0, 0), ParamPolynomial.var(tok))
+            return ParamPolynomial.var(tok)
         raise ParseError(f"unknown identifier {tok!r}", at)
 
 
 def parse_potential(text, params=()):
     """Parse the DSL into a validated quartet table."""
-    tokens = _tokenize(text)
-    table = _Parser(tokens, tuple(params), len(text)).parse()
-    return Potential(dict(table), params)
+    value = _Parser(_tokenize(text), tuple(params), len(text)).parse()
+    value = value.reindexed(order_vars(value.vars + _QUARTET))
+    pos = [value.vars.index(name) for name in _QUARTET]
+    coeffs = {}
+    for exps, residual in value.residuals(_QUARTET):
+        key = tuple(exps[i] for i in pos)
+        coeffs[key] = coeffs.get(key, _ZP) + residual
+    return Potential(coeffs, params)
 
 
 # ---------------------------------------------------------------------------
@@ -319,172 +295,98 @@ def parse_potential(text, params=()):
 class HarmonicSeries:
     """Double expansion sum_k eps^k sum_n f_{n,k}(t) e^{n i t}.
 
-    ``orders[k]`` maps harmonic n to the polynomial f_{n,k} (in t, A, B
-    and parameters); absent keys are zero.  Finite support per order.
+    Stored as one EpsilonSeries whose coefficients are Laurent
+    polynomials in z = e^{it} (the variable HARMONIC), t, A, B and
+    parameters: f_{n,k} is the coefficient of z^n in eps-order k.
     """
 
-    __slots__ = ("cap", "orders")
+    __slots__ = ("series",)
 
-    def __init__(self, cap, orders=None):
-        self.cap = cap
-        if orders is None:
-            self.orders = tuple({} for _ in range(cap + 1))
-        else:
-            orders = [dict((n, p) for n, p in d.items() if not p.is_zero())
-                      for d in orders]
-            if len(orders) != cap + 1:
-                raise ValueError("order count does not match cap")
-            self.orders = tuple(orders)
+    def __init__(self, series):
+        self.series = series
 
-    @classmethod
-    def zero(cls, cap):
-        return cls(cap)
+    @property
+    def cap(self):
+        return self.series.cap
 
     @classmethod
     def free_oscillation(cls, cap):
         """A e^{it} + B e^{-it} at eps^0."""
-        orders = [{} for _ in range(cap + 1)]
-        orders[0] = {1: ParamPolynomial.var("A"),
-                     -1: ParamPolynomial.var("B")}
-        return cls(cap, orders)
+        y0 = (ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
+              ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1))
+        return cls(EpsilonSeries.from_poly(y0, cap))
 
     def truncate(self, cap):
-        if cap > self.cap:
-            raise ValueError("truncate cannot raise the cap")
-        return HarmonicSeries(cap, [dict(d) for d in self.orders[:cap + 1]])
+        return HarmonicSeries(self.series.truncate(cap))
 
     def with_entry(self, n, k, p):
-        orders = [dict(d) for d in self.orders]
-        orders[k][n] = p
-        return HarmonicSeries(self.cap, orders)
+        c = self.series.coeffs[k]
+        zn = ParamPolynomial.var(HARMONIC, n)
+        coeffs = list(self.series.coeffs)
+        coeffs[k] = c + (p - c.coefficient(HARMONIC, n)) * zn
+        return HarmonicSeries(EpsilonSeries(self.cap, coeffs))
 
     def entry(self, n, k):
-        return self.orders[k].get(n, _ZP)
-
-    def eps_coefficient(self, k):
-        return dict(self.orders[k])
+        return self.series.coeffs[k].coefficient(HARMONIC, n)
 
     def harmonic(self, n):
         """P_n as an EpsilonSeries."""
-        return EpsilonSeries(
-            self.cap, [self.orders[k].get(n, _ZP)
-                       for k in range(self.cap + 1)])
+        return self.series.map_coeffs(lambda c: c.coefficient(HARMONIC, n))
 
     def harmonics(self):
         out = set()
-        for d in self.orders:
-            out.update(d)
+        for c in self.series.coeffs:
+            out.update(c.exponents(HARMONIC))
         return sorted(out)
 
     # -- arithmetic -------------------------------------------------------
 
     def add(self, other):
-        cap = min(self.cap, other.cap)
-        orders = []
-        for k in range(cap + 1):
-            d = dict(self.orders[k])
-            for n, p in other.orders[k].items():
-                s = d.get(n, _ZP) + p
-                if s.is_zero():
-                    d.pop(n, None)
-                else:
-                    d[n] = s
-            orders.append(d)
-        return HarmonicSeries(cap, orders)
+        return HarmonicSeries(self.series + other.series)
 
-    def mul(self, other, cap=None):
-        if cap is None:
-            cap = min(self.cap, other.cap)
-        orders = [{} for _ in range(cap + 1)]
-        flat_other = [(k2, n2, p2)
-                      for k2 in range(min(cap, other.cap) + 1)
-                      for n2, p2 in other.orders[k2].items()]
-        for k1 in range(min(cap, self.cap) + 1):
-            for n1, p1 in self.orders[k1].items():
-                for k2, n2, p2 in flat_other:
-                    k = k1 + k2
-                    if k > cap:
-                        continue
-                    n = n1 + n2
-                    d = orders[k]
-                    s = d.get(n)
-                    if s is None:
-                        d[n] = p1 * p2
-                    else:
-                        s = s + p1 * p2
-                        if s.is_zero():
-                            del d[n]
-                        else:
-                            d[n] = s
-        return HarmonicSeries(cap, orders)
-
-    def scale(self, c):
-        """Multiply by a GaussianRational or parameter polynomial."""
-        orders = [{n: p * c for n, p in d.items()} for d in self.orders]
-        return HarmonicSeries(self.cap, orders)
-
-    def shift_harmonic(self, k0):
-        orders = [{n + k0: p for n, p in d.items()} for d in self.orders]
-        return HarmonicSeries(self.cap, orders)
+    def mul(self, other):
+        return HarmonicSeries(self.series * other.series)
 
     def shift_eps(self, n0):
-        orders = [{} for _ in range(self.cap + 1)]
-        for k in range(self.cap + 1 - n0):
-            orders[k + n0] = dict(self.orders[k])
-        return HarmonicSeries(self.cap, orders)
+        return HarmonicSeries(self.series.shift(n0))
 
     def dt(self):
-        """Time derivative, harmonic-wise: f' + i*n*f per harmonic."""
-        orders = []
-        for d in self.orders:
-            nd = {}
-            for n, p in d.items():
-                q = p.diff("t") + p * GaussianRational(0, Rat(n))
-                if not q.is_zero():
-                    nd[n] = q
-            orders.append(nd)
-        return HarmonicSeries(self.cap, orders)
+        """Time derivative d/dt + i*z*d/dz, as t and z = e^{it} vary."""
+        iz = ParamPolynomial.var(HARMONIC, 1, I)
+        return HarmonicSeries(self.series.map_coeffs(
+            lambda c: c.diff("t") + c.diff(HARMONIC) * iz))
 
     def __eq__(self, other):
         if not isinstance(other, HarmonicSeries):
             return NotImplemented
-        return self.cap == other.cap and self.orders == other.orders
+        return self.series == other.series
 
     def __repr__(self):
         return f"<HarmonicSeries cap={self.cap} harmonics={self.harmonics()}>"
 
 
+def _power(powers, l):
+    """base^l, where powers[j-1] is base^j; extends the list as needed."""
+    while len(powers) < l:
+        powers.append(powers[-1].mul(powers[0]))
+    return powers[l - 1]
+
+
 def eval_potential(V, y, K):
     """Expand V(eps, e^{it}, e^{-it}, y, dy/dt) into harmonics, mod eps^{K+1}."""
-    yp = None
-    powers_y = {0: None}
-    powers_yp = {0: None}
-
-    def ypow(cache, base, l):
-        if l in cache:
-            return cache[l]
-        p = ypow(cache, base, l - 1)
-        out = base.truncate(K) if p is None else p.mul(base, cap=K)
-        cache[l] = out
-        return out
-
-    out = HarmonicSeries.zero(K)
+    y = y.truncate(K)
+    y_powers, yp_powers = [y], []
+    out = HarmonicSeries(EpsilonSeries.zero(K))
     for (k, l, m, n), c in sorted(V.coeffs.items()):
         if n > K:
             continue
-        if m and yp is None:
-            yp = y.dt()
-        if l and m:
-            term = ypow(powers_y, y, l).mul(ypow(powers_yp, yp, m), cap=K)
-        elif l:
-            term = ypow(powers_y, y, l)
-        elif m:
-            term = ypow(powers_yp, yp, m)
-        else:
-            term = HarmonicSeries(
-                K, [{0: ParamPolynomial.const(ONE)}] + [{}] * K)
-        term = term.scale(c).shift_harmonic(k)
-        if n:
-            term = term.shift_eps(n)
-        out = out.add(term)
+        term = HarmonicSeries(EpsilonSeries.const(
+            c * ParamPolynomial.var(HARMONIC, k), K))
+        if l:
+            term = term.mul(_power(y_powers, l))
+        if m:
+            if not yp_powers:
+                yp_powers.append(y.dt())
+            term = term.mul(_power(yp_powers, m))
+        out = out.add(term.shift_eps(n))
     return out

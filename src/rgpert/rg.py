@@ -14,8 +14,8 @@ from math import lcm
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       substitute, series_solve_root, series_sqrt,
                       P, grq, ZERO, ONE, Rat, order_vars)
-from .errors import (NotDivisible, NotPolarizable, ThetaDependent,
-                     DegenerateRoot, NonRationalRoot)
+from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
+                     NonRationalRoot)
 
 _ZP = ParamPolynomial.zero()
 _RENAME = {"A": "Ar", "B": "Br"}

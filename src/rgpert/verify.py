@@ -17,9 +17,8 @@ offending (harmonic, eps-order, monomial) as a concrete counterexample.
 import random
 from dataclasses import dataclass
 
-from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      substitute, P, grq, gr)
-from .potential import Potential, eval_potential
+from .algebra import ParamPolynomial, EpsilonSeries, substitute, P, grq, gr
+from .potential import HarmonicSeries, Potential, eval_potential
 from .errors import TrivialLinear
 
 _ZP = ParamPolynomial.zero()
@@ -172,21 +171,13 @@ def check_residual(Y, K=None):
     if K is None:
         K = Y.cap
     table = Y.table.truncate(K)
-    rhs = eval_potential(Y.potential, table, K - 1) if K >= 1 else None
-    harmonics = set(table.harmonics())
-    if rhs is not None:
-        harmonics.update(rhs.harmonics())
-    offenses = []
-    i2 = lambda m: GaussianRational(0, 2 * m)
-    for m in sorted(harmonics):
-        pm = table.harmonic(m)
-        lhs = (pm.map_coeffs(lambda c: c.diff("t").diff("t")) +
-               pm.map_coeffs(lambda c, m=m: c.diff("t") * i2(m)) +
-               pm * GaussianRational(1 - m * m))
-        if rhs is not None:
-            lhs = lhs - rhs.harmonic(m).extend(K).shift(1)
-        offenses.append(_first_offense(m, lhs))
-    return _report("residual", K, offenses)
+    resid = table.dt().dt().series + table.series
+    if K >= 1:
+        rhs = eval_potential(Y.potential, table, K - 1).series
+        resid = resid - rhs.extend(K).shift(1)
+    resid = HarmonicSeries(resid)
+    return _report("residual", K, [_first_offense(m, resid.harmonic(m))
+                                   for m in resid.harmonics()])
 
 
 def check_secular_free(rgsys):

@@ -98,6 +98,37 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["polar", "--example", "duffing", "--bind", "g=abc"],
+    ["polar", "--example", "duffing", "--bind", "g=1/0"],
+    ["polar", "--example", "duffing", "--bind", "h=1"],
+    ["expand", "--example", "vdp", "--order", "-1"],
+    ["mathieu", "--order", "-1"],
+    ["rg", "--example", "vdp", "--format", "csv"],
+    ["rg", "--example", "vdp", "--format", "table"],
+    ["simulate", "--example", "duffing", "--eps", "0.1", "--y0", "1",
+     "--dy0", "0"],
+], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
+        "negative-order", "mathieu-negative-order", "format-csv",
+        "format-table", "numerics-unbound-parameter"])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,name", [
+    ("(A - y^2)*y'", "A"),              # would be read as the amplitude A
+    ("(1 - y^2)*y' + eps*y^3", "eps"),  # would be read as the eps order
+], ids=["A", "eps"])
+def test_reserved_parameter_name_exit_1(capsys, text, name):
+    code = main(["rg", "--potential", text, "--params", name,
+                 "--order", "2"])
+    assert code == 1
+    assert "reserved" in capsys.readouterr().err
+
+
 def test_domain_error_exit_1(capsys):
     # Duffing has no limit cycle: the failure is reported, not raised
     code = main(["limit-cycle", "--example", "duffing",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rgpert.algebra import EpsilonSeries, P, gr
 from rgpert.errors import GridMismatch, NotReal
 from rgpert.potential import parse_potential
 from rgpert.registry import example_expansion
@@ -12,6 +13,18 @@ from rgpert import numeric as nm
 
 VDP = parse_potential("(1 - y^2)*y'")
 NONAUTO = parse_potential("2*y*y'*cos(1t)")
+
+
+def test_compiled_series_on_scalars_and_arrays():
+    s = EpsilonSeries(1, [P("Ar") ** 2, gr(0, 1) * P("Br")])
+    rows = nm._compile(s, 0.5, 1, "Ar", "Br")
+    assert nm._evaluate(rows, 2j, 1.0) == -4 + 0.5j
+    values = nm._evaluate(rows, np.array([2j, 1.0]), np.array([1.0, 2.0]))
+    assert np.allclose(values, [-4 + 0.5j, 1 + 1j])
+    # truncation at the requested order
+    assert nm._evaluate(nm._compile(s, 0.5, 0, "Ar", "Br"), 2j, 1.0) == -4
+    with pytest.raises(ValueError):
+        nm._compile(EpsilonSeries.from_poly(P("g"), 0), 0.1, 0, "Ar", "Br")
 
 
 def test_harmonic_oscillator_exact():

@@ -77,11 +77,6 @@ def test_conjugation():
     assert q == grq(0, 1, -1, 2) * A + gr(3)
 
 
-def test_eval_complex():
-    p = A ** 2 + gr(0, 1) * B
-    assert p.eval_complex({"A": 2j, "B": 1.0}) == -4 + 1j
-
-
 def test_string_is_graded_lex_descending():
     p = A + A ** 2 * B + t * A
     assert str(p) == "A^2*B + t*A + A"
