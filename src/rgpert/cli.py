@@ -27,6 +27,24 @@ def _order(text):
     return int(text)
 
 
+def _step(text):
+    """Argument type of a time step: a positive finite float."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _duration(text):
+    """Argument type of an integration time: a finite float >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_potential_args(p):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--example", choices=sorted(EXAMPLES),
@@ -190,15 +208,24 @@ def cmd_mathieu(args, parser):
 
 def _common_sim_args(p):
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--tmax", type=float, default=25 * 2 * math.pi)
-    p.add_argument("--dt", type=float, default=numeric.DEFAULT_STEP)
-    p.add_argument("--rg-order", type=int, default=1)
-    p.add_argument("--expansion-order", type=int, default=1)
+    p.add_argument("--tmax", type=_duration, default=25 * 2 * math.pi)
+    p.add_argument("--dt", type=_step, default=numeric.DEFAULT_STEP)
+    p.add_argument("--rg-order", type=_order, default=1)
+    p.add_argument("--expansion-order", type=_order, default=1)
     p.add_argument("--R0", type=float)
     p.add_argument("--theta0", type=float)
     p.add_argument("--y0", type=float)
     p.add_argument("--dy0", type=float)
     p.add_argument("--out", help="CSV output path (default stdout)")
+
+
+def _check_orders(args, parser, *names):
+    """The amplitude flow and the expansion are truncations of the series
+    computed to --order; a higher order would be cut silently."""
+    for name in names:
+        if getattr(args, name) > args.order:
+            parser.error(f"--{name.replace('_', '-')} "
+                         f"{getattr(args, name)} exceeds --order {args.order}")
 
 
 def _emit_rows(args, header, rows):
@@ -207,8 +234,7 @@ def _emit_rows(args, header, rows):
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(header)
-        for row in rows:
-            print(",".join(repr(float(x)) for x in row))
+        sys.stdout.writelines(numeric.csv_lines(rows))
 
 
 def cmd_simulate(args, parser):
@@ -217,6 +243,7 @@ def cmd_simulate(args, parser):
         traj = numeric.integrate_ode(V, args.y0, args.dy0, args.eps,
                                      args.tmax, args.dt)
     elif args.R0 is not None and args.theta0 is not None:
+        _check_orders(args, parser, "rg_order")
         pol = to_polar(derive_rg(expand(V, args.order)))
         traj = numeric.integrate_rg(pol, args.eps, args.rg_order,
                                     args.tmax, args.dt,
@@ -236,6 +263,7 @@ def cmd_compare(args, parser):
     V = _numeric_potential(args, parser)
     if args.R0 is None or args.theta0 is None:
         parser.error("compare needs --R0 and --theta0")
+    _check_orders(args, parser, "rg_order", "expansion_order")
     Y = expand(V, args.order)
     sysc = derive_rg(Y)
     pol = to_polar(sysc)

@@ -36,31 +36,106 @@ class Trajectory:
 
 
 def _grid(t_max, h):
+    if not 0 < h < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and nonnegative")
     n = int(round(t_max / h))
     return np.arange(n + 1) * h
 
 
-def _rk4(f, state0, grid):
-    """Classical RK4 over a uniform grid; state is a tuple of floats."""
-    h = grid[1] - grid[0]
+class _RHS:
+    """Right-hand side of an RK4 system as straight-line Python source.
+
+    At each stage the state scalars are bound to the names ``states`` and
+    the stage time to ``t``; ``lines`` then run in order and ``derivs``
+    are the derivatives.  Coefficients and parameters are names bound
+    through ``consts``, never source text, so inf and nan values compile
+    and no input string reaches ``exec``.
+    """
+
+    def __init__(self, states, lines=()):
+        self.states = states
+        self.lines = list(lines)
+        self.derivs = ()
+        self.consts = {}
+        self.powers = {}
+
+    def const(self, value):
+        name = f"_c{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def power(self, var, p):
+        """Name of ``var ** p``, computed once per stage."""
+        name = self.powers.get((var, p))
+        if name is None:
+            name = self.powers[var, p] = f"_p{len(self.powers)}"
+            if var in self.states:
+                # float ** int raises OverflowError where a float64 gives
+                # +-inf; take the inf and let the divergence check see it
+                self.lines += [f"try: {name} = {var} ** {int(p)}",
+                               f"except OverflowError: "
+                               f"{name} = _f64({var}) ** {int(p)}"]
+            else:
+                self.lines.append(f"{name} = {var} ** {int(p)}")
+        return name
+
+    def add_sum(self, target, rows, x, y):
+        """Lines computing ``target = _evaluate(rows, x, y)`` with the same
+        operations in the same order."""
+        self.lines.append(f"{target} = 0j")
+        for epsk, terms in rows:
+            self.lines.append("_acc = 0j")
+            for p, q, c in terms:
+                self.lines.append(f"_acc += {self.const(c)} * "
+                                  f"{self.power(x, p)} * {self.power(y, q)}")
+            self.lines.append(f"{target} += {self.const(epsk)} * _acc")
+
+
+def _kernel_source(rhs):
+    """One function running every RK4 step of ``rhs`` with inlined stages."""
+    s = [f"_s{i}" for i in range(len(rhs.states))]
+    src = [f"def _kernel({', '.join(s)}, _ts, _append):",
+           "    for _t0 in _ts:"]
+    stages = (("_t0", None), ("_t0 + _h2", "_h2"), ("_t0 + _h2", "_h2"),
+              ("_t0 + _h", "_h"))
+    for j, (t, a) in enumerate(stages):
+        src.append(f"t = {t}")
+        for i, name in enumerate(rhs.states):
+            src.append(f"{name} = {s[i]}" if a is None else
+                       f"{name} = {s[i]} + {a} * _k{j - 1}_{i}")
+        src += rhs.lines
+        src += [f"_k{j}_{i} = {d}" for i, d in enumerate(rhs.derivs)]
+    src += [f"{x} = {x} + _h6 * (_k0_{i} + 2 * _k1_{i} + 2 * _k2_{i}"
+            f" + _k3_{i})" for i, x in enumerate(s)]
+    src += [f"_append(({', '.join(s)},))",
+            "if " + " or ".join(f"abs({x}) > _limit" for x in s) + ":",
+            "    return True"]
+    return "\n".join(src[:2] + ["        " + line for line in src[2:]]
+                     + ["    return False"])
+
+
+def _rk4(rhs, state0, grid):
+    """Classical RK4 of the system ``rhs`` over a uniform grid; the state
+    is a tuple of floats.  Stops after the first step that leaves the
+    box |x| <= DIVERGENCE_LIMIT and reports it as truncated."""
     out = [state0]
-    state = state0
-    for i in range(len(grid) - 1):
-        t = grid[i]
-        k1 = f(t, state)
-        k2 = f(t + h / 2, _axpy(state, k1, h / 2))
-        k3 = f(t + h / 2, _axpy(state, k2, h / 2))
-        k4 = f(t + h, _axpy(state, k3, h))
-        state = tuple(s + h / 6 * (a + 2 * b + 2 * c + d)
-                      for s, a, b, c, d in zip(state, k1, k2, k3, k4))
-        out.append(state)
-        if any(abs(x) > DIVERGENCE_LIMIT for x in state):
-            return out, True
-    return out, False
+    if len(grid) < 2:
+        return out, False
+    h = float(grid[1] - grid[0])
+    namespace = dict(rhs.consts, _h=h, _h2=h / 2, _h6=h / 6,
+                     _limit=DIVERGENCE_LIMIT, _f64=np.float64,
+                     exp=cmath.exp, _not_real=_not_real)
+    exec(compile(_kernel_source(rhs), "<rk4 kernel>", "exec"), namespace)
+    truncated = namespace["_kernel"](*state0, map(float, grid[:-1]),
+                                     out.append)
+    return out, truncated
 
 
-def _axpy(state, deriv, a):
-    return tuple(s + a * d for s, d in zip(state, deriv))
+def _not_real(t, v):
+    raise ComplexPotential(
+        f"potential is not real on real states at t={t}: {v}")
 
 
 def _compile_potential(V, eps):
@@ -77,22 +152,22 @@ def _compile_potential(V, eps):
 
 def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
     """RK4 on y'' + y = eps*V for real initial data."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    terms = _compile_potential(V, eps)
-
-    def f(t, state):
-        y, yp = state
-        v = 0j
-        for k, l, m, c in terms:
-            v += c * cmath.exp(1j * k * t) * (y ** l) * (yp ** m)
-        if abs(v.imag) > IMAG_TOL_POTENTIAL * max(1.0, abs(v.real)):
-            raise ComplexPotential(
-                f"potential is not real on real states at t={t}: {v}")
-        return (yp, -y + eps * v.real)
-
     grid = _grid(t_max, h)
-    states, truncated = _rk4(f, (float(y0), float(dy0)), grid)
+    rhs = _RHS(("y", "yp"))
+    terms = _compile_potential(V, eps)
+    harmonics = {}
+    for k, _, _, _ in terms:
+        if k not in harmonics:
+            harmonics[k] = name = f"_e{len(harmonics)}"
+            rhs.lines.append(f"{name} = exp({rhs.const(1j * k)} * t)")
+    rhs.lines.append("_v = 0j")
+    for k, l, m, c in terms:
+        rhs.lines.append(f"_v += {rhs.const(c)} * {harmonics[k]} * "
+                         f"{rhs.power('y', l)} * {rhs.power('yp', m)}")
+    rhs.lines.append(f"if abs(_v.imag) > {rhs.const(IMAG_TOL_POTENTIAL)} * "
+                     f"max(1.0, abs(_v.real)): _not_real(t, _v)")
+    rhs.derivs = ("yp", f"-y + {rhs.const(eps)} * _v.real")
+    states, truncated = _rk4(rhs, (float(y0), float(dy0)), grid)
     values = np.array(states)
     return Trajectory(grid[:len(values)], ("y", "dy"), values,
                       meta={"eps": eps, "h": h, "kind": "ode"},
@@ -134,40 +209,34 @@ def integrate_rg(system, eps, order, t_max, h=DEFAULT_STEP,
     Polar systems take (R0, theta0); Cartesian systems take a complex
     conjugate pair (Ar0, Br0).
     """
+    grid = _grid(t_max, h)
     if isinstance(system, PolarRG):
         if R0 is None or theta0 is None:
             raise ValueError("polar integration needs R0 and theta0")
-        rows_logR, rows_theta = (_compile(s, eps, order, "R", PHASE)
-                                 for s in (system.dlogR_dt, system.dtheta_dt))
-
-        def f(t, state):
-            R, theta = state
-            w = cmath.exp(1j * theta)
-            return (R * _evaluate(rows_logR, R, w).real,
-                    _evaluate(rows_theta, R, w).real)
-
+        rhs = _RHS(("R", "theta"), ["w = exp(1j * theta)"])
+        rhs.add_sum("_dlogR", _compile(system.dlogR_dt, eps, order, "R",
+                                       PHASE), "R", "w")
+        rhs.add_sum("_dtheta", _compile(system.dtheta_dt, eps, order, "R",
+                                        PHASE), "R", "w")
+        rhs.derivs = ("R * _dlogR.real", "_dtheta.real")
         state0 = (float(R0), float(theta0))
         columns, kind = ("R", "theta"), "rg-polar"
     elif isinstance(system, RGSystem):
         if Ar0 is None or Br0 is None:
             raise ValueError("cartesian integration needs Ar0 and Br0")
-        rows_a, rows_b = (_compile(s, eps, order, "Ar", "Br")
-                          for s in (system.rhs_A, system.rhs_B))
-
-        def f(t, state):
-            A = complex(state[0], state[1])
-            B = complex(state[2], state[3])
-            va = _evaluate(rows_a, A, B)
-            vb = _evaluate(rows_b, A, B)
-            return (va.real, va.imag, vb.real, vb.imag)
-
+        rhs = _RHS(("a_re", "a_im", "b_re", "b_im"),
+                   ["A = complex(a_re, a_im)", "B = complex(b_re, b_im)"])
+        rhs.add_sum("_va", _compile(system.rhs_A, eps, order, "Ar", "Br"),
+                    "A", "B")
+        rhs.add_sum("_vb", _compile(system.rhs_B, eps, order, "Ar", "Br"),
+                    "A", "B")
+        rhs.derivs = ("_va.real", "_va.imag", "_vb.real", "_vb.imag")
         A0, B0 = complex(Ar0), complex(Br0)
         state0 = (A0.real, A0.imag, B0.real, B0.imag)
         columns, kind = ("Ar_re", "Ar_im", "Br_re", "Br_im"), "rg-cartesian"
     else:
         raise TypeError("system must be a PolarRG or RGSystem")
-    grid = _grid(t_max, h)
-    states, truncated = _rk4(f, state0, grid)
+    states, truncated = _rk4(rhs, state0, grid)
     values = np.array(states)
     return Trajectory(grid[:len(values)], columns, values,
                       meta={"eps": eps, "order": order, "h": h,
@@ -238,11 +307,15 @@ def compare(a, b):
     return metrics, np.column_stack([a.t, ya, yb, diff])
 
 
+def csv_lines(rows):
+    """CSV lines of a float array; repr gives the shortest exact digits."""
+    return (",".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
 def write_csv(path, rows, header="t,y_numeric,y_rg,diff"):
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(csv_lines(rows))
 
 
 def write_gnuplot(path, csv_path):

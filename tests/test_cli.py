@@ -98,6 +98,12 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+SIM_ODE = ["simulate", "--example", "vdp", "--eps", "0.1", "--y0", "1",
+           "--dy0", "0"]
+SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
+            "--R0", "1", "--theta0", "0"]
+
+
 @pytest.mark.parametrize("argv", [
     ["polar", "--example", "duffing", "--bind", "g=abc"],
     ["polar", "--example", "duffing", "--bind", "g=1/0"],
@@ -108,9 +114,24 @@ def test_usage_error_exit_2():
     ["rg", "--example", "vdp", "--format", "table"],
     ["simulate", "--example", "duffing", "--eps", "0.1", "--y0", "1",
      "--dy0", "0"],
+    SIM_FLOW + ["--rg-order", "-1"],
+    SIM_FLOW + ["--rg-order", "3"],
+    ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
+     "--R0", "1", "--theta0", "0", "--expansion-order", "3"],
+    SIM_ODE + ["--expansion-order", "-2"],
+    SIM_ODE + ["--dt", "0"],
+    SIM_ODE + ["--dt", "-0.1"],
+    SIM_ODE + ["--dt", "nan"],
+    SIM_ODE + ["--dt", "inf"],
+    SIM_ODE + ["--tmax", "-1"],
+    SIM_ODE + ["--tmax", "inf"],
+    SIM_ODE + ["--tmax", "nan"],
 ], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
         "negative-order", "mathieu-negative-order", "format-csv",
-        "format-table", "numerics-unbound-parameter"])
+        "format-table", "numerics-unbound-parameter", "rg-order-negative",
+        "rg-order-above-order", "expansion-order-above-order",
+        "expansion-order-negative", "dt-zero", "dt-negative", "dt-nan",
+        "dt-inf", "tmax-negative", "tmax-inf", "tmax-nan"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -165,6 +186,22 @@ def test_simulate_stdout(capsys):
     lines = out.splitlines()
     assert lines[0] == "t,y,dy"
     assert lines[1].startswith("0.0,0.5,")
+
+
+def test_step_longer_than_tmax_gives_the_initial_state(capsys):
+    code, out = run(capsys, *SIM_ODE, "--dt", "5", "--tmax", "1")
+    assert code == 0
+    assert out.splitlines() == ["t,y,dy", "0.0,1.0,0.0"]
+    code, out = run(capsys, *SIM_FLOW, "--tmax", "0")
+    assert code == 0
+    assert out.splitlines() == ["t,R,theta", "0.0,1.0,0.0"]
+
+
+def test_complex_potential_exit_1(capsys):
+    code = main(["simulate", "--potential", "E(1)*y", "--eps", "0.1",
+                 "--y0", "1", "--dy0", "0", "--tmax", "1"])
+    assert code == 1
+    assert "not real" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(capsys):

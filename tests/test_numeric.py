@@ -1,13 +1,16 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rgpert.algebra import EpsilonSeries, P, gr
-from rgpert.errors import GridMismatch, NotReal
+from rgpert.errors import ComplexPotential, GridMismatch, NotReal
 from rgpert.potential import parse_potential
-from rgpert.registry import example_expansion
-from rgpert.rg import derive_rg, to_polar, limit_cycle
+from rgpert.registry import example_expansion, get_example
+from rgpert.perturbation import expand
+from rgpert.rg import PHASE, derive_rg, to_polar, limit_cycle
 from rgpert import numeric as nm
 
 
@@ -190,3 +193,178 @@ def test_divergence_flag():
     traj = nm.integrate_ode(V, 0.0, 5.0, 1.0, 200.0)
     assert traj.truncated
     assert len(traj) < 200 / nm.DEFAULT_STEP
+
+
+# -- generated RK4 kernels against a reference loop -------------------------
+
+def _reference_rk4(f, state0, grid):
+    """The classical loop with one closure call per stage: the oracle the
+    generated kernel must reproduce bit for bit."""
+    h = grid[1] - grid[0]
+    out = [state0]
+    state = state0
+    for t in grid[:-1]:
+        k1 = f(t, state)
+        k2 = f(t + h / 2, tuple(s + h / 2 * d for s, d in zip(state, k1)))
+        k3 = f(t + h / 2, tuple(s + h / 2 * d for s, d in zip(state, k2)))
+        k4 = f(t + h, tuple(s + h * d for s, d in zip(state, k3)))
+        state = tuple(s + h / 6 * (a + 2 * b + 2 * c + d)
+                      for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+        out.append(state)
+        if any(abs(x) > nm.DIVERGENCE_LIMIT for x in state):
+            return np.array(out), True
+    return np.array(out), False
+
+
+def _reference_polar(pol, eps, order, t_max, R0, theta0,
+                     h=nm.DEFAULT_STEP):
+    rows_logR = nm._compile(pol.dlogR_dt, eps, order, "R", PHASE)
+    rows_theta = nm._compile(pol.dtheta_dt, eps, order, "R", PHASE)
+
+    def f(t, state):
+        R, theta = state
+        w = cmath.exp(1j * theta)
+        return (R * nm._evaluate(rows_logR, R, w).real,
+                nm._evaluate(rows_theta, R, w).real)
+
+    return _reference_rk4(f, (R0, theta0), nm._grid(t_max, h))
+
+
+def _reference_cartesian(sysc, eps, order, t_max, Ar0, Br0,
+                         h=nm.DEFAULT_STEP):
+    rows_a = nm._compile(sysc.rhs_A, eps, order, "Ar", "Br")
+    rows_b = nm._compile(sysc.rhs_B, eps, order, "Ar", "Br")
+
+    def f(t, state):
+        A = complex(state[0], state[1])
+        B = complex(state[2], state[3])
+        va = nm._evaluate(rows_a, A, B)
+        vb = nm._evaluate(rows_b, A, B)
+        return (va.real, va.imag, vb.real, vb.imag)
+
+    state0 = (Ar0.real, Ar0.imag, Br0.real, Br0.imag)
+    return _reference_rk4(f, state0, nm._grid(t_max, h))
+
+
+def _reference_ode(V, y0, dy0, eps, t_max, h=nm.DEFAULT_STEP):
+    terms = nm._compile_potential(V, eps)
+
+    def f(t, state):
+        y, yp = state
+        v = 0j
+        for k, l, m, c in terms:
+            v += c * cmath.exp(1j * k * t) * (y ** l) * (yp ** m)
+        return (yp, -y + eps * v.real)
+
+    return _reference_rk4(f, (y0, dy0), nm._grid(t_max, h))
+
+
+AR0 = 0.2 * cmath.exp(-0.1j)
+MATHIEU = get_example("mathieu").potential().bind({"g": gr(1)})
+
+
+@pytest.mark.parametrize("steps", [1, 200])
+@pytest.mark.parametrize("case", ["polar-nonauto", "cartesian-vdp",
+                                  "ode-mathieu", "ode-nonauto"])
+def test_kernel_matches_reference_bit_for_bit(case, steps):
+    t_max = steps * nm.DEFAULT_STEP
+    if case == "polar-nonauto":
+        pol = to_polar(derive_rg(example_expansion("nonauto", 4)))
+        traj = nm.integrate_rg(pol, 0.25, 2, t_max, R0=0.2, theta0=-0.1)
+        ref, truncated = _reference_polar(pol, 0.25, 2, t_max, 0.2, -0.1)
+    elif case == "cartesian-vdp":
+        sysc = derive_rg(example_expansion("vdp", 3))
+        traj = nm.integrate_rg(sysc, 0.1, 3, t_max,
+                               Ar0=AR0, Br0=AR0.conjugate())
+        ref, truncated = _reference_cartesian(sysc, 0.1, 3, t_max,
+                                              AR0, AR0.conjugate())
+    else:
+        V = {"ode-mathieu": MATHIEU, "ode-nonauto": NONAUTO}[case]
+        traj = nm.integrate_ode(V, 0.3, 0.1, 0.25, t_max)
+        ref, truncated = _reference_ode(V, 0.3, 0.1, 0.25, t_max)
+    assert traj.values.shape == (steps + 1, ref.shape[1])
+    assert np.array_equal(traj.values, ref)
+    assert traj.truncated is truncated is False
+
+
+def test_kernel_matches_reference_at_another_step():
+    # h/6 and h*(1/6) differ at h = 0.01; the kernel must divide
+    pol = to_polar(derive_rg(example_expansion("nonauto", 4)))
+    traj = nm.integrate_rg(pol, 0.25, 2, 2.0, h=0.01, R0=0.2, theta0=-0.1)
+    ref, _ = _reference_polar(pol, 0.25, 2, 2.0, 0.2, -0.1, h=0.01)
+    assert np.array_equal(traj.values, ref)
+    traj = nm.integrate_ode(MATHIEU, 0.3, 0.1, 0.25, 2.0, h=0.01)
+    ref, _ = _reference_ode(MATHIEU, 0.3, 0.1, 0.25, 2.0, h=0.01)
+    assert np.array_equal(traj.values, ref)
+
+
+def test_kernel_matches_reference_on_inf_coefficients():
+    # a float64 eps overflows to inf in eps^2 instead of raising, so the
+    # order-2 row has inf coefficients and the flow turns nan
+    eps = np.float64(1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pol = to_polar(derive_rg(example_expansion("nonauto", 4)))
+        traj = nm.integrate_rg(pol, eps, 2, 1.0, R0=0.2, theta0=-0.1)
+        ref, _ = _reference_polar(pol, eps, 2, 1.0, 0.2, -0.1)
+        assert np.isinf(nm._compile(pol.dtheta_dt, eps, 2, "R", PHASE)[1][0])
+        sysc = derive_rg(example_expansion("vdp", 3))
+        cart = nm.integrate_rg(sysc, eps, 2, 1.0,
+                               Ar0=AR0, Br0=AR0.conjugate())
+        cref, _ = _reference_cartesian(sysc, eps, 2, 1.0,
+                                       AR0, AR0.conjugate())
+    assert np.array_equal(traj.values, ref, equal_nan=True)
+    assert np.isnan(traj.values[-1]).all()
+    assert np.array_equal(cart.values, cref, equal_nan=True)
+
+
+def test_kernel_power_overflow_gives_inf_like_the_reference():
+    # y^40 overflows inside the first step; the result is inf, not an error
+    V = parse_potential("y^40")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        traj = nm.integrate_ode(V, 10.0, 0.0, 1.0, 0.2)
+        ref, _ = _reference_ode(V, 10.0, 0.0, 1.0, 0.2)
+    assert np.array_equal(traj.values, ref, equal_nan=True)
+
+
+def test_integrate_rg_truncates_a_diverging_flow():
+    # y'' + y = eps*y'^3 pumps energy in: d log R/dt = 3/2 eps R^2
+    pol = to_polar(derive_rg(expand(parse_potential("y'^3"), 2)))
+    traj = nm.integrate_rg(pol, 1.0, 2, 50.0, R0=2.0, theta0=0.0)
+    ref, truncated = _reference_polar(pol, 1.0, 2, 50.0, 2.0, 0.0)
+    assert traj.truncated and truncated
+    assert len(traj) == len(ref) < 50.0 / nm.DEFAULT_STEP
+    assert np.array_equal(traj.values, ref)
+    assert abs(traj.values[-1, 0]) > nm.DIVERGENCE_LIMIT
+
+
+def test_one_point_grid_and_bad_steps():
+    pol = to_polar(derive_rg(example_expansion("nonauto", 2)))
+    traj = nm.integrate_rg(pol, 0.25, 1, 0.0, R0=0.2, theta0=-0.1)
+    assert traj.values.tolist() == [[0.2, -0.1]] and traj.t.tolist() == [0.0]
+    traj = nm.integrate_ode(VDP, 1.0, 0.0, 0.1, 1.0, h=5.0)
+    assert traj.values.tolist() == [[1.0, 0.0]]
+    for h in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            nm.integrate_rg(pol, 0.25, 1, 1.0, h=h, R0=0.2, theta0=-0.1)
+        with pytest.raises(ValueError):
+            nm.integrate_ode(VDP, 1.0, 0.0, 0.1, 1.0, h=h)
+    for t_max in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            nm.integrate_rg(pol, 0.25, 1, t_max, R0=0.2, theta0=-0.1)
+
+
+def test_complex_potential_is_rejected():
+    with pytest.raises(ComplexPotential, match="not real"):
+        nm.integrate_ode(parse_potential("E(1)*y"), 1, 0, 0.1, 1.0)
+
+
+def test_csv_lines_match_float_repr(tmp_path):
+    rows = np.array([[0.0, -0.0, 1e-300, 2.0 / 3],
+                     [math.inf, -math.inf, math.nan, 123456789.125]])
+    path = tmp_path / "rows.csv"
+    nm.write_csv(path, rows, "a,b,c,d")
+    expected = "a,b,c,d\n" + "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+    assert path.read_text() == expected
