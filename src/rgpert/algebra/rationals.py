@@ -12,12 +12,6 @@ from math import isqrt
 from fractions import Fraction as Rat
 
 _RAT_ZERO = Rat(0)
-_RAT_ONE = Rat(1)
-
-
-def rat(num, den=1):
-    """Exact rational from integers (or a 'p/q' string)."""
-    return Rat(num, den)
 
 
 def rat_sqrt(q):
@@ -32,7 +26,7 @@ def rat_sqrt(q):
 
 
 class GaussianRational:
-    """Element of Q(i) with exact field arithmetic."""
+    """Element of Q(i): exact sums, products, inverse and conjugate."""
 
     __slots__ = ("re", "im")
 
@@ -47,7 +41,7 @@ class GaussianRational:
         obj.im = im
         return obj
 
-    # -- ring/field operations -------------------------------------------
+    # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -64,9 +58,6 @@ class GaussianRational:
             if other is NotImplemented:
                 return NotImplemented
         return GaussianRational._raw(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return GaussianRational._raw(-self.re, -self.im)
@@ -86,28 +77,6 @@ class GaussianRational:
         if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
         return GaussianRational._raw(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def conjugate(self):
         return GaussianRational._raw(self.re, -self.im)
@@ -184,4 +153,3 @@ def grq(re_num, re_den=1, im_num=0, im_den=1):
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-HALF = grq(1, 2)

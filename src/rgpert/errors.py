@@ -27,6 +27,10 @@ class SupportOverflow(RgpertError):
     """Harmonic support grew past the configured resource guard."""
 
 
+class BudgetExceeded(RgpertError):
+    """An input would cost more than a fixed budget allows."""
+
+
 class DegenerateRoot(RgpertError):
     """Leading-order root is absent or not simple."""
 

@@ -248,8 +248,7 @@ def boundary_crosscheck(branches, eps_list, N=12):
     rows = []
     for eps in eps_list:
         for branch in branches:
-            a_series = sum(float(c) * eps ** j
-                           for j, c in enumerate(branch.a_coeffs))
+            a_series = branch.a_value(eps)
             if eps == 0.0:
                 a_det = 1.0
             else:

@@ -10,11 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComplexPotential, NotReal, GridMismatch
+from .errors import BudgetExceeded, ComplexPotential, NotReal, GridMismatch
+from .potential import HARMONIC
 from .rg import PolarRG, RGSystem, PHASE
 
 DEFAULT_STEP = 2 * math.pi / 200
 DIVERGENCE_LIMIT = 1e8
+#: Most steps (t_max/h) one integration may take: 15x the longest run in
+#: the tests and 25x the benchmark's; about 170 MB of four-float states.
+MAX_STEPS = 10 ** 6
 IMAG_TOL_POTENTIAL = 1e-12
 IMAG_TOL_EXPANSION = 1e-10
 
@@ -40,6 +44,9 @@ def _grid(t_max, h):
         raise ValueError("step must be positive and finite")
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and nonnegative")
+    if t_max / h > MAX_STEPS:
+        raise BudgetExceeded(f"t_max/h = {t_max / h:.3g} steps exceed the "
+                             f"budget of {MAX_STEPS}")
     n = int(round(t_max / h))
     return np.arange(n + 1) * h
 
@@ -67,11 +74,14 @@ class _RHS:
         return name
 
     def power(self, var, p):
-        """Name of ``var ** p``, computed once per stage."""
+        """Name of ``var ** p``, computed once per stage; the harmonic
+        variable z = e^{it} is raised as ``exp(1j*p*t)``."""
         name = self.powers.get((var, p))
         if name is None:
             name = self.powers[var, p] = f"_p{len(self.powers)}"
-            if var in self.states:
+            if var == HARMONIC:
+                self.lines.append(f"{name} = exp({self.const(1j * p)} * t)")
+            elif var in self.states:
                 # float ** int raises OverflowError where a float64 gives
                 # +-inf; take the inf and let the divergence check see it
                 self.lines += [f"try: {name} = {var} ** {int(p)}",
@@ -81,16 +91,14 @@ class _RHS:
                 self.lines.append(f"{name} = {var} ** {int(p)}")
         return name
 
-    def add_sum(self, target, rows, x, y):
-        """Lines computing ``target = _evaluate(rows, x, y)`` with the same
-        operations in the same order."""
+    def add_sum(self, target, terms, *names):
+        """Lines computing ``target = _evaluate(terms, *names)`` with the
+        same operations in the same order."""
         self.lines.append(f"{target} = 0j")
-        for epsk, terms in rows:
-            self.lines.append("_acc = 0j")
-            for p, q, c in terms:
-                self.lines.append(f"_acc += {self.const(c)} * "
-                                  f"{self.power(x, p)} * {self.power(y, q)}")
-            self.lines.append(f"{target} += {self.const(epsk)} * _acc")
+        for exps, c in terms:
+            factors = [self.const(c)] + [self.power(v, p)
+                                         for v, p in zip(names, exps)]
+            self.lines.append(f"{target} += {' * '.join(factors)}")
 
 
 def _kernel_source(rhs):
@@ -110,7 +118,8 @@ def _kernel_source(rhs):
     src += [f"{x} = {x} + _h6 * (_k0_{i} + 2 * _k1_{i} + 2 * _k2_{i}"
             f" + _k3_{i})" for i, x in enumerate(s)]
     src += [f"_append(({', '.join(s)},))",
-            "if " + " or ".join(f"abs({x}) > _limit" for x in s) + ":",
+            "if " + " or ".join(f"not abs({x}) <= _limit" for x in s)
+            + ":",
             "    return True"]
     return "\n".join(src[:2] + ["        " + line for line in src[2:]]
                      + ["    return False"])
@@ -119,7 +128,8 @@ def _kernel_source(rhs):
 def _rk4(rhs, state0, grid):
     """Classical RK4 of the system ``rhs`` over a uniform grid; the state
     is a tuple of floats.  Stops after the first step that leaves the
-    box |x| <= DIVERGENCE_LIMIT and reports it as truncated."""
+    box |x| <= DIVERGENCE_LIMIT, or turns nan, and reports it as
+    truncated."""
     out = [state0]
     if len(grid) < 2:
         return out, False
@@ -138,32 +148,13 @@ def _not_real(t, v):
         f"potential is not real on real states at t={t}: {v}")
 
 
-def _compile_potential(V, eps):
-    """[(k, l, m, complex coefficient incl. eps^n factor)] for numeric use."""
-    if V.params:
-        raise ValueError(
-            f"unbound parameters {V.params}; bind them to numbers first")
-    out = []
-    for (k, l, m, n), c in V.coeffs.items():
-        cval = c.as_constant()
-        out.append((k, l, m, cval.to_complex() * eps ** n))
-    return out
-
-
 def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
     """RK4 on y'' + y = eps*V for real initial data."""
     grid = _grid(t_max, h)
+    series = V.series()
     rhs = _RHS(("y", "yp"))
-    terms = _compile_potential(V, eps)
-    harmonics = {}
-    for k, _, _, _ in terms:
-        if k not in harmonics:
-            harmonics[k] = name = f"_e{len(harmonics)}"
-            rhs.lines.append(f"{name} = exp({rhs.const(1j * k)} * t)")
-    rhs.lines.append("_v = 0j")
-    for k, l, m, c in terms:
-        rhs.lines.append(f"_v += {rhs.const(c)} * {harmonics[k]} * "
-                         f"{rhs.power('y', l)} * {rhs.power('yp', m)}")
+    rhs.add_sum("_v", _compile(series, eps, series.cap, HARMONIC, "y", "y'"),
+                HARMONIC, "y", "yp")
     rhs.lines.append(f"if abs(_v.imag) > {rhs.const(IMAG_TOL_POTENTIAL)} * "
                      f"max(1.0, abs(_v.real)): _not_real(t, _v)")
     rhs.derivs = ("yp", f"-y + {rhs.const(eps)} * _v.real")
@@ -174,31 +165,30 @@ def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
                       truncated=truncated)
 
 
-def _compile(series, eps, order, x, y):
-    """[(eps^k, [(x-exponent, y-exponent, complex coefficient)])] for the
-    eps-orders k <= order of a series in the two variables x and y."""
-    rows = []
+def _compile(series, eps, order, *names):
+    """[(exponents of ``names``, complex coefficient * eps^k)] over the
+    eps-orders k <= order of a series in the variables ``names``."""
+    terms = []
     for k in range(min(order, series.cap) + 1):
         c = series.coeffs[k].compact()
-        unbound = set(c.vars) - {x, y}
+        unbound = set(c.vars) - set(names)
         if unbound:
             raise ValueError(f"unbound variables {sorted(unbound)}; "
                              "bind them to numbers first")
-        terms = [(p, q, coeff.to_complex())
-                 for (p, q), coeff in c.reindexed((x, y)).items()]
-        if terms:
-            rows.append((eps ** k, terms))
-    return rows
+        epsk = eps ** k
+        terms += [(exps, coeff.to_complex() * epsk)
+                  for exps, coeff in c.reindexed(names).items()]
+    return terms
 
 
-def _evaluate(rows, x, y):
-    """Value of compiled rows at x, y: complex scalars or numpy arrays."""
+def _evaluate(terms, *values):
+    """Value of compiled terms at ``values``: complex scalars or numpy
+    arrays."""
     out = 0j
-    for epsk, terms in rows:
-        acc = 0j
-        for p, q, c in terms:
-            acc += c * x ** p * y ** q
-        out += epsk * acc
+    for exps, c in terms:
+        for v, p in zip(values, exps):
+            c = c * v ** p
+        out += c
     return out
 
 
@@ -257,9 +247,9 @@ def evaluate_expansion(system, amplitudes, eps, expansion_order):
         y = amplitudes.column("Br_re") + 1j * amplitudes.column("Br_im")
     signal = np.zeros(len(t), dtype=complex)
     for n, series in sorted(system.coeff_table.items()):
-        rows = _compile(series, eps, expansion_order, *names)
-        if rows:
-            signal += _evaluate(rows, x, y) * np.exp(1j * n * t)
+        terms = _compile(series, eps, expansion_order, *names)
+        if terms:
+            signal += _evaluate(terms, x, y) * np.exp(1j * n * t)
     resid = np.max(np.abs(signal.imag)) if len(signal) else 0.0
     if resid > IMAG_TOL_EXPANSION * max(1.0, np.max(np.abs(signal.real))):
         raise NotReal(f"imaginary residue {resid} in reconstructed signal")

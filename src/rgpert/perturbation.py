@@ -87,12 +87,15 @@ def expand(V, K, support_bound=None):
     for k in range(1, K + 1):
         # eps^{k-1} of V(y): a Laurent polynomial in z = e^{it}
         source = eval_potential(V, y, k - 1).series.coeffs[k - 1]
+        f_k = _ZP
         for n in sorted(source.exponents(HARMONIC)):
             if abs(n) > support_bound:
                 raise SupportOverflow(
                     f"harmonic {n} at order {k} exceeds bound "
                     f"{support_bound}; potential may be outside the class")
             p = particular_solution(n, source.coefficient(HARMONIC, n))
-            if not p.is_zero():
-                y = y.with_entry(n, k, p)
+            f_k = f_k + p * ParamPolynomial.var(HARMONIC, n)
+        coeffs = list(y.series.coeffs)
+        coeffs[k] = f_k
+        y = HarmonicSeries(EpsilonSeries(K, coeffs))
     return NaiveSeries(V, K, y)

@@ -73,6 +73,16 @@ class Potential:
                 return False
         return True
 
+    def series(self):
+        """V as an eps-series of polynomials in z = e^{it}, y, y' and the
+        parameters."""
+        cap = max((n for *_, n in self.coeffs), default=0)
+        coeffs = [_ZP] * (cap + 1)
+        for (k, l, m, n), c in self.coeffs.items():
+            coeffs[n] = coeffs[n] + c * ParamPolynomial.monomial(
+                1, **{HARMONIC: k, "y": l, "y'": m})
+        return EpsilonSeries(cap, coeffs)
+
     def support_growth_rate(self):
         """M = max(|k|+l+m-1, 1) over the support; harmonic support at
         eps-order j is contained in |n| <= 1 + j*M."""
@@ -318,13 +328,6 @@ class HarmonicSeries:
 
     def truncate(self, cap):
         return HarmonicSeries(self.series.truncate(cap))
-
-    def with_entry(self, n, k, p):
-        c = self.series.coeffs[k]
-        zn = ParamPolynomial.var(HARMONIC, n)
-        coeffs = list(self.series.coeffs)
-        coeffs[k] = c + (p - c.coefficient(HARMONIC, n)) * zn
-        return HarmonicSeries(EpsilonSeries(self.cap, coeffs))
 
     def entry(self, n, k):
         return self.series.coeffs[k].coefficient(HARMONIC, n)

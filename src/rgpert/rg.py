@@ -262,10 +262,9 @@ def limit_cycle(polar):
         if any(exps[i] % 2 for exps in c.terms):
             even = False
             break
-    if even:
-        G = dlog.map_coeffs(_even_to_u)
-    else:
-        G = dlog.map_coeffs(lambda c: c.rename({"R": "u"}))
+    # u = R^2 when only even powers of R occur, else u = R
+    to_u = _even_to_u if even else (lambda c: c.rename({"R": "u"}))
+    G = dlog.map_coeffs(to_u)
 
     v = G.valuation()
     if v is None:
@@ -288,16 +287,9 @@ def limit_cycle(polar):
             "leading radial equation has no simple positive rational root")
     u0 = GaussianRational(min(candidates))
     u = series_solve_root(G, "u", u0)
-    if even:
-        R_c = series_sqrt(u)
-        dtheta_c = substitute(
-            polar.dtheta_dt.truncate(u.cap).map_coeffs(_even_to_u),
-            {"u": u})
-    else:
-        R_c = u
-        dtheta_c = substitute(
-            polar.dtheta_dt.truncate(u.cap).map_coeffs(
-                lambda c: c.rename({"R": "u"})), {"u": u})
+    R_c = series_sqrt(u) if even else u
+    dtheta_c = substitute(
+        polar.dtheta_dt.truncate(u.cap).map_coeffs(to_u), {"u": u})
     return R_c, dtheta_c
 
 

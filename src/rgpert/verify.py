@@ -6,22 +6,17 @@ and its inversion corollary (``check_inversion``) are checked in
 generator form: the normalisation P_{+-1}(eps,0,A,B) = (A,B) plus the
 first-order PDE d_t P_n = X_A d_A P_n + X_B d_B P_n, where
 X = d_t P_{+-1}(eps,0,A,B) is the amplitude-equation vector field.  That
-needs only derivatives and products.  The series-composition forms stay
-as reference oracles (``check_functional_relation_finite``,
-``check_inversion_finite``) for the tests.
+needs only derivatives and products.  The series-composition forms are
+reference oracles of the test suite.
 
 Every check returns an IdentityReport; a failure carries the first
 offending (harmonic, eps-order, monomial) as a concrete counterexample.
 """
 
-import random
 from dataclasses import dataclass
 
-from .algebra import ParamPolynomial, EpsilonSeries, substitute, P, grq, gr
-from .potential import HarmonicSeries, Potential, eval_potential
-from .errors import TrivialLinear
-
-_ZP = ParamPolynomial.zero()
+from .algebra import EpsilonSeries, P
+from .potential import HarmonicSeries, eval_potential
 
 
 @dataclass(frozen=True)
@@ -121,49 +116,14 @@ def check_inversion(Y, K=None):
 
     Inversion is the functional relation at t = 0, s = -t, together with
     (N).  (N) + (G) for n = +-1 say that P(t,.) is the time-t flow Phi_t
-    of X, so Phi_t o Phi_{-t} = Phi_0 = id.  This is stricter than
-    ``check_inversion_finite``, which composes series: a table that is
-    not a flow, e.g. one with a mutation odd in t at the top eps-order,
-    can still satisfy the finite inversion.
+    of X, so Phi_t o Phi_{-t} = Phi_0 = id.  This is stricter than the
+    composition form: a table that is not a flow, e.g. one with a
+    mutation odd in t at the top eps-order, can still satisfy the
+    inversion by series composition.
     """
     if K is None:
         K = Y.cap
     return _report("inversion", K, _generator_offenses(Y, K, (1, -1)))
-
-
-def check_functional_relation_finite(Y, K=None):
-    """Reference oracle: P_n(eps,t,A,B) ==
-    P_n(eps,t-s, P_1(eps,s,A,B), P_-1(eps,s,A,B)) as an exact identity
-    mod eps^{K+1}, with symbolic s, by series composition."""
-    if K is None:
-        K = Y.cap
-    shift = {"t": P("s")}
-    p1_s = Y.secular_coefficient(1).truncate(K).subs_poly(shift)
-    pm1_s = Y.secular_coefficient(-1).truncate(K).subs_poly(shift)
-    t_minus_s = P("t") - P("s")
-    offenses = []
-    for n in Y.harmonics():
-        lhs = Y.secular_coefficient(n).truncate(K)
-        rhs = substitute(lhs, {"t": t_minus_s, "A": p1_s, "B": pm1_s})
-        offenses.append(_first_offense(n, lhs - rhs))
-    return _report("functional_relation", K, offenses)
-
-
-def check_inversion_finite(Y, K=None):
-    """Reference oracle: P_{+-1}(eps,t, P_1(eps,-t,A,B), P_-1(eps,-t,A,B))
-    == (A, B), by series composition."""
-    if K is None:
-        K = Y.cap
-    neg_t = {"t": -P("t")}
-    p1_neg = Y.secular_coefficient(1).truncate(K).subs_poly(neg_t)
-    pm1_neg = Y.secular_coefficient(-1).truncate(K).subs_poly(neg_t)
-    offenses = []
-    for n, target in ((1, P("A")), (-1, P("B"))):
-        lhs = substitute(Y.secular_coefficient(n).truncate(K),
-                         {"A": p1_neg, "B": pm1_neg})
-        offenses.append(
-            _first_offense(n, lhs - EpsilonSeries.from_poly(target, K)))
-    return _report("inversion", K, offenses)
 
 
 def check_residual(Y, K=None):
@@ -204,27 +164,3 @@ def run_identity_suite(Y, rgsys=None, K=None):
     if rgsys is not None:
         out.append(check_secular_free(rgsys))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Randomized in-class potentials (for the regression oracle)
-# ---------------------------------------------------------------------------
-
-_COEFF_CHOICES = (gr(1), gr(-1), gr(0, 1), gr(0, -1), grq(1, 2), grq(-1, 2))
-
-
-def random_potential(seed):
-    """Seeded random admissible potential: <=3 quartets, |k|<=2, l+m<=2,
-    n<=1, coefficients in {+-1, +-i, +-1/2}."""
-    rng = random.Random(seed)
-    while True:
-        coeffs = {}
-        for _ in range(rng.randint(1, 3)):
-            l = rng.randint(0, 2)
-            m = rng.randint(0, 2 - l)
-            key = (rng.randint(-2, 2), l, m, rng.randint(0, 1))
-            coeffs[key] = ParamPolynomial.const(rng.choice(_COEFF_CHOICES))
-        try:
-            return Potential(coeffs)
-        except TrivialLinear:
-            continue

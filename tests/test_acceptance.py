@@ -17,11 +17,11 @@ from rgpert.mathieu import analyze, boundary_crosscheck
 from rgpert.perturbation import expand
 from rgpert.registry import example_expansion
 from rgpert.rg import derive_rg, to_polar, limit_cycle
-from rgpert.verify import (run_identity_suite, random_potential,
-                           check_functional_relation_finite,
-                           check_inversion_finite)
+from rgpert.verify import run_identity_suite
 from rgpert import numeric as nm
 
+from oracles import (check_functional_relation_finite,
+                     check_inversion_finite, random_potential)
 import test_rg
 import test_mathieu
 from test_perturbation import harmonic_table

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import time
+import tracemalloc
 
 import pytest
 
@@ -195,6 +196,22 @@ def test_step_longer_than_tmax_gives_the_initial_state(capsys):
     code, out = run(capsys, *SIM_FLOW, "--tmax", "0")
     assert code == 0
     assert out.splitlines() == ["t,R,theta", "0.0,1.0,0.0"]
+
+
+@pytest.mark.parametrize("sim", [SIM_ODE, SIM_FLOW], ids=["ode", "flow"])
+def test_huge_tmax_fails_fast_without_allocating(capsys, sim):
+    # 3e13 steps would need a 232 TiB grid; the budget check runs first
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(sim + ["--tmax", "1e12"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "budget" in capsys.readouterr().err
+    assert peak < 16 * 2 ** 20
+    assert time.perf_counter() - start < 5.0
 
 
 def test_complex_potential_exit_1(capsys):

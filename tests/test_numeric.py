@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rgpert.algebra import EpsilonSeries, P, gr
-from rgpert.errors import ComplexPotential, GridMismatch, NotReal
-from rgpert.potential import parse_potential
+from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr
+from rgpert.errors import (BudgetExceeded, ComplexPotential, GridMismatch,
+                           NotReal)
+from rgpert.potential import HARMONIC, parse_potential
 from rgpert.registry import example_expansion, get_example
 from rgpert.perturbation import expand
 from rgpert.rg import PHASE, derive_rg, to_polar, limit_cycle
@@ -20,14 +21,25 @@ NONAUTO = parse_potential("2*y*y'*cos(1t)")
 
 def test_compiled_series_on_scalars_and_arrays():
     s = EpsilonSeries(1, [P("Ar") ** 2, gr(0, 1) * P("Br")])
-    rows = nm._compile(s, 0.5, 1, "Ar", "Br")
-    assert nm._evaluate(rows, 2j, 1.0) == -4 + 0.5j
-    values = nm._evaluate(rows, np.array([2j, 1.0]), np.array([1.0, 2.0]))
+    terms = nm._compile(s, 0.5, 1, "Ar", "Br")
+    assert terms == [((2, 0), 1 + 0j), ((0, 1), 0.5j)]
+    assert nm._evaluate(terms, 2j, 1.0) == -4 + 0.5j
+    values = nm._evaluate(terms, np.array([2j, 1.0]), np.array([1.0, 2.0]))
     assert np.allclose(values, [-4 + 0.5j, 1 + 1j])
     # truncation at the requested order
     assert nm._evaluate(nm._compile(s, 0.5, 0, "Ar", "Br"), 2j, 1.0) == -4
     with pytest.raises(ValueError):
         nm._compile(EpsilonSeries.from_poly(P("g"), 0), 0.1, 0, "Ar", "Br")
+    # three variables, one of them absent from a coefficient, and a
+    # negative exponent: 3*x*z^-1 + eps^2*y^2*z^2
+    s3 = EpsilonSeries(2, [3 * P("x") * ParamPolynomial.var("z", -1),
+                           ParamPolynomial.zero(), P("y") ** 2 * P("z") ** 2])
+    terms = nm._compile(s3, 0.5, 2, "x", "y", "z")
+    assert sorted(terms) == [((0, 2, 2), 0.25 + 0j), ((1, 0, -1), 3 + 0j)]
+    assert nm._evaluate(terms, 2.0, 1j, 4.0) == 1.5 - 4
+    values = nm._evaluate(terms, np.array([2.0, 0.0]), np.array([1j, 2.0]),
+                          np.array([4.0, 1.0]))
+    assert np.allclose(values, [-2.5, 1])
 
 
 def test_harmonic_oscillator_exact():
@@ -211,7 +223,7 @@ def _reference_rk4(f, state0, grid):
         state = tuple(s + h / 6 * (a + 2 * b + 2 * c + d)
                       for s, a, b, c, d in zip(state, k1, k2, k3, k4))
         out.append(state)
-        if any(abs(x) > nm.DIVERGENCE_LIMIT for x in state):
+        if any(not abs(x) <= nm.DIVERGENCE_LIMIT for x in state):
             return np.array(out), True
     return np.array(out), False
 
@@ -247,12 +259,13 @@ def _reference_cartesian(sysc, eps, order, t_max, Ar0, Br0,
 
 
 def _reference_ode(V, y0, dy0, eps, t_max, h=nm.DEFAULT_STEP):
-    terms = nm._compile_potential(V, eps)
+    series = V.series()
+    terms = nm._compile(series, eps, series.cap, HARMONIC, "y", "y'")
 
     def f(t, state):
         y, yp = state
         v = 0j
-        for k, l, m, c in terms:
+        for (k, l, m), c in terms:
             v += c * cmath.exp(1j * k * t) * (y ** l) * (yp ** m)
         return (yp, -y + eps * v.real)
 
@@ -261,11 +274,14 @@ def _reference_ode(V, y0, dy0, eps, t_max, h=nm.DEFAULT_STEP):
 
 AR0 = 0.2 * cmath.exp(-0.1j)
 MATHIEU = get_example("mathieu").potential().bind({"g": gr(1)})
+# odd in the harmonic (sin) and with an eps-order term
+SIN_EPS = parse_potential("y'*sin(2t) - eps*y^3 + y^2*cos(1t)")
 
 
 @pytest.mark.parametrize("steps", [1, 200])
 @pytest.mark.parametrize("case", ["polar-nonauto", "cartesian-vdp",
-                                  "ode-mathieu", "ode-nonauto"])
+                                  "ode-mathieu", "ode-nonauto",
+                                  "ode-sin-eps"])
 def test_kernel_matches_reference_bit_for_bit(case, steps):
     t_max = steps * nm.DEFAULT_STEP
     if case == "polar-nonauto":
@@ -279,7 +295,8 @@ def test_kernel_matches_reference_bit_for_bit(case, steps):
         ref, truncated = _reference_cartesian(sysc, 0.1, 3, t_max,
                                               AR0, AR0.conjugate())
     else:
-        V = {"ode-mathieu": MATHIEU, "ode-nonauto": NONAUTO}[case]
+        V = {"ode-mathieu": MATHIEU, "ode-nonauto": NONAUTO,
+             "ode-sin-eps": SIN_EPS}[case]
         traj = nm.integrate_ode(V, 0.3, 0.1, 0.25, t_max)
         ref, truncated = _reference_ode(V, 0.3, 0.1, 0.25, t_max)
     assert traj.values.shape == (steps + 1, ref.shape[1])
@@ -307,7 +324,8 @@ def test_kernel_matches_reference_on_inf_coefficients():
         pol = to_polar(derive_rg(example_expansion("nonauto", 4)))
         traj = nm.integrate_rg(pol, eps, 2, 1.0, R0=0.2, theta0=-0.1)
         ref, _ = _reference_polar(pol, eps, 2, 1.0, 0.2, -0.1)
-        assert np.isinf(nm._compile(pol.dtheta_dt, eps, 2, "R", PHASE)[1][0])
+        assert any(np.isinf(c) for exps, c in
+                   nm._compile(pol.dtheta_dt, eps, 2, "R", PHASE))
         sysc = derive_rg(example_expansion("vdp", 3))
         cart = nm.integrate_rg(sysc, eps, 2, 1.0,
                                Ar0=AR0, Br0=AR0.conjugate())
@@ -324,8 +342,11 @@ def test_kernel_power_overflow_gives_inf_like_the_reference():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         traj = nm.integrate_ode(V, 10.0, 0.0, 1.0, 0.2)
-        ref, _ = _reference_ode(V, 10.0, 0.0, 1.0, 0.2)
+        ref, truncated = _reference_ode(V, 10.0, 0.0, 1.0, 0.2)
     assert np.array_equal(traj.values, ref, equal_nan=True)
+    # the state turns nan in the first step, which ends the run
+    assert traj.truncated and truncated and len(traj) == 2
+    assert np.isnan(traj.values[-1]).all()
 
 
 def test_integrate_rg_truncates_a_diverging_flow():
@@ -337,6 +358,13 @@ def test_integrate_rg_truncates_a_diverging_flow():
     assert len(traj) == len(ref) < 50.0 / nm.DEFAULT_STEP
     assert np.array_equal(traj.values, ref)
     assert abs(traj.values[-1, 0]) > nm.DIVERGENCE_LIMIT
+    # the Cartesian flow turns nan before it leaves the box
+    sysc = derive_rg(expand(parse_potential("y'^3"), 2))
+    traj = nm.integrate_rg(sysc, 1.0, 2, 50.0, Ar0=2 + 0j, Br0=2 + 0j)
+    ref, truncated = _reference_cartesian(sysc, 1.0, 2, 50.0, 2 + 0j, 2 + 0j)
+    assert traj.truncated and truncated
+    assert len(traj) == 4 and np.isnan(traj.values[-1]).all()
+    assert np.array_equal(traj.values, ref, equal_nan=True)
 
 
 def test_one_point_grid_and_bad_steps():
@@ -353,6 +381,20 @@ def test_one_point_grid_and_bad_steps():
     for t_max in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             nm.integrate_rg(pol, 0.25, 1, t_max, R0=0.2, theta0=-0.1)
+
+
+def test_grid_budget(monkeypatch):
+    monkeypatch.setattr(nm, "MAX_STEPS", 100)
+    assert len(nm._grid(100 * 0.5, 0.5)) == 101
+    for t_max, h in ((101 * 0.5, 0.5), (1.0, 1e-320)):
+        with pytest.raises(BudgetExceeded):
+            nm._grid(t_max, h)
+
+
+def test_integrate_ode_needs_bound_parameters():
+    with pytest.raises(ValueError, match="unbound"):
+        nm.integrate_ode(get_example("mathieu").potential(), 0.3, 0.1, 0.25,
+                         1.0)
 
 
 def test_complex_potential_is_rejected():

@@ -1,6 +1,7 @@
 import pytest
 
-from rgpert.algebra import ParamPolynomial, EpsilonSeries, P, gr, grq
+from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, gr, grq,
+                            order_vars)
 from rgpert.errors import ParseError, NotInClass, TrivialLinear
 from rgpert.potential import (Potential, parse_potential, eval_potential,
                               HarmonicSeries, HARMONIC, RESERVED_NAMES)
@@ -41,6 +42,24 @@ def test_symbolic_parameters():
 def test_eps_dependence():
     V = parse_potential("y + eps*y^2")
     assert V.coeffs == {(0, 1, 0, 0): one, (0, 2, 0, 1): one}
+
+
+def test_series_round_trips_eps_terms():
+    V = parse_potential("y^3 + eps*g*y*y' - 1/2*eps^2*cos(2t)*y' + eps*E(-1)",
+                        ("g",))
+    s = V.series()
+    assert s.cap == 2
+    assert s.coeffs[1] == P("g") * P("y") * P("y'") + z_inv
+    # split the series back into the quartet table, as the parser does
+    names = (HARMONIC, "y", "y'")
+    table = {}
+    for n, c in enumerate(s.coeffs):
+        c = c.reindexed(order_vars(c.vars + names))
+        pos = [c.vars.index(name) for name in names]
+        for exps, residual in c.residuals(names):
+            key = tuple(exps[i] for i in pos) + (n,)
+            table[key] = table.get(key, ParamPolynomial.zero()) + residual
+    assert Potential(table, V.params) == V
 
 
 def test_polynomial_t_is_rejected():
