@@ -247,8 +247,9 @@ class ParamPolynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- calculus in one variable ----------------------------------------

@@ -7,22 +7,9 @@ GaussianRational is the scalar type at the edges of the polynomial
 kernel, whose inner loops work on integer numerators (see poly.py).
 """
 
-from math import isqrt
-
 from fractions import Fraction as Rat
 
 _RAT_ZERO = Rat(0)
-
-
-def rat_sqrt(q):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Rat(rn, rd)
 
 
 class GaussianRational:

@@ -7,7 +7,7 @@ caps explicitly with truncate()/extend().
 
 from ..errors import CapMismatch, DegenerateRoot, NonRationalRoot
 from .poly import ParamPolynomial, _as_poly
-from .rationals import GaussianRational, Rat, ZERO, ONE, rat_sqrt
+from .rationals import GaussianRational, ZERO, ONE
 
 _ZP = ParamPolynomial.zero()
 
@@ -116,18 +116,6 @@ class EpsilonSeries:
         return EpsilonSeries(self.cap, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative series power; use inverse()")
-        out = EpsilonSeries.const(ONE, self.cap)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def shift(self, n):
         """Multiply by eps^n (truncating at the cap)."""
@@ -260,7 +248,10 @@ def substitute(obj, bindings, cap=None):
         else:
             series_bindings[name] = _as_series_like(v, K)
 
-    powcache = {}
+    # powers[name][e] is the e-th power of the bound series, built up on
+    # demand as each power times the base
+    powers = {name: [EpsilonSeries.const(ONE, K), s]
+              for name, s in series_bindings.items()}
 
     def subst_poly(p):
         p = p.compact()
@@ -278,12 +269,10 @@ def substitute(obj, bindings, cap=None):
                 if e < 0:
                     raise ValueError(
                         f"negative exponent of bound variable {name}")
-                key = (name, e)
-                s = powcache.get(key)
-                if s is None:
-                    s = series_bindings[name] ** e
-                    powcache[key] = s
-                factor = factor * s
+                ps = powers[name]
+                while len(ps) <= e:
+                    ps.append(ps[-1] * ps[1])
+                factor = factor * ps[e]
             out = out + factor
         return out
 
@@ -336,21 +325,3 @@ def series_solve_root(G, var, u0):
     if not residual.is_zero():
         raise DegenerateRoot("Newton iteration failed to converge")
     return u
-
-
-def series_sqrt(s):
-    """Square root of a series whose leading constant is a rational square."""
-    c0 = s.coeffs[0].as_constant()
-    if c0 is None or not c0.is_real:
-        raise NonRationalRoot("series sqrt needs a rational constant lead")
-    r0 = rat_sqrt(c0.re)
-    if r0 is None or not r0:
-        raise NonRationalRoot(f"{c0} is not a positive rational square")
-    inv2r0 = GaussianRational(Rat(1, 2) / r0)
-    out = [ParamPolynomial.const(GaussianRational(r0))]
-    for k in range(1, s.cap + 1):
-        acc = s.coeffs[k]
-        for j in range(1, k):
-            acc = acc - out[j] * out[k - j]
-        out.append(acc * inv2r0)
-    return EpsilonSeries(s.cap, out)

@@ -60,7 +60,8 @@ class NotScalar(RgpertError):
 
 
 class Underdetermined(RgpertError):
-    """Order-by-order solve hit a nonzero constraint with no new unknown."""
+    """An equation has no unknown left to solve for, or variables besides
+    its unknown."""
 
 
 class RootNotBracketed(RgpertError):

@@ -8,13 +8,12 @@ edges a = 1 + eps*g of the conventional coupling a.
 
 from dataclasses import dataclass
 
-from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      Rat, rat_sqrt, ZERO)
+from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
 from .errors import (NotLinear, NotScalar, Underdetermined,
                      NonRationalRoot, RootNotBracketed)
 from .potential import Potential
 from .perturbation import expand
-from .rg import derive_rg
+from .rg import derive_rg, rational_roots
 
 _ZP = ParamPolynomial.zero()
 
@@ -116,7 +115,7 @@ def stability_boundaries(omega2, n_unknowns):
             if any(v in c.vars and v != var for v in free[1:]):
                 raise Underdetermined(
                     f"order eps^{order} couples several new unknowns: {c}")
-            for root in _solve_univariate(c, var, order):
+            for root in _solve_univariate(c, var):
                 new_assignment = dict(assignment)
                 new_assignment[var] = root
                 new_partials.append(new_assignment)
@@ -147,31 +146,18 @@ def stability_boundaries(omega2, n_unknowns):
     return out
 
 
-def _solve_univariate(c, var, order):
-    """Rational roots of a degree<=2 polynomial constraint."""
-    i = c.vars.index(var)
-    deg = max(e[i] for e in c.terms)
-    coef = [ZERO, ZERO, ZERO]
-    for exps, v in c.items():
-        if any(e for j, e in enumerate(exps) if j != i):
-            raise Underdetermined(f"constraint {c} is not univariate in {var}")
-        if exps[i] > 2:
-            raise NonRationalRoot(
-                f"constraint of degree {exps[i]} in {var}: {c}")
-        if not v.is_real:
-            raise NonRationalRoot(f"non-real constraint {c}")
-        coef[exps[i]] = coef[exps[i]] + v
-    c0, c1, c2 = (x.re for x in coef)
-    if deg == 1:
-        return [-c0 / c1]
-    disc = c1 * c1 - 4 * c2 * c0
-    r = rat_sqrt(disc)
-    if r is None:
-        raise NonRationalRoot(
-            f"quadratic {c2}*{var}^2 + {c1}*{var} + {c0} = 0 "
-            "has irrational roots")
-    roots = {(-c1 + r) / (2 * c2), (-c1 - r) / (2 * c2)}
-    return sorted(roots)
+def _solve_univariate(c, var):
+    """Rational roots of a degree <= 2 polynomial constraint in var."""
+    deg = c.degree_in(var)
+    if deg > 2:
+        raise NonRationalRoot(f"constraint of degree {deg} in {var}: {c}")
+    roots = rational_roots(c, var)
+    if roots is None:
+        raise NonRationalRoot(f"non-real constraint {c}")
+    if not roots:
+        raise NonRationalRoot(f"constraint {c} = 0 has irrational roots "
+                              f"in {var}")
+    return roots
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,10 @@ def _rk4(rhs, state0, grid):
                      _limit=DIVERGENCE_LIMIT, _f64=np.float64,
                      exp=cmath.exp, _not_real=_not_real)
     exec(compile(_kernel_source(rhs), "<rk4 kernel>", "exec"), namespace)
-    truncated = namespace["_kernel"](*state0, map(float, grid[:-1]),
-                                     out.append)
+    # overflow to inf or nan is caught by the kernel's divergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        truncated = namespace["_kernel"](*state0, map(float, grid[:-1]),
+                                         out.append)
     return out, truncated
 
 

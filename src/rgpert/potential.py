@@ -24,10 +24,10 @@ HARMONIC = "z"
 
 #: Names a parameter may not take.  The engine's variables (time, the
 #: amplitudes A, B and their renormalized forms Ar, Br, the polar radius
-#: R and phase w, the limit-cycle unknown u, the harmonic variable) would
-#: silently be identified with the parameter; the DSL's own words are
-#: read before parameter names, so the parameter would silently vanish.
-RESERVED_NAMES = ("t", "A", "B", "Ar", "Br", "R", "u", "w", HARMONIC,
+#: R and phase w, the harmonic variable) would silently be identified
+#: with the parameter; the DSL's own words are read before parameter
+#: names, so the parameter would silently vanish.
+RESERVED_NAMES = ("t", "A", "B", "Ar", "Br", "R", "w", HARMONIC,
                   "E", "eps", "i", "y", "cos", "sin")
 
 # DSL variables that index the quartet table (k, l, m, n).

@@ -12,10 +12,9 @@ as an exact Laurent variable.
 from math import lcm
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      substitute, series_solve_root, series_sqrt,
-                      P, grq, ZERO, ONE, Rat, order_vars)
+                      substitute, series_solve_root, P, grq, ZERO, ONE, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
-                     NonRationalRoot)
+                     NonRationalRoot, Underdetermined)
 
 _ZP = ParamPolynomial.zero()
 _RENAME = {"A": "Ar", "B": "Br"}
@@ -129,22 +128,27 @@ def to_polar(rgsys):
     return PolarRG(rgsys.cap, dlogR, dtheta, table, rgsys.potential)
 
 
-def _rational_roots(poly_u, var):
-    """Rational roots of a univariate rational-coefficient polynomial.
+def rational_roots(poly, var):
+    """Sorted distinct rational roots of a polynomial in ``var`` alone.
 
-    Returns None if the coefficients are not all real rational.  With the
-    coefficients cleared to integers c_0 != 0, ..., c_n, every rational
-    root is y/c_n for an integer root y of the monic integer polynomial
-    c_n^(n-1) * f(y/c_n) (rational root theorem); _integer_roots finds
-    those in time polynomial in n and the coefficients' bit length.
+    Returns None if the coefficients are not all real rational, and
+    raises Underdetermined if ``poly`` has variables besides ``var``.
+    With the coefficients cleared to integers c_0 != 0, ..., c_n, every
+    rational root is y/c_n for an integer root y of the monic integer
+    polynomial c_n^(n-1) * f(y/c_n) (rational root theorem);
+    _integer_roots finds those in time polynomial in n and the
+    coefficients' bit length.
     """
-    poly_u = poly_u.compact()
+    poly = poly.compact()
+    extra = [v for v in poly.vars if v != var]
+    if extra:
+        raise Underdetermined(f"{poly} = 0 has variables other than "
+                              f"{var}: {', '.join(extra)}")
     coeffs = {}
-    vi = poly_u.vars.index(var) if var in poly_u.vars else None
-    for exps, c in poly_u.items():
+    for exps, c in poly.items():
         if not c.is_real:
             return None
-        coeffs[exps[vi] if vi is not None else 0] = c.re
+        coeffs[exps[0] if exps else 0] = c.re
     if not coeffs or max(coeffs) == 0:
         return []
     den = lcm(*(int(q.denominator) for q in coeffs.values()))
@@ -158,7 +162,7 @@ def _rational_roots(poly_u, var):
     lead = ic[deg]
     monic = [ic.get(k, 0) * lead ** (deg - 1 - k) for k in range(deg)] + [1]
     roots.extend(Rat(y, lead) for y in _integer_roots(monic))
-    return roots
+    return sorted(roots)
 
 
 def _integer_roots(g):
@@ -203,7 +207,7 @@ def _integer_roots(g):
         vmid = sign_changes(mid)
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi, vmid, vhi))
-    return sorted(out)
+    return out
 
 
 def _sturm_sequence(g):
@@ -246,61 +250,28 @@ def _horner(p, x):
 def limit_cycle(polar):
     """Solve d log R/dt = 0 for the radius series and the phase drift.
 
-    Returns (R_c, dtheta_dt_c) as EpsilonSeries with rational constant
-    coefficients.
+    The seed is the smallest positive simple rational root of the
+    leading radial equation.  Returns (R_c, dtheta_dt_c) as
+    EpsilonSeries with rational constant coefficients.
     """
-    if polar.dlogR_dt.uses_var(PHASE):
+    G = polar.dlogR_dt
+    if G.uses_var(PHASE):
         raise ThetaDependent(
             "radial equation mixes theta; no phase-free limit cycle")
-    dlog = polar.dlogR_dt
-    even = True
-    for c in dlog.coeffs:
-        c = c.compact()
-        if "R" not in c.vars:
-            continue
-        i = c.vars.index("R")
-        if any(exps[i] % 2 for exps in c.terms):
-            even = False
-            break
-    # u = R^2 when only even powers of R occur, else u = R
-    to_u = _even_to_u if even else (lambda c: c.rename({"R": "u"}))
-    G = dlog.map_coeffs(to_u)
-
     v = G.valuation()
     if v is None:
         raise DegenerateRoot("radial equation is identically zero")
     lead = G.coeffs[v]
-    roots = _rational_roots(lead, "u")
+    roots = rational_roots(lead, "R")
     if roots is None:
         raise NonRationalRoot("leading radial equation has complex "
                               "coefficients")
-    candidates = []
-    dlead = lead.diff("u")
-    for r in roots:
-        if r <= 0:
-            continue
-        d = dlead.subs({"u": GaussianRational(r)}).as_constant()
-        if d is not None and d:
-            candidates.append(r)
-    if not candidates:
+    dlead = lead.diff("R")
+    seeds = [r for r in roots if r > 0 and
+             dlead.subs({"R": GaussianRational(r)}).as_constant()]
+    if not seeds:
         raise DegenerateRoot(
             "leading radial equation has no simple positive rational root")
-    u0 = GaussianRational(min(candidates))
-    u = series_solve_root(G, "u", u0)
-    R_c = series_sqrt(u) if even else u
-    dtheta_c = substitute(
-        polar.dtheta_dt.truncate(u.cap).map_coeffs(to_u), {"u": u})
+    R_c = series_solve_root(G, "R", GaussianRational(seeds[0]))
+    dtheta_c = substitute(polar.dtheta_dt.truncate(R_c.cap), {"R": R_c})
     return R_c, dtheta_c
-
-
-def _even_to_u(c):
-    c = c.compact()
-    if "R" not in c.vars:
-        return c
-    i = c.vars.index("R")
-    vars = c.vars[:i] + ("u",) + c.vars[i + 1:]
-    terms = {}
-    for exps, coeff in c.items():
-        key = exps[:i] + (exps[i] // 2,) + exps[i + 1:]
-        terms[key] = coeff
-    return ParamPolynomial(vars, terms).reindexed(order_vars(vars))

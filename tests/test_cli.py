@@ -151,6 +151,27 @@ def test_reserved_parameter_name_exit_1(capsys, text, name):
     assert "reserved" in capsys.readouterr().err
 
 
+def test_unbound_parameter_in_the_radial_equation_is_named(capsys):
+    code = main(["limit-cycle", "--potential", "(a - y^2)*y'",
+                 "--params", "a", "--order", "2"])
+    assert code == 1
+    assert "other than R: a" in capsys.readouterr().err
+    code, out = run(capsys, "limit-cycle", "--potential", "(a - y^2)*y'",
+                    "--params", "a", "--bind", "a=4", "--order", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "R_c = 2"
+
+
+def test_u_is_a_parameter_name(capsys):
+    def limit_cycle(name):
+        return run(capsys, "limit-cycle", "--potential",
+                   f"({name} - y^2)*y'", "--params", name,
+                   "--bind", f"{name}=4", "--order", "3")
+    code, out = limit_cycle("u")
+    assert code == 0
+    assert (code, out) == limit_cycle("a")
+
+
 def test_domain_error_exit_1(capsys):
     # Duffing has no limit cycle: the failure is reported, not raised
     code = main(["limit-cycle", "--example", "duffing",

@@ -410,3 +410,13 @@ def test_csv_lines_match_float_repr(tmp_path):
     expected = "a,b,c,d\n" + "".join(
         ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
     assert path.read_text() == expected
+
+
+def test_overflow_in_the_kernel_warns_nobody():
+    # y^40 overflows in the first step; the truncation says so, numpy not
+    V = parse_potential("y^40")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = nm.integrate_ode(V, 10.0, 0.0, 1.0, 1.0)
+    assert traj.truncated
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -257,3 +257,26 @@ def test_cancelling_products_are_canonical_zero(p, q):
     z = (A.scaled(grq(1, 3)) - B.scaled(grq(1, 3))).subs({"A": B})
     assert z.is_zero()
     assert_canonical(z)
+
+
+def test_power_squares_no_further_than_the_target(monkeypatch):
+    p = 1 + A + B
+    mul = ParamPolynomial.__mul__
+    degrees = []
+
+    def spy(self, other):
+        out = mul(self, other)
+        if isinstance(out, ParamPolynomial) and out:
+            degrees.append(out.degree_in("A"))
+        return out
+
+    monkeypatch.setattr(ParamPolynomial, "__mul__", spy)
+    for n in (1, 2, 5, 16):
+        degrees.clear()
+        power = p ** n
+        assert power.degree_in("A") == n
+        assert max(degrees) == n
+    monkeypatch.undo()
+    assert p ** 0 == ParamPolynomial.const(1)
+    assert p ** 1 == p
+    assert p ** 5 == p * p * p * p * p

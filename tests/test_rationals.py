@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rgpert.algebra import GaussianRational, Rat, rat_sqrt, gr, grq, ONE, I
+from rgpert.algebra import GaussianRational, Rat, gr, grq, ONE, I
 
 
 small = st.integers(-20, 20)
@@ -56,13 +56,6 @@ def test_string_forms():
 def test_to_complex():
     z = grq(1, 2, -3, 4)
     assert z.to_complex() == complex(0.5, -0.75)
-
-
-def test_rat_sqrt():
-    assert rat_sqrt(Rat(9, 16)) == Rat(3, 4)
-    assert rat_sqrt(Rat(0)) == Rat(0)
-    assert rat_sqrt(Rat(2)) is None
-    assert rat_sqrt(Rat(-1)) is None
 
 
 @given(gaussians(), gaussians(), gaussians())

@@ -2,14 +2,16 @@ import math
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, Rat, gr, grq,
                             substitute)
-from rgpert.errors import DegenerateRoot, ThetaDependent
+from rgpert.errors import DegenerateRoot, ThetaDependent, Underdetermined
 from rgpert.registry import example_expansion
 from rgpert.cli import main
 from rgpert.rg import (derive_rg, to_polar, limit_cycle,
-                       renormalization_constants, PHASE, _rational_roots)
+                       renormalization_constants, PHASE, PolarRG,
+                       rational_roots)
 
 from conftest import (trig, trig_mul, trig_scale, trig_add, phase_poly,
                       r_series)
@@ -364,12 +366,56 @@ def test_rational_roots(roots, extra, lead):
         f = f * extra
         if extra == u:
             want.add(Rat(0))
-    got = _rational_roots(f, "u")
+    got = rational_roots(f, "u")
     assert len(got) == len(set(got)) and set(got) == want
 
 
 def test_rational_roots_rejects_complex_coefficients():
-    assert _rational_roots(P("u") - gr(0, 1), "u") is None
+    assert rational_roots(P("u") - gr(0, 1), "u") is None
+
+
+def test_rational_roots_rejects_other_variables():
+    with pytest.raises(Underdetermined, match="other than u: a"):
+        rational_roots(P("a") * grq(1, 2) - P("u") * grq(1, 8), "u")
+
+
+def test_rational_roots_are_sorted():
+    u = P("u")
+    assert rational_roots(-(u - 1) * (u - 2) * (u + 3), "u") == [-3, 1, 2]
+    assert rational_roots(u * (u + 1) * (u - 2), "u") == [-1, 0, 2]
+
+
+_rationals = st.builds(Rat, st.integers(-30, 30), st.integers(1, 12))
+
+
+@given(st.lists(st.tuples(_rationals, st.integers(1, 3)), max_size=4),
+       st.builds(Rat, st.integers(1, 9), st.integers(1, 9)),
+       st.booleans(), st.integers(0, 3), st.integers(0, 3))
+def test_rational_roots_property(roots, lead, negate, j, irreducible):
+    u = P("u")
+    f = ParamPolynomial.const(grq(-lead if negate else lead)) * u ** j
+    for r, mult in roots:
+        f = f * (u - grq(r.numerator, r.denominator)) ** mult
+    # a factor without a rational root, or none
+    f = f * [ParamPolynomial.const(1), u ** 2 + 1, u ** 2 - 2,
+             u ** 3 - u - 1][irreducible]
+    want = {r for r, _ in roots} | ({Rat(0)} if j else set())
+    assert rational_roots(f, "u") == sorted(want)
+
+
+def test_limit_cycle_solves_in_the_radius():
+    # d log R/dt = eps (R^2-2)(R^2-4) + eps^2 R^2: the smallest positive
+    # simple rational root of the leading factor is R = 2, where its
+    # derivative is 8, so R_c = 2 - (4/8) eps
+    dlog = EpsilonSeries(2, [ParamPolynomial.zero(),
+                             (R ** 2 - 2) * (R ** 2 - 4), R ** 2])
+    dtheta = EpsilonSeries.from_poly(R ** 2, 2, order=1)
+    R_c, dtheta_c = limit_cycle(PolarRG(2, dlog, dtheta, {}))
+    assert R_c == EpsilonSeries(1, [ParamPolynomial.const(2),
+                                    ParamPolynomial.const(grq(-1, 2))])
+    # d theta/dt = eps R_c^2 = 4 eps mod eps^2
+    assert dtheta_c == EpsilonSeries.from_poly(ParamPolynomial.const(4), 1,
+                                               order=1)
 
 
 def test_limit_cycle_huge_coefficient_is_fast(capsys):

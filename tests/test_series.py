@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rgpert.algebra import (EpsilonSeries, ParamPolynomial, GaussianRational,
-                            P, gr, grq, Rat, substitute, series_solve_root,
-                            series_sqrt)
+                            P, gr, Rat, substitute, series_solve_root)
 from rgpert.errors import CapMismatch, DegenerateRoot, NonRationalRoot
 
 
@@ -83,15 +82,6 @@ def test_solve_root_wrong_start():
     G = EpsilonSeries.from_poly(u - 2, 3)
     with pytest.raises(NonRationalRoot):
         series_solve_root(G, "u", gr(1))
-
-
-def test_series_sqrt():
-    # sqrt(1 + eps) = 1 + eps/2 - eps^2/8 + ...
-    s = EpsilonSeries.const(gr(1), 3) + EpsilonSeries.eps(3)
-    r = series_sqrt(s)
-    assert r * r == s
-    assert r.coeffs[1].as_constant() == grq(1, 2)
-    assert r.coeffs[2].as_constant() == grq(-1, 8)
 
 
 @given(series5(), series5(), series5())
