@@ -27,6 +27,15 @@ def _order(text):
     return int(text)
 
 
+def _finite(text):
+    """Argument type of a state or parameter value: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _step(text):
     """Argument type of a time step: a positive finite float."""
     value = float(text)
@@ -181,6 +190,10 @@ def cmd_mathieu(args, parser):
             N = int(opts.get("N", 12))
         except (KeyError, ValueError):
             parser.error("--crosscheck expects eps=v1:v2:...,N=n")
+        if not all(math.isfinite(eps) for eps in eps_list):
+            parser.error("--crosscheck eps values must be finite")
+        if N < 3:
+            parser.error(f"--crosscheck N must be >= 3, got {N}")
         _, _, branches = mathieu_mod.analyze(args.order)
         if args.branch:
             branches = [b for b in branches if b.label == args.branch]
@@ -207,15 +220,15 @@ def cmd_mathieu(args, parser):
 
 
 def _common_sim_args(p):
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p.add_argument("--tmax", type=_duration, default=25 * 2 * math.pi)
     p.add_argument("--dt", type=_step, default=numeric.DEFAULT_STEP)
     p.add_argument("--rg-order", type=_order, default=1)
     p.add_argument("--expansion-order", type=_order, default=1)
-    p.add_argument("--R0", type=float)
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--dy0", type=float)
+    p.add_argument("--R0", type=_finite)
+    p.add_argument("--theta0", type=_finite)
+    p.add_argument("--y0", type=_finite)
+    p.add_argument("--dy0", type=_finite)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
 

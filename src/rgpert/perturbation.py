@@ -7,11 +7,17 @@ Each eps-order decouples into one linear ODE per harmonic,
 with polynomial right-hand sides.  The resonant harmonics n = +-1 pick
 up a t-degree and their free constant is fixed by the normalization
 f_{+-1,k}(0) = 0.
+
+The right-hand side of order k is the eps^(k-1) coefficient of V(y).  It
+comes from an OnlinePotential fed f_{k-1}: every power of y and y' grows
+by one Cauchy sum per order instead of being rebuilt as a whole series.
+The residual check runs a fresh instance over the finished table
+(eval_potential), independently of what expand kept.
 """
 
 from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
 from .errors import SupportOverflow
-from .potential import HARMONIC, HarmonicSeries, eval_potential
+from .potential import HARMONIC, HarmonicSeries, OnlinePotential
 
 _ZP = ParamPolynomial.zero()
 
@@ -83,10 +89,11 @@ def expand(V, K, support_bound=None):
     M = V.support_growth_rate()
     if support_bound is None:
         support_bound = 1 + K * M
-    y = HarmonicSeries.free_oscillation(K)
+    coeffs = list(HarmonicSeries.free_oscillation(K).series.coeffs)
+    v_of_y = OnlinePotential(V)
     for k in range(1, K + 1):
         # eps^{k-1} of V(y): a Laurent polynomial in z = e^{it}
-        source = eval_potential(V, y, k - 1).series.coeffs[k - 1]
+        source = v_of_y.feed(coeffs[k - 1])
         f_k = _ZP
         for n in sorted(source.exponents(HARMONIC)):
             if abs(n) > support_bound:
@@ -95,7 +102,5 @@ def expand(V, K, support_bound=None):
                     f"{support_bound}; potential may be outside the class")
             p = particular_solution(n, source.coefficient(HARMONIC, n))
             f_k = f_k + p * ParamPolynomial.var(HARMONIC, n)
-        coeffs = list(y.series.coeffs)
         coeffs[k] = f_k
-        y = HarmonicSeries(EpsilonSeries(K, coeffs))
-    return NaiveSeries(V, K, y)
+    return NaiveSeries(V, K, HarmonicSeries(EpsilonSeries(K, coeffs)))

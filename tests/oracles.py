@@ -1,7 +1,8 @@
 """Reference oracles of the test suite.
 
 The composition forms of the functional relation and of the inversion,
-which ``rgpert.verify`` checks in generator form, and seeded random
+which ``rgpert.verify`` checks in generator form, V(y) by whole-series
+powers, which ``rgpert.potential`` builds online, and seeded random
 in-class potentials.
 """
 
@@ -10,7 +11,7 @@ import random
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
                             gr, grq)
 from rgpert.errors import TrivialLinear
-from rgpert.potential import Potential
+from rgpert.potential import HARMONIC, HarmonicSeries, Potential
 from rgpert.verify import _first_offense, _report
 
 
@@ -47,6 +48,33 @@ def check_inversion_finite(Y, K=None):
         offenses.append(
             _first_offense(n, lhs - EpsilonSeries.from_poly(target, K)))
     return _report("inversion", K, offenses)
+
+
+def eval_potential_whole(V, y, K):
+    """Reference oracle: V(y) mod eps^{K+1}, every power of y and y' a
+    whole truncated series, each power the previous one times the base."""
+    y = y.truncate(K).series
+    y_powers, dy_powers = [y], []
+    out = EpsilonSeries.zero(K)
+    for (k, l, m, n), c in sorted(V.coeffs.items()):
+        if n > K:
+            continue
+        term = EpsilonSeries.const(c * ParamPolynomial.var(HARMONIC, k), K)
+        if l:
+            term = term * _power(y_powers, l)
+        if m:
+            if not dy_powers:
+                dy_powers.append(HarmonicSeries(y).dt().series)
+            term = term * _power(dy_powers, m)
+        out = out + term.shift(n)
+    return HarmonicSeries(out)
+
+
+def _power(powers, l):
+    """base^l, where powers[j-1] is base^j; extends the list as needed."""
+    while len(powers) < l:
+        powers.append(powers[-1] * powers[0])
+    return powers[l - 1]
 
 
 _COEFF_CHOICES = (gr(1), gr(-1), gr(0, 1), gr(0, -1), grq(1, 2), grq(-1, 2))

@@ -140,6 +140,45 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+SIM_ARGS = {"--eps": "0.1", "--y0": "1", "--dy0": "0", "--R0": "1",
+            "--theta0": "0"}
+
+
+@pytest.mark.parametrize("command,option", [
+    ("simulate", "--eps"), ("simulate", "--y0"), ("simulate", "--dy0"),
+    ("simulate", "--R0"), ("simulate", "--theta0"), ("compare", "--eps"),
+    ("compare", "--R0"), ("compare", "--theta0")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_is_a_usage_error(capsys, command, option, value):
+    # the ODE start (y0, dy0) or the flow start (R0, theta0), not both
+    start = (("--y0", "--dy0") if option in ("--y0", "--dy0")
+             else ("--R0", "--theta0"))
+    argv = [command, "--example", "vdp", "--order", "2", "--tmax", "1"]
+    for name in ("--eps",) + start:
+        argv.append(f"{name}={value if name == option else SIM_ARGS[name]}")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: expected a finite number" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("eps=0.1,N=0", "N must be >= 3"),
+    ("eps=0.1,N=-3", "N must be >= 3"),
+    ("eps=0.1,N=2", "N must be >= 3"),
+    ("eps=nan,N=12", "must be finite"),
+    ("eps=0.05:inf,N=12", "must be finite"),
+    ("eps=-inf,N=12", "must be finite"),
+])
+def test_mathieu_crosscheck_bad_values_are_usage_errors(capsys, spec,
+                                                         message):
+    with pytest.raises(SystemExit) as exc:
+        main(["mathieu", "--order", "3", "--crosscheck", spec])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,name", [
     ("(A - y^2)*y'", "A"),              # would be read as the amplitude A
     ("(1 - y^2)*y' + eps*y^3", "eps"),  # would be read as the eps order

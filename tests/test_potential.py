@@ -3,13 +3,19 @@ import pytest
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, gr, grq,
                             order_vars)
 from rgpert.errors import ParseError, NotInClass, TrivialLinear
+from rgpert.perturbation import expand
 from rgpert.potential import (Potential, parse_potential, eval_potential,
-                              HarmonicSeries, HARMONIC, RESERVED_NAMES)
+                              HarmonicSeries, HARMONIC, RESERVED_NAMES,
+                              OnlinePotential)
+from rgpert.registry import get_example
+
+from oracles import eval_potential_whole, random_potential
 
 
 one = ParamPolynomial.const(1)
 z = P(HARMONIC)
 z_inv = ParamPolynomial.var(HARMONIC, -1)
+_ZERO = ParamPolynomial.zero()
 
 
 def test_van_der_pol_table():
@@ -173,3 +179,44 @@ def test_eval_potential_of_y_times_dy():
     assert out.entry(2, 0) == gr(0, 1) * P("A") ** 2
     assert out.entry(-2, 0) == gr(0, -1) * P("B") ** 2
     assert out.entry(0, 0).is_zero()
+
+
+ONLINE_CASES = {
+    "vdp": (get_example("vdp").potential(), 7),
+    "rayleigh": (get_example("rayleigh").potential(), 6),
+    "nonauto": (get_example("nonauto").potential(), 6),
+    "duffing g=1": (get_example("duffing").potential().bind({"g": 1}), 5),
+    "mathieu g=1": (get_example("mathieu").potential().bind({"g": 1}), 5),
+    "duffing symbolic g": (get_example("duffing").potential(), 4),
+    # higher and mixed powers, eps-shifted terms and a bare forcing term
+    "mixed": (parse_potential("y^2*cos(2t) + y'^3 - 1/2*y*y'^2 + 3*y^5"),
+              3),
+    "eps terms": (parse_potential(
+        "y^3 + eps*y*y'^2 - 1/2*eps^2*cos(3t)"), 4),
+}
+ONLINE_CASES.update({f"random seed {seed}": (random_potential(seed), 5)
+                     for seed in range(8)})
+
+
+@pytest.mark.parametrize("name", sorted(ONLINE_CASES))
+def test_online_potential_matches_whole_series_oracle(name):
+    # each fed coefficient of the naive table gives [eps^j] V(y) of the
+    # whole-series oracle at that order
+    V, K = ONLINE_CASES[name]
+    table = expand(V, K).table
+    want = eval_potential_whole(V, table, K).series.coeffs
+    online = OnlinePotential(V)
+    for j, y_j in enumerate(table.series.coeffs):
+        assert online.feed(y_j) == want[j], (name, j)
+    assert eval_potential(V, table, K).series.coeffs == want
+
+
+def test_online_potential_on_a_table_that_is_no_solution():
+    # the routine is plain series arithmetic: any y, not only naive tables
+    V = parse_potential("y^3*y' + y'^2 - y^2*E(1) + eps*E(-2)")
+    t, A = P("t"), P("A")
+    y = HarmonicSeries(EpsilonSeries(3, [
+        A * z + P("B") * z_inv, t * A * z ** 3, _ZERO, grq(1, 3) * t * z]))
+    want = eval_potential_whole(V, y, 3).series.coeffs
+    online = OnlinePotential(V)
+    assert [online.feed(c) for c in y.series.coeffs] == list(want)
