@@ -287,8 +287,7 @@ class ParamPolynomial:
     def subs(self, bindings):
         """Substitute variables by polynomials/GaussianRationals/ints.
 
-        Bound variables with negative exponents are only allowed when the
-        binding is an invertible monomial.
+        A bound variable with a negative exponent raises ValueError.
         """
         bindings = {n: _as_poly(v) for n, v in bindings.items()
                     if n in self.vars}
@@ -305,7 +304,7 @@ class ParamPolynomial:
                 key = (name, e)
                 p = powcache.get(key)
                 if p is None:
-                    p = _poly_int_power(bindings[name], e)
+                    p = bindings[name] ** e
                     powcache[key] = p
                 factor = factor * p
             out = out + factor
@@ -500,17 +499,6 @@ def _normalized(vars, terms, den):
             den //= g
             terms = {e: (re // g, im // g) for e, (re, im) in terms.items()}
     return ParamPolynomial._raw(vars, terms, den)
-
-
-def _poly_int_power(p, e):
-    if e >= 0:
-        return p ** e
-    # Laurent case: only invertible monomials can be raised negatively.
-    if len(p.terms) != 1:
-        raise ValueError("negative power of a non-monomial substitution")
-    (exps, c), = p.items()
-    inv = ParamPolynomial(p.vars, {tuple(-x for x in exps): c.inverse()})
-    return inv ** (-e)
 
 
 def _as_poly(x):

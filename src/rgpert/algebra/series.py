@@ -3,6 +3,12 @@
 A series knows its truncation cap K and stores exactly K+1 polynomial
 coefficients.  Mixed-cap arithmetic raises CapMismatch; callers equalize
 caps explicitly with truncate()/extend().
+
+Every product of series goes through one truncated Cauchy sum
+(``cauchy``, and ``square`` for a square).  ``Composition`` evaluates a
+polynomial at series one eps-order at a time on top of them, the naive
+form of online ("relaxed") multiplication (van der Hoeven, J. Symb.
+Comp. 2002); ``substitute`` and the potential's V(y) both use it.
 """
 
 from ..errors import CapMismatch, DegenerateRoot, NonRationalRoot
@@ -95,9 +101,6 @@ class EpsilonSeries:
         return EpsilonSeries(
             self.cap, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (ParamPolynomial, GaussianRational, int)):
             p = _as_poly(other)
@@ -105,15 +108,9 @@ class EpsilonSeries:
         if not isinstance(other, EpsilonSeries):
             return NotImplemented
         self._check(other)
-        out = [_ZP] * (self.cap + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.cap + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return EpsilonSeries(self.cap, out)
+        a, b = self.coeffs, other.coeffs
+        return EpsilonSeries(self.cap,
+                             [cauchy(a, b, j) for j in range(self.cap + 1)])
 
     __rmul__ = __mul__
 
@@ -131,13 +128,11 @@ class EpsilonSeries:
             raise ZeroDivisionError(
                 "series inverse needs a nonzero constant leading coefficient")
         inv0 = c0.inverse()
+        # out_k = -inv0 * sum_{j>=1} c_j out_{k-j}: the tail times out
+        tail = (_ZP,) + self.coeffs[1:]
         out = [ParamPolynomial.const(inv0)]
         for k in range(1, self.cap + 1):
-            acc = _ZP
-            for j in range(1, k + 1):
-                cj = self.coeffs[j]
-                if not cj.is_zero():
-                    acc = acc + cj * out[k - j]
+            acc = cauchy(tail, out, k)
             out.append(acc.scaled(-inv0) if acc else _ZP)
         return EpsilonSeries(self.cap, out)
 
@@ -171,9 +166,6 @@ class EpsilonSeries:
             return (self.cap == other.cap and
                     all(a == b for a, b in zip(self.coeffs, other.coeffs)))
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cap, self.coeffs))
 
     # -- rendering --------------------------------------------------------
 
@@ -222,68 +214,123 @@ def _as_series_like(x, cap):
     return EpsilonSeries.from_poly(p, cap)
 
 
-def substitute(obj, bindings, cap=None):
-    """Full composition with truncation.
+def cauchy(a, b, j):
+    """[eps^j] of the product of the series with coefficients a and b."""
+    out = _ZP
+    for i in range(j + 1):
+        if a[i] and b[j - i]:
+            out = out + a[i] * b[j - i]
+    return out
 
-    ``obj`` is a ParamPolynomial or EpsilonSeries; binding values may be
-    GaussianRationals, ParamPolynomials or EpsilonSeries.  The result cap
-    is the minimum of all participating caps (or ``cap`` when given).
-    Unbound variables pass through.
+
+def square(a, j):
+    """[eps^j] of the square of the series with coefficients a; each
+    product a_i*a_{j-i} with i < j-i is made once and doubled."""
+    out = _ZP
+    for i in range((j + 1) // 2):
+        if a[i] and a[j - i]:
+            out = out + a[i] * a[j - i]
+    out = out.scaled(2)
+    if j % 2 == 0 and a[j // 2]:
+        out = out + a[j // 2] * a[j // 2]
+    return out
+
+
+class Composition:
+    """F(x_1, ..., x_m) one eps-order at a time, for the polynomial
+
+        F = sum c * eps^n * x_1^e_1 * ... * x_m^e_m
+
+    given as ``(n, (e_1, ..., e_m), c)`` terms.  ``feed(x_1j, ..., x_mj)``
+    takes the next coefficient of every x_i and returns [eps^j] F.
+
+    Each power or product of powers that F needs keeps one coefficient
+    list, extended by one Cauchy sum per feed: x^2 is square(x), x^e for
+    e >= 3 is x^(e-1) times x, and a mixed monomial is its prefix over
+    the earlier variables times the power of its last variable.  K orders
+    cost O(K^2) coefficient products per list instead of the O(K^3) of
+    rebuilding the powers as whole series at each order.  A variable that
+    F does not use is never read, so it may be fed None.
     """
-    caps = [cap] if cap is not None else []
-    if isinstance(obj, EpsilonSeries):
-        caps.append(obj.cap)
-    for v in bindings.values():
-        if isinstance(v, EpsilonSeries):
-            caps.append(v.cap)
-    if not caps:
-        # purely polynomial composition; keep it exact at cap 0
-        return EpsilonSeries.from_poly(obj.subs(bindings), 0)
-    K = min(caps)
 
-    series_bindings = {}
-    for name, v in bindings.items():
-        if isinstance(v, EpsilonSeries):
-            series_bindings[name] = v.truncate(K)
-        else:
-            series_bindings[name] = _as_series_like(v, K)
+    __slots__ = ("terms", "bases", "products", "lists", "order")
 
-    # powers[name][e] is the e-th power of the bound series, built up on
-    # demand as each power times the base
-    powers = {name: [EpsilonSeries.const(ONE, K), s]
-              for name, s in series_bindings.items()}
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+        if any(e < 0 for _, exps, _ in self.terms for e in exps):
+            raise ValueError("negative exponent of a composed variable")
+        top = [max(col) for col in zip(*(exps for _, exps, _ in self.terms))]
 
-    def subst_poly(p):
-        p = p.compact()
-        active = [n for n in p.vars if n in series_bindings]
-        if not active:
-            return EpsilonSeries.from_poly(p, K)
-        out = EpsilonSeries.zero(K)
-        idx = {n: p.vars.index(n) for n in active}
-        for exps, residual in p.residuals(series_bindings):
-            factor = EpsilonSeries.from_poly(residual, K)
-            for name, i in idx.items():
-                e = exps[i]
-                if not e:
-                    continue
-                if e < 0:
-                    raise ValueError(
-                        f"negative exponent of bound variable {name}")
-                ps = powers[name]
-                while len(ps) <= e:
-                    ps.append(ps[-1] * ps[1])
-                factor = factor * ps[e]
-            out = out + factor
+        def unit(i, e):
+            return (0,) * i + (e,) + (0,) * (len(top) - i - 1)
+
+        # bases maps the key of x_i to i, whose fed coefficients are its
+        # list; products[key] = (a, b) makes the list of key that of a
+        # times that of b, a square when a == b, and lists every factor
+        # before its product
+        self.bases = {unit(i, 1): i for i, e in enumerate(top) if e}
+        products = {}
+        for i, e_top in enumerate(top):
+            for e in range(2, e_top + 1):
+                products[unit(i, e)] = (unit(i, e - 1), unit(i, 1))
+        for _, exps, _ in self.terms:
+            prefix = None
+            for i, e in enumerate(exps):
+                if e and prefix is None:
+                    prefix = unit(i, e)
+                elif e:
+                    key = prefix[:i] + (e,) + prefix[i + 1:]
+                    products.setdefault(key, (prefix, unit(i, e)))
+                    prefix = key
+        self.products = products
+        self.lists = {key: [] for key in [*self.bases, *products]}
+        self.order = 0
+
+    def feed(self, *xs):
+        """[eps^j] F, given x_ij after x_i0, ..., x_i(j-1) for every i."""
+        j = self.order
+        self.order += 1
+        lists = self.lists
+        for key, i in self.bases.items():
+            lists[key].append(xs[i])
+        for key, (a, b) in self.products.items():
+            lists[key].append(square(lists[a], j) if a == b
+                              else cauchy(lists[a], lists[b], j))
+        out = _ZP
+        for n, exps, c in self.terms:
+            if not any(exps):
+                if n == j:
+                    out = out + c
+            elif n <= j and lists[exps][j - n]:
+                out = out + c * lists[exps][j - n]
         return out
 
-    if isinstance(obj, ParamPolynomial):
-        return subst_poly(obj)
-    out = EpsilonSeries.zero(K)
-    for k in range(K + 1):
-        c = obj.coeffs[k]
-        if not c.is_zero():
-            out = out + subst_poly(c).shift(k)
-    return out
+
+def substitute(obj, bindings):
+    """Composition with truncation: the EpsilonSeries ``obj`` with each
+    variable named in ``bindings`` replaced by its value.
+
+    Binding values may be GaussianRationals, ParamPolynomials or
+    EpsilonSeries.  The result cap is the minimum of all participating
+    caps.  Unbound variables pass through.
+    """
+    K = min([obj.cap] + [v.cap for v in bindings.values()
+                         if isinstance(v, EpsilonSeries)])
+    names = tuple(bindings)
+    xs = [_as_series_like(v, K).coeffs for v in bindings.values()]
+    # the terms of obj, summed per (eps-order, exponents of the bound
+    # variables) into a polynomial in the unbound ones
+    terms = {}
+    for n in range(K + 1):
+        p = obj.coeffs[n]
+        idx = [p.vars.index(name) if name in p.vars else None
+               for name in names]
+        for exps, residual in p.residuals(names):
+            key = (n, tuple(0 if i is None else exps[i] for i in idx))
+            terms[key] = terms.get(key, _ZP) + residual
+    composition = Composition((n, exps, c) for (n, exps), c in terms.items())
+    return EpsilonSeries(K, [composition.feed(*(x[j] for x in xs))
+                             for j in range(K + 1)])
 
 
 def series_solve_root(G, var, u0):
@@ -294,8 +341,6 @@ def series_solve_root(G, var, u0):
     be a simple root of the leading-order (lowest nonvanishing eps order)
     equation.  Returns u(eps) with cap = G.cap - valuation(G).
     """
-    if isinstance(u0, int):
-        u0 = GaussianRational(u0)
     v = G.valuation()
     if v is None:
         return EpsilonSeries.const(u0, G.cap)

@@ -36,6 +36,28 @@ def _finite(text):
     return value
 
 
+#: Options whose value may be negative.  argparse reads only "-<digits>"
+#: and "-<digits>.<digits>" as negative numbers, so it would take the
+#: value of "--eps -1e-3" for an option; main joins such a pair into
+#: "--eps=-1e-3".
+_SIGNED = ("--eps", "--R0", "--theta0", "--y0", "--dy0")
+
+
+def _join_signed(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def _step(text):
     """Argument type of a time step: a positive finite float."""
     value = float(text)
@@ -346,7 +368,8 @@ def build_parser():
 
 def main(argv=None):
     parser, handlers = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_signed(sys.argv[1:] if argv is None else argv))
     try:
         return handlers[args.command](args, parser)
     except RgpertError as exc:

@@ -9,7 +9,8 @@ up a t-degree and their free constant is fixed by the normalization
 f_{+-1,k}(0) = 0.
 
 The right-hand side of order k is the eps^(k-1) coefficient of V(y).  It
-comes from an OnlinePotential fed f_{k-1}: every power of y and y' grows
+comes from an OnlinePotential fed f_{k-1}, a Composition of V's terms in
+y and y': every power of y and y' and every product of such powers grows
 by one Cauchy sum per order instead of being rebuilt as a whole series.
 The residual check runs a fresh instance over the finished table
 (eval_potential), independently of what expand kept.

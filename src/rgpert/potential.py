@@ -14,11 +14,10 @@ import json
 import re as _re
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      I, Rat, grq, order_vars)
+                      Composition, I, Rat, grq, order_vars)
 from .errors import ParseError, NotInClass, TrivialLinear
 
 _ZP = ParamPolynomial.zero()
-_ONE = ParamPolynomial.const(1)
 
 #: Laurent variable standing for e^{it} in a HarmonicSeries.
 HARMONIC = "z"
@@ -369,50 +368,14 @@ def _dt(c):
     return c.diff("t") + c.diff(HARMONIC) * _IZ
 
 
-def _cauchy(a, b, j):
-    """[eps^j] of the product of the series with coefficients a and b."""
-    out = _ZP
-    for i in range(j + 1):
-        if a[i] and b[j - i]:
-            out = out + a[i] * b[j - i]
-    return out
-
-
-def _square(a, j):
-    """[eps^j] of the square of the series with coefficients a; each
-    product a_i*a_{j-i} with i < j-i is made once and doubled."""
-    out = _ZP
-    for i in range((j + 1) // 2):
-        if a[i] and a[j - i]:
-            out = out + a[i] * a[j - i]
-    out = out.scaled(2)
-    if j % 2 == 0 and a[j // 2]:
-        out = out + a[j // 2] * a[j // 2]
-    return out
-
-
-def _extend(powers, x_j, j):
-    """Append [eps^j] x^l to powers[l-1] for every l, given x_j."""
-    if powers:
-        powers[0].append(x_j)
-        if len(powers) > 1:
-            powers[1].append(_square(powers[0], j))
-        for l in range(2, len(powers)):
-            powers[l].append(_cauchy(powers[l - 1], powers[0], j))
-
-
 class OnlinePotential:
-    """V(y) one eps-order at a time, the naive form of online ("relaxed")
-    multiplication (van der Hoeven, J. Symb. Comp. 2002).
+    """V(y) one eps-order at a time: a Composition of V's terms, fed y
+    and y' = dt(y).
 
     ``feed(y_j)`` takes the next coefficient of y and returns [eps^j] V(y).
-    Each power y^l, y'^m and mixed product y^l*y'^m that V needs keeps
-    its coefficient list, and each feed extends every list by one Cauchy
-    sum, so K orders cost O(K^2) coefficient products per power instead
-    of the O(K^3) of rebuilding the powers as whole series at each order.
     """
 
-    __slots__ = ("terms", "y_powers", "dy_powers", "mixed", "order")
+    __slots__ = ("composition", "uses_dy")
 
     def __init__(self, V):
         # sum_k C_klmn z^k, collected per (l, m, n)
@@ -420,40 +383,13 @@ class OnlinePotential:
         for (k, l, m, n), c in sorted(V.coeffs.items()):
             terms[l, m, n] = (terms.get((l, m, n), _ZP) +
                               c * ParamPolynomial.var(HARMONIC, k))
-        self.terms = terms
-        # y_powers[l-1][j] = [eps^j] y^l, likewise dy_powers for y'^m
-        self.y_powers = [[] for _ in range(max(
-            (l for l, _, _ in terms), default=0))]
-        self.dy_powers = [[] for _ in range(max(
-            (m for _, m, _ in terms), default=0))]
-        self.mixed = {(l, m): [] for l, m, _ in terms if l and m}
-        self.order = 0
+        self.composition = Composition(
+            (n, (l, m), c) for (l, m, n), c in terms.items())
+        self.uses_dy = any(m for _, m, _ in terms)
 
     def feed(self, y_j):
         """[eps^j] V(y), given y_j after y_0, ..., y_{j-1}."""
-        j = self.order
-        self.order += 1
-        _extend(self.y_powers, y_j, j)
-        if self.dy_powers:
-            _extend(self.dy_powers, _dt(y_j), j)
-        for (l, m), prod in self.mixed.items():
-            prod.append(_cauchy(self.y_powers[l - 1], self.dy_powers[m - 1],
-                                j))
-        out = _ZP
-        for (l, m, n), c in self.terms.items():
-            if n > j:
-                continue
-            if l and m:
-                f = self.mixed[l, m][j - n]
-            elif l:
-                f = self.y_powers[l - 1][j - n]
-            elif m:
-                f = self.dy_powers[m - 1][j - n]
-            else:
-                f = _ONE if n == j else _ZP
-            if f:
-                out = out + c * f
-        return out
+        return self.composition.feed(y_j, _dt(y_j) if self.uses_dy else None)
 
 
 def eval_potential(V, y, K):

@@ -1,5 +1,5 @@
 """Exact identities of the naive series and of its RG system, checked
-in the truncated ring mod eps^{K+1}.
+in the truncated ring mod eps^{K+1}, K the cap of the series.
 
 The group property of the naive series (``check_functional_relation``)
 and its inversion corollary (``check_inversion``) are checked in
@@ -62,27 +62,28 @@ def _d(series, name):
     return series.map_coeffs(lambda c: c.diff(name))
 
 
-def _generator_offenses(Y, K, harmonics):
+def _generator_offenses(Y, harmonics):
     """Offenses against the normalisation P_{+-1}(eps,0,A,B) == (A, B) and
     against d_t P_n == X_A d_A P_n + X_B d_B P_n for each given harmonic,
     with X_A = d_t P_1(eps,0,A,B) and X_B = d_t P_-1(eps,0,A,B) taken
     from Y itself rather than from the RG system being certified."""
     at_0 = {"t": 0}
-    p1 = Y.secular_coefficient(1).truncate(K)
-    pm1 = Y.secular_coefficient(-1).truncate(K)
+    p1 = Y.secular_coefficient(1)
+    pm1 = Y.secular_coefficient(-1)
     x_a = _d(p1, "t").subs_poly(at_0)
     x_b = _d(pm1, "t").subs_poly(at_0)
     offenses = [
-        _first_offense(n, p.subs_poly(at_0) - EpsilonSeries.from_poly(v, K))
+        _first_offense(n, p.subs_poly(at_0) -
+                       EpsilonSeries.from_poly(v, Y.cap))
         for n, p, v in ((1, p1, P("A")), (-1, pm1, P("B")))]
     for n in harmonics:
-        pn = Y.secular_coefficient(n).truncate(K)
+        pn = Y.secular_coefficient(n)
         flow = x_a * _d(pn, "A") + x_b * _d(pn, "B")
         offenses.append(_first_offense(n, _d(pn, "t") - flow))
     return offenses
 
 
-def check_functional_relation(Y, K=None):
+def check_functional_relation(Y):
     """P_n(eps,t,A,B) == P_n(eps,t-s, P_1(eps,s,A,B), P_-1(eps,s,A,B))
     mod eps^{K+1} for every harmonic n, checked in generator form.
 
@@ -103,13 +104,11 @@ def check_functional_relation(Y, K=None):
     so exp(tL) is a finite sum mod eps^{K+1}: every step is exact in the
     truncated ring, and no series is composed.
     """
-    if K is None:
-        K = Y.cap
-    return _report("functional_relation", K,
-                   _generator_offenses(Y, K, Y.harmonics()))
+    return _report("functional_relation", Y.cap,
+                   _generator_offenses(Y, Y.harmonics()))
 
 
-def check_inversion(Y, K=None):
+def check_inversion(Y):
     """P_{+-1}(eps,t, P_1(eps,-t,A,B), P_-1(eps,-t,A,B)) == (A, B),
     checked in generator form: (N) and (G) of check_functional_relation
     restricted to n = +-1.
@@ -121,16 +120,13 @@ def check_inversion(Y, K=None):
     mutation odd in t at the top eps-order, can still satisfy the
     inversion by series composition.
     """
-    if K is None:
-        K = Y.cap
-    return _report("inversion", K, _generator_offenses(Y, K, (1, -1)))
+    return _report("inversion", Y.cap, _generator_offenses(Y, (1, -1)))
 
 
-def check_residual(Y, K=None):
+def check_residual(Y):
     """Harmonic-wise residual of y'' + y - eps*V vanishes mod eps^{K+1}."""
-    if K is None:
-        K = Y.cap
-    table = Y.table.truncate(K)
+    K = Y.cap
+    table = Y.table
     resid = table.dt().dt().series + table.series
     if K >= 1:
         rhs = eval_potential(Y.potential, table, K - 1).series
@@ -156,11 +152,11 @@ def check_secular_free(rgsys):
     return _report("secular_free", rgsys.cap, offenses)
 
 
-def run_identity_suite(Y, rgsys=None, K=None):
+def run_identity_suite(Y, rgsys=None):
     """All applicable checks; list of IdentityReports."""
-    out = [check_functional_relation(Y, K),
-           check_inversion(Y, K),
-           check_residual(Y, K)]
+    out = [check_functional_relation(Y),
+           check_inversion(Y),
+           check_residual(Y)]
     if rgsys is not None:
         out.append(check_secular_free(rgsys))
     return out

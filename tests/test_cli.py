@@ -113,8 +113,11 @@ SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
     ["mathieu", "--order", "-1"],
     ["rg", "--example", "vdp", "--format", "csv"],
     ["rg", "--example", "vdp", "--format", "table"],
+    ["polar", "--example", "duffing", "--bind", "g"],
     ["simulate", "--example", "duffing", "--eps", "0.1", "--y0", "1",
      "--dy0", "0"],
+    ["simulate", "--example", "vdp", "--eps", "0.1"],
+    ["compare", "--example", "vdp", "--eps", "0.1", "--theta0", "0"],
     SIM_FLOW + ["--rg-order", "-1"],
     SIM_FLOW + ["--rg-order", "3"],
     ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
@@ -129,7 +132,8 @@ SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
     SIM_ODE + ["--tmax", "nan"],
 ], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
         "negative-order", "mathieu-negative-order", "format-csv",
-        "format-table", "numerics-unbound-parameter", "rg-order-negative",
+        "format-table", "bind-malformed", "numerics-unbound-parameter",
+        "simulate-no-state", "compare-no-R0", "rg-order-negative",
         "rg-order-above-order", "expansion-order-above-order",
         "expansion-order-negative", "dt-zero", "dt-negative", "dt-nan",
         "dt-inf", "tmax-negative", "tmax-inf", "tmax-nan"])
@@ -285,3 +289,72 @@ def test_byte_identical_reruns(capsys):
     _, a = run(capsys, "polar", "--example", "vdp", "--order", "6")
     _, b = run(capsys, "polar", "--example", "vdp", "--order", "6")
     assert a == b
+
+
+def test_verify_json(capsys):
+    code, out = run(capsys, "verify", "--example", "vdp", "--order", "3",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"name": name, "cap": 3, "passed": True} for name in
+        ("functional_relation", "inversion", "residual", "secular_free")]
+
+
+def test_mathieu_json(capsys):
+    code, out = run(capsys, "mathieu", "--order", "3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["omega2"]["cap"] == 4
+    assert data["branches"] == [{"label": "-", "a": ["1", "0", "-1/3"]},
+                                {"label": "+", "a": ["1", "0", "5/3"]}]
+
+
+@pytest.mark.parametrize("branch,other", [("+", "-"), ("-", "+")])
+def test_mathieu_branch_selects_one_boundary(capsys, branch, other):
+    code, out = run(capsys, "mathieu", "--order", "3", "--branch", branch)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("omega^2 = ")
+    assert [line.split(" = ")[0] for line in lines[1:]] == [f"a{branch}"]
+    code, out = run(capsys, "mathieu", "--order", "3", "--branch", branch,
+                    "--crosscheck", "eps=0.05:0.1,N=8")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("0.05", branch), ("0.1", branch)]
+    code, both = run(capsys, "mathieu", "--order", "3",
+                     "--crosscheck", "eps=0.05:0.1,N=8")
+    assert [line for line in both.splitlines()
+            if f",{other}," not in line] == out.splitlines()
+
+
+def test_compare_with_explicit_initial_state(capsys):
+    # --y0/--dy0 start the ODE; the amplitude flow still starts at R0
+    code, out = run(capsys, "compare", "--example", "vdp", "--order", "2",
+                    "--eps", "0.1", "--R0", "1", "--theta0", "0",
+                    "--y0", "1.5", "--dy0", "0", "--tmax", "0.1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "t,y_numeric,y_rg,diff"
+    assert lines[1] == "0.0,1.5,2.0,-0.5"
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("simulate", "--eps", "-1e-3"), ("simulate", "--y0", "-1e-1"),
+    ("simulate", "--dy0", "-2E-1"), ("simulate", "--R0", "-5e-1"),
+    ("simulate", "--theta0", "-1e-1"), ("compare", "--eps", "-1e-2"),
+    ("compare", "--R0", "-5e-1"), ("compare", "--theta0", "-1e+0")])
+def test_negative_value_in_exponent_form(capsys, command, option, value):
+    # argparse reads "-1e-3" as an option unless it is joined by "="
+    start = (("--y0", "--dy0") if option in ("--y0", "--dy0")
+             else ("--R0", "--theta0"))
+
+    def argv(joined):
+        out = [command, "--example", "vdp", "--order", "2", "--tmax", "0.1"]
+        for name in ("--eps",) + start:
+            v = value if name == option else SIM_ARGS[name]
+            out += [f"{name}={v}"] if joined else [name, v]
+        return out
+
+    code, out = run(capsys, *argv(joined=False))
+    assert code == 0
+    assert run(capsys, *argv(joined=True)) == (0, out)
