@@ -17,7 +17,7 @@ print()
 # The table rows are eps-orders, the columns harmonics e^{int}.
 for k in range(Y.cap + 1):
     for n in Y.harmonics():
-        f = Y.table.entry(n, k)
+        f = Y.entry(n, k)
         if not f.is_zero():
             print(f"  f[{n},{k}] = {f}")
     print()

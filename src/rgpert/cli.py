@@ -140,9 +140,9 @@ def cmd_expand(args, parser):
     if args.format == "json":
         data = {"order": Y.cap,
                 "harmonics": harmonics,
-                "table": {str(n): {str(k): Y.table.entry(n, k).to_json()
+                "table": {str(n): {str(k): Y.entry(n, k).to_json()
                                    for k in range(Y.cap + 1)
-                                   if not Y.table.entry(n, k).is_zero()}
+                                   if not Y.entry(n, k).is_zero()}
                           for n in harmonics}}
         print(json.dumps(data, indent=2))
         return 0
@@ -150,7 +150,7 @@ def cmd_expand(args, parser):
     for k in range(Y.cap + 1):
         cells = []
         for n in harmonics:
-            f = Y.table.entry(n, k)
+            f = Y.entry(n, k)
             if not f.is_zero():
                 cells.append(f"f[{n},{k}] = {f}")
         if cells:
@@ -216,19 +216,16 @@ def cmd_mathieu(args, parser):
             parser.error("--crosscheck eps values must be finite")
         if N < 3:
             parser.error(f"--crosscheck N must be >= 3, got {N}")
-        _, _, branches = mathieu_mod.analyze(args.order)
-        if args.branch:
-            branches = [b for b in branches if b.label == args.branch]
+    _, omega2, branches = mathieu_mod.analyze(args.order)
+    if args.branch:
+        branches = [b for b in branches if b.label == args.branch]
+    if args.crosscheck:
         rows = mathieu_mod.boundary_crosscheck(branches, eps_list, N)
         print("eps,branch,a_series,a_determinant,deviation")
         for r in rows:
             print(f"{r.eps!r},{r.branch},{r.a_series!r},"
                   f"{r.a_determinant!r},{r.deviation!r}")
-        return 0
-    _, omega2, branches = mathieu_mod.analyze(args.order)
-    if args.branch:
-        branches = [b for b in branches if b.label == args.branch]
-    if args.format == "json":
+    elif args.format == "json":
         print(json.dumps(
             {"omega2": omega2.to_json(),
              "branches": [{"label": b.label,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, ComplexPotential, NotReal, GridMismatch
-from .potential import HARMONIC
+from .potential import HARMONIC, harmonic, harmonics
 from .rg import PolarRG, RGSystem, PHASE
 
 DEFAULT_STEP = 2 * math.pi / 200
@@ -47,7 +47,9 @@ def _grid(t_max, h):
     if t_max / h > MAX_STEPS:
         raise BudgetExceeded(f"t_max/h = {t_max / h:.3g} steps exceed the "
                              f"budget of {MAX_STEPS}")
-    n = int(round(t_max / h))
+    # the largest n*h <= t_max, up to a relative rounding slack: 5 periods
+    # at DEFAULT_STEP are 999.9999999999999 steps and must stay 1000
+    n = math.floor(t_max / h * (1 + 1e-9))
     return np.arange(n + 1) * h
 
 
@@ -248,8 +250,9 @@ def evaluate_expansion(system, amplitudes, eps, expansion_order):
         x = amplitudes.column("Ar_re") + 1j * amplitudes.column("Ar_im")
         y = amplitudes.column("Br_re") + 1j * amplitudes.column("Br_im")
     signal = np.zeros(len(t), dtype=complex)
-    for n, series in sorted(system.coeff_table.items()):
-        terms = _compile(series, eps, expansion_order, *names)
+    for n in harmonics(system.expansion):
+        terms = _compile(harmonic(system.expansion, n), eps,
+                         expansion_order, *names)
         if terms:
             signal += _evaluate(terms, x, y) * np.exp(1j * n * t)
     resid = np.max(np.abs(signal.imag)) if len(signal) else 0.0
@@ -277,7 +280,8 @@ def expansion_initial_conditions(system, eps, rhs_order, expansion_order,
     rhs_b = num(system.rhs_B, rhs_order)
     y = 0j
     dy = 0j
-    for n, series in sorted(system.coeff_table.items()):
+    for n in harmonics(system.expansion):
+        series = harmonic(system.expansion, n)
         pn = num(series, expansion_order)
         dpn = sum(num(series.map_coeffs(lambda c: c.diff(name)),
                       expansion_order) * rhs

@@ -18,7 +18,7 @@ The residual check runs a fresh instance over the finished table
 
 from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
 from .errors import SupportOverflow
-from .potential import HARMONIC, HarmonicSeries, OnlinePotential
+from .potential import HARMONIC, OnlinePotential, harmonic, harmonics
 
 _ZP = ParamPolynomial.zero()
 
@@ -52,7 +52,8 @@ def particular_solution(n, q):
 
 
 class NaiveSeries:
-    """The table f_{n,k}(t) of the normalized naive solution."""
+    """The table f_{n,k}(t) of the normalized naive solution: ``table`` is
+    a harmonic table (see potential), f_{n,k} its z^n entry at eps^k."""
 
     __slots__ = ("potential", "cap", "table")
 
@@ -61,28 +62,26 @@ class NaiveSeries:
         self.cap = cap
         self.table = table
 
+    def entry(self, n, k):
+        return self.table.coeffs[k].coefficient(HARMONIC, n)
+
     def secular_coefficient(self, n):
         """P_n(eps, t, A, B) truncated at the cap."""
-        return self.table.harmonic(n)
+        return harmonic(self.table, n)
 
     def q_split(self):
         """(Q_1, Q_-1) with P_{+-1} = (A, B) + eps*Q_{+-1}, cap-1 series."""
         if self.cap == 0:
             raise ValueError("q_split needs cap >= 1")
-        q1 = EpsilonSeries(
-            self.cap - 1,
-            [self.table.entry(1, k + 1) for k in range(self.cap)])
-        qm1 = EpsilonSeries(
-            self.cap - 1,
-            [self.table.entry(-1, k + 1) for k in range(self.cap)])
-        return q1, qm1
+        return tuple(EpsilonSeries(self.cap - 1,
+                                   self.secular_coefficient(n).coeffs[1:])
+                     for n in (1, -1))
 
     def harmonics(self):
-        return self.table.harmonics()
+        return harmonics(self.table)
 
     def __repr__(self):
-        return (f"<NaiveSeries cap={self.cap} "
-                f"harmonics={self.table.harmonics()}>")
+        return f"<NaiveSeries cap={self.cap} harmonics={self.harmonics()}>"
 
 
 def expand(V, K, support_bound=None):
@@ -90,7 +89,10 @@ def expand(V, K, support_bound=None):
     M = V.support_growth_rate()
     if support_bound is None:
         support_bound = 1 + K * M
-    coeffs = list(HarmonicSeries.free_oscillation(K).series.coeffs)
+    # the free oscillation A e^{it} + B e^{-it} at eps^0
+    coeffs = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
+              ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
+    coeffs += [_ZP] * K
     v_of_y = OnlinePotential(V)
     for k in range(1, K + 1):
         # eps^{k-1} of V(y): a Laurent polynomial in z = e^{it}
@@ -104,4 +106,4 @@ def expand(V, K, support_bound=None):
             p = particular_solution(n, source.coefficient(HARMONIC, n))
             f_k = f_k + p * ParamPolynomial.var(HARMONIC, n)
         coeffs[k] = f_k
-    return NaiveSeries(V, K, HarmonicSeries(EpsilonSeries(K, coeffs)))
+    return NaiveSeries(V, K, EpsilonSeries(K, coeffs))

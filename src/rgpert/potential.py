@@ -1,4 +1,4 @@
-"""The admissible potential class and its evaluation on harmonic series.
+"""The admissible potential class and its evaluation on harmonic tables.
 
 A potential is a finite table C[(k, l, m, n)] -> coefficient, meaning
 
@@ -19,7 +19,7 @@ from .errors import ParseError, NotInClass, TrivialLinear
 
 _ZP = ParamPolynomial.zero()
 
-#: Laurent variable standing for e^{it} in a HarmonicSeries.
+#: Laurent variable standing for e^{it} in a harmonic table.
 HARMONIC = "z"
 _IZ = ParamPolynomial.var(HARMONIC, 1, I)
 
@@ -300,15 +300,39 @@ def parse_potential(text, params=()):
 
 
 # ---------------------------------------------------------------------------
-# Harmonic series
+# Harmonic tables
+#
+# A harmonic table sum_k eps^k sum_n f_{n,k}(t) e^{n i t} is one
+# EpsilonSeries whose coefficients are Laurent polynomials in z = e^{it}
+# (the variable HARMONIC), t, A, B and parameters: f_{n,k} is the
+# coefficient of z^n in eps-order k.
 # ---------------------------------------------------------------------------
 
-class HarmonicSeries:
-    """Double expansion sum_k eps^k sum_n f_{n,k}(t) e^{n i t}.
+def harmonic(table, n):
+    """The z^n column of a harmonic table, as an EpsilonSeries."""
+    return table.map_coeffs(lambda c: c.coefficient(HARMONIC, n))
 
-    Stored as one EpsilonSeries whose coefficients are Laurent
-    polynomials in z = e^{it} (the variable HARMONIC), t, A, B and
-    parameters: f_{n,k} is the coefficient of z^n in eps-order k.
+
+def harmonics(table):
+    """The sorted z exponents occurring in a harmonic table."""
+    out = set()
+    for c in table.coeffs:
+        out.update(c.exponents(HARMONIC))
+    return sorted(out)
+
+
+def dt(c):
+    """d/dt + i*z*d/dz of one eps-coefficient of a harmonic table: the
+    time derivative as t and z = e^{it} vary."""
+    return c.diff("t") + c.diff(HARMONIC) * _IZ
+
+
+class HarmonicSeries:
+    """Shell of a harmonic table with a product and nothing else.
+
+    No caller in the package: perfbench/spans.py traces
+    ``HarmonicSeries.mul`` by name (potential.harmonic_mul) until that
+    metric is dropped.
     """
 
     __slots__ = ("series",)
@@ -316,56 +340,8 @@ class HarmonicSeries:
     def __init__(self, series):
         self.series = series
 
-    @property
-    def cap(self):
-        return self.series.cap
-
-    @classmethod
-    def free_oscillation(cls, cap):
-        """A e^{it} + B e^{-it} at eps^0."""
-        y0 = (ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
-              ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1))
-        return cls(EpsilonSeries.from_poly(y0, cap))
-
-    def truncate(self, cap):
-        return HarmonicSeries(self.series.truncate(cap))
-
-    def entry(self, n, k):
-        return self.series.coeffs[k].coefficient(HARMONIC, n)
-
-    def harmonic(self, n):
-        """P_n as an EpsilonSeries."""
-        return self.series.map_coeffs(lambda c: c.coefficient(HARMONIC, n))
-
-    def harmonics(self):
-        out = set()
-        for c in self.series.coeffs:
-            out.update(c.exponents(HARMONIC))
-        return sorted(out)
-
-    # -- arithmetic -------------------------------------------------------
-
-    # No caller in the package: the benchmark's span tracer looks it up by
-    # name (potential.harmonic_mul) until that metric is dropped.
     def mul(self, other):
         return HarmonicSeries(self.series * other.series)
-
-    def dt(self):
-        """Time derivative d/dt + i*z*d/dz, as t and z = e^{it} vary."""
-        return HarmonicSeries(self.series.map_coeffs(_dt))
-
-    def __eq__(self, other):
-        if not isinstance(other, HarmonicSeries):
-            return NotImplemented
-        return self.series == other.series
-
-    def __repr__(self):
-        return f"<HarmonicSeries cap={self.cap} harmonics={self.harmonics()}>"
-
-
-def _dt(c):
-    """d/dt + i*z*d/dz of one eps-coefficient of a harmonic series."""
-    return c.diff("t") + c.diff(HARMONIC) * _IZ
 
 
 class OnlinePotential:
@@ -389,13 +365,13 @@ class OnlinePotential:
 
     def feed(self, y_j):
         """[eps^j] V(y), given y_j after y_0, ..., y_{j-1}."""
-        return self.composition.feed(y_j, _dt(y_j) if self.uses_dy else None)
+        return self.composition.feed(y_j, dt(y_j) if self.uses_dy else None)
 
 
 def eval_potential(V, y, K):
-    """Expand V(eps, e^{it}, e^{-it}, y, dy/dt) into harmonics, mod eps^{K+1}.
+    """Expand V(eps, e^{it}, e^{-it}, y, dy/dt) for a harmonic table y,
+    mod eps^{K+1}.
 
     Feeds the coefficients of y to a fresh OnlinePotential."""
     online = OnlinePotential(V)
-    return HarmonicSeries(EpsilonSeries(
-        K, [online.feed(c) for c in y.truncate(K).series.coeffs]))
+    return EpsilonSeries(K, [online.feed(c) for c in y.truncate(K).coeffs])

@@ -4,7 +4,8 @@ The amplitude equation is read off the resonant corrections Q_{+-1}:
 
     d/dt (Ar, Br) = eps * dQ_{+-1}/dt (eps, 0, Ar, Br),
 
-and the secular-free expansion stores P_n(eps, 0, Ar, Br) per harmonic.
+and the secular-free expansion is the harmonic table of the
+P_n(eps, 0, Ar, Br), one EpsilonSeries in z = e^{it}.
 The polar form substitutes Ar = R*w, Br = R/w with w = e^{i*theta} kept
 as an exact Laurent variable.
 """
@@ -12,11 +13,10 @@ as an exact Laurent variable.
 from math import lcm
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      substitute, series_solve_root, P, grq, ZERO, ONE, Rat)
+                      substitute, series_solve_root, P, grq, ZERO, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
                      NonRationalRoot, Underdetermined)
 
-_ZP = ParamPolynomial.zero()
 _RENAME = {"A": "Ar", "B": "Br"}
 
 #: Laurent phase variable standing for e^{i*theta}.
@@ -25,35 +25,33 @@ PHASE = "w"
 
 class RGSystem:
     """Right-hand sides of the amplitude equation plus the secular-free
-    expansion coefficients, all in the renormalized amplitudes Ar, Br."""
+    expansion sum_n P_n(eps, 0, Ar, Br) e^{n i t}, a harmonic table (see
+    potential) in the renormalized amplitudes Ar, Br."""
 
-    __slots__ = ("cap", "rhs_A", "rhs_B", "coeff_table", "potential")
+    __slots__ = ("cap", "rhs_A", "rhs_B", "expansion", "potential")
 
-    def __init__(self, cap, rhs_A, rhs_B, coeff_table, potential=None):
+    def __init__(self, cap, rhs_A, rhs_B, expansion, potential=None):
         self.cap = cap
         self.rhs_A = rhs_A
         self.rhs_B = rhs_B
-        self.coeff_table = coeff_table
+        self.expansion = expansion
         self.potential = potential
 
-    def harmonics(self):
-        return sorted(self.coeff_table)
-
     def __repr__(self):
-        return f"<RGSystem cap={self.cap} harmonics={self.harmonics()}>"
+        return f"<RGSystem cap={self.cap}>"
 
 
 class PolarRG:
-    """Polar form: d log R/dt, d theta/dt and the expansion coefficients
-    as Laurent polynomials in the phase variable w = e^{i*theta}."""
+    """Polar form: d log R/dt, d theta/dt and the expansion, a harmonic
+    table in R and the phase variable w = e^{i*theta}."""
 
-    __slots__ = ("cap", "dlogR_dt", "dtheta_dt", "coeff_table", "potential")
+    __slots__ = ("cap", "dlogR_dt", "dtheta_dt", "expansion", "potential")
 
-    def __init__(self, cap, dlogR_dt, dtheta_dt, coeff_table, potential=None):
+    def __init__(self, cap, dlogR_dt, dtheta_dt, expansion, potential=None):
         self.cap = cap
         self.dlogR_dt = dlogR_dt
         self.dtheta_dt = dtheta_dt
-        self.coeff_table = coeff_table
+        self.expansion = expansion
         self.potential = potential
 
     def theta_free(self):
@@ -66,35 +64,24 @@ class PolarRG:
 
 def derive_rg(Y):
     """RG/amplitude equation and renormalized expansion from a naive series."""
-    K = Y.cap
+    at_0 = {"t": ZERO}
 
     def rhs(n):
-        coeffs = [_ZP]
-        for k in range(1, K + 1):
-            coeffs.append(
-                Y.table.entry(n, k).diff("t")
-                .subs({"t": ZERO}).rename(_RENAME))
-        return EpsilonSeries(K, coeffs)
+        return (Y.secular_coefficient(n).map_coeffs(lambda c: c.diff("t"))
+                .subs_poly(at_0).rename(_RENAME))
 
-    table = {}
-    for n in Y.harmonics():
-        pn0 = Y.secular_coefficient(n).subs_poly({"t": ZERO}).rename(_RENAME)
-        if not pn0.is_zero():
-            table[n] = pn0
-    return RGSystem(K, rhs(1), rhs(-1), table, Y.potential)
+    expansion = Y.table.subs_poly(at_0).rename(_RENAME)
+    return RGSystem(Y.cap, rhs(1), rhs(-1), expansion, Y.potential)
 
 
 def renormalization_constants(Y):
-    """Closed-form (Z_a, Z_b): Z_a = 1 + eps*Q_1(eps,-t,Ar,Br)/Ar etc."""
-    K = Y.cap
+    """Closed-form (Z_a, Z_b): Z_a = 1 + eps*Q_1(eps,-t,Ar,Br)/Ar etc.,
+    that is P_{+-1}(eps,-t,A,B) divided by its eps^0 term A or B."""
     neg_t = {"t": -P("t")}
 
     def z(n, amp):
-        coeffs = [ParamPolynomial.const(ONE)]
-        for k in range(1, K + 1):
-            f = Y.table.entry(n, k).subs(neg_t)
-            coeffs.append(f.divide_by_var(amp).rename(_RENAME))
-        return EpsilonSeries(K, coeffs)
+        return (Y.secular_coefficient(n).subs_poly(neg_t)
+                .map_coeffs(lambda c: c.divide_by_var(amp)).rename(_RENAME))
 
     return z(1, "A"), z(-1, "B")
 
@@ -122,10 +109,8 @@ def to_polar(rgsys):
     half_over_i = grq(0, 1, -1, 2)  # 1/(2i)
     dlogR = divide_R(rhs_a * w_inv + rhs_b * w, "d log R/dt") * half
     dtheta = divide_R(rhs_a * w_inv - rhs_b * w, "d theta/dt") * half_over_i
-
-    table = {n: p.subs_poly(polar_sub)
-             for n, p in rgsys.coeff_table.items()}
-    return PolarRG(rgsys.cap, dlogR, dtheta, table, rgsys.potential)
+    return PolarRG(rgsys.cap, dlogR, dtheta,
+                   rgsys.expansion.subs_poly(polar_sub), rgsys.potential)
 
 
 def rational_roots(poly, var):

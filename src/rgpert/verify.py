@@ -16,7 +16,7 @@ offending (harmonic, eps-order, monomial) as a concrete counterexample.
 from dataclasses import dataclass
 
 from .algebra import EpsilonSeries, P
-from .potential import HarmonicSeries, eval_potential
+from .potential import dt, eval_potential, harmonic, harmonics
 
 
 @dataclass(frozen=True)
@@ -127,20 +127,19 @@ def check_residual(Y):
     """Harmonic-wise residual of y'' + y - eps*V vanishes mod eps^{K+1}."""
     K = Y.cap
     table = Y.table
-    resid = table.dt().dt().series + table.series
+    resid = table.map_coeffs(lambda c: dt(dt(c))) + table
     if K >= 1:
-        rhs = eval_potential(Y.potential, table, K - 1).series
+        rhs = eval_potential(Y.potential, table, K - 1)
         resid = resid - rhs.extend(K).shift(1)
-    resid = HarmonicSeries(resid)
-    return _report("residual", K, [_first_offense(m, resid.harmonic(m))
-                                   for m in resid.harmonics()])
+    return _report("residual", K, [_first_offense(n, harmonic(resid, n))
+                                   for n in harmonics(resid)])
 
 
 def check_secular_free(rgsys):
-    """Every stored renormalized-expansion coefficient is t-free."""
+    """Every harmonic of the renormalized expansion is t-free."""
     offenses = []
-    for n, series in sorted(rgsys.coeff_table.items()):
-        for k, c in enumerate(series.coeffs):
+    for n in harmonics(rgsys.expansion):
+        for k, c in enumerate(harmonic(rgsys.expansion, n).coeffs):
             if c.degree_in("t") > 0:
                 i = c.vars.index("t")
                 exps, coeff = next(

@@ -11,7 +11,7 @@ import random
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
                             gr, grq)
 from rgpert.errors import TrivialLinear
-from rgpert.potential import HARMONIC, HarmonicSeries, Potential
+from rgpert.potential import HARMONIC, Potential, dt
 from rgpert.verify import _first_offense, _report
 
 
@@ -53,7 +53,7 @@ def check_inversion_finite(Y, K=None):
 def eval_potential_whole(V, y, K):
     """Reference oracle: V(y) mod eps^{K+1}, every power of y and y' a
     whole truncated series, each power the previous one times the base."""
-    y = y.truncate(K).series
+    y = y.truncate(K)
     y_powers, dy_powers = [y], []
     out = EpsilonSeries.zero(K)
     for (k, l, m, n), c in sorted(V.coeffs.items()):
@@ -64,10 +64,10 @@ def eval_potential_whole(V, y, K):
             term = term * _power(y_powers, l)
         if m:
             if not dy_powers:
-                dy_powers.append(HarmonicSeries(y).dt().series)
+                dy_powers.append(y.map_coeffs(dt))
             term = term * _power(dy_powers, m)
         out = out + term.shift(n)
-    return HarmonicSeries(out)
+    return out
 
 
 def _power(powers, l):

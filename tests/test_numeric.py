@@ -383,6 +383,22 @@ def test_one_point_grid_and_bad_steps():
             nm.integrate_rg(pol, 0.25, 1, t_max, R0=0.2, theta0=-0.1)
 
 
+@pytest.mark.parametrize("t_max,h,steps", [
+    (3.0, 5.0, 0),                              # simulate --dt 5 --tmax 3
+    (0.02, nm.DEFAULT_STEP, 0),                 # simulate --tmax 0.02
+    (5 * (2 * math.pi), nm.DEFAULT_STEP, 1000),     # 999.9999999999999
+    (25 * 2 * math.pi, nm.DEFAULT_STEP, 5000),      # the CLI default
+    (100 * (2 * math.pi), nm.DEFAULT_STEP, 20000),
+    (200 * (2 * math.pi), nm.DEFAULT_STEP, 40000),
+], ids=["dt5-tmax3", "tmax0.02", "5-periods", "25-periods", "100-periods",
+        "200-periods"])
+def test_grid_ends_at_the_last_step_within_t_max(t_max, h, steps):
+    # the grid never passes t_max; period multiples keep every step
+    grid = nm._grid(t_max, h)
+    assert len(grid) == steps + 1
+    assert grid[-1] <= t_max * (1 + 1e-9)
+
+
 def test_grid_budget(monkeypatch):
     monkeypatch.setattr(nm, "MAX_STEPS", 100)
     assert len(nm._grid(100 * 0.5, 0.5)) == 101

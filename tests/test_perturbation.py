@@ -46,12 +46,12 @@ def harmonic_table():
 def test_table_positive_harmonics(vdp_Y5):
     expected = harmonic_table()
     for (n, k), cell in expected.items():
-        assert vdp_Y5.table.entry(n, k) == cell, (n, k)
+        assert vdp_Y5.entry(n, k) == cell, (n, k)
     # all remaining positive-harmonic cells through k=3 vanish
     for k in range(4):
         for n in range(0, 9):
             if (n, k) not in expected:
-                assert vdp_Y5.table.entry(n, k).is_zero(), (n, k)
+                assert vdp_Y5.entry(n, k).is_zero(), (n, k)
 
 
 def test_negative_harmonics_by_symmetry(vdp_Y5):
@@ -59,8 +59,8 @@ def test_negative_harmonics_by_symmetry(vdp_Y5):
     # harmonics follow by conjugation combined with A <-> B
     swap = {"A": "B", "B": "A"}
     for (n, k) in harmonic_table():
-        mirrored = vdp_Y5.table.entry(n, k).conjugated().rename(swap)
-        assert vdp_Y5.table.entry(-n, k) == mirrored
+        mirrored = vdp_Y5.entry(n, k).conjugated().rename(swap)
+        assert vdp_Y5.entry(-n, k) == mirrored
 
 
 def test_fifth_harmonic_series(vdp_Y5):
@@ -80,7 +80,7 @@ def test_resonant_normalization(vdp_Y5, nonauto_Y4):
     for Y in (vdp_Y5, nonauto_Y4):
         for n in (1, -1):
             for k in range(1, Y.cap + 1):
-                f = Y.table.entry(n, k)
+                f = Y.entry(n, k)
                 assert f.subs({"t": gr(0)}).is_zero(), (n, k)
 
 
@@ -121,8 +121,8 @@ def test_support_overflow_guard():
 def test_q_split(vdp_Y5):
     q1, qm1 = vdp_Y5.q_split()
     assert q1.cap == vdp_Y5.cap - 1
-    assert q1.coeffs[0] == vdp_Y5.table.entry(1, 1)
-    assert qm1.coeffs[0] == vdp_Y5.table.entry(-1, 1)
+    assert q1.coeffs[0] == vdp_Y5.entry(1, 1)
+    assert qm1.coeffs[0] == vdp_Y5.entry(-1, 1)
     # Q_{+-1}(eps, 0, A, B) = 0
     assert q1.subs_poly({"t": gr(0)}).is_zero()
     assert qm1.subs_poly({"t": gr(0)}).is_zero()

@@ -5,9 +5,9 @@ from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, gr, grq,
 from rgpert.errors import ParseError, NotInClass, TrivialLinear
 from rgpert.perturbation import expand
 from rgpert.potential import (Potential, parse_potential, eval_potential,
-                              HarmonicSeries, HARMONIC, RESERVED_NAMES,
-                              OnlinePotential)
-from rgpert.registry import get_example
+                              HARMONIC, RESERVED_NAMES, OnlinePotential, dt,
+                              harmonic, harmonics)
+from rgpert.registry import EXAMPLES, get_example
 
 from oracles import eval_potential_whole, random_potential
 
@@ -16,6 +16,11 @@ one = ParamPolynomial.const(1)
 z = P(HARMONIC)
 z_inv = ParamPolynomial.var(HARMONIC, -1)
 _ZERO = ParamPolynomial.zero()
+
+
+def free_oscillation(cap):
+    """A e^{it} + B e^{-it} at eps^0, as a harmonic table."""
+    return EpsilonSeries.from_poly(P("A") * z + P("B") * z_inv, cap)
 
 
 def test_van_der_pol_table():
@@ -118,10 +123,12 @@ def test_json_roundtrip():
 def test_eval_potential_on_free_oscillation():
     # V = y' on A e^{it} + B e^{-it} gives iA e^{it} - iB e^{-it}
     V = parse_potential("y' - 1/3*y'^3")
-    y = HarmonicSeries.free_oscillation(1)
+    y = free_oscillation(1)
     out = eval_potential(V, y, 0)
-    assert out.entry(1, 0).coefficient("A", 1).constant_term() == gr(0, 1)
-    assert out.entry(-1, 0).coefficient("B", 1).constant_term() == gr(0, -1)
+    assert harmonic(out, 1).coeffs[0].coefficient(
+        "A", 1).constant_term() == gr(0, 1)
+    assert harmonic(out, -1).coeffs[0].coefficient(
+        "B", 1).constant_term() == gr(0, -1)
 
 
 @pytest.mark.parametrize("text,params,table", [
@@ -163,22 +170,22 @@ def test_reserved_parameter_names_are_rejected(name):
 
 
 def test_free_oscillation_time_derivative():
-    y = HarmonicSeries.free_oscillation(2)
+    dy = free_oscillation(2).map_coeffs(dt)
     i = gr(0, 1)
     want = i * P("A") * z - i * P("B") * z_inv
-    assert y.dt() == HarmonicSeries(EpsilonSeries.from_poly(want, 2))
-    assert y.dt().entry(1, 0) == i * P("A")
-    assert y.dt().harmonics() == [-1, 1]
+    assert dy == EpsilonSeries.from_poly(want, 2)
+    assert harmonic(dy, 1).coeffs[0] == i * P("A")
+    assert harmonics(dy) == [-1, 1]
 
 
 def test_eval_potential_of_y_times_dy():
     # (A z + B/z)(iA z - iB/z) = iA^2 z^2 - iB^2 z^-2: the z^0 parts cancel
     V = parse_potential("y*y'")
-    out = eval_potential(V, HarmonicSeries.free_oscillation(1), 0)
-    assert out.harmonics() == [-2, 2]
-    assert out.entry(2, 0) == gr(0, 1) * P("A") ** 2
-    assert out.entry(-2, 0) == gr(0, -1) * P("B") ** 2
-    assert out.entry(0, 0).is_zero()
+    out = eval_potential(V, free_oscillation(1), 0)
+    assert harmonics(out) == [-2, 2]
+    assert harmonic(out, 2).coeffs[0] == gr(0, 1) * P("A") ** 2
+    assert harmonic(out, -2).coeffs[0] == gr(0, -1) * P("B") ** 2
+    assert harmonic(out, 0).coeffs[0].is_zero()
 
 
 ONLINE_CASES = {
@@ -204,19 +211,46 @@ def test_online_potential_matches_whole_series_oracle(name):
     # whole-series oracle at that order
     V, K = ONLINE_CASES[name]
     table = expand(V, K).table
-    want = eval_potential_whole(V, table, K).series.coeffs
+    want = eval_potential_whole(V, table, K).coeffs
     online = OnlinePotential(V)
-    for j, y_j in enumerate(table.series.coeffs):
+    for j, y_j in enumerate(table.coeffs):
         assert online.feed(y_j) == want[j], (name, j)
-    assert eval_potential(V, table, K).series.coeffs == want
+    assert eval_potential(V, table, K).coeffs == want
 
 
 def test_online_potential_on_a_table_that_is_no_solution():
     # the routine is plain series arithmetic: any y, not only naive tables
     V = parse_potential("y^3*y' + y'^2 - y^2*E(1) + eps*E(-2)")
     t, A = P("t"), P("A")
-    y = HarmonicSeries(EpsilonSeries(3, [
-        A * z + P("B") * z_inv, t * A * z ** 3, _ZERO, grq(1, 3) * t * z]))
-    want = eval_potential_whole(V, y, 3).series.coeffs
+    y = EpsilonSeries(3, [
+        A * z + P("B") * z_inv, t * A * z ** 3, _ZERO, grq(1, 3) * t * z])
+    want = eval_potential_whole(V, y, 3).coeffs
     online = OnlinePotential(V)
-    assert [online.feed(c) for c in y.series.coeffs] == list(want)
+    assert [online.feed(c) for c in y.coeffs] == list(want)
+
+
+HAND_TABLE = EpsilonSeries(3, [
+    P("A") * z + P("B") * z_inv,
+    P("t") * P("A") * z ** 3 - grq(1, 2) * P("g") * P("B") ** 2,
+    _ZERO,
+    grq(1, 3) * P("t") * z +
+    gr(0, 2) * P("A") * P("B") * ParamPolynomial.var(HARMONIC, -5)])
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES) + ["not a solution"])
+def test_harmonic_columns_sum_to_the_table(name):
+    # sum_n harmonic(T, n) z^n == T: the columns split the table exactly
+    table = (HAND_TABLE if name not in EXAMPLES else
+             expand(get_example(name).potential(), 4).table)
+    total = EpsilonSeries.zero(table.cap)
+    for n in harmonics(table):
+        total = total + harmonic(table, n) * ParamPolynomial.var(HARMONIC, n)
+    assert total == table
+    # beyond the support bound 1 + K*M of every table here
+    assert harmonic(table, 100).is_zero() and 100 not in harmonics(table)
+
+
+def test_harmonics_of_the_hand_written_table():
+    assert harmonics(HAND_TABLE) == [-5, -1, 0, 1, 3]
+    assert harmonic(HAND_TABLE, 0) == EpsilonSeries.from_poly(
+        -grq(1, 2) * P("g") * P("B") ** 2, 3, 1)

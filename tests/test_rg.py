@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, Rat, gr, grq,
                             substitute)
 from rgpert.errors import DegenerateRoot, ThetaDependent, Underdetermined
-from rgpert.registry import example_expansion
+from rgpert.perturbation import expand
+from rgpert.registry import EXAMPLES, example_expansion, get_example
 from rgpert.cli import main
 from rgpert.rg import (derive_rg, to_polar, limit_cycle,
                        renormalization_constants, PHASE, PolarRG,
                        rational_roots)
+from rgpert.potential import harmonic, harmonics
 
 from conftest import (trig, trig_mul, trig_scale, trig_add, phase_poly,
                       r_series)
@@ -134,12 +136,13 @@ def _assert_expansion(polar, terms, through):
             expected.setdefault(n, {})
             expected[n][k] = expected[n].get(k, ParamPolynomial.zero()) + poly
     for n, by_order in expected.items():
-        series = polar.coeff_table.get(n)
-        assert series is not None, f"harmonic {n} missing"
+        assert n in harmonics(polar.expansion), f"harmonic {n} missing"
+        series = harmonic(polar.expansion, n)
         for k in range(through + 1):
             want = by_order.get(k, ParamPolynomial.zero())
             assert series.coeffs[k] == want, (n, k)
-    for n, series in polar.coeff_table.items():
+    for n in harmonics(polar.expansion):
+        series = harmonic(polar.expansion, n)
         if n not in expected:
             assert all(series.coeffs[k].is_zero()
                        for k in range(through + 1)), n
@@ -317,6 +320,19 @@ def test_nonauto_renormalized_expansion(nonauto_polar):
                                 gr(-146))), grq(1, 4608))),
     ]
     _assert_expansion(nonauto_polar, terms, through=3)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_expansion_columns_are_renormalized_secular_coefficients(name):
+    # derive_rg substitutes t = 0 in the whole table at once; column by
+    # column that is P_n(eps, 0, Ar, Br)
+    Y = expand(get_example(name).potential(), 4)
+    expansion = derive_rg(Y).expansion
+    assert set(harmonics(expansion)) <= set(Y.harmonics())
+    for n in Y.harmonics():
+        want = Y.secular_coefficient(n).subs_poly({"t": 0}).rename(
+            {"A": "Ar", "B": "Br"})
+        assert harmonic(expansion, n) == want, n
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from rgpert.algebra import P, EpsilonSeries, ParamPolynomial
 from rgpert.perturbation import expand
-from rgpert.potential import HARMONIC, HarmonicSeries
+from rgpert.potential import HARMONIC
 from rgpert.registry import EXAMPLES, example_expansion
 from rgpert.rg import derive_rg, RGSystem
 from rgpert.verify import (check_functional_relation, check_inversion,
@@ -57,9 +57,9 @@ def test_finite_oracles_agree(name, seed):
 
 def _mutated(Y, n, k, mono):
     """Y with ``mono`` added to the table entry f[n,k]."""
-    coeffs = list(Y.table.series.coeffs)
+    coeffs = list(Y.table.coeffs)
     coeffs[k] = coeffs[k] + mono * ParamPolynomial.var(HARMONIC, n)
-    table = HarmonicSeries(EpsilonSeries(Y.cap, coeffs))
+    table = EpsilonSeries(Y.cap, coeffs)
     return type(Y)(Y.potential, Y.cap, table)
 
 
@@ -102,11 +102,10 @@ def test_secular_free_names_the_secular_term(n):
     # harmonic -7 has no eps^1 part; harmonic -3 has t-free eps^1 terms
     # that sort before the added t*Ar
     s = derive_rg(_example_Y("rayleigh", 3))
-    table = dict(s.coeff_table)
-    table[n] = table[n] + EpsilonSeries.from_poly(
-        P("t") * P("Ar"), s.cap, 1)
+    expansion = s.expansion + EpsilonSeries.from_poly(
+        P("t") * P("Ar") * ParamPolynomial.var(HARMONIC, n), s.cap, 1)
     report = check_secular_free(
-        RGSystem(s.cap, s.rhs_A, s.rhs_B, table, s.potential))
+        RGSystem(s.cap, s.rhs_A, s.rhs_B, expansion, s.potential))
     assert report.counterexample == (n, 1, "1*t^1*Ar^1")
     assert str(report).endswith(
         f"(harmonic {n}, eps^1, monomial 1*t^1*Ar^1)")
