@@ -10,7 +10,7 @@ determinants.
 
 from rgpert.mathieu import analyze, boundary_crosscheck, find_boundary_root
 
-Y, omega2, branches = analyze(7)
+omega2, branches = analyze(7)
 
 print("omega^2 =", omega2)
 print()

@@ -376,10 +376,6 @@ class ParamPolynomial:
         return [(exps, _scalar(re, im, den))
                 for exps, (re, im) in self.terms.items()]
 
-    def constant_term(self):
-        c = self.terms.get((0,) * len(self.vars))
-        return ZERO if c is None else _scalar(*c, self.den)
-
     def as_constant(self):
         """The value of a constant polynomial, or None."""
         p = self.compact()

@@ -12,7 +12,7 @@ from .algebra import Rat, GaussianRational
 from .errors import RgpertError
 from .potential import parse_potential
 from .perturbation import expand
-from .rg import derive_rg, to_polar, limit_cycle
+from .rg import derive_rg, normal_form, to_polar, limit_cycle
 from .verify import run_identity_suite
 from . import mathieu as mathieu_mod
 from . import numeric
@@ -162,7 +162,7 @@ def cmd_expand(args, parser):
 
 def cmd_rg(args, parser):
     V = _resolve_potential(args, parser)
-    sysc = derive_rg(expand(V, args.order))
+    sysc = normal_form(V, args.order)
     _print_series([("dAr/dt", sysc.rhs_A),
                    ("dBr/dt", sysc.rhs_B)], args.format)
     return 0
@@ -170,7 +170,7 @@ def cmd_rg(args, parser):
 
 def cmd_polar(args, parser):
     V = _resolve_potential(args, parser)
-    pol = to_polar(derive_rg(expand(V, args.order)))
+    pol = to_polar(normal_form(V, args.order))
     _print_series([("d log R/dt", pol.dlogR_dt),
                    ("d theta/dt", pol.dtheta_dt)], args.format)
     if pol.theta_free() and args.format != "json":
@@ -180,7 +180,7 @@ def cmd_polar(args, parser):
 
 def cmd_limit_cycle(args, parser):
     V = _resolve_potential(args, parser)
-    pol = to_polar(derive_rg(expand(V, args.order)))
+    pol = to_polar(normal_form(V, args.order))
     R_c, dtheta_c = limit_cycle(pol)
     _print_series([("R_c", R_c),
                    ("2*R_c", R_c * GaussianRational(2)),
@@ -216,7 +216,7 @@ def cmd_mathieu(args, parser):
             parser.error("--crosscheck eps values must be finite")
         if N < 3:
             parser.error(f"--crosscheck N must be >= 3, got {N}")
-    _, omega2, branches = mathieu_mod.analyze(args.order)
+    omega2, branches = mathieu_mod.analyze(args.order)
     if args.branch:
         branches = [b for b in branches if b.label == args.branch]
     if args.crosscheck:
@@ -276,7 +276,7 @@ def cmd_simulate(args, parser):
                                      args.tmax, args.dt)
     elif args.R0 is not None and args.theta0 is not None:
         _check_orders(args, parser, "rg_order")
-        pol = to_polar(derive_rg(expand(V, args.order)))
+        pol = to_polar(normal_form(V, args.order))
         traj = numeric.integrate_rg(pol, args.eps, args.rg_order,
                                     args.tmax, args.dt,
                                     R0=args.R0, theta0=args.theta0)
@@ -296,8 +296,7 @@ def cmd_compare(args, parser):
     if args.R0 is None or args.theta0 is None:
         parser.error("compare needs --R0 and --theta0")
     _check_orders(args, parser, "rg_order", "expansion_order")
-    Y = expand(V, args.order)
-    sysc = derive_rg(Y)
+    sysc = normal_form(V, args.order)
     pol = to_polar(sysc)
     amp = numeric.integrate_rg(pol, args.eps, args.rg_order, args.tmax,
                                args.dt, R0=args.R0, theta0=args.theta0)

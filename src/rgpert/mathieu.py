@@ -12,8 +12,7 @@ from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
 from .errors import (NotLinear, NotScalar, Underdetermined,
                      NonRationalRoot, RootNotBracketed)
 from .potential import Potential
-from .perturbation import expand
-from .rg import derive_rg, rational_roots
+from .rg import normal_form, rational_roots
 
 _ZP = ParamPolynomial.zero()
 
@@ -57,13 +56,13 @@ def _mat_square(M):
             for i in range(2)]
 
 
-def omega_squared(Y):
+def omega_squared(rgsys):
     """-omega^2 is the scalar of M^2; asserts scalarness exactly.
 
-    The returned series has cap Y.cap + 1 (exact because the amplitude
+    The returned series has cap rgsys.cap + 1 (exact because the amplitude
     matrix carries an explicit eps factor).
     """
-    M = linear_matrix(derive_rg(Y))
+    M = linear_matrix(rgsys)
     M2 = _mat_square(M)
     if not M2[0][1].is_zero() or not M2[1][0].is_zero():
         raise NotScalar("M^2 has nonzero off-diagonal entries")
@@ -244,9 +243,6 @@ def boundary_crosscheck(branches, eps_list, N=12):
 
 
 def analyze(K=5):
-    """Full pipeline: expansion, omega^2 and branches at cap K."""
-    V = mathieu_potential(K)
-    Y = expand(V, K)
-    w2 = omega_squared(Y)
-    branches = stability_boundaries(w2, K)
-    return Y, w2, branches
+    """Full pipeline: omega^2 and the branches at cap K."""
+    w2 = omega_squared(normal_form(mathieu_potential(K), K))
+    return w2, stability_boundaries(w2, K)

@@ -332,17 +332,3 @@ def count_envelope_peaks(R, tol=1e-12):
             peaks += 1
     return peaks
 
-
-def peak_amplitude(traj, t_min):
-    """Max |y| for t >= t_min with parabolic refinement at the peak."""
-    y = np.abs(traj.column("y"))
-    mask = traj.t >= t_min
-    idx = np.argmax(y * mask)
-    if idx == 0 or idx == len(y) - 1:
-        return float(y[idx])
-    y0, y1, y2 = y[idx - 1], y[idx], y[idx + 1]
-    denom = y0 - 2 * y1 + y2
-    if denom == 0:
-        return float(y1)
-    delta = 0.5 * (y0 - y2) / denom
-    return float(y1 - 0.25 * (y0 - y2) * delta)

@@ -9,16 +9,21 @@ up a t-degree and their free constant is fixed by the normalization
 f_{+-1,k}(0) = 0.
 
 The right-hand side of order k is the eps^(k-1) coefficient of V(y).  It
-comes from an OnlinePotential fed f_{k-1}, a Composition of V's terms in
-y and y': every power of y and y' and every product of such powers grows
-by one Cauchy sum per order instead of being rebuilt as a whole series.
+comes from an OnlinePotential fed f_{k-1} and dt(f_{k-1}), a Composition
+of V's terms in y and y': every power of y and y' and every product of
+such powers grows by one Cauchy sum per order instead of being rebuilt
+as a whole series.
 The residual check runs a fresh instance over the finished table
 (eval_potential), independently of what expand kept.
+
+rg.normal_form computes the t = 0 slice of this table and the amplitude
+equation without t; the table stays as its independent oracle and as
+the input of the identity checks.
 """
 
 from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
-from .errors import SupportOverflow
-from .potential import HARMONIC, OnlinePotential, harmonic, harmonics
+from .potential import (HARMONIC, OnlinePotential, dt, harmonic, harmonics,
+                        source_harmonics)
 
 _ZP = ParamPolynomial.zero()
 
@@ -69,14 +74,6 @@ class NaiveSeries:
         """P_n(eps, t, A, B) truncated at the cap."""
         return harmonic(self.table, n)
 
-    def q_split(self):
-        """(Q_1, Q_-1) with P_{+-1} = (A, B) + eps*Q_{+-1}, cap-1 series."""
-        if self.cap == 0:
-            raise ValueError("q_split needs cap >= 1")
-        return tuple(EpsilonSeries(self.cap - 1,
-                                   self.secular_coefficient(n).coeffs[1:])
-                     for n in (1, -1))
-
     def harmonics(self):
         return harmonics(self.table)
 
@@ -96,14 +93,10 @@ def expand(V, K, support_bound=None):
     v_of_y = OnlinePotential(V)
     for k in range(1, K + 1):
         # eps^{k-1} of V(y): a Laurent polynomial in z = e^{it}
-        source = v_of_y.feed(coeffs[k - 1])
+        source = v_of_y.feed(coeffs[k - 1], dt(coeffs[k - 1]))
         f_k = _ZP
-        for n in sorted(source.exponents(HARMONIC)):
-            if abs(n) > support_bound:
-                raise SupportOverflow(
-                    f"harmonic {n} at order {k} exceeds bound "
-                    f"{support_bound}; potential may be outside the class")
-            p = particular_solution(n, source.coefficient(HARMONIC, n))
-            f_k = f_k + p * ParamPolynomial.var(HARMONIC, n)
+        for n, q in source_harmonics(source, k, support_bound):
+            f_k = f_k + (particular_solution(n, q) *
+                         ParamPolynomial.var(HARMONIC, n))
         coeffs[k] = f_k
     return NaiveSeries(V, K, EpsilonSeries(K, coeffs))

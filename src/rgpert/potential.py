@@ -15,7 +15,7 @@ import re as _re
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       Composition, I, Rat, grq, order_vars)
-from .errors import ParseError, NotInClass, TrivialLinear
+from .errors import ParseError, NotInClass, TrivialLinear, SupportOverflow
 
 _ZP = ParamPolynomial.zero()
 
@@ -345,13 +345,15 @@ class HarmonicSeries:
 
 
 class OnlinePotential:
-    """V(y) one eps-order at a time: a Composition of V's terms, fed y
-    and y' = dt(y).
+    """V(y) one eps-order at a time: a Composition of V's terms in y and
+    y'.
 
-    ``feed(y_j)`` takes the next coefficient of y and returns [eps^j] V(y).
+    ``feed(y_j, dy_j)`` takes the next coefficients of y and y' and
+    returns [eps^j] V(y).  The caller owns y': dt(y_j) for a harmonic
+    table, (Dh)_j for the t-free expansion of rg.normal_form.
     """
 
-    __slots__ = ("composition", "uses_dy")
+    __slots__ = ("composition",)
 
     def __init__(self, V):
         # sum_k C_klmn z^k, collected per (l, m, n)
@@ -361,11 +363,21 @@ class OnlinePotential:
                               c * ParamPolynomial.var(HARMONIC, k))
         self.composition = Composition(
             (n, (l, m), c) for (l, m, n), c in terms.items())
-        self.uses_dy = any(m for _, m, _ in terms)
 
-    def feed(self, y_j):
-        """[eps^j] V(y), given y_j after y_0, ..., y_{j-1}."""
-        return self.composition.feed(y_j, dt(y_j) if self.uses_dy else None)
+    def feed(self, y_j, dy_j):
+        """[eps^j] V(y), given y_j and y'_j after the lower orders."""
+        return self.composition.feed(y_j, dy_j)
+
+
+def source_harmonics(source, k, bound):
+    """(n, z^n coefficient) of the order-k source term for increasing n;
+    SupportOverflow on a harmonic |n| > bound."""
+    for n in sorted(source.exponents(HARMONIC)):
+        if abs(n) > bound:
+            raise SupportOverflow(
+                f"harmonic {n} at order {k} exceeds bound {bound}; "
+                "potential may be outside the class")
+        yield n, source.coefficient(HARMONIC, n)
 
 
 def eval_potential(V, y, K):
@@ -374,4 +386,5 @@ def eval_potential(V, y, K):
 
     Feeds the coefficients of y to a fresh OnlinePotential."""
     online = OnlinePotential(V)
-    return EpsilonSeries(K, [online.feed(c) for c in y.truncate(K).coeffs])
+    return EpsilonSeries(K, [online.feed(c, dt(c))
+                             for c in y.truncate(K).coeffs])

@@ -5,7 +5,8 @@ The amplitude equation is read off the resonant corrections Q_{+-1}:
     d/dt (Ar, Br) = eps * dQ_{+-1}/dt (eps, 0, Ar, Br),
 
 and the secular-free expansion is the harmonic table of the
-P_n(eps, 0, Ar, Br), one EpsilonSeries in z = e^{it}.
+P_n(eps, 0, Ar, Br), one EpsilonSeries in z = e^{it}.  derive_rg reads
+both off a naive table; normal_form computes them without t.
 The polar form substitutes Ar = R*w, Br = R/w with w = e^{i*theta} kept
 as an exact Laurent variable.
 """
@@ -13,11 +14,14 @@ as an exact Laurent variable.
 from math import lcm
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      substitute, series_solve_root, P, grq, ZERO, Rat)
+                      substitute, series_solve_root, grq, ZERO, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
                      NonRationalRoot, Underdetermined)
+from .potential import HARMONIC, OnlinePotential, dt, source_harmonics
 
 _RENAME = {"A": "Ar", "B": "Br"}
+_ZP = ParamPolynomial.zero()
+_HALF_OVER_I = grq(0, 1, -1, 2)  # 1/(2i)
 
 #: Laurent phase variable standing for e^{i*theta}.
 PHASE = "w"
@@ -74,16 +78,58 @@ def derive_rg(Y):
     return RGSystem(Y.cap, rhs(1), rhs(-1), expansion, Y.potential)
 
 
-def renormalization_constants(Y):
-    """Closed-form (Z_a, Z_b): Z_a = 1 + eps*Q_1(eps,-t,Ar,Br)/Ar etc.,
-    that is P_{+-1}(eps,-t,A,B) divided by its eps^0 term A or B."""
-    neg_t = {"t": -P("t")}
+def normal_form(V, K):
+    """The RGSystem of y'' + y = eps*V to eps^K, solved without t.
 
-    def z(n, amp):
-        return (Y.secular_coefficient(n).subs_poly(neg_t)
-                .map_coeffs(lambda c: c.divide_by_var(amp)).rename(_RENAME))
+    Write y = h(A, B, z) with z = e^{it} and (A, B)' = (X_A, X_B) = O(eps),
+    so d/dt is D = i z d_z + L with L = X_A d_A + X_B d_B, and the ODE is
+    D^2 h + h = eps*V(h, Dh).  At eps^k, with L_m the eps^m part of L,
 
-    return z(1, "A"), z(-1, "B")
+        (1 - n^2) h_{k,n} + 2i X_{A,k} [n = 1] - 2i X_{B,k} [n = -1]
+            = S_{k,n},
+        S_k = [eps^(k-1)] V(h, Dh) - i z d_z R_k - sum_{m<k} L_m (Dh)_{k-m},
+        R_k = sum_{m<k} L_m h_{k-m},   (Dh)_k = i z d_z h_k + R_k + L_k h_0.
+
+    The normalisation h_{k,+-1} = 0 is f_{+-1,k}(0) = 0 of the naive
+    series, so the result equals derive_rg(expand(V, K)): the naive P_n(t)
+    is h_n along the flow of X (the generator form of verify).  This is
+    RG as normal form (DeVille, Harkin, Holzer, Josic, Kaper, Physica D
+    2008; Chiba, SIAM J. Appl. Dyn. Syst. 2008).
+    """
+    support_bound = 1 + K * V.support_growth_rate()
+    h = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
+         ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
+    dh = [dt(h[0])]
+    x_a, x_b = [_ZP], [_ZP]
+
+    def lie(m, p):
+        """L_m p."""
+        return x_a[m] * p.diff("A") + x_b[m] * p.diff("B")
+
+    v_of_y = OnlinePotential(V)
+    for k in range(1, K + 1):
+        r = _ZP
+        source = v_of_y.feed(h[k - 1], dh[k - 1])
+        for m in range(1, k):
+            if x_a[m] or x_b[m]:
+                r = r + lie(m, h[k - m])
+                source = source - lie(m, dh[k - m])
+        source = source - dt(r)
+        h_k, a_k, b_k = _ZP, _ZP, _ZP
+        for n, s in source_harmonics(source, k, support_bound):
+            if n == 1:
+                a_k = s.scaled(_HALF_OVER_I)
+            elif n == -1:
+                b_k = -s.scaled(_HALF_OVER_I)
+            else:
+                h_k = h_k + (s.scaled(grq(1, 1 - n * n)) *
+                             ParamPolynomial.var(HARMONIC, n))
+        x_a.append(a_k)
+        x_b.append(b_k)
+        h.append(h_k)
+        dh.append(dt(h_k) + r + lie(k, h[0]))
+    x_a, x_b, h = (EpsilonSeries(K, c).rename(_RENAME) for c in (x_a, x_b, h))
+    return RGSystem(K, x_a, x_b, h, V)
 
 
 def to_polar(rgsys):
@@ -106,9 +152,8 @@ def to_polar(rgsys):
         return EpsilonSeries(series.cap, coeffs)
 
     half = grq(1, 2)
-    half_over_i = grq(0, 1, -1, 2)  # 1/(2i)
     dlogR = divide_R(rhs_a * w_inv + rhs_b * w, "d log R/dt") * half
-    dtheta = divide_R(rhs_a * w_inv - rhs_b * w, "d theta/dt") * half_over_i
+    dtheta = divide_R(rhs_a * w_inv - rhs_b * w, "d theta/dt") * _HALF_OVER_I
     return PolarRG(rgsys.cap, dlogR, dtheta,
                    rgsys.expansion.subs_poly(polar_sub), rgsys.potential)
 

@@ -14,8 +14,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in test_acceptance.RESULTS:
             terminalreporter.write_line(line)
 
-from rgpert.algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                            P, gr, grq, Rat)
+from rgpert.algebra import ParamPolynomial, EpsilonSeries, P, grq
 from rgpert.rg import PHASE
 
 

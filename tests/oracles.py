@@ -3,13 +3,17 @@
 The composition forms of the functional relation and of the inversion,
 which ``rgpert.verify`` checks in generator form, V(y) by whole-series
 powers, which ``rgpert.potential`` builds online, and seeded random
-in-class potentials.
+in-class potentials.  Also the readouts only the tests use: the
+renormalization constants, the split P_{+-1} = (A, B) + eps*Q_{+-1}, a
+polynomial's constant term and the peak of a sampled trajectory.
 """
 
 import random
 
+import numpy as np
+
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
-                            gr, grq)
+                            gr, grq, ZERO)
 from rgpert.errors import TrivialLinear
 from rgpert.potential import HARMONIC, Potential, dt
 from rgpert.verify import _first_offense, _report
@@ -95,3 +99,45 @@ def random_potential(seed):
             return Potential(coeffs)
         except TrivialLinear:
             continue
+
+
+def renormalization_constants(Y):
+    """Closed-form (Z_a, Z_b): Z_a = 1 + eps*Q_1(eps,-t,Ar,Br)/Ar etc.,
+    that is P_{+-1}(eps,-t,A,B) divided by its eps^0 term A or B."""
+    neg_t = {"t": -P("t")}
+
+    def z(n, amp):
+        return (Y.secular_coefficient(n).subs_poly(neg_t)
+                .map_coeffs(lambda c: c.divide_by_var(amp))
+                .rename({"A": "Ar", "B": "Br"}))
+
+    return z(1, "A"), z(-1, "B")
+
+
+def q_split(Y):
+    """(Q_1, Q_-1) with P_{+-1} = (A, B) + eps*Q_{+-1}, cap-1 series."""
+    if Y.cap == 0:
+        raise ValueError("q_split needs cap >= 1")
+    return tuple(EpsilonSeries(Y.cap - 1,
+                               Y.secular_coefficient(n).coeffs[1:])
+                 for n in (1, -1))
+
+
+def constant_term(p):
+    """The coefficient of the monomial with all exponents 0."""
+    return dict(p.items()).get((0,) * len(p.vars), ZERO)
+
+
+def peak_amplitude(traj, t_min):
+    """Max |y| for t >= t_min with parabolic refinement at the peak."""
+    y = np.abs(traj.column("y"))
+    mask = traj.t >= t_min
+    idx = np.argmax(y * mask)
+    if idx == 0 or idx == len(y) - 1:
+        return float(y[idx])
+    y0, y1, y2 = y[idx - 1], y[idx], y[idx + 1]
+    denom = y0 - 2 * y1 + y2
+    if denom == 0:
+        return float(y1)
+    delta = 0.5 * (y0 - y2) / denom
+    return float(y1 - 0.25 * (y0 - y2) * delta)

@@ -9,19 +9,19 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr, grq, Rat
 from rgpert.cli import main as cli_main
 from rgpert.mathieu import analyze, boundary_crosscheck
 from rgpert.perturbation import expand
 from rgpert.registry import example_expansion
-from rgpert.rg import derive_rg, to_polar, limit_cycle
+from rgpert.rg import derive_rg, normal_form, to_polar, limit_cycle
 from rgpert.verify import run_identity_suite
 from rgpert import numeric as nm
 
 from oracles import (check_functional_relation_finite,
-                     check_inversion_finite, random_potential)
+                     check_inversion_finite, peak_amplitude,
+                     random_potential)
 import test_rg
 import test_mathieu
 from test_perturbation import harmonic_table
@@ -85,11 +85,11 @@ def test_criterion_04_limit_cycle():
 
 
 def test_criterion_05_mathieu_series():
-    Y = expand(test_mathieu.mathieu_potential(4), 4)
+    rgsys = normal_form(test_mathieu.mathieu_potential(4), 4)
     ok = True
     try:
-        test_mathieu.test_omega_squared_series(Y)   # asserts M^2 scalar too
-        _, _, branches = analyze(5)     # the eps^6 order resolves g4
+        test_mathieu.test_omega_squared_series(rgsys)  # asserts M^2 scalar
+        _, branches = analyze(5)     # the eps^6 order resolves g4
         assert branches[0].a_coeffs == (Rat(1), Rat(0), Rat(-1, 3), Rat(0),
                                         Rat(5, 216))
         assert branches[1].a_coeffs == (Rat(1), Rat(0), Rat(5, 3), Rat(0),
@@ -100,7 +100,7 @@ def test_criterion_05_mathieu_series():
 
 
 def test_criterion_06_hill_crosscheck():
-    _, _, branches = analyze(7)
+    _, branches = analyze(7)
     rows = boundary_crosscheck(branches, [0.1], N=12)
     worst = max(r.deviation for r in rows)
     report(6, "tridiagonal-determinant crosscheck", worst < 1e-5)
@@ -188,7 +188,7 @@ def test_criterion_11_numeric_sanity():
     traj = nm.integrate_ode(pol.potential, y.column("y")[0],
                             float(np.gradient(y.column("y"), y.t)[0]),
                             eps, t_max)
-    amplitude_ok = abs(nm.peak_amplitude(traj, 200.0) - two_rc) < 1e-3
+    amplitude_ok = abs(peak_amplitude(traj, 200.0) - two_rc) < 1e-3
 
     def max_err(h):
         t = nm.integrate_ode(pol.potential, 1.0, 0.0, 0.0, 10.0, h=h)

@@ -1,13 +1,13 @@
 import pytest
 
-from rgpert.algebra import ParamPolynomial, P, gr, grq, Rat, substitute
+from rgpert.algebra import ParamPolynomial, P, gr, grq, Rat
 from rgpert.errors import NotLinear, RootNotBracketed
 from rgpert.mathieu import (mathieu_potential, linear_matrix, omega_squared,
                             stability_boundaries, hill_determinant,
                             find_boundary_root, boundary_crosscheck, analyze)
 from rgpert.perturbation import expand
 from rgpert.registry import example_expansion
-from rgpert.rg import derive_rg
+from rgpert.rg import derive_rg, normal_form
 
 
 g1, g2, g3, g4 = P("g1"), P("g2"), P("g3"), P("g4")
@@ -18,6 +18,11 @@ i = gr(0, 1)
 @pytest.fixture(scope="module")
 def Y4():
     return expand(mathieu_potential(4), 4)
+
+
+@pytest.fixture(scope="module")
+def rg4():
+    return normal_form(mathieu_potential(4), 4)
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +76,8 @@ def test_linear_matrix_and_nonlinear_rejection(Y4):
         linear_matrix(derive_rg(example_expansion("vdp", 3)))
 
 
-def test_omega_squared_series(Y4):
-    w2 = omega_squared(Y4)
+def test_omega_squared_series(rg4):
+    w2 = omega_squared(rg4)
     assert w2.cap == 5
     assert w2.coeffs[0].is_zero() and w2.coeffs[1].is_zero()
     assert w2.coeffs[2] == grq(1, 4) * g1 ** 2
@@ -87,9 +92,9 @@ def test_omega_squared_series(Y4):
         - 1728 * g1 * g4)
 
 
-def test_omega_squared_driving_only(Y4):
+def test_omega_squared_driving_only(rg4):
     # g = 0: the parametric driving alone gives -80/576 eps^4 + ...
-    w2 = omega_squared(Y4)
+    w2 = omega_squared(rg4)
     zero = {f"g{j}": gr(0) for j in range(1, 5)}
     flat = w2.map_coeffs(lambda c: c.subs(zero))
     assert flat.coeffs[4].as_constant() == grq(-80, 576)
@@ -97,13 +102,13 @@ def test_omega_squared_driving_only(Y4):
 
 
 def test_omega_squared_lowest_order():
-    w2 = omega_squared(expand(mathieu_potential(1), 1))
+    w2 = omega_squared(normal_form(mathieu_potential(1), 1))
     assert w2.coeffs[2] == grq(1, 4) * P("g1") ** 2
     assert w2.coeffs[0].is_zero() and w2.coeffs[1].is_zero()
 
 
-def test_branch_forking_details(Y4):
-    branches = stability_boundaries(omega_squared(Y4), 4)
+def test_branch_forking_details(rg4):
+    branches = stability_boundaries(omega_squared(rg4), 4)
     assert [b.label for b in branches] == ["-", "+"]
     minus, plus = branches
     # eps^2 order: g1^2/4 = 0 forces the double root g1 = 0; the eps^4
@@ -115,7 +120,7 @@ def test_branch_forking_details(Y4):
 
 
 def test_branch_a_series(analysis7):
-    _, _, branches = analysis7
+    _, branches = analysis7
     minus, plus = branches
     assert minus.a_coeffs[:5] == (Rat(1), Rat(0), Rat(-1, 3), Rat(0),
                                   Rat(5, 216))
@@ -128,7 +133,7 @@ def test_branch_a_series(analysis7):
 
 
 def test_branches_annihilate_omega_squared(analysis7):
-    _, w2, branches = analysis7
+    w2, branches = analysis7
     for b in branches:
         values = {k: gr(v) for k, v in b.g_values.items()}
         resub = w2.map_coeffs(lambda c: c.subs(values))
@@ -147,7 +152,7 @@ def test_hill_determinant_basics():
 
 
 def test_boundary_root_matches_series(analysis7):
-    _, _, branches = analysis7
+    _, branches = analysis7
     for b in branches:
         root = find_boundary_root(0.1, 12, b.label)
         assert abs(root - b.a_value(0.1)) < 1e-5, b.label
@@ -159,7 +164,7 @@ def test_boundary_root_not_bracketed():
 
 
 def test_crosscheck_report(analysis7):
-    _, _, branches = analysis7
+    _, branches = analysis7
     rows = boundary_crosscheck(branches, [0.0, 0.05, 0.1], N=12)
     by_key = {(r.eps, r.branch): r for r in rows}
     assert by_key[(0.0, "-")].deviation == 0.0
@@ -172,7 +177,7 @@ def test_crosscheck_report(analysis7):
 
 
 def test_crosscheck_converges_in_N(analysis7):
-    _, _, branches = analysis7
+    _, branches = analysis7
     minus = branches[0]
     coarse = abs(find_boundary_root(0.1, 4, "-") - minus.a_value(0.1))
     fine = abs(find_boundary_root(0.1, 12, "-") - minus.a_value(0.1))

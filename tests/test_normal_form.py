@@ -1,0 +1,192 @@
+"""The t-free amplitude equation of rg.normal_form.
+
+Three independent views of one result: exact equality with
+derive_rg(expand(V, K)), the homological equation
+D^2 h + h = eps*V(h, Dh) recomputed from the finished (h, X) by whole
+series products, and the conjugation symmetry of real potentials.
+"""
+
+import pytest
+
+from rgpert.algebra import EpsilonSeries, ParamPolynomial, P
+from rgpert.errors import SupportOverflow
+from rgpert.mathieu import mathieu_potential
+from rgpert.perturbation import expand
+from rgpert.potential import (OnlinePotential, Potential, dt, harmonic,
+                              harmonics, parse_potential)
+from rgpert.registry import EXAMPLES, example_expansion, get_example
+from rgpert.rg import derive_rg, normal_form
+
+from oracles import random_potential
+
+
+DSL_CASES = {
+    "complex E(1)*y^2": (parse_potential("E(1)*y^2"), 6),
+    "parametric": (parse_potential("-y' - g*y^3 + k*y^2*y'", ("g", "k")),
+                   5),
+    "10^14 coefficient": (parse_potential("(100000000000000 - y^2)*y'"), 5),
+    "eps terms": (parse_potential("y*y'^2 - 1/2*y^3*cos(2t) + eps*y'"), 6),
+}
+RANDOM_SEEDS = range(24)
+
+
+def _fields(rgsys):
+    return rgsys.cap, rgsys.rhs_A, rgsys.rhs_B, rgsys.expansion
+
+
+def _truncated(rgsys, K):
+    return (K, rgsys.rhs_A.truncate(K), rgsys.rhs_B.truncate(K),
+            rgsys.expansion.truncate(K))
+
+
+# ---------------------------------------------------------------------------
+# Exactness against the naive table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_equals_derive_rg_on_the_examples(name):
+    # the naive table is order by order, so its K = 9 oracle truncated to
+    # K is derive_rg(expand(V, K))
+    V = get_example(name).potential()
+    oracle = derive_rg(example_expansion(name, 9))
+    for K in range(10):
+        assert _fields(normal_form(V, K)) == _truncated(oracle, K), K
+    assert _fields(derive_rg(expand(V, 4))) == _truncated(oracle, 4)
+
+
+def test_equals_derive_rg_on_mathieu_potential():
+    V = mathieu_potential(8)
+    assert _fields(normal_form(V, 8)) == _fields(derive_rg(expand(V, 8)))
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_equals_derive_rg_on_random_potentials(seed):
+    V = random_potential(seed)
+    assert _fields(normal_form(V, 5)) == _fields(derive_rg(expand(V, 5)))
+
+
+@pytest.mark.parametrize("name", sorted(DSL_CASES))
+def test_equals_derive_rg_on_dsl_potentials(name):
+    V, K = DSL_CASES[name]
+    assert _fields(normal_form(V, K)) == _fields(derive_rg(expand(V, K)))
+
+
+def test_keeps_the_potential_and_the_cap():
+    V = get_example("vdp").potential()
+    rgsys = normal_form(V, 3)
+    assert rgsys.potential is V
+    assert rgsys.cap == rgsys.rhs_A.cap == rgsys.expansion.cap == 3
+
+
+def test_support_overflow_guard_matches_expand(monkeypatch):
+    # a growth rate below the true one puts harmonic -3 of the order-1
+    # source past the bound 1 + 3*0
+    monkeypatch.setattr(Potential, "support_growth_rate", lambda self: 0)
+    V = parse_potential("(1 - y^2)*y'")
+    with pytest.raises(SupportOverflow) as naive:
+        expand(V, 3)
+    with pytest.raises(SupportOverflow) as t_free:
+        normal_form(V, 3)
+    assert str(t_free.value) == str(naive.value)
+    assert str(t_free.value).startswith("harmonic -3 at order 1 exceeds "
+                                        "bound 1;")
+
+
+# ---------------------------------------------------------------------------
+# The homological equation, recomputed
+# ---------------------------------------------------------------------------
+
+def _d_amp(series, name):
+    return series.map_coeffs(lambda c: c.diff(name))
+
+
+def homological_residual(rgsys):
+    """D^2 h + h - eps*V(h, Dh) mod eps^{K+1} for the finished system, with
+    D = i z d_z + X_A d_Ar + X_B d_Br applied by whole-series products and
+    V fed to a fresh OnlinePotential."""
+    K, x_a, x_b, h = _fields(rgsys)
+
+    def D(s):
+        return (s.map_coeffs(dt) + x_a * _d_amp(s, "Ar") +
+                x_b * _d_amp(s, "Br"))
+
+    dh = D(h)
+    online = OnlinePotential(rgsys.potential)
+    v = [online.feed(y_j, dy_j) for y_j, dy_j in zip(h.coeffs, dh.coeffs)]
+    return D(dh) + h - EpsilonSeries(K, [ParamPolynomial.zero()] + v[:K])
+
+
+def _check_solution(rgsys):
+    assert homological_residual(rgsys).is_zero()
+    # normalisation: the resonant harmonics are the bare amplitudes
+    for n, amp in ((1, P("Ar")), (-1, P("Br"))):
+        assert harmonic(rgsys.expansion, n) == \
+            EpsilonSeries.from_poly(amp, rgsys.cap), n
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_solves_the_homological_equation_on_the_examples(name):
+    _check_solution(normal_form(get_example(name).potential(), 8))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solves_the_homological_equation_on_random_potentials(seed):
+    _check_solution(normal_form(random_potential(seed), 5))
+
+
+@pytest.mark.parametrize("name", sorted(DSL_CASES))
+def test_solves_the_homological_equation_on_dsl_potentials(name):
+    _check_solution(normal_form(*DSL_CASES[name]))
+
+
+def test_residual_sees_a_wrong_amplitude_equation():
+    rgsys = normal_form(get_example("vdp").potential(), 5)
+    coeffs = list(rgsys.rhs_A.coeffs)
+    coeffs[5] = coeffs[5] + P("Ar") ** 3 * P("Br") ** 2
+    rgsys.rhs_A = EpsilonSeries(5, coeffs)
+    residual = homological_residual(rgsys)
+    assert [c.is_zero() for c in residual.coeffs] == [True] * 5 + [False]
+
+
+# ---------------------------------------------------------------------------
+# Conjugation symmetry of real potentials
+# ---------------------------------------------------------------------------
+
+_SWAP = {"Ar": "Br", "Br": "Ar"}
+
+
+def _sigma(series):
+    """Conjugate the coefficients and swap Ar with Br; z -> 1/z is taken
+    care of by comparing the harmonic n with the harmonic -n."""
+    return series.map_coeffs(lambda c: c.conjugated().rename(_SWAP))
+
+
+def _conjugation_symmetric(rgsys):
+    table = rgsys.expansion
+    return (rgsys.rhs_B == _sigma(rgsys.rhs_A) and
+            all(harmonic(table, -n) == _sigma(harmonic(table, n))
+                for n in harmonics(table)))
+
+
+SYMMETRIC_CASES = {
+    **{name: (get_example(name).potential(), 8) for name in EXAMPLES},
+    "mathieu potential": (mathieu_potential(6), 6),
+    "eps terms": DSL_CASES["eps terms"],
+    "sin forcing": (parse_potential("y^2*sin(2t) - y'^3"), 5),
+    **{f"random seed {seed}": (random_potential(seed), 5)
+       for seed in range(40)
+       if random_potential(seed).is_conjugation_symmetric()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
+def test_real_potentials_are_conjugation_symmetric(name):
+    V, K = SYMMETRIC_CASES[name]
+    assert V.is_conjugation_symmetric()
+    assert _conjugation_symmetric(normal_form(V, K))
+
+
+def test_complex_potential_breaks_the_symmetry():
+    V, K = DSL_CASES["complex E(1)*y^2"]
+    assert not V.is_conjugation_symmetric()
+    assert not _conjugation_symmetric(normal_form(V, K))

@@ -3,8 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from rgpert.algebra import (ParamPolynomial, GaussianRational, P, gr, grq,
-                            order_vars)
+from rgpert.algebra import ParamPolynomial, P, gr, grq, order_vars
 from rgpert.errors import NotDivisible
 
 

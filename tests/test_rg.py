@@ -10,13 +10,11 @@ from rgpert.errors import DegenerateRoot, ThetaDependent, Underdetermined
 from rgpert.perturbation import expand
 from rgpert.registry import EXAMPLES, example_expansion, get_example
 from rgpert.cli import main
-from rgpert.rg import (derive_rg, to_polar, limit_cycle,
-                       renormalization_constants, PHASE, PolarRG,
-                       rational_roots)
+from rgpert.rg import derive_rg, to_polar, limit_cycle, PolarRG, rational_roots
 from rgpert.potential import harmonic, harmonics
 
-from conftest import (trig, trig_mul, trig_scale, trig_add, phase_poly,
-                      r_series)
+from conftest import trig, trig_mul, trig_scale, trig_add, phase_poly
+from oracles import renormalization_constants
 
 
 R = P("R")

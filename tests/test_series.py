@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rgpert.algebra import (EpsilonSeries, ParamPolynomial, GaussianRational,
-                            Composition, P, gr, grq, Rat, substitute,
-                            series_solve_root)
+from rgpert.algebra import (EpsilonSeries, ParamPolynomial, Composition, P,
+                            gr, grq, substitute, series_solve_root)
 from rgpert.algebra.series import cauchy, square
 from rgpert.errors import CapMismatch, DegenerateRoot, NonRationalRoot
 
