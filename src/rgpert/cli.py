@@ -122,6 +122,7 @@ def _numeric_potential(args, parser):
     if V.params:
         parser.error(f"bind the parameters {', '.join(V.params)} "
                      "with --bind for numerics")
+    numeric.check_real(V)
     return V
 
 

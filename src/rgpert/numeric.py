@@ -4,7 +4,6 @@ Everything is deliberately deterministic: fixed step, no adaptivity, both
 systems sampled on the same uniform grid so comparisons never interpolate.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +18,6 @@ DIVERGENCE_LIMIT = 1e8
 #: Most steps (t_max/h) one integration may take: 15x the longest run in
 #: the tests and 25x the benchmark's; about 170 MB of four-float states.
 MAX_STEPS = 10 ** 6
-IMAG_TOL_POTENTIAL = 1e-12
 IMAG_TOL_EXPANSION = 1e-10
 
 
@@ -57,15 +55,17 @@ class _RHS:
     """Right-hand side of an RK4 system as straight-line Python source.
 
     At each stage the state scalars are bound to the names ``states`` and
-    the stage time to ``t``; ``lines`` then run in order and ``derivs``
-    are the derivatives.  Coefficients and parameters are names bound
-    through ``consts``, never source text, so inf and nan values compile
-    and no input string reaches ``exec``.
+    the stage time to ``t``; ``time_lines`` (which read only ``t``) run
+    once per distinct stage time, then ``lines`` run in order and
+    ``derivs`` are the derivatives.  Coefficients and parameters are
+    names bound through ``consts``, never source text, so inf and nan
+    values compile and no input string reaches ``exec``.
     """
 
     def __init__(self, states, lines=()):
         self.states = states
         self.lines = list(lines)
+        self.time_lines = []
         self.derivs = ()
         self.consts = {}
         self.powers = {}
@@ -76,14 +76,15 @@ class _RHS:
         return name
 
     def power(self, var, p):
-        """Name of ``var ** p``, computed once per stage; the harmonic
-        variable z = e^{it} is raised as ``exp(1j*p*t)``."""
+        """Name of ``var ** p``, computed once per stage.  On a real state
+        a power of 1 is the state itself and a power of 0 is None: no
+        factor at all."""
+        if var in self.states and p in (0, 1):
+            return var if p else None
         name = self.powers.get((var, p))
         if name is None:
             name = self.powers[var, p] = f"_p{len(self.powers)}"
-            if var == HARMONIC:
-                self.lines.append(f"{name} = exp({self.const(1j * p)} * t)")
-            elif var in self.states:
+            if var in self.states:
                 # float ** int raises OverflowError where a float64 gives
                 # +-inf; take the inf and let the divergence check see it
                 self.lines += [f"try: {name} = {var} ** {int(p)}",
@@ -91,6 +92,19 @@ class _RHS:
                                f"{name} = _f64({var}) ** {int(p)}"]
             else:
                 self.lines.append(f"{name} = {var} ** {int(p)}")
+        return name
+
+    def trig(self, fn, phi, n):
+        """Name of ``fn(n * phi)`` for fn cos or sin, computed once per
+        stage, or once per stage time for phi = t; nan where the angle is
+        infinite."""
+        name = self.powers.get((fn, phi, n))
+        if name is None:
+            name = self.powers[fn, phi, n] = f"_{fn}{len(self.powers)}"
+            arg = phi if n == 1 else f"{n} * {phi}"
+            lines = self.time_lines if phi == "t" else self.lines
+            lines += [f"try: {name} = {fn}({arg})",
+                      f"except ValueError: {name} = nan"]
         return name
 
     def add_sum(self, target, terms, *names):
@@ -102,16 +116,55 @@ class _RHS:
                                          for v, p in zip(names, exps)]
             self.lines.append(f"{target} += {' * '.join(factors)}")
 
+    def add_real_sum(self, target, terms, phi, *names):
+        """A line computing ``target = Re _evaluate(terms, e^{i phi},
+        *names)`` on real ``phi`` and states ``names``, in float
+        arithmetic over ``_fold(terms)``: each group is
+        ``(a*cos(n phi) + b*sin(n phi)) * monomial``, and a zero a or b
+        is no part of it."""
+        parts = []
+        for mono, n, a, b in _fold(terms):
+            if n:
+                trig = [f"{self.const(x)} * {self.trig(fn, phi, n)}"
+                        for x, fn in ((a, "cos"), (b, "sin")) if x]
+                factors = [trig[0] if len(trig) == 1 else
+                           f"({trig[0]} + {trig[1]})"]
+            else:
+                factors = [self.const(a)]
+            factors += [self.power(v, p) for v, p in zip(names, mono) if p]
+            parts.append(" * ".join(factors))
+        self.lines.append(f"{target} = {' + '.join(parts) or '0.0'}")
+
+
+def _fold(terms):
+    """Real part of compiled terms whose first variable is a unit phase
+    e^{i phi}: [(exponents of the other variables, n >= 0, a, b)] with
+    Re sum c e^{i k phi} m = sum (a cos(n phi) + b sin(n phi)) m, the
+    terms grouped by the real monomial m and n = |k| across eps-orders.
+    b is 0 for n = 0, and groups with a = b = 0 are left out."""
+    groups = {}
+    for (k, *mono), c in terms:
+        ab = groups.setdefault((tuple(mono), abs(k)), [0.0, 0.0])
+        ab[0] += c.real
+        if k > 0:
+            ab[1] -= c.imag
+        elif k < 0:
+            ab[1] += c.imag
+    return [(mono, n, a, b) for (mono, n), (a, b) in groups.items()
+            if a or b]
+
 
 def _kernel_source(rhs):
-    """One function running every RK4 step of ``rhs`` with inlined stages."""
+    """One function running every RK4 step of ``rhs`` with inlined stages;
+    stages 2 and 3 share their time and so their ``time_lines``."""
     s = [f"_s{i}" for i in range(len(rhs.states))]
     src = [f"def _kernel({', '.join(s)}, _ts, _append):",
            "    for _t0 in _ts:"]
-    stages = (("_t0", None), ("_t0 + _h2", "_h2"), ("_t0 + _h2", "_h2"),
+    stages = (("_t0", None), ("_t0 + _h2", "_h2"), (None, "_h2"),
               ("_t0 + _h", "_h"))
     for j, (t, a) in enumerate(stages):
-        src.append(f"t = {t}")
+        if t is not None and rhs.time_lines:
+            src += [f"t = {t}"] + rhs.time_lines
         for i, name in enumerate(rhs.states):
             src.append(f"{name} = {s[i]}" if a is None else
                        f"{name} = {s[i]} + {a} * _k{j - 1}_{i}")
@@ -138,7 +191,7 @@ def _rk4(rhs, state0, grid):
     h = float(grid[1] - grid[0])
     namespace = dict(rhs.consts, _h=h, _h2=h / 2, _h6=h / 6,
                      _limit=DIVERGENCE_LIMIT, _f64=np.float64,
-                     exp=cmath.exp, _not_real=_not_real)
+                     cos=math.cos, sin=math.sin, nan=math.nan)
     exec(compile(_kernel_source(rhs), "<rk4 kernel>", "exec"), namespace)
     # overflow to inf or nan is caught by the kernel's divergence check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,21 +200,24 @@ def _rk4(rhs, state0, grid):
     return out, truncated
 
 
-def _not_real(t, v):
-    raise ComplexPotential(
-        f"potential is not real on real states at t={t}: {v}")
+def check_real(V):
+    """Raise ComplexPotential unless V is real on real states and times,
+    exactly: C_klmn == conj(C_{-k,l,m,n})."""
+    if not V.is_conjugation_symmetric():
+        raise ComplexPotential(
+            "potential is not real on real states: some coefficient of "
+            "e^{ikt} is not the conjugate of that of e^{-ikt}")
 
 
 def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
     """RK4 on y'' + y = eps*V for real initial data."""
+    check_real(V)
     grid = _grid(t_max, h)
     series = V.series()
     rhs = _RHS(("y", "yp"))
-    rhs.add_sum("_v", _compile(series, eps, series.cap, HARMONIC, "y", "y'"),
-                HARMONIC, "y", "yp")
-    rhs.lines.append(f"if abs(_v.imag) > {rhs.const(IMAG_TOL_POTENTIAL)} * "
-                     f"max(1.0, abs(_v.real)): _not_real(t, _v)")
-    rhs.derivs = ("yp", f"-y + {rhs.const(eps)} * _v.real")
+    rhs.add_real_sum("_v", _compile(series, eps, series.cap, HARMONIC, "y",
+                                    "y'"), "t", "y", "yp")
+    rhs.derivs = ("yp", f"-y + {rhs.const(eps)} * _v")
     states, truncated = _rk4(rhs, (float(y0), float(dy0)), grid)
     values = np.array(states)
     return Trajectory(grid[:len(values)], ("y", "dy"), values,
@@ -185,13 +241,19 @@ def _compile(series, eps, order, *names):
     return terms
 
 
-def _evaluate(terms, *values):
+def _evaluate(terms, *values, powers=None):
     """Value of compiled terms at ``values``: complex scalars or numpy
-    arrays."""
+    arrays.  ``powers`` caches each ``values[i] ** p`` and may be shared
+    by calls on the same values."""
+    if powers is None:
+        powers = {}
     out = 0j
     for exps, c in terms:
-        for v, p in zip(values, exps):
-            c = c * v ** p
+        for i, p in enumerate(exps):
+            vp = powers.get((i, p))
+            if vp is None:
+                vp = powers[i, p] = values[i] ** p
+            c = c * vp
         out += c
     return out
 
@@ -207,12 +269,12 @@ def integrate_rg(system, eps, order, t_max, h=DEFAULT_STEP,
     if isinstance(system, PolarRG):
         if R0 is None or theta0 is None:
             raise ValueError("polar integration needs R0 and theta0")
-        rhs = _RHS(("R", "theta"), ["w = exp(1j * theta)"])
-        rhs.add_sum("_dlogR", _compile(system.dlogR_dt, eps, order, "R",
-                                       PHASE), "R", "w")
-        rhs.add_sum("_dtheta", _compile(system.dtheta_dt, eps, order, "R",
-                                        PHASE), "R", "w")
-        rhs.derivs = ("R * _dlogR.real", "_dtheta.real")
+        rhs = _RHS(("R", "theta"))
+        rhs.add_real_sum("_dlogR", _compile(system.dlogR_dt, eps, order,
+                                            PHASE, "R"), "theta", "R")
+        rhs.add_real_sum("_dtheta", _compile(system.dtheta_dt, eps, order,
+                                             PHASE, "R"), "theta", "R")
+        rhs.derivs = ("R * _dlogR", "_dtheta")
         state0 = (float(R0), float(theta0))
         columns, kind = ("R", "theta"), "rg-polar"
     elif isinstance(system, RGSystem):
@@ -250,11 +312,13 @@ def evaluate_expansion(system, amplitudes, eps, expansion_order):
         x = amplitudes.column("Ar_re") + 1j * amplitudes.column("Ar_im")
         y = amplitudes.column("Br_re") + 1j * amplitudes.column("Br_im")
     signal = np.zeros(len(t), dtype=complex)
+    powers = {}
     for n in harmonics(system.expansion):
         terms = _compile(harmonic(system.expansion, n), eps,
                          expansion_order, *names)
         if terms:
-            signal += _evaluate(terms, x, y) * np.exp(1j * n * t)
+            signal += (_evaluate(terms, x, y, powers=powers)
+                       * np.exp(1j * n * t))
     resid = np.max(np.abs(signal.imag)) if len(signal) else 0.0
     if resid > IMAG_TOL_EXPANSION * max(1.0, np.max(np.abs(signal.real))):
         raise NotReal(f"imaginary residue {resid} in reconstructed signal")
@@ -303,9 +367,18 @@ def compare(a, b):
     return metrics, np.column_stack([a.t, ya, yb, diff])
 
 
+#: Rows formatted per string operation: large enough to amortise the
+#: call, small enough that the text of one chunk stays well under a MiB.
+CSV_CHUNK_ROWS = 4096
+
+
 def csv_lines(rows):
-    """CSV lines of a float array; repr gives the shortest exact digits."""
-    return (",".join(map(repr, row.tolist())) + "\n" for row in rows)
+    """CSV text of a 2-D float array in chunks of whole lines; ``%r``
+    gives repr's shortest exact digits."""
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    for i in range(0, len(rows), CSV_CHUNK_ROWS):
+        chunk = rows[i:i + CSV_CHUNK_ROWS]
+        yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def write_csv(path, rows, header="t,y_numeric,y_rg,diff"):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from rgpert import numeric
 from rgpert.cli import main
 
 
@@ -283,6 +284,29 @@ def test_complex_potential_exit_1(capsys):
                  "--y0", "1", "--dy0", "0", "--tmax", "1"])
     assert code == 1
     assert "not real" in capsys.readouterr().err
+
+
+COMPLEX = ["--potential", "E(1)*y + y'", "--eps", "0.1", "--tmax", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *COMPLEX, "--order", "2", "--R0", "0.5", "--theta0", "0"],
+    ["simulate", *COMPLEX, "--y0", "0", "--dy0", "0"],
+    ["compare", *COMPLEX, "--order", "2", "--R0", "0.5", "--theta0", "0"],
+], ids=["simulate-flow", "simulate-at-rest", "compare"])
+def test_complex_potential_fails_before_integrating(capsys, monkeypatch,
+                                                    argv):
+    # the amplitude flow, the ODE at rest and compare of a potential that
+    # is not real on real states are refused before any RK4 step
+    def no_rk4(*args):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(numeric, "_rk4", no_rk4)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "not real" in captured.err
 
 
 def test_byte_identical_reruns(capsys):

@@ -230,16 +230,44 @@ def _reference_rk4(f, state0, grid):
     return np.array(out), False
 
 
+def _trig(fn, x):
+    """fn(x) as the kernel computes it: nan at an infinite angle."""
+    try:
+        return fn(x)
+    except ValueError:
+        return math.nan
+
+
+def _real_sum(folded, phi, *values):
+    """Folded terms at the real angle ``phi`` and real ``values``, one
+    operation at a time in the kernel's order: the zero part of a
+    (a cos + b sin) pair is left out, and so is a power 0."""
+    v = 0.0
+    for mono, n, a, b in folded:
+        if n:
+            trig = [x * _trig(fn, n * phi)
+                    for x, fn in ((a, math.cos), (b, math.sin)) if x]
+            x = trig[0] if len(trig) == 1 else trig[0] + trig[1]
+        else:
+            x = a
+        for val, p in zip(values, mono):
+            if p:
+                try:
+                    x = x * val ** p
+                except OverflowError:
+                    x = x * np.float64(val) ** p
+        v += x
+    return v
+
+
 def _reference_polar(pol, eps, order, t_max, R0, theta0,
                      h=nm.DEFAULT_STEP):
-    rows_logR = nm._compile(pol.dlogR_dt, eps, order, "R", PHASE)
-    rows_theta = nm._compile(pol.dtheta_dt, eps, order, "R", PHASE)
+    logR = nm._fold(nm._compile(pol.dlogR_dt, eps, order, PHASE, "R"))
+    dtheta = nm._fold(nm._compile(pol.dtheta_dt, eps, order, PHASE, "R"))
 
     def f(t, state):
         R, theta = state
-        w = cmath.exp(1j * theta)
-        return (R * nm._evaluate(rows_logR, R, w).real,
-                nm._evaluate(rows_theta, R, w).real)
+        return (R * _real_sum(logR, theta, R), _real_sum(dtheta, theta, R))
 
     return _reference_rk4(f, (R0, theta0), nm._grid(t_max, h))
 
@@ -262,14 +290,12 @@ def _reference_cartesian(sysc, eps, order, t_max, Ar0, Br0,
 
 def _reference_ode(V, y0, dy0, eps, t_max, h=nm.DEFAULT_STEP):
     series = V.series()
-    terms = nm._compile(series, eps, series.cap, HARMONIC, "y", "y'")
+    folded = nm._fold(nm._compile(series, eps, series.cap, HARMONIC, "y",
+                                  "y'"))
 
     def f(t, state):
         y, yp = state
-        v = 0j
-        for (k, l, m), c in terms:
-            v += c * cmath.exp(1j * k * t) * (y ** l) * (yp ** m)
-        return (yp, -y + eps * v.real)
+        return (yp, -y + eps * _real_sum(folded, t, y, yp))
 
     return _reference_rk4(f, (y0, dy0), nm._grid(t_max, h))
 
@@ -278,6 +304,68 @@ AR0 = 0.2 * cmath.exp(-0.1j)
 MATHIEU = get_example("mathieu").potential().bind({"g": gr(1)})
 # odd in the harmonic (sin) and with an eps-order term
 SIN_EPS = parse_potential("y'*sin(2t) - eps*y^3 + y^2*cos(1t)")
+
+
+def _fold_cases():
+    """(id, compiled terms with the unit phase first) for the property
+    test of the fold."""
+    potentials = {name: get_example(name).potential() for name in
+                  ("vdp", "rayleigh", "nonauto")}
+    potentials["duffing"] = get_example("duffing").potential().bind(
+        {"g": gr(1)})
+    potentials["mathieu"] = get_example("mathieu").potential().bind(
+        {"g": "1/3"})
+    potentials["MATHIEU"] = MATHIEU
+    potentials["SIN_EPS"] = SIN_EPS
+    cases = []
+    for name, V in potentials.items():
+        series = V.series()
+        cases.append((f"ode-{name}", nm._compile(series, 0.3, series.cap,
+                                                 HARMONIC, "y", "y'")))
+    for name in ("vdp", "nonauto"):
+        pol = to_polar(derive_rg(example_expansion(name, 4)))
+        for order in range(5):
+            for label, s in (("logR", pol.dlogR_dt),
+                             ("theta", pol.dtheta_dt)):
+                cases.append((f"polar-{name}-{label}-{order}",
+                              nm._compile(s, 0.3, order, PHASE, "R")))
+    return cases
+
+
+FOLD_CASES = _fold_cases()
+
+
+@pytest.mark.parametrize("terms", [c for _, c in FOLD_CASES],
+                         ids=[i for i, _ in FOLD_CASES])
+def test_fold_is_the_real_part(terms):
+    # Re sum c e^{ik phi} m(x) at random real states and angles, with
+    # no symmetry assumed: the fold is exact up to rounding
+    folded = nm._fold(terms)
+    assert all(n >= 0 and (a or b) and (n or not b)
+               for _, n, a, b in folded)
+    rng = np.random.default_rng(5)
+    nvars = len(terms[0][0]) - 1 if terms else 0
+    for _ in range(50):
+        phi = rng.uniform(-20, 20)
+        values = tuple(rng.uniform(-2, 2, nvars))
+        expected = nm._evaluate(terms, cmath.exp(1j * phi), *values).real
+        scale = sum(abs(c) * math.prod(abs(v) ** p for v, p in
+                                        zip(values, exps[1:]))
+                    for exps, c in terms)
+        assert abs(_real_sum(folded, phi, *values) - expected) \
+            <= 1e-13 * scale
+
+
+def test_fold_merges_conjugate_harmonics_and_orders():
+    # 2 cos(t) y; (1 + 2i)/2 e^{2it} y^2 - 3/2 e^{-2it} y^2, whose real
+    # part is -cos(2t) y^2 - sin(2t) y^2; y^3/4; and i e^{3it} y +
+    # i e^{-3it} y, whose real part is 0
+    terms = [((1, 1), 1 + 0j), ((-1, 1), 1 + 0j),
+             ((2, 2), (1 + 2j) * 0.5), ((-2, 2), -3 * 0.5 + 0j),
+             ((0, 3), 0.25 + 0j), ((3, 1), 1j), ((-3, 1), 1j)]
+    assert nm._fold(terms) == [((1,), 1, 2.0, 0.0),
+                               ((2,), 2, -1.0, -1.0),
+                               ((3,), 0, 0.25, 0.0)]
 
 
 @pytest.mark.parametrize("steps", [1, 200])
@@ -346,9 +434,11 @@ def test_kernel_power_overflow_gives_inf_like_the_reference():
         traj = nm.integrate_ode(V, 10.0, 0.0, 1.0, 0.2)
         ref, truncated = _reference_ode(V, 10.0, 0.0, 1.0, 0.2)
     assert np.array_equal(traj.values, ref, equal_nan=True)
-    # the state turns nan in the first step, which ends the run
+    # the state turns inf in the first step, which ends the run; float
+    # arithmetic has no imaginary lane where 0*inf would make it nan
     assert traj.truncated and truncated and len(traj) == 2
-    assert np.isnan(traj.values[-1]).all()
+    assert np.isinf(traj.values[-1]).all()
+    assert traj.values[-1].tolist() == [math.inf, math.inf]
 
 
 def test_integrate_rg_truncates_a_diverging_flow():
@@ -416,8 +506,12 @@ def test_integrate_ode_needs_bound_parameters():
 
 
 def test_complex_potential_is_rejected():
-    with pytest.raises(ComplexPotential, match="not real"):
-        nm.integrate_ode(parse_potential("E(1)*y"), 1, 0, 0.1, 1.0)
+    # exactly, before the first step: also at rest and on a one-point grid
+    V = parse_potential("E(1)*y + y'")
+    for y0, dy0, t_max in ((1, 0, 1.0), (0, 0, 1.0), (1, 0, 0.0)):
+        with pytest.raises(ComplexPotential, match="not real"):
+            nm.integrate_ode(V, y0, dy0, 0.1, t_max)
+    nm.check_real(SIN_EPS)
 
 
 def test_csv_lines_match_float_repr(tmp_path):
