@@ -207,7 +207,11 @@ def cmd_mathieu(args, parser):
         opts = {}
         for part in args.crosscheck.split(","):
             key, _, value = part.partition("=")
-            opts[key.strip()] = value
+            key = key.strip()
+            if key not in ("eps", "N"):
+                parser.error(f"--crosscheck: unknown key {key!r}; "
+                             "expected eps=v1:v2:...,N=n")
+            opts[key] = value
         try:
             eps_list = [float(x) for x in opts["eps"].split(":")]
             N = int(opts.get("N", 12))
@@ -301,6 +305,7 @@ def cmd_compare(args, parser):
     pol = to_polar(sysc)
     amp = numeric.integrate_rg(pol, args.eps, args.rg_order, args.tmax,
                                args.dt, R0=args.R0, theta0=args.theta0)
+    numeric.require_whole(amp, "the amplitude flow")
     y_rg = numeric.evaluate_expansion(pol, amp, args.eps,
                                       args.expansion_order)
     if args.y0 is not None and args.dy0 is not None:
@@ -312,6 +317,7 @@ def cmd_compare(args, parser):
             sysc, args.eps, args.rg_order, args.expansion_order,
             Ar0=Ar0, Br0=Ar0.conjugate())
     ode = numeric.integrate_ode(V, y0, dy0, args.eps, args.tmax, args.dt)
+    numeric.require_whole(ode, "the direct ODE")
     metrics, rows = numeric.compare(ode, y_rg)
     _emit_rows(args, "t,y_numeric,y_rg,diff", rows)
     print(f"# max_abs_diff = {metrics['max_abs_diff']!r}", file=sys.stderr)

@@ -68,6 +68,10 @@ class RootNotBracketed(RgpertError):
     """Numeric root search found no sign change in the bracket."""
 
 
+class SeriesOverflow(RgpertError):
+    """A truncated series overflows a float where it is evaluated."""
+
+
 class ComplexPotential(RgpertError):
     """Numerically bound potential is not real on real states."""
 
@@ -78,3 +82,7 @@ class NotReal(RgpertError):
 
 class GridMismatch(RgpertError):
     """Trajectories to compare were sampled on different grids."""
+
+
+class Diverged(RgpertError):
+    """A trajectory left the divergence box and was truncated."""

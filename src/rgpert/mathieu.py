@@ -8,9 +8,11 @@ edges a = 1 + eps*g of the conventional coupling a.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
-from .errors import (NotLinear, NotScalar, Underdetermined,
-                     NonRationalRoot, RootNotBracketed)
+from .errors import (BudgetExceeded, NotLinear, NotScalar, Underdetermined,
+                     NonRationalRoot, RootNotBracketed, SeriesOverflow)
 from .potential import Potential
 from .rg import normal_form, rational_roots
 
@@ -88,7 +90,12 @@ class Branch:
         return " ".join(parts)
 
     def a_value(self, eps):
-        return sum(float(c) * eps ** j for j, c in enumerate(self.a_coeffs))
+        try:
+            return sum(float(c) * eps ** j
+                       for j, c in enumerate(self.a_coeffs))
+        except OverflowError:
+            raise SeriesOverflow(f"band edge a{self.label} overflows a "
+                                 f"float at eps = {eps!r}") from None
 
 
 def stability_boundaries(omega2, n_unknowns):
@@ -163,57 +170,83 @@ def _solve_univariate(c, var):
 # Hill / Jacobi determinants
 # ---------------------------------------------------------------------------
 
+#: Largest truncation N of a Hill determinant: 25x the N = 40 of the
+#: largest crosscheck in the tests, demos and benchmark.  Each N costs
+#: one array step per determinant evaluation, and the truncation has
+#: long converged.
+MAX_HILL_N = 1000
+
+
 def hill_determinant(eps, a, N, branch):
     """N x N truncation of the tridiagonal determinant Delta^{branch}.
 
     branch '-': diagonal a-j^2, j = 1..N.
     branch '+': diagonal a/2, then a-j^2, j = 1..N-1.
-    Evaluated by the stable three-term recurrence.
+    Evaluated by the stable three-term recurrence, elementwise on floats
+    or broadcast numpy arrays of eps and a.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
     if branch == "-":
-        diag = [a - j * j for j in range(1, N + 1)]
+        d, js = a - 1, range(2, N + 1)
     elif branch == "+":
-        diag = [a / 2.0] + [a - j * j for j in range(1, N)]
+        d, js = a / 2.0, range(1, N)
     else:
         raise ValueError("branch must be '+' or '-'")
     e2 = eps * eps
-    d_prev, d = 1.0, diag[0]
-    for j in range(1, N):
-        d_prev, d = d, diag[j] * d - e2 * d_prev
+    d_prev = 1.0
+    for j in js:
+        d_prev, d = d, (a - j * j) * d - e2 * d_prev
     return d
+
+
+def find_boundary_roots(eps, N, branch, bracket=(0.5, 1.5), grid=400):
+    """Bisection roots of Delta^{branch}(eps_i, a) = 0 near a = 1, one per
+    value of the 1-D array ``eps``, all lanes in lockstep.
+
+    Each lane brackets the first grid cell with an exact zero at its left
+    end or a sign change, then halves it until it hits an exact zero, is
+    narrower than 1e-14 or has taken 200 steps.  Overflow gives inf or
+    nan as float arithmetic does, without warnings.
+    """
+    if N > MAX_HILL_N:
+        raise BudgetExceeded(f"Hill determinant order N = {N} exceeds the "
+                             f"budget of {MAX_HILL_N}")
+    eps = np.asarray(eps, dtype=float)
+    lo, hi = bracket
+    xs = np.array([lo + (hi - lo) * i / grid for i in range(grid + 1)])
+    with np.errstate(all="ignore"):
+        fs = hill_determinant(eps[:, None], xs, N, branch)
+        zero = fs[:, :-1] == 0.0
+        hit = zero | (fs[:, :-1] * fs[:, 1:] < 0)
+        missing = ~hit.any(axis=1)
+        if missing.any():
+            raise RootNotBracketed(
+                f"no sign change of Delta^{branch} in {bracket} at "
+                f"eps = {float(eps[missing.argmax()])!r}")
+        first = hit.argmax(axis=1)
+        # a lane that meets an exact zero closes its interval on it
+        live = ~zero[np.arange(len(eps)), first]
+        lo = xs[first]
+        hi = np.where(live, xs[first + 1], lo)
+        flo = hill_determinant(eps, lo, N, branch)
+        for _ in range(200):
+            if not live.any():
+                break
+            mid = 0.5 * (lo + hi)
+            fm = hill_determinant(eps, mid, N, branch)
+            down = flo * fm < 0
+            hi = np.where(live & (down | (fm == 0.0)), mid, hi)
+            up = live & ~down
+            lo = np.where(up, mid, lo)
+            flo = np.where(up, fm, flo)
+            live &= ~(hi - lo < 1e-14)
+    return 0.5 * (lo + hi)
 
 
 def find_boundary_root(eps, N, branch, bracket=(0.5, 1.5), grid=400):
     """Bisection root of Delta^{branch}(eps, a) = 0 near a = 1."""
-    lo, hi = bracket
-    xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
-    fs = [hill_determinant(eps, x, N, branch) for x in xs]
-    seg = None
-    for i in range(grid):
-        if fs[i] == 0.0:
-            return xs[i]
-        if fs[i] * fs[i + 1] < 0:
-            seg = (xs[i], xs[i + 1])
-            break
-    if seg is None:
-        raise RootNotBracketed(
-            f"no sign change of Delta^{branch} in {bracket}")
-    lo, hi = seg
-    flo = hill_determinant(eps, lo, N, branch)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = hill_determinant(eps, mid, N, branch)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
+    return float(find_boundary_roots([eps], N, branch, bracket, grid)[0])
 
 
 @dataclass(frozen=True)
@@ -230,14 +263,15 @@ class CrosscheckRow:
 
 def boundary_crosscheck(branches, eps_list, N=12):
     """Compare the series band edges with determinant zeros."""
+    series = [[branch.a_value(eps) for branch in branches]
+              for eps in eps_list]
+    nonzero = [eps for eps in eps_list if eps != 0.0]
+    roots = [iter(find_boundary_roots(nonzero, N, branch.label).tolist())
+             for branch in branches]
     rows = []
-    for eps in eps_list:
-        for branch in branches:
-            a_series = branch.a_value(eps)
-            if eps == 0.0:
-                a_det = 1.0
-            else:
-                a_det = find_boundary_root(eps, N, branch.label)
+    for eps, a_row in zip(eps_list, series):
+        for branch, a_series, det in zip(branches, a_row, roots):
+            a_det = next(det) if eps != 0.0 else 1.0
             rows.append(CrosscheckRow(eps, branch.label, a_series, a_det))
     return rows
 

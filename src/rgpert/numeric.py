@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, ComplexPotential, NotReal, GridMismatch
+from .errors import (BudgetExceeded, ComplexPotential, Diverged, NotReal,
+                     GridMismatch)
 from .potential import HARMONIC, harmonic, harmonics
 from .rg import PolarRG, RGSystem, PHASE
 
@@ -353,6 +354,15 @@ def expansion_initial_conditions(system, eps, rhs_order, expansion_order,
         y += pn
         dy += dpn + 1j * n * pn
     return y.real, dy.real
+
+
+def require_whole(traj, name):
+    """Raise Diverged if ``traj`` was truncated, naming it and the t of
+    its last sample."""
+    if traj.truncated:
+        raise Diverged(f"{name} diverged at t = {float(traj.t[-1])!r}: a "
+                       f"state left |x| <= {DIVERGENCE_LIMIT:g} or turned "
+                       "nan")
 
 
 def compare(a, b):

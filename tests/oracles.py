@@ -5,7 +5,9 @@ which ``rgpert.verify`` checks in generator form, V(y) by whole-series
 powers, which ``rgpert.potential`` builds online, and seeded random
 in-class potentials.  Also the readouts only the tests use: the
 renormalization constants, the split P_{+-1} = (A, B) + eps*Q_{+-1}, a
-polynomial's constant term and the peak of a sampled trajectory.
+polynomial's constant term and the peak of a sampled trajectory.  And the
+scalar Hill determinant and its one-root-at-a-time bisection, which
+``rgpert.mathieu`` runs on arrays in lockstep.
 """
 
 import random
@@ -14,7 +16,7 @@ import numpy as np
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
                             gr, grq, ZERO)
-from rgpert.errors import TrivialLinear
+from rgpert.errors import RootNotBracketed, TrivialLinear
 from rgpert.potential import HARMONIC, Potential, dt
 from rgpert.verify import _first_offense, _report
 
@@ -141,3 +143,51 @@ def peak_amplitude(traj, t_min):
         return float(y1)
     delta = 0.5 * (y0 - y2) / denom
     return float(y1 - 0.25 * (y0 - y2) * delta)
+
+
+def hill_determinant_scalar(eps, a, N, branch):
+    """Reference oracle: the N x N Hill determinant Delta^{branch} of
+    float eps and a by the three-term recurrence over a list of the
+    diagonal."""
+    if branch == "-":
+        diag = [a - j * j for j in range(1, N + 1)]
+    else:
+        diag = [a / 2.0] + [a - j * j for j in range(1, N)]
+    e2 = eps * eps
+    d_prev, d = 1.0, diag[0]
+    for j in range(1, N):
+        d_prev, d = d, diag[j] * d - e2 * d_prev
+    return d
+
+
+def find_boundary_root_scalar(eps, N, branch, bracket=(0.5, 1.5),
+                              grid=400):
+    """Reference oracle: bisection root of Delta^{branch}(eps, a) = 0 in
+    the first grid cell of the bracket with a zero or a sign change."""
+    lo, hi = bracket
+    xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
+    fs = [hill_determinant_scalar(eps, x, N, branch) for x in xs]
+    seg = None
+    for i in range(grid):
+        if fs[i] == 0.0:
+            return xs[i]
+        if fs[i] * fs[i + 1] < 0:
+            seg = (xs[i], xs[i + 1])
+            break
+    if seg is None:
+        raise RootNotBracketed(
+            f"no sign change of Delta^{branch} in {bracket}")
+    lo, hi = seg
+    flo = hill_determinant_scalar(eps, lo, N, branch)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = hill_determinant_scalar(eps, mid, N, branch)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+        if hi - lo < 1e-14:
+            break
+    return 0.5 * (lo + hi)

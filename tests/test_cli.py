@@ -2,10 +2,11 @@ import json
 import pathlib
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
-from rgpert import numeric
+from rgpert import mathieu, numeric
 from rgpert.cli import main
 
 
@@ -42,6 +43,9 @@ def test_examples_listing(capsys):
      ["rg", "--example", "nonauto", "--order", "4"]),
     ("mathieu_order5.txt",
      ["mathieu", "--order", "5"]),
+    ("mathieu_crosscheck_order5_N40.txt",
+     ["mathieu", "--order", "5", "--crosscheck",
+      "eps=" + ":".join(f"{0.01 * i:.2f}" for i in range(1, 51)) + ",N=40"]),
 ])
 def test_golden_outputs(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -182,6 +186,58 @@ def test_mathieu_crosscheck_bad_values_are_usage_errors(capsys, spec,
         main(["mathieu", "--order", "3", "--crosscheck", spec])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,key", [
+    ("eps=0.1,n=40", "'n'"),
+    ("eps=0.1,N=12,grid=10", "'grid'"),
+    ("eps=0.1,12", "'12'"),
+])
+def test_mathieu_crosscheck_unknown_key_is_a_usage_error(capsys, spec, key):
+    with pytest.raises(SystemExit) as exc:
+        main(["mathieu", "--order", "3", "--crosscheck", spec])
+    assert exc.value.code == 2
+    assert f"unknown key {key}" in capsys.readouterr().err
+
+
+def test_mathieu_crosscheck_order_budget(capsys, monkeypatch):
+    def no_determinant(*args):
+        raise AssertionError("determinant evaluated")
+
+    monkeypatch.setattr(mathieu, "hill_determinant", no_determinant)
+    code = main(["mathieu", "--order", "3", "--crosscheck",
+                 f"eps=0.1,N={mathieu.MAX_HILL_N + 1}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
+def test_mathieu_crosscheck_overflowing_eps_exit_1(capsys):
+    code = main(["mathieu", "--order", "3", "--crosscheck",
+                 "eps=0.1:1e200,N=40"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "overflows a float at eps = 1e+200" in captured.err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--R0", "2", "--theta0", "0", "--rg-order", "2"], "amplitude flow"),
+    (["--R0", "0.1", "--theta0", "0", "--rg-order", "0", "--y0", "30",
+      "--dy0", "0"], "direct ODE"),
+], ids=["flow", "ode"])
+def test_compare_diverging_trajectory_exit_1(capsys, argv, name):
+    # the truncated trajectory is named, with no numpy warning from
+    # evaluating the expansion on non-finite amplitudes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["compare", "--potential", "y'^3", "--eps", "1",
+                     "--order", "2", "--tmax", "50", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the {name} diverged at t = ")
 
 
 @pytest.mark.parametrize("text,name", [

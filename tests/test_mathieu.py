@@ -1,13 +1,20 @@
+import warnings
+
+import numpy as np
 import pytest
 
+from rgpert import mathieu
 from rgpert.algebra import ParamPolynomial, P, gr, grq, Rat
 from rgpert.errors import NotLinear, RootNotBracketed
 from rgpert.mathieu import (mathieu_potential, linear_matrix, omega_squared,
                             stability_boundaries, hill_determinant,
-                            find_boundary_root, boundary_crosscheck, analyze)
+                            find_boundary_root, find_boundary_roots,
+                            boundary_crosscheck, analyze)
 from rgpert.perturbation import expand
 from rgpert.registry import example_expansion
 from rgpert.rg import derive_rg, normal_form
+
+from oracles import find_boundary_root_scalar, hill_determinant_scalar
 
 
 g1, g2, g3, g4 = P("g1"), P("g2"), P("g3"), P("g4")
@@ -182,3 +189,97 @@ def test_crosscheck_converges_in_N(analysis7):
     coarse = abs(find_boundary_root(0.1, 4, "-") - minus.a_value(0.1))
     fine = abs(find_boundary_root(0.1, 12, "-") - minus.a_value(0.1))
     assert fine < coarse
+
+
+#: Negative, tiny (down to an e2 that underflows to 0) and large eps, an
+#: exact eps = 0, and lanes past the band where no root is bracketed.
+LANES = [-0.7, -0.3, -1e-3, -1e-12, 0.0, 1e-300, 1e-160, 1e-12, 1e-6,
+         0.01, 0.1, 0.5, 0.7, 0.9, 1.2, 5.0, 1e3, 1e100, 1e200]
+
+
+def _oracle(lanes, N, branch, bracket=(0.5, 1.5)):
+    """{eps: root} of the bracketed lanes, by the scalar oracle."""
+    roots = {}
+    for eps in lanes:
+        try:
+            roots[eps] = find_boundary_root_scalar(eps, N, branch, bracket)
+        except RootNotBracketed:
+            pass
+    return roots
+
+
+@pytest.mark.parametrize("N", [3, 4, 12, 40])
+@pytest.mark.parametrize("branch", ["-", "+"])
+def test_batched_roots_equal_the_scalar_oracle(N, branch):
+    a = np.linspace(0.5, 1.5, 37)
+    for eps in LANES:
+        with np.errstate(all="ignore"):
+            batch = hill_determinant(np.full(37, eps), a, N, branch)
+        scalar = [hill_determinant_scalar(eps, x, N, branch)
+                  for x in a.tolist()]
+        assert np.array_equal(batch, scalar, equal_nan=True)
+    expected = _oracle(LANES, N, branch)
+    assert 0.0 in expected and 1e3 not in expected
+    roots = find_boundary_roots(list(expected), N, branch)
+    assert roots.tolist() == list(expected.values())
+    assert [find_boundary_root(eps, N, branch) for eps in expected] == \
+        list(expected.values())
+
+
+def test_exact_zero_on_the_grid():
+    # eps = 0 (and an eps whose square underflows): Delta(1.0) is exactly
+    # 0 at grid point 200, which is the root of those lanes
+    for branch in "-+":
+        assert hill_determinant(0.0, 1.0, 12, branch) == 0.0
+        roots = find_boundary_roots([0.0, 0.1, 1e-300], 12, branch)
+        assert roots[0] == roots[2] == 1.0
+        assert roots.tolist() == [find_boundary_root_scalar(eps, 12, branch)
+                                  for eps in (0.0, 0.1, 1e-300)]
+        # on a one-cell grid the first bisection midpoint is the zero
+        roots = find_boundary_roots([0.1, 0.0], 12, branch, grid=1)
+        assert roots[1] == 1.0
+        assert roots.tolist() == [
+            find_boundary_root_scalar(eps, 12, branch, grid=1)
+            for eps in (0.1, 0.0)]
+
+
+def test_one_unbracketed_lane_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for branch in "-+":
+            with pytest.raises(RootNotBracketed, match="eps = 5.0"):
+                find_boundary_roots([0.1, 5.0, 1e200], 12, branch)
+            with pytest.raises(RootNotBracketed, match="eps = 1e\\+200"):
+                find_boundary_roots([0.1, 0.2, 1e200], 40, branch)
+
+
+@pytest.mark.parametrize("branch", ["-", "+"])
+def test_overflowing_lanes_match_float_arithmetic(branch):
+    # a bracket of +-1e200 overflows every grid point but the middle one;
+    # inf and nan flow through as in float arithmetic, silently
+    bracket = (-1e200, 1e200)
+    lanes = [1.0, 1e7, 1e8, 1e50]
+    expected = _oracle(lanes, 3, branch, bracket)
+    assert list(expected) == lanes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = find_boundary_roots(lanes, 3, branch, bracket)
+    assert roots.tolist() == list(expected.values())
+
+
+def test_crosscheck_calls_the_determinant_once_per_step(monkeypatch,
+                                                        analysis7):
+    # one grid scan, one f(lo) and the bisection steps per branch, however
+    # many eps values there are
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hill_determinant(*args)
+
+    monkeypatch.setattr(mathieu, "hill_determinant", counted)
+    _, branches = analysis7
+    rows = boundary_crosscheck(branches, [0.01 * i for i in range(51)], 40)
+    assert len(rows) == 102
+    assert len(calls) < 2 * 60
+
