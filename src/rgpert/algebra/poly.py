@@ -1,10 +1,19 @@
 """Sparse multivariate polynomials over Gaussian rationals.
 
-Variables are named strings.  Each polynomial carries its own ordered
-variable tuple; arithmetic on mismatched tuples unions them.  Exponents
-are integers and may be negative (Laurent monomials in the polar phase
-variable), although most of the engine only ever produces ordinary
-polynomials.
+Variables are named strings.  Exponents are integers and may be negative
+(Laurent monomials in the harmonic and phase variables).
+
+Monomials are packed exponent vectors (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007).  A module-level registry gives every variable name a fixed
+field of ``W`` bits the first time it is seen, and ``prod x_i^e_i`` is
+the int ``sum(e_i << W*slot(x_i))``.  The fields are signed and
+unbiased, so the map is linear: the key of a product is the sum of the
+keys, the empty monomial is 0, and registering a name never changes an
+existing key.  Every polynomial shares the one layout, so no operation
+aligns variables.  ``bound`` bounds the largest ``|e|`` of a
+polynomial; an operation whose exponents would reach ``2^(W-1)`` raises
+BudgetExceeded, so a field never wraps into its neighbour.
 
 Coefficients are stored fraction-free, as in FLINT's ``fmpq_poly``: every
 term holds a Gaussian-integer numerator ``(re, im)`` of Python ints, and
@@ -12,24 +21,34 @@ the polynomial holds one positive common denominator ``den``.  The inner
 loops of multiplication and addition therefore do integer arithmetic
 only, and each result is normalised with one gcd sweep.  The form is
 canonical (no zero numerators, ``gcd(den, all numerators) == 1``, and the
-zero polynomial has ``den == 1``), so equal polynomials over the same
-variables have equal ``terms`` and ``den``.  ``GaussianRational`` remains
-the scalar type at the interface: constructors, ``items()``, rendering
-and JSON.
+zero polynomial has ``den == 1``), so equal polynomials have equal
+``terms`` and ``den``.  ``GaussianRational`` remains the scalar type at
+the interface: constructors, ``items()``, rendering and JSON.
 
-Term order is graded lexicographic with the fixed variable precedence
+At that interface a monomial is an exponent tuple over ``vars``, the
+variables that occur, in the fixed precedence
 
     t < A < B < Ar < Br < R < (everything else, alphabetically)
 
-which makes every text rendering deterministic.
+which also makes every text rendering deterministic (graded lex).
 """
 
 from math import gcd, lcm
-from operator import add
 
+from ..errors import BudgetExceeded, NotDivisible
 from .rationals import GaussianRational, ZERO, Rat
 
 _CORE_PRECEDENCE = {"t": 0, "A": 1, "B": 2, "Ar": 3, "Br": 4, "R": 5}
+
+#: Bits per exponent field of a packed monomial; every |e| stays below
+#: 2^(W-1).
+W = 16
+_MASK = (1 << W) - 1
+_HALF = 1 << (W - 1)
+
+_SLOT = {}          # name -> field index
+_NAMES = []         # field index -> name
+_HALF_UPTO = []     # field index i -> sum of _HALF << W*j over j <= i
 
 
 def var_sort_key(name):
@@ -42,39 +61,105 @@ def order_vars(names):
     return tuple(sorted(set(names), key=var_sort_key))
 
 
-class ParamPolynomial:
-    """Immutable sparse polynomial: exponent tuple -> (re, im) over den.
+def _slot(name):
+    """The field index of ``name``, registered on first sight."""
+    i = _SLOT.get(name)
+    if i is None:
+        i = len(_NAMES)
+        _SLOT[name] = i
+        _NAMES.append(name)
+        _HALF_UPTO.append((_HALF_UPTO[-1] if i else 0) + (_HALF << W * i))
+    return i
 
-    The coefficient of the monomial with exponents ``e`` is
-    ``(re + im*i) / den`` where ``terms[e] == (re, im)``.
+
+def _reader(name):
+    """(shift, offset) that read the field of ``name`` from a key as
+    ``((key + offset) >> shift & _MASK) - _HALF``: the offset lifts every
+    field up to it to a non-negative digit, so no borrow reaches it."""
+    i = _slot(name)
+    return W * i, _HALF_UPTO[i]
+
+
+def _checked(bound):
+    if bound >= _HALF:
+        raise BudgetExceeded(
+            f"exponent bound {bound} exceeds the budget |e| < {_HALF} of "
+            f"a {W}-bit packed monomial field")
+    return bound
+
+
+def _pack(names, exps):
+    return sum(e << W * _slot(n) for n, e in zip(names, exps))
+
+
+def _occurring(terms):
+    """The variables with a nonzero exponent in some key, in precedence
+    order."""
+    if not terms:
+        return ()
+    # no field lies above the top bit of the largest |key|
+    top = min(max(map(abs, terms)).bit_length() // W, len(_NAMES) - 1)
+    half = _HALF_UPTO[top]
+    nonzero = 0
+    for key in terms:
+        nonzero |= (key + half) ^ half
+    return order_vars(_NAMES[i] for i in range(top + 1)
+                      if nonzero >> W * i & _MASK)
+
+
+def _remeasured(*factors):
+    """The largest |e| that a product of ``factors`` can have, from their
+    exponent ranges field by field.  Stored bounds only grow, and may
+    exceed the exponents they bound; they are measured again before a
+    field overflow is reported."""
+    half, n = _HALF_UPTO[-1], len(_NAMES)
+    lo, hi = [0] * n, [0] * n
+    for p in factors:
+        exps = [[((key + half) >> W * i & _MASK) - _HALF for i in range(n)]
+                for key in p.terms]
+        for i, col in enumerate(zip(*exps)):
+            lo[i] += min(col)
+            hi[i] += max(col)
+    return _checked(max(map(abs, lo + hi)))
+
+
+class ParamPolynomial:
+    """Immutable sparse polynomial: packed monomial -> (re, im) over den.
+
+    The coefficient of the monomial with key ``k`` is
+    ``(re + im*i) / den`` where ``terms[k] == (re, im)``.
     """
 
-    __slots__ = ("vars", "terms", "den")
+    __slots__ = ("terms", "den", "bound", "_vars")
 
     def __init__(self, vars=(), terms=None):
-        """Polynomial from a dict exponent tuple -> scalar coefficient.
+        """Polynomial from a dict exponent tuple over ``vars`` -> scalar
+        coefficient.
 
         Scalars are GaussianRationals, rationals or ints; zeros are
         dropped.
         """
-        self.vars = tuple(vars)
         parts = [(e, _parts(c)) for e, c in terms.items() if c] \
             if terms else []
         den = lcm(*(d for _, (_, _, d) in parts)) if parts else 1
         # Each scalar is in lowest terms, so over the lcm of their
         # denominators the numerators share no factor with it.
-        self.terms = {e: (re * (den // d), im * (den // d))
+        self.terms = {_pack(vars, e): (re * (den // d), im * (den // d))
                       for e, (re, im, d) in parts}
         self.den = den
+        self.bound = _checked(max((abs(x) for e, _ in parts for x in e),
+                                  default=0))
+        self._vars = None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, vars, terms, den=1):
+    def _raw(cls, terms, den=1, bound=0):
         obj = object.__new__(cls)
-        obj.vars = vars
         obj.terms = terms
         obj.den = den
+        obj.bound = bound
+        obj._vars = None
         return obj
 
     @classmethod
@@ -86,7 +171,7 @@ class ParamPolynomial:
         if not c:
             return _ZERO_POLY
         re, im, den = _parts(c)
-        return cls._raw((), {(): (re, im)}, den)
+        return cls._raw({0: (re, im)}, den)
 
     @classmethod
     def var(cls, name, exp=1, coeff=1):
@@ -95,54 +180,50 @@ class ParamPolynomial:
         if exp == 0:
             return cls.const(coeff)
         re, im, den = _parts(coeff)
-        return cls._raw((name,), {(exp,): (re, im)}, den)
+        return cls._raw({exp << W * _slot(name): (re, im)}, den,
+                        _checked(abs(exp)))
 
     @classmethod
     def monomial(cls, coeff, **exps):
         """monomial(gr(1,2), A=2, t=1) == (1+2i) * A^2 * t."""
         if not coeff:
             return _ZERO_POLY
-        names = order_vars(n for n, e in exps.items() if e)
-        key = tuple(exps[n] for n in names)
         re, im, den = _parts(coeff)
-        return cls._raw(names, {key: (re, im)}, den)
+        return cls._raw({_pack(exps, exps.values()): (re, im)}, den,
+                        _checked(max(map(abs, exps.values()), default=0)))
 
-    # -- alignment --------------------------------------------------------
+    # -- layout at the edge -----------------------------------------------
+
+    @property
+    def vars(self):
+        """The variables that ``items()`` unpacks: those that occur, in
+        precedence order, or the tuple given to ``reindexed``."""
+        if self._vars is not None:
+            return self._vars
+        return _occurring(self.terms)
 
     def reindexed(self, vars):
-        """Same polynomial over the (super)set ``vars``."""
-        if vars == self.vars:
-            return self
-        pos = {n: i for i, n in enumerate(vars)}
-        width = len(vars)
-        own = [pos[n] for n in self.vars]
-        terms = {}
-        for exps, c in self.terms.items():
-            key = [0] * width
-            for i, e in zip(own, exps):
-                key[i] = e
-            terms[tuple(key)] = c
-        return ParamPolynomial._raw(tuple(vars), terms, self.den)
+        """Same polynomial, unpacked over the (super)set ``vars``."""
+        vars = tuple(vars)
+        missing = set(self.vars) - set(vars)
+        if missing:
+            raise ValueError(f"variables {sorted(missing)} not in {vars}")
+        obj = ParamPolynomial._raw(self.terms, self.den, self.bound)
+        obj._vars = vars
+        return obj
 
-    def _aligned(self, other):
-        if self.vars == other.vars:
-            return self, other
-        union = order_vars(self.vars + other.vars)
-        return self.reindexed(union), other.reindexed(union)
+    def _shifted_bound(self, name, step):
+        """The bound after adding ``step`` to the exponents of ``name``."""
+        bound = self.bound + abs(step)
+        if bound < _HALF:
+            return bound
+        return _remeasured(self, ParamPolynomial.var(name, step))
 
-    def compact(self):
-        """Drop variables that no longer occur."""
-        if not self.terms:
-            return _ZERO_POLY
-        used = [i for i in range(len(self.vars))
-                if any(exps[i] for exps in self.terms)]
-        if len(used) == len(self.vars):
-            return self
-        vars = tuple(self.vars[i] for i in used)
-        # only all-zero exponent columns go, so keys stay distinct
-        terms = {tuple(exps[i] for i in used): c
-                 for exps, c in self.terms.items()}
-        return ParamPolynomial._raw(vars, terms, self.den)
+    def _unpacker(self):
+        """key -> exponent tuple over ``vars``."""
+        shifts, half = [W * _slot(n) for n in self.vars], _HALF_UPTO[-1]
+        return lambda key: tuple(((key + half) >> s & _MASK) - _HALF
+                                 for s in shifts)
 
     # -- ring operations --------------------------------------------------
 
@@ -150,7 +231,7 @@ class ParamPolynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._aligned(other)
+        a, b = self, other
         if not a.terms:
             return b
         if not b.terms:
@@ -166,28 +247,28 @@ class ParamPolynomial:
             terms = {e: (re * fa, im * fa)
                      for e, (re, im) in a.terms.items()}
         get = terms.get
-        for exps, (re, im) in b.terms.items():
+        for key, (re, im) in b.terms.items():
             if fb != 1:
                 re *= fb
                 im *= fb
-            s = get(exps)
+            s = get(key)
             if s is None:
-                terms[exps] = (re, im)
+                terms[key] = (re, im)
             else:
                 re += s[0]
                 im += s[1]
                 if re or im:
-                    terms[exps] = (re, im)
+                    terms[key] = (re, im)
                 else:
-                    del terms[exps]
-        return _normalized(a.vars, terms, da)
+                    del terms[key]
+        return _normalized(terms, da, max(a.bound, b.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
         return ParamPolynomial._raw(
-            self.vars, {e: (-re, -im) for e, (re, im) in self.terms.items()},
-            self.den)
+            {e: (-re, -im) for e, (re, im) in self.terms.items()},
+            self.den, self.bound)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -204,13 +285,16 @@ class ParamPolynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._aligned(other)
+        a, b = self, other
+        bound = a.bound + b.bound
+        if bound >= _HALF:
+            bound = _remeasured(a, b)
         terms = {}
         get = terms.get
         bt = list(b.terms.items())
-        for ea, (ar, ai) in a.terms.items():
-            for eb, (br, bi) in bt:
-                key = tuple(map(add, ea, eb))
+        for ka, (ar, ai) in a.terms.items():
+            for kb, (br, bi) in bt:
+                key = ka + kb
                 re = ar * br - ai * bi
                 im = ar * bi + ai * br
                 s = get(key)
@@ -223,7 +307,7 @@ class ParamPolynomial:
                         terms[key] = (re, im)
                     else:
                         del terms[key]
-        return _normalized(a.vars, terms, a.den * b.den)
+        return _normalized(terms, a.den * b.den, bound)
 
     __rmul__ = __mul__
 
@@ -237,7 +321,7 @@ class ParamPolynomial:
         else:
             terms = {e: (re * cr, im * cr)
                      for e, (re, im) in self.terms.items()}
-        return _normalized(self.vars, terms, self.den * cd)
+        return _normalized(terms, self.den * cd, self.bound)
 
     def __pow__(self, n):
         if n < 0:
@@ -255,32 +339,31 @@ class ParamPolynomial:
     # -- calculus in one variable ----------------------------------------
 
     def diff(self, name):
-        if name not in self.vars:
-            return _ZERO_POLY
-        i = self.vars.index(name)
+        shift, half = _reader(name)
+        unit = 1 << shift
         terms = {}
-        for exps, (re, im) in self.terms.items():
-            e = exps[i]
+        for key, (re, im) in self.terms.items():
+            e = ((key + half) >> shift & _MASK) - _HALF
             if e:
-                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = (re * e, im * e)
-        return _normalized(self.vars, terms, self.den)
+                terms[key - unit] = (re * e, im * e)
+        return _normalized(terms, self.den, self._shifted_bound(name, -1))
 
     def integrate(self, name):
         """Antiderivative in ``name`` with zero constant term."""
-        p = self if name in self.vars else self.reindexed(
-            order_vars(self.vars + (name,)))
-        i = p.vars.index(name)
+        shift, half = _reader(name)
+        unit = 1 << shift
+        exps = [((key + half) >> shift & _MASK) - _HALF for key in self.terms]
         scale = 1
-        for exps in p.terms:
-            if exps[i] == -1:
+        for e in exps:
+            if e == -1:
                 raise ValueError("cannot integrate 1/x term")
-            scale = lcm(scale, exps[i] + 1)
+            scale = lcm(scale, e + 1)
         terms = {}
-        for exps, (re, im) in p.terms.items():
-            e = exps[i] + 1
-            f = scale // e
-            terms[exps[:i] + (e,) + exps[i + 1:]] = (re * f, im * f)
-        return _normalized(p.vars, terms, p.den * scale)
+        for e, (key, (re, im)) in zip(exps, self.terms.items()):
+            f = scale // (e + 1)
+            terms[key + unit] = (re * f, im * f)
+        return _normalized(terms, self.den * scale,
+                           self._shifted_bound(name, 1))
 
     # -- substitution and extraction -------------------------------------
 
@@ -289,61 +372,71 @@ class ParamPolynomial:
 
         A bound variable with a negative exponent raises ValueError.
         """
-        bindings = {n: _as_poly(v) for n, v in bindings.items()
-                    if n in self.vars}
-        if not bindings:
+        readers = [(name, *_reader(name)) for name in bindings]
+        split = [(key, c, [(name, shift,
+                            ((key + half) >> shift & _MASK) - _HALF)
+                           for name, shift, half in readers])
+                 for key, c in self.terms.items()]
+        if not any(e for *_, fields in split for *_, e in fields):
             return self
-        idx = {n: self.vars.index(n) for n in bindings}
+        values = {n: _as_poly(v) for n, v in bindings.items()}
+        den, bound = self.den, self.bound
         out = _ZERO_POLY
         powcache = {}
-        for exps, factor in self.residuals(bindings):
-            for name, i in idx.items():
-                e = exps[i]
+        for key, c, fields in split:
+            rest = key - sum(e << shift for _, shift, e in fields)
+            factor = _normalized({rest: c}, den, bound)
+            for name, _, e in fields:
                 if not e:
                     continue
-                key = (name, e)
-                p = powcache.get(key)
+                p = powcache.get((name, e))
                 if p is None:
-                    p = bindings[name] ** e
-                    powcache[key] = p
+                    p = values[name] ** e
+                    powcache[name, e] = p
                 factor = factor * p
             out = out + factor
-        return out.compact()
+        return out
 
     def residuals(self, names):
         """(exps, residual) for every term, where the residual is that term
         with the variables in ``names`` dropped: its coefficient times its
         monomial in the remaining variables."""
-        keep = [i for i, n in enumerate(self.vars) if n not in names]
-        keep_vars = tuple(self.vars[i] for i in keep)
-        den = self.den
-        for exps, c in self.terms.items():
-            yield exps, _normalized(
-                keep_vars, {tuple(exps[i] for i in keep): c}, den)
+        unpack = self._unpacker()
+        drop = [_reader(n) for n in names]
+        den, bound = self.den, self.bound
+        for key, c in self.terms.items():
+            rest = key
+            for shift, half in drop:
+                rest -= ((((key + half) >> shift & _MASK) - _HALF)
+                         << shift)
+            yield unpack(key), _normalized({rest: c}, den, bound)
 
     def rename(self, mapping):
         """Rename variables (bijective on the occurring names)."""
-        vars = tuple(mapping.get(n, n) for n in self.vars)
-        renamed = ParamPolynomial._raw(vars, dict(self.terms), self.den)
-        order = order_vars(vars)
-        return renamed.reindexed(order) if vars != order else renamed
+        vars = self.vars
+        moves = [(_reader(old), W * _slot(new))
+                 for old, new in mapping.items() if old != new and old in vars]
+        terms = {}
+        for key, c in self.terms.items():
+            new = key
+            for (shift, half), to in moves:
+                e = ((key + half) >> shift & _MASK) - _HALF
+                new += (e << to) - (e << shift)
+            terms[new] = c
+        return ParamPolynomial._raw(terms, self.den, self.bound)
 
     def coefficient(self, name, power):
         """Polynomial coefficient of name**power (name removed)."""
-        if name not in self.vars:
-            return self if power == 0 else _ZERO_POLY
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        terms = {exps[:i] + exps[i + 1:]: c
-                 for exps, c in self.terms.items() if exps[i] == power}
-        return _normalized(rest, terms, self.den).compact()
+        shift, half = _reader(name)
+        off = power << shift
+        terms = {key - off: c for key, c in self.terms.items()
+                 if ((key + half) >> shift & _MASK) - _HALF == power}
+        return _normalized(terms, self.den, self.bound)
 
     def exponents(self, name):
         """The distinct exponents of ``name`` over the terms."""
-        if name not in self.vars:
-            return {0} if self.terms else set()
-        i = self.vars.index(name)
-        return {e[i] for e in self.terms}
+        shift, half = _reader(name)
+        return {((key + half) >> shift & _MASK) - _HALF for key in self.terms}
 
     def degree_in(self, name):
         return max(self.exponents(name), default=0)
@@ -355,35 +448,35 @@ class ParamPolynomial:
         """Exact division by name**power; every term must carry it."""
         if self.is_zero():
             return self
-        p = self if name in self.vars else None
-        if p is None or p.min_degree_in(name) < power:
-            from ..errors import NotDivisible
+        if self.min_degree_in(name) < power:
             raise NotDivisible(f"not divisible by {name}^{power}")
-        i = p.vars.index(name)
-        terms = {e[:i] + (e[i] - power,) + e[i + 1:]: c
-                 for e, c in p.terms.items()}
-        return ParamPolynomial._raw(p.vars, terms, p.den).compact()
+        off = power << W * _slot(name)
+        return ParamPolynomial._raw(
+            {key - off: c for key, c in self.terms.items()}, self.den,
+            self._shifted_bound(name, -power))
 
     def conjugated(self):
         """Conjugate every coefficient (variables are treated as real)."""
         return ParamPolynomial._raw(
-            self.vars, {e: (re, -im) for e, (re, im) in self.terms.items()},
-            self.den)
+            {e: (re, -im) for e, (re, im) in self.terms.items()},
+            self.den, self.bound)
 
     def items(self):
-        """(exponent tuple, GaussianRational coefficient) for every term."""
+        """(exponent tuple over ``vars``, GaussianRational coefficient) for
+        every term, in insertion order."""
+        unpack = self._unpacker()
         den = self.den
-        return [(exps, _scalar(re, im, den))
-                for exps, (re, im) in self.terms.items()]
+        return [(unpack(key), _scalar(re, im, den))
+                for key, (re, im) in self.terms.items()]
 
     def as_constant(self):
         """The value of a constant polynomial, or None."""
-        p = self.compact()
-        if not p.terms:
+        if not self.terms:
             return ZERO
-        if p.vars:
+        c = self.terms.get(0)
+        if c is None or len(self.terms) > 1:
             return None
-        return _scalar(*p.terms[()], p.den)
+        return _scalar(*c, self.den)
 
     # -- predicates and hashing ------------------------------------------
 
@@ -397,12 +490,10 @@ class ParamPolynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.compact(), other.compact()
-        return a.vars == b.vars and a.den == b.den and a.terms == b.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        p = self.compact()
-        return hash((p.vars, p.den, frozenset(p.terms.items())))
+        return hash((self.den, frozenset(self.terms.items())))
 
     # -- rendering --------------------------------------------------------
 
@@ -414,14 +505,14 @@ class ParamPolynomial:
         return sorted(self.items(), key=key, reverse=True)
 
     def __str__(self):
-        p = self.compact()
-        if not p.terms:
+        if not self.terms:
             return "0"
         parts = []
-        for exps, c in p.sorted_terms():
+        vars = self.vars
+        for exps, c in self.sorted_terms():
             mono = "*".join(
                 (n if e == 1 else f"{n}^{e}")
-                for n, e in zip(p.vars, exps) if e)
+                for n, e in zip(vars, exps) if e)
             cs = str(c)
             if mono:
                 if cs == "1":
@@ -445,23 +536,21 @@ class ParamPolynomial:
         return f"<ParamPolynomial {self}>"
 
     def to_json(self):
-        p = self.compact()
         return {
-            "vars": list(p.vars),
+            "vars": list(self.vars),
             "terms": [[list(exps), *c.json_parts()]
-                      for exps, c in p.sorted_terms()],
+                      for exps, c in self.sorted_terms()],
         }
 
     @classmethod
     def from_json(cls, data):
-        vars = tuple(data["vars"])
         terms = {}
         for exps, re_s, im_s in data["terms"]:
             rn, rd = re_s.split("/")
             im, imd = im_s.split("/")
             terms[tuple(exps)] = GaussianRational(
                 Rat(int(rn), int(rd)), Rat(int(im), int(imd)))
-        return cls(vars, terms).compact()
+        return cls(data["vars"], terms)
 
 
 def _parts(c):
@@ -481,10 +570,10 @@ def _scalar(re, im, den):
     return GaussianRational(Rat(re, den), Rat(im, den))
 
 
-def _normalized(vars, terms, den):
+def _normalized(terms, den, bound):
     """Canonical polynomial from nonzero numerators over ``den``."""
     if not terms:
-        return ParamPolynomial._raw(vars, terms, 1)
+        return ParamPolynomial._raw(terms, 1, 0)
     if den != 1:
         g = den
         for re, im in terms.values():
@@ -494,7 +583,7 @@ def _normalized(vars, terms, den):
         else:
             den //= g
             terms = {e: (re // g, im // g) for e, (re, im) in terms.items()}
-    return ParamPolynomial._raw(vars, terms, den)
+    return ParamPolynomial._raw(terms, den, bound)
 
 
 def _as_poly(x):
@@ -507,8 +596,12 @@ def _as_poly(x):
     return NotImplemented
 
 
-_ZERO_POLY = ParamPolynomial._raw((), {}, 1)
-_ONE_POLY = ParamPolynomial._raw((), {(): (1, 0)}, 1)
+# the engine's own variables take the first fields
+for _name in _CORE_PRECEDENCE:
+    _slot(_name)
+
+_ZERO_POLY = ParamPolynomial._raw({}, 1)
+_ONE_POLY = ParamPolynomial._raw({0: (1, 0)}, 1)
 
 
 def P(name):

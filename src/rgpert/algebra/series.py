@@ -159,7 +159,7 @@ class EpsilonSeries:
         return self.map_coeffs(lambda c: c.subs(bindings))
 
     def uses_var(self, name):
-        return any(name in c.compact().vars for c in self.coeffs)
+        return any(name in c.vars for c in self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, EpsilonSeries):
@@ -179,7 +179,7 @@ class EpsilonSeries:
                 parts.append(cs)
             else:
                 epspow = "eps" if k == 1 else f"eps^{k}"
-                if len(c.compact().terms) > 1:
+                if len(c.terms) > 1:
                     cs = f"({cs})"
                 if cs == "1":
                     parts.append(epspow)

@@ -221,6 +221,7 @@ def cmd_mathieu(args, parser):
             parser.error("--crosscheck eps values must be finite")
         if N < 3:
             parser.error(f"--crosscheck N must be >= 3, got {N}")
+        mathieu_mod.check_hill_order(N)
     omega2, branches = mathieu_mod.analyze(args.order)
     if args.branch:
         branches = [b for b in branches if b.label == args.branch]

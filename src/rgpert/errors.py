@@ -69,7 +69,8 @@ class RootNotBracketed(RgpertError):
 
 
 class SeriesOverflow(RgpertError):
-    """A truncated series overflows a float where it is evaluated."""
+    """A truncated series or a Hill determinant overflows a float where it
+    is evaluated."""
 
 
 class ComplexPotential(RgpertError):

@@ -108,7 +108,7 @@ def stability_boundaries(omega2, n_unknowns):
         new_partials = []
         for assignment in partials:
             c = coeff.subs({k: GaussianRational(v)
-                            for k, v in assignment.items()}).compact()
+                            for k, v in assignment.items()})
             if c.is_zero():
                 new_partials.append(assignment)
                 continue
@@ -177,6 +177,13 @@ def _solve_univariate(c, var):
 MAX_HILL_N = 1000
 
 
+def check_hill_order(N):
+    """BudgetExceeded if N is above MAX_HILL_N."""
+    if N > MAX_HILL_N:
+        raise BudgetExceeded(f"Hill determinant order N = {N} exceeds the "
+                             f"budget of {MAX_HILL_N}")
+
+
 def hill_determinant(eps, a, N, branch):
     """N x N truncation of the tridiagonal determinant Delta^{branch}.
 
@@ -207,11 +214,11 @@ def find_boundary_roots(eps, N, branch, bracket=(0.5, 1.5), grid=400):
     Each lane brackets the first grid cell with an exact zero at its left
     end or a sign change, then halves it until it hits an exact zero, is
     narrower than 1e-14 or has taken 200 steps.  Overflow gives inf or
-    nan as float arithmetic does, without warnings.
+    nan as float arithmetic does, without warnings.  The first lane
+    without a bracket raises RootNotBracketed, or SeriesOverflow if its
+    determinant is finite nowhere on the grid.
     """
-    if N > MAX_HILL_N:
-        raise BudgetExceeded(f"Hill determinant order N = {N} exceeds the "
-                             f"budget of {MAX_HILL_N}")
+    check_hill_order(N)
     eps = np.asarray(eps, dtype=float)
     lo, hi = bracket
     xs = np.array([lo + (hi - lo) * i / grid for i in range(grid + 1)])
@@ -221,9 +228,13 @@ def find_boundary_roots(eps, N, branch, bracket=(0.5, 1.5), grid=400):
         hit = zero | (fs[:, :-1] * fs[:, 1:] < 0)
         missing = ~hit.any(axis=1)
         if missing.any():
-            raise RootNotBracketed(
-                f"no sign change of Delta^{branch} in {bracket} at "
-                f"eps = {float(eps[missing.argmax()])!r}")
+            lane = missing.argmax()
+            at = float(eps[lane])
+            if not np.isfinite(fs[lane]).any():
+                raise SeriesOverflow(f"Delta^{branch} is not finite anywhere "
+                                     f"in {bracket} at eps = {at!r}")
+            raise RootNotBracketed(f"no sign change of Delta^{branch} in "
+                                   f"{bracket} at eps = {at!r}")
         first = hit.argmax(axis=1)
         # a lane that meets an exact zero closes its interval on it
         live = ~zero[np.arange(len(eps)), first]

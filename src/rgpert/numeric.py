@@ -231,7 +231,7 @@ def _compile(series, eps, order, *names):
     eps-orders k <= order of a series in the variables ``names``."""
     terms = []
     for k in range(min(order, series.cap) + 1):
-        c = series.coeffs[k].compact()
+        c = series.coeffs[k]
         unbound = set(c.vars) - set(names)
         if unbound:
             raise ValueError(f"unbound variables {sorted(unbound)}; "

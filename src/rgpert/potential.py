@@ -15,7 +15,8 @@ import re as _re
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       Composition, I, Rat, grq, order_vars)
-from .errors import ParseError, NotInClass, TrivialLinear, SupportOverflow
+from .errors import (ParseError, NotInClass, TrivialLinear, SupportOverflow,
+                     BudgetExceeded)
 
 _ZP = ParamPolynomial.zero()
 
@@ -34,6 +35,12 @@ RESERVED_NAMES = ("t", "A", "B", "Ar", "Br", "R", "w", HARMONIC,
 # DSL variables that index the quartet table (k, l, m, n).
 _QUARTET = ("E", "y", "y'", "eps")
 
+#: Largest total degree l + m in (y, y') that the symbolic solvers take:
+#: 12x the degree 5 of the largest potential that the tests, demos,
+#: README and benchmark expand.  The lists of powers and products of an
+#: OnlinePotential grow with it.
+MAX_DEGREE = 64
+
 
 class Potential:
     """Validated finite quartet table of an admissible potential."""
@@ -46,7 +53,6 @@ class Potential:
         for key, c in coeffs.items():
             if isinstance(c, (int, GaussianRational)):
                 c = ParamPolynomial.const(c)
-            c = c.compact()
             if not c.is_zero():
                 clean[key] = c
         self.coeffs = clean
@@ -356,6 +362,10 @@ class OnlinePotential:
     __slots__ = ("composition",)
 
     def __init__(self, V):
+        degree = max((l + m for _, l, m, _ in V.coeffs), default=0)
+        if degree > MAX_DEGREE:
+            raise BudgetExceeded(f"potential of degree {degree} in (y, y') "
+                                 f"exceeds the budget of {MAX_DEGREE}")
         # sum_k C_klmn z^k, collected per (l, m, n)
         terms = {}
         for (k, l, m, n), c in sorted(V.coeffs.items()):

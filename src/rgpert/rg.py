@@ -169,7 +169,6 @@ def rational_roots(poly, var):
     _integer_roots finds those in time polynomial in n and the
     coefficients' bit length.
     """
-    poly = poly.compact()
     extra = [v for v in poly.vars if v != var]
     if extra:
         raise Underdetermined(f"{poly} = 0 has variables other than "

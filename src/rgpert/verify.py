@@ -44,7 +44,6 @@ def _term(vars, exps, coeff):
 def _first_offense(n, diff):
     """(n, eps-order, monomial) of the first nonzero term of a series."""
     for k, c in enumerate(diff.coeffs):
-        c = c.compact()
         if not c.is_zero():
             exps, coeff = c.sorted_terms()[0]
             return (n, k, _term(c.vars, exps, coeff))

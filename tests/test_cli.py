@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from rgpert import mathieu, numeric
+from rgpert import potential as potential_mod
 from rgpert.cli import main
 
 
@@ -220,6 +221,46 @@ def test_mathieu_crosscheck_overflowing_eps_exit_1(capsys):
     assert code == 1
     assert captured.out == ""
     assert "overflows a float at eps = 1e+200" in captured.err
+
+
+def test_mathieu_crosscheck_order_budget_before_the_analysis(capsys,
+                                                            monkeypatch):
+    def no_analysis(*args):
+        raise AssertionError("symbolic analysis ran")
+
+    monkeypatch.setattr(mathieu, "analyze", no_analysis)
+    code = main(["mathieu", "--order", "11", "--crosscheck",
+                 "eps=0.1,N=2000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
+def test_mathieu_crosscheck_non_finite_determinant_exit_1(capsys):
+    # e2 = 1e100 overflows the recurrence: nan at all 401 grid points
+    code = main(["mathieu", "--order", "5", "--crosscheck", "eps=1e50,N=40"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "not finite anywhere in (0.5, 1.5) at eps = 1e+50" in captured.err
+
+
+@pytest.mark.parametrize("potential,message", [
+    ("y^100000", "exponent bound"),
+    ("y^400*y'", "degree 401"),
+])
+def test_symbolic_budgets_exit_1_before_solving(capsys, monkeypatch,
+                                                potential, message):
+    def no_composition(*args):
+        raise AssertionError("V(y) composed")
+
+    monkeypatch.setattr(potential_mod, "Composition", no_composition)
+    code = main(["polar", "--potential", potential, "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "budget" in captured.err and message in captured.err
 
 
 @pytest.mark.parametrize("argv,name", [

@@ -1,10 +1,12 @@
+import itertools
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rgpert.algebra import ParamPolynomial, P, gr, grq, order_vars
-from rgpert.errors import NotDivisible
+from rgpert.algebra.poly import W
+from rgpert.errors import BudgetExceeded, NotDivisible
 
 
 A, B, t = P("A"), P("B"), P("t")
@@ -189,8 +191,8 @@ def ref_subs(x, name, y):
 def assert_canonical(p):
     assert type(p.terms) is dict
     assert type(p.den) is int and p.den > 0
-    for exps, (re, im) in p.terms.items():
-        assert len(exps) == len(p.vars)
+    for key, (re, im) in p.terms.items():
+        assert type(key) is int
         assert type(re) is int and type(im) is int
         assert re or im
     nums = [x for pair in p.terms.values() for x in pair]
@@ -240,11 +242,12 @@ def test_common_denominator_layout():
     sixth, third, half = grq(1, 6), grq(1, 3), grq(1, 2)
     lhs, rhs = A.scaled(sixth) + A.scaled(third), A.scaled(half)
     assert lhs == rhs and hash(lhs) == hash(rhs)
-    assert lhs.terms == {(1,): (1, 0)} and lhs.den == 2
+    a, b = next(iter(A.terms)), next(iter(B.terms))
+    assert lhs.terms == {a: (1, 0)} and lhs.den == 2
     p = A.scaled(half) + B.scaled(third)
-    assert p.terms == {(1, 0): (3, 0), (0, 1): (2, 0)} and p.den == 6
+    assert p.terms == {a: (3, 0), b: (2, 0)} and p.den == 6
     q = A.scaled(grq(0, 1, 3, 4))
-    assert q.terms == {(1,): (0, 3)} and q.den == 4
+    assert q.terms == {a: (0, 3)} and q.den == 4
 
 
 @given(mixed_polys(), mixed_polys())
@@ -256,6 +259,132 @@ def test_cancelling_products_are_canonical_zero(p, q):
     z = (A.scaled(grq(1, 3)) - B.scaled(grq(1, 3))).subs({"A": B})
     assert z.is_zero()
     assert_canonical(z)
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials: Laurent exponents, operands over different variables,
+# names the layout first sees in the middle of a test
+# ---------------------------------------------------------------------------
+
+_FRESH = itertools.count()
+
+
+def laurent_terms(names):
+    """[(exponent dict, coefficient)] over ``names``, exponents -3..3."""
+    coeffs = st.builds(lambda c, k: c * gr(k),
+                       st.sampled_from(MIXED), st.integers(-3, 3))
+    exps = st.dictionaries(st.sampled_from(names), st.integers(-3, 3))
+    return st.lists(st.tuples(exps, coeffs), max_size=4)
+
+
+def ref_key(exps):
+    return tuple(sorted((n, e) for n, e in exps.items() if e))
+
+
+def built(terms):
+    """The polynomial of ``terms`` and its reference."""
+    p, ref = ParamPolynomial.zero(), {}
+    for exps, c in terms:
+        p = p + ParamPolynomial.monomial(c, **exps)
+        ref = ref_add(ref, {ref_key(exps): c})
+    return p, ref
+
+
+def ref_rename(x, mapping):
+    return {ref_key({mapping.get(n, n): e for n, e in key}): c
+            for key, c in x.items()}
+
+
+@given(laurent_terms(("t", "A", "z")), laurent_terms(("A", "w", "z")),
+       st.integers(-3, 3).filter(bool))
+def test_laurent_kernel_matches_reference(pt, qt, e):
+    p, rp = built(pt)
+    q, rq = built(qt)
+    before = p.items()
+    # a name no polynomial has used: registering it moves no other key
+    fresh = f"fresh{next(_FRESH)}"
+    r = ParamPolynomial.var(fresh, e, grq(1, 2))
+    rr = {((fresh, e),): grq(1, 2)}
+    assert p.items() == before
+    checked(p, rp)
+    checked(p * q, ref_mul(rp, rq))
+    checked(p + q, ref_add(rp, rq))
+    checked(p - q, ref_add(rp, ref_scaled(rq, gr(-1))))
+    checked(p * q * r, ref_mul(ref_mul(rp, rq), rr))
+    checked((p + r) * (q - r), ref_mul(ref_add(rp, rr),
+                                       ref_add(rq, ref_scaled(rr, gr(-1)))))
+    for name in ("z", "w", fresh):
+        checked(q.diff(name), ref_diff(rq, name))
+        checked((p * r).diff(name), ref_diff(ref_mul(rp, rr), name))
+    if any(dict(k).get("t") == -1 for k in rp):
+        with pytest.raises(ValueError):
+            p.integrate("t")
+    else:
+        checked(p.integrate("t"), ref_integrate(rp, "t"))
+    zs = {dict(k).get("z", 0) for k in ref_mul(rp, rq)}
+    assert (p * q).exponents("z") == zs
+    for n in zs:
+        checked((p * q).coefficient("z", n),
+                {tuple(x for x in k if x[0] != "z"): v
+                 for k, v in ref_mul(rp, rq).items()
+                 if dict(k).get("z", 0) == n})
+    swap = {"z": "w", "w": "z", fresh: "t2"}
+    checked((q * r).rename(swap), ref_rename(ref_mul(rq, rr), swap))
+
+
+def test_exponent_field_guard_at_its_width():
+    top = 2 ** (W - 1) - 1
+    for sign in (1, -1):
+        x = ParamPolynomial.var("x", sign * top)
+        assert x.items() == [((sign * top,), gr(1))]
+        assert (x * ParamPolynomial.var("x", -sign)).items() == \
+            [((sign * (top - 1),), gr(1))]
+        with pytest.raises(BudgetExceeded):
+            x * ParamPolynomial.var("x", sign)
+        with pytest.raises(BudgetExceeded):
+            ParamPolynomial.var("x", sign * (top + 1))
+        with pytest.raises(BudgetExceeded):
+            ParamPolynomial.monomial(1, x=sign * (top + 1))
+    with pytest.raises(BudgetExceeded):
+        ParamPolynomial.var("x", -top).diff("x")
+    with pytest.raises(BudgetExceeded):
+        ParamPolynomial.var("x", top).integrate("x")
+
+
+def test_loose_bounds_are_measured_before_refusing():
+    # z^k * z^-k stores the bound 2k for the exponent 0; its square would
+    # store 4k > 2^(W-1), so the exponents are measured instead
+    k = 2 ** (W - 2) - 1
+    p = ParamPolynomial.var("z", k) * ParamPolynomial.var("z", -k)
+    assert p == ParamPolynomial.const(1) and p.bound == 2 * k
+    assert p * p == p and (p * p).bound == 0
+    assert (p.scaled(gr(3)) * P("z") * p).diff("z") == ParamPolynomial.const(3)
+    # the measured ranges keep both signs: z^-(2^(W-1)) still overflows
+    top = 2 ** (W - 1) - 1
+    low = ParamPolynomial.var("z", -top) + 1
+    with pytest.raises(BudgetExceeded):
+        low * (P("z").diff("z") + ParamPolynomial.var("z", -1))
+
+
+def test_items_keep_insertion_order():
+    monos = [{"B": 1}, {"t": 2, "A": -1}, {}, {"z": 3}, {"A": 1, "z": -2}]
+    p = ParamPolynomial.zero()
+    for i, exps in enumerate(monos):
+        p = p + ParamPolynomial.monomial(gr(i + 1), **exps)
+    assert p.vars == ("t", "A", "B", "z")
+    assert p.items() == [(tuple(exps.get(n, 0) for n in p.vars), gr(i + 1))
+                         for i, exps in enumerate(monos)]
+    names = ("t", "A", "B", "y", "z")
+    view = p.reindexed(names)
+    assert view.vars == names and view == p
+    assert view.items() == [(tuple(exps.get(n, 0) for n in names),
+                             gr(i + 1)) for i, exps in enumerate(monos)]
+    with pytest.raises(ValueError):
+        p.reindexed(("A", "B", "z"))
+    # a product lists its terms in the order of the nested loop
+    q = (A + B) * (t + P("z"))
+    assert [e for e, _ in q.items()] == [(1, 1, 0, 0), (0, 1, 0, 1),
+                                         (1, 0, 1, 0), (0, 0, 1, 1)]
 
 
 def test_power_squares_no_further_than_the_target(monkeypatch):

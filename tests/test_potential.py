@@ -2,11 +2,12 @@ import pytest
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, gr, grq,
                             order_vars)
-from rgpert.errors import ParseError, NotInClass, TrivialLinear
+from rgpert.errors import (BudgetExceeded, ParseError, NotInClass,
+                           TrivialLinear)
 from rgpert.perturbation import expand
 from rgpert.potential import (Potential, parse_potential, eval_potential,
-                              HARMONIC, RESERVED_NAMES, OnlinePotential, dt,
-                              harmonic, harmonics)
+                              HARMONIC, MAX_DEGREE, RESERVED_NAMES,
+                              OnlinePotential, dt, harmonic, harmonics)
 from rgpert.registry import EXAMPLES, get_example
 
 from oracles import constant_term, eval_potential_whole, random_potential
@@ -227,6 +228,15 @@ def test_online_potential_on_a_table_that_is_no_solution():
     want = eval_potential_whole(V, y, 3).coeffs
     online = OnlinePotential(V)
     assert [online.feed(c, dt(c)) for c in y.coeffs] == list(want)
+
+
+def test_online_potential_degree_budget():
+    at_budget = parse_potential(f"y^{MAX_DEGREE - 1}*y' + y")
+    OnlinePotential(at_budget)
+    with pytest.raises(BudgetExceeded, match=f"degree {MAX_DEGREE + 1}"):
+        OnlinePotential(parse_potential(f"y^{MAX_DEGREE}*y' + y"))
+    with pytest.raises(BudgetExceeded):
+        expand(parse_potential(f"y'^{MAX_DEGREE + 1}"), 1)
 
 
 HAND_TABLE = EpsilonSeries(3, [
