@@ -130,26 +130,7 @@ class ParamPolynomial:
     ``(re + im*i) / den`` where ``terms[k] == (re, im)``.
     """
 
-    __slots__ = ("terms", "den", "bound", "_vars")
-
-    def __init__(self, vars=(), terms=None):
-        """Polynomial from a dict exponent tuple over ``vars`` -> scalar
-        coefficient.
-
-        Scalars are GaussianRationals, rationals or ints; zeros are
-        dropped.
-        """
-        parts = [(e, _parts(c)) for e, c in terms.items() if c] \
-            if terms else []
-        den = lcm(*(d for _, (_, _, d) in parts)) if parts else 1
-        # Each scalar is in lowest terms, so over the lcm of their
-        # denominators the numerators share no factor with it.
-        self.terms = {_pack(vars, e): (re * (den // d), im * (den // d))
-                      for e, (re, im, d) in parts}
-        self.den = den
-        self.bound = _checked(max((abs(x) for e, _ in parts for x in e),
-                                  default=0))
-        self._vars = None
+    __slots__ = ("terms", "den", "bound")
 
     # -- constructors -----------------------------------------------------
 
@@ -159,7 +140,6 @@ class ParamPolynomial:
         obj.terms = terms
         obj.den = den
         obj.bound = bound
-        obj._vars = None
         return obj
 
     @classmethod
@@ -197,20 +177,8 @@ class ParamPolynomial:
     @property
     def vars(self):
         """The variables that ``items()`` unpacks: those that occur, in
-        precedence order, or the tuple given to ``reindexed``."""
-        if self._vars is not None:
-            return self._vars
+        precedence order."""
         return _occurring(self.terms)
-
-    def reindexed(self, vars):
-        """Same polynomial, unpacked over the (super)set ``vars``."""
-        vars = tuple(vars)
-        missing = set(self.vars) - set(vars)
-        if missing:
-            raise ValueError(f"variables {sorted(missing)} not in {vars}")
-        obj = ParamPolynomial._raw(self.terms, self.den, self.bound)
-        obj._vars = vars
-        return obj
 
     def _shifted_bound(self, name, step):
         """The bound after adding ``step`` to the exponents of ``name``."""
@@ -397,19 +365,20 @@ class ParamPolynomial:
             out = out + factor
         return out
 
-    def residuals(self, names):
-        """(exps, residual) for every term, where the residual is that term
-        with the variables in ``names`` dropped: its coefficient times its
-        monomial in the remaining variables."""
-        unpack = self._unpacker()
-        drop = [_reader(n) for n in names]
-        den, bound = self.den, self.bound
+    def split(self, names):
+        """{exponent tuple over ``names``: polynomial in the other
+        variables}, the terms summed per tuple, in order of first
+        occurrence."""
+        readers = [_reader(n) for n in names]
+        groups = {}
         for key, c in self.terms.items():
-            rest = key
-            for shift, half in drop:
-                rest -= ((((key + half) >> shift & _MASK) - _HALF)
-                         << shift)
-            yield unpack(key), _normalized({rest: c}, den, bound)
+            exps = tuple(((key + half) >> shift & _MASK) - _HALF
+                         for shift, half in readers)
+            rest = key - sum(e << shift
+                             for e, (shift, _) in zip(exps, readers))
+            groups.setdefault(exps, {})[rest] = c
+        return {exps: _normalized(terms, self.den, self.bound)
+                for exps, terms in groups.items()}
 
     def rename(self, mapping):
         """Rename variables (bijective on the occurring names)."""
@@ -541,16 +510,6 @@ class ParamPolynomial:
             "terms": [[list(exps), *c.json_parts()]
                       for exps, c in self.sorted_terms()],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        terms = {}
-        for exps, re_s, im_s in data["terms"]:
-            rn, rd = re_s.split("/")
-            im, imd = im_s.split("/")
-            terms[tuple(exps)] = GaussianRational(
-                Rat(int(rn), int(rd)), Rat(int(im), int(imd)))
-        return cls(data["vars"], terms)
 
 
 def _parts(c):

@@ -13,7 +13,7 @@ Comp. 2002); ``substitute`` and the potential's V(y) both use it.
 
 from ..errors import CapMismatch, DegenerateRoot, NonRationalRoot
 from .poly import ParamPolynomial, _as_poly
-from .rationals import GaussianRational, ZERO, ONE
+from .rationals import GaussianRational, ZERO
 
 _ZP = ParamPolynomial.zero()
 
@@ -36,10 +36,6 @@ class EpsilonSeries:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, cap):
-        return cls(cap)
-
-    @classmethod
     def from_poly(cls, p, cap, order=0):
         """p * eps^order as a series with the given cap."""
         p = _as_poly(p)
@@ -51,10 +47,6 @@ class EpsilonSeries:
     @classmethod
     def const(cls, c, cap):
         return cls.from_poly(_as_poly(c), cap)
-
-    @classmethod
-    def eps(cls, cap):
-        return cls.from_poly(ParamPolynomial.const(ONE), cap, order=1)
 
     # -- cap management ---------------------------------------------------
 
@@ -316,19 +308,12 @@ def substitute(obj, bindings):
     """
     K = min([obj.cap] + [v.cap for v in bindings.values()
                          if isinstance(v, EpsilonSeries)])
-    names = tuple(bindings)
     xs = [_as_series_like(v, K).coeffs for v in bindings.values()]
     # the terms of obj, summed per (eps-order, exponents of the bound
     # variables) into a polynomial in the unbound ones
-    terms = {}
-    for n in range(K + 1):
-        p = obj.coeffs[n]
-        idx = [p.vars.index(name) if name in p.vars else None
-               for name in names]
-        for exps, residual in p.residuals(names):
-            key = (n, tuple(0 if i is None else exps[i] for i in idx))
-            terms[key] = terms.get(key, _ZP) + residual
-    composition = Composition((n, exps, c) for (n, exps), c in terms.items())
+    composition = Composition(
+        (n, exps, c) for n in range(K + 1)
+        for exps, c in obj.coeffs[n].split(bindings).items())
     return EpsilonSeries(K, [composition.feed(*(x[j] for x in xs))
                              for j in range(K + 1)])
 

@@ -273,7 +273,12 @@ class CrosscheckRow:
 
 
 def boundary_crosscheck(branches, eps_list, N=12):
-    """Compare the series band edges with determinant zeros."""
+    """Compare the series band edges with determinant zeros; below order
+    3 the branch is '0', which has no determinant: Underdetermined."""
+    labels = [branch.label for branch in branches]
+    if not set(labels) <= {"+", "-"}:
+        raise Underdetermined(f"the crosscheck needs the band edges + and "
+                              f"-, got the branches {labels}")
     series = [[branch.a_value(eps) for branch in branches]
               for eps in eps_list]
     nonzero = [eps for eps in eps_list if eps != 0.0]

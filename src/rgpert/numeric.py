@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (BudgetExceeded, ComplexPotential, Diverged, NotReal,
                      GridMismatch)
 from .potential import HARMONIC, harmonic, harmonics
-from .rg import PolarRG, RGSystem, PHASE
+from .rg import PHASE
 
 DEFAULT_STEP = 2 * math.pi / 200
 DIVERGENCE_LIMIT = 1e8
@@ -55,17 +55,17 @@ def _grid(t_max, h):
 class _RHS:
     """Right-hand side of an RK4 system as straight-line Python source.
 
-    At each stage the state scalars are bound to the names ``states`` and
-    the stage time to ``t``; ``time_lines`` (which read only ``t``) run
-    once per distinct stage time, then ``lines`` run in order and
-    ``derivs`` are the derivatives.  Coefficients and parameters are
-    names bound through ``consts``, never source text, so inf and nan
-    values compile and no input string reaches ``exec``.
+    At each stage the real state scalars are bound to the names
+    ``states`` and the stage time to ``t``; ``time_lines`` (which read
+    only ``t``) run once per distinct stage time, then ``lines`` run in
+    order and ``derivs`` are the derivatives.  Coefficients and
+    parameters are names bound through ``consts``, never source text, so
+    inf and nan values compile and no input string reaches ``exec``.
     """
 
-    def __init__(self, states, lines=()):
+    def __init__(self, states):
         self.states = states
-        self.lines = list(lines)
+        self.lines = []
         self.time_lines = []
         self.derivs = ()
         self.consts = {}
@@ -77,22 +77,17 @@ class _RHS:
         return name
 
     def power(self, var, p):
-        """Name of ``var ** p``, computed once per stage.  On a real state
-        a power of 1 is the state itself and a power of 0 is None: no
-        factor at all."""
-        if var in self.states and p in (0, 1):
-            return var if p else None
+        """Name of the state ``var ** p``, p != 0, computed once per stage."""
+        if p == 1:
+            return var
         name = self.powers.get((var, p))
         if name is None:
             name = self.powers[var, p] = f"_p{len(self.powers)}"
-            if var in self.states:
-                # float ** int raises OverflowError where a float64 gives
-                # +-inf; take the inf and let the divergence check see it
-                self.lines += [f"try: {name} = {var} ** {int(p)}",
-                               f"except OverflowError: "
-                               f"{name} = _f64({var}) ** {int(p)}"]
-            else:
-                self.lines.append(f"{name} = {var} ** {int(p)}")
+            # float ** int raises OverflowError where a float64 gives
+            # +-inf; take the inf and let the divergence check see it
+            self.lines += [f"try: {name} = {var} ** {int(p)}",
+                           f"except OverflowError: "
+                           f"{name} = _f64({var}) ** {int(p)}"]
         return name
 
     def trig(self, fn, phi, n):
@@ -107,15 +102,6 @@ class _RHS:
             lines += [f"try: {name} = {fn}({arg})",
                       f"except ValueError: {name} = nan"]
         return name
-
-    def add_sum(self, target, terms, *names):
-        """Lines computing ``target = _evaluate(terms, *names)`` with the
-        same operations in the same order."""
-        self.lines.append(f"{target} = 0j")
-        for exps, c in terms:
-            factors = [self.const(c)] + [self.power(v, p)
-                                         for v, p in zip(names, exps)]
-            self.lines.append(f"{target} += {' * '.join(factors)}")
 
     def add_real_sum(self, target, terms, phi, *names):
         """A line computing ``target = Re _evaluate(terms, e^{i phi},
@@ -236,9 +222,13 @@ def _compile(series, eps, order, *names):
         if unbound:
             raise ValueError(f"unbound variables {sorted(unbound)}; "
                              "bind them to numbers first")
-        epsk = eps ** k
-        terms += [(exps, coeff.to_complex() * epsk)
-                  for exps, coeff in c.reindexed(names).items()]
+        try:
+            epsk = eps ** k
+        except OverflowError:
+            # the +-inf of a float64, as a float: see _RHS.power
+            epsk = math.copysign(math.inf, eps) ** k
+        terms += [(exps, coeff.as_constant().to_complex() * epsk)
+                  for exps, coeff in c.split(names).items()]
     return terms
 
 
@@ -259,66 +249,35 @@ def _evaluate(terms, *values, powers=None):
     return out
 
 
-def integrate_rg(system, eps, order, t_max, h=DEFAULT_STEP,
-                 R0=None, theta0=None, Ar0=None, Br0=None):
-    """RK4 on the truncated amplitude equation.
-
-    Polar systems take (R0, theta0); Cartesian systems take a complex
-    conjugate pair (Ar0, Br0).
-    """
+def integrate_rg(polar, eps, order, t_max, h=DEFAULT_STEP, *, R0, theta0):
+    """RK4 on the truncated polar amplitude equation from (R0, theta0)."""
     grid = _grid(t_max, h)
-    if isinstance(system, PolarRG):
-        if R0 is None or theta0 is None:
-            raise ValueError("polar integration needs R0 and theta0")
-        rhs = _RHS(("R", "theta"))
-        rhs.add_real_sum("_dlogR", _compile(system.dlogR_dt, eps, order,
-                                            PHASE, "R"), "theta", "R")
-        rhs.add_real_sum("_dtheta", _compile(system.dtheta_dt, eps, order,
-                                             PHASE, "R"), "theta", "R")
-        rhs.derivs = ("R * _dlogR", "_dtheta")
-        state0 = (float(R0), float(theta0))
-        columns, kind = ("R", "theta"), "rg-polar"
-    elif isinstance(system, RGSystem):
-        if Ar0 is None or Br0 is None:
-            raise ValueError("cartesian integration needs Ar0 and Br0")
-        rhs = _RHS(("a_re", "a_im", "b_re", "b_im"),
-                   ["A = complex(a_re, a_im)", "B = complex(b_re, b_im)"])
-        rhs.add_sum("_va", _compile(system.rhs_A, eps, order, "Ar", "Br"),
-                    "A", "B")
-        rhs.add_sum("_vb", _compile(system.rhs_B, eps, order, "Ar", "Br"),
-                    "A", "B")
-        rhs.derivs = ("_va.real", "_va.imag", "_vb.real", "_vb.imag")
-        A0, B0 = complex(Ar0), complex(Br0)
-        state0 = (A0.real, A0.imag, B0.real, B0.imag)
-        columns, kind = ("Ar_re", "Ar_im", "Br_re", "Br_im"), "rg-cartesian"
-    else:
-        raise TypeError("system must be a PolarRG or RGSystem")
-    states, truncated = _rk4(rhs, state0, grid)
+    rhs = _RHS(("R", "theta"))
+    rhs.add_real_sum("_dlogR", _compile(polar.dlogR_dt, eps, order, PHASE,
+                                        "R"), "theta", "R")
+    rhs.add_real_sum("_dtheta", _compile(polar.dtheta_dt, eps, order, PHASE,
+                                         "R"), "theta", "R")
+    rhs.derivs = ("R * _dlogR", "_dtheta")
+    states, truncated = _rk4(rhs, (float(R0), float(theta0)), grid)
     values = np.array(states)
-    return Trajectory(grid[:len(values)], columns, values,
+    return Trajectory(grid[:len(values)], ("R", "theta"), values,
                       meta={"eps": eps, "order": order, "h": h,
-                            "kind": kind},
+                            "kind": "rg-polar"},
                       truncated=truncated)
 
 
-def evaluate_expansion(system, amplitudes, eps, expansion_order):
-    """y_RG(t) from the secular-free expansion along the amplitude flow."""
+def evaluate_expansion(polar, amplitudes, eps, expansion_order):
+    """y_RG(t) from the secular-free expansion along the polar flow."""
     t = amplitudes.t
-    if isinstance(system, PolarRG):
-        names = ("R", PHASE)
-        x = amplitudes.column("R")
-        y = np.exp(1j * amplitudes.column("theta"))
-    else:
-        names = ("Ar", "Br")
-        x = amplitudes.column("Ar_re") + 1j * amplitudes.column("Ar_im")
-        y = amplitudes.column("Br_re") + 1j * amplitudes.column("Br_im")
+    R = amplitudes.column("R")
+    w = np.exp(1j * amplitudes.column("theta"))
     signal = np.zeros(len(t), dtype=complex)
     powers = {}
-    for n in harmonics(system.expansion):
-        terms = _compile(harmonic(system.expansion, n), eps,
-                         expansion_order, *names)
+    for n in harmonics(polar.expansion):
+        terms = _compile(harmonic(polar.expansion, n), eps,
+                         expansion_order, "R", PHASE)
         if terms:
-            signal += (_evaluate(terms, x, y, powers=powers)
+            signal += (_evaluate(terms, R, w, powers=powers)
                        * np.exp(1j * n * t))
     resid = np.max(np.abs(signal.imag)) if len(signal) else 0.0
     if resid > IMAG_TOL_EXPANSION * max(1.0, np.max(np.abs(signal.real))):

@@ -10,11 +10,10 @@ polynomial in E = e^{it} (Laurent), y, y', eps and the parameters, which
 is split into this table.
 """
 
-import json
 import re as _re
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      Composition, I, Rat, grq, order_vars)
+                      Composition, I, Rat, grq)
 from .errors import (ParseError, NotInClass, TrivialLinear, SupportOverflow,
                      BudgetExceeded)
 
@@ -121,21 +120,6 @@ class Potential:
         entries = ", ".join(
             f"{key}: {c}" for key, c in sorted(self.coeffs.items()))
         return f"<Potential {{{entries}}}>"
-
-    def to_json(self):
-        return {
-            "params": list(self.params),
-            "coeffs": [[list(key), c.to_json()]
-                       for key, c in sorted(self.coeffs.items())],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        coeffs = {tuple(key): ParamPolynomial.from_json(cj)
-                  for key, cj in data["coeffs"]}
-        return cls(coeffs, tuple(data["params"]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +280,7 @@ class _Parser:
 def parse_potential(text, params=()):
     """Parse the DSL into a validated quartet table."""
     value = _Parser(_tokenize(text), tuple(params), len(text)).parse()
-    value = value.reindexed(order_vars(value.vars + _QUARTET))
-    pos = [value.vars.index(name) for name in _QUARTET]
-    coeffs = {}
-    for exps, residual in value.residuals(_QUARTET):
-        key = tuple(exps[i] for i in pos)
-        coeffs[key] = coeffs.get(key, _ZP) + residual
-    return Potential(coeffs, params)
+    return Potential(value.split(_QUARTET), params)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def eval_potential_whole(V, y, K):
     whole truncated series, each power the previous one times the base."""
     y = y.truncate(K)
     y_powers, dy_powers = [y], []
-    out = EpsilonSeries.zero(K)
+    out = EpsilonSeries(K)
     for (k, l, m, n), c in sorted(V.coeffs.items()):
         if n > K:
             continue

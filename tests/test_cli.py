@@ -246,6 +246,57 @@ def test_mathieu_crosscheck_non_finite_determinant_exit_1(capsys):
     assert "not finite anywhere in (0.5, 1.5) at eps = 1e+50" in captured.err
 
 
+@pytest.mark.parametrize("order", ["0", "2"])
+def test_mathieu_crosscheck_below_the_band_edges_exit_1(capsys, monkeypatch,
+                                                        order):
+    # below order 3 the series has one branch '0', which has no Hill
+    # determinant; it is refused before any determinant is evaluated
+    def no_determinant(*args):
+        raise AssertionError("determinant evaluated")
+
+    monkeypatch.setattr(mathieu, "hill_determinant", no_determinant)
+    code = main(["mathieu", "--order", order, "--crosscheck", "eps=0.1,N=12"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: the crosscheck needs the band edges + "
+                            "and -, got the branches ['0']\n")
+    # no '+' branch at order 1: the header alone
+    code, out = run(capsys, "mathieu", "--order", "1", "--branch", "+",
+                    "--crosscheck", "eps=0.1,N=12")
+    assert code == 0
+    assert out == "eps,branch,a_series,a_determinant,deviation\n"
+
+
+@pytest.mark.parametrize("argv,header", [
+    (["--example", "vdp", "--order", "4", "--R0", "0.5", "--theta0", "0",
+      "--rg-order", "2"], "t,R,theta"),
+    (["--potential=y'-y^3+eps^2*y^3", "--y0", "1", "--dy0", "0"], "t,y,dy"),
+], ids=["flow", "ode"])
+def test_simulate_overflowing_eps_power_is_truncated(capsys, argv, header):
+    # eps^2 = 1e400 overflows a float: its coefficient is inf, and the
+    # first step turns nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--eps", "1e200", "--tmax", "1", *argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[0] == header
+    assert captured.out.splitlines()[-1] == "0.031415926535897934,nan,nan"
+    assert captured.err == "# trajectory diverged and was truncated\n"
+
+
+def test_compare_overflowing_eps_power_exit_1(capsys):
+    code = main(["compare", "--example", "vdp", "--order", "4", "--eps",
+                 "1e200", "--R0", "0.5", "--theta0", "0", "--rg-order", "2",
+                 "--tmax", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: the amplitude flow diverged at t = 0.031415926535897934")
+
+
 @pytest.mark.parametrize("potential,message", [
     ("y^100000", "exponent bound"),
     ("y^400*y'", "degree 401"),

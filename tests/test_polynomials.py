@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from rgpert.algebra import ParamPolynomial, P, gr, grq, order_vars
+from rgpert.algebra import (GaussianRational, ParamPolynomial, P, Rat, gr,
+                            grq, order_vars)
 from rgpert.algebra.poly import W
 from rgpert.errors import BudgetExceeded, NotDivisible
 
@@ -86,8 +87,14 @@ def test_string_is_graded_lex_descending():
 
 
 def test_json_roundtrip():
+    # the exported JSON names every term exactly: rebuilt from monomials
     p = grq(1, 2) * A ** 2 * B - gr(0, 3) * t
-    assert ParamPolynomial.from_json(p.to_json()) == p
+    data = p.to_json()
+    assert data["vars"] == ["t", "A", "B"]
+    rebuilt = sum((ParamPolynomial.monomial(
+        GaussianRational(Rat(re), Rat(im)), **dict(zip(data["vars"], exps)))
+        for exps, re, im in data["terms"]), ParamPolynomial.zero())
+    assert rebuilt == p
 
 
 @given(small_polys(), small_polys(), small_polys())
@@ -122,7 +129,8 @@ def mixed_polys():
                        st.sampled_from(MIXED), st.integers(-3, 3))
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
     return st.dictionaries(exps, coeffs, max_size=4).map(
-        lambda d: ParamPolynomial(REF_VARS, d))
+        lambda d: sum((ParamPolynomial.monomial(c, **dict(zip(REF_VARS, e)))
+                       for e, c in d.items()), ParamPolynomial.zero()))
 
 
 def ref_of(p):
@@ -374,17 +382,34 @@ def test_items_keep_insertion_order():
     assert p.vars == ("t", "A", "B", "z")
     assert p.items() == [(tuple(exps.get(n, 0) for n in p.vars), gr(i + 1))
                          for i, exps in enumerate(monos)]
-    names = ("t", "A", "B", "y", "z")
-    view = p.reindexed(names)
-    assert view.vars == names and view == p
-    assert view.items() == [(tuple(exps.get(n, 0) for n in names),
-                             gr(i + 1)) for i, exps in enumerate(monos)]
-    with pytest.raises(ValueError):
-        p.reindexed(("A", "B", "z"))
+    # split keeps the order too, one term per exponent tuple here
+    names = ("z", "A", "B")
+    assert list(p.split(names)) == [tuple(exps.get(n, 0) for n in names)
+                                    for exps in monos]
     # a product lists its terms in the order of the nested loop
     q = (A + B) * (t + P("z"))
     assert [e for e, _ in q.items()] == [(1, 1, 0, 0), (0, 1, 0, 1),
                                          (1, 0, 1, 0), (0, 0, 1, 1)]
+
+
+def test_split_sums_the_rest_per_exponent_tuple():
+    z = P("z")
+    p = 3 * A * z - t * z + gr(0, 2) * A ** 2 + grq(1, 2) * B * z + 5
+    names = ("z", "A", "y")
+    parts = p.split(names)
+    # first-occurrence order; y occurs nowhere and reads 0
+    assert list(parts) == [(1, 1, 0), (1, 0, 0), (0, 2, 0), (0, 0, 0)]
+    assert parts[1, 1, 0] == ParamPolynomial.const(3)
+    assert parts[1, 0, 0] == grq(1, 2) * B - t
+    assert parts[0, 2, 0] == ParamPolynomial.const(gr(0, 2))
+    assert parts[0, 0, 0] == ParamPolynomial.const(5)
+    assert sum((rest * ParamPolynomial.monomial(1, **dict(zip(names, e)))
+                for e, rest in parts.items()), ParamPolynomial.zero()) == p
+    assert p.split(()) == {(): p}
+    assert ParamPolynomial.zero().split(names) == {}
+    # negative exponents split like positive ones
+    q = ParamPolynomial.var("z", -2, gr(3)) * A + A
+    assert q.split(("z",)) == {(-2,): 3 * A, (0,): A}
 
 
 def test_power_squares_no_further_than_the_target(monkeypatch):

@@ -1,7 +1,6 @@
 import pytest
 
-from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, gr, grq,
-                            order_vars)
+from rgpert.algebra import ParamPolynomial, EpsilonSeries, P, gr, grq
 from rgpert.errors import (BudgetExceeded, ParseError, NotInClass,
                            TrivialLinear)
 from rgpert.perturbation import expand
@@ -63,14 +62,8 @@ def test_series_round_trips_eps_terms():
     assert s.cap == 2
     assert s.coeffs[1] == P("g") * P("y") * P("y'") + z_inv
     # split the series back into the quartet table, as the parser does
-    names = (HARMONIC, "y", "y'")
-    table = {}
-    for n, c in enumerate(s.coeffs):
-        c = c.reindexed(order_vars(c.vars + names))
-        pos = [c.vars.index(name) for name in names]
-        for exps, residual in c.residuals(names):
-            key = tuple(exps[i] for i in pos) + (n,)
-            table[key] = table.get(key, ParamPolynomial.zero()) + residual
+    table = {exps + (n,): c for n, p in enumerate(s.coeffs)
+             for exps, c in p.split((HARMONIC, "y", "y'")).items()}
     assert Potential(table, V.params) == V
 
 
@@ -113,12 +106,6 @@ def test_support_growth_rate():
     assert parse_potential("(1 - y^2)*y'").support_growth_rate() == 2
     assert parse_potential("2*y*y'*cos(1t)").support_growth_rate() == 2
     assert parse_potential("y' - 1/3*y'^3").support_growth_rate() == 2
-
-
-def test_json_roundtrip():
-    V = parse_potential("-y' - g*y^3", ("g",))
-    W = Potential.from_json(V.to_json())
-    assert W.coeffs == V.coeffs and W.params == V.params
 
 
 def test_eval_potential_on_free_oscillation():
@@ -164,10 +151,8 @@ def test_parser_identities(text, params, table):
 def test_reserved_parameter_names_are_rejected(name):
     with pytest.raises(NotInClass):
         parse_potential("(1 - y^2)*y'", (name,))
-    data = {"params": [name],
-            "coeffs": [[[0, 2, 1, 0], P(name).to_json()]]}
     with pytest.raises(NotInClass):
-        Potential.from_json(data)
+        Potential({(0, 2, 1, 0): P(name), (0, 0, 1, 0): one}, (name,))
 
 
 def test_free_oscillation_time_derivative():
@@ -252,7 +237,7 @@ def test_harmonic_columns_sum_to_the_table(name):
     # sum_n harmonic(T, n) z^n == T: the columns split the table exactly
     table = (HAND_TABLE if name not in EXAMPLES else
              expand(get_example(name).potential(), 4).table)
-    total = EpsilonSeries.zero(table.cap)
+    total = EpsilonSeries(table.cap)
     for n in harmonics(table):
         total = total + harmonic(table, n) * ParamPolynomial.var(HARMONIC, n)
     assert total == table
