@@ -143,6 +143,9 @@ class EpsilonSeries:
     def map_coeffs(self, fn):
         return EpsilonSeries(self.cap, [fn(c) for c in self.coeffs])
 
+    def diff(self, name):
+        return self.map_coeffs(lambda c: c.diff(name))
+
     def rename(self, mapping):
         return self.map_coeffs(lambda c: c.rename(mapping))
 
@@ -338,7 +341,7 @@ def series_solve_root(G, var, u0):
     if dlead is None or not dlead:
         raise DegenerateRoot(
             "leading-order derivative vanishes at the seed root")
-    Hp = H.map_coeffs(lambda c: c.diff(var))
+    Hp = H.diff(var)
     u = EpsilonSeries.const(u0, H.cap)
     # Newton doubles the number of correct orders per step.
     steps = 0

@@ -307,8 +307,7 @@ def expansion_initial_conditions(system, eps, rhs_order, expansion_order,
     for n in harmonics(system.expansion):
         series = harmonic(system.expansion, n)
         pn = num(series, expansion_order)
-        dpn = sum(num(series.map_coeffs(lambda c: c.diff(name)),
-                      expansion_order) * rhs
+        dpn = sum(num(series.diff(name), expansion_order) * rhs
                   for name, rhs in (("Ar", rhs_a), ("Br", rhs_b)))
         y += pn
         dy += dpn + 1j * n * pn

@@ -1,29 +1,21 @@
-"""Order-by-order construction of the naive perturbation series.
+"""The naive perturbation series, built from the normal form.
 
-Each eps-order decouples into one linear ODE per harmonic,
+The naive table f_{n,k}(t) (see NaiveSeries) is the normal form (h, X)
+of rg.normal_form transported along the amplitude flow,
 
-    p'' + 2 i n p' + (1 - n^2) p = q(t),
+    f = exp(tL) h = sum_j t^j/j! L^j h,   L = X_A d_A + X_B d_B.
 
-with polynomial right-hand sides.  The resonant harmonics n = +-1 pick
-up a t-degree and their free constant is fixed by the normalization
-f_{+-1,k}(0) = 0.
-
-The right-hand side of order k is the eps^(k-1) coefficient of V(y).  It
-comes from an OnlinePotential fed f_{k-1} and dt(f_{k-1}), a Composition
-of V's terms in y and y': every power of y and y' and every product of
-such powers grows by one Cauchy sum per order instead of being rebuilt
-as a whole series.
-The residual check runs a fresh instance over the finished table
-(eval_potential), independently of what expand kept.
-
-rg.normal_form computes the t = 0 slice of this table and the amplitude
-equation without t; the table stays as its independent oracle and as
-the input of the identity checks.
+X is free of t and z, so exp(tL) commutes with D = i z d_z + L and
+d/dt f = exp(tL) D h; exp(tL) is a ring homomorphism that fixes z, so
+f'' + f - eps*V(f, f') = exp(tL)(D^2 h + h - eps*V(h, Dh)) = 0.  f = h
+at t = 0 gives f_{+-1,k}(0) = 0 for k >= 1: f is the one polynomial-in-t
+solution so normalized, the one an order-by-order solve in t gives.
+X = O(eps) makes L^j h = O(eps^j): the sum stops after K terms.
 """
 
-from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
-from .potential import (HARMONIC, OnlinePotential, dt, harmonic, harmonics,
-                        source_harmonics)
+from .algebra import GaussianRational, ParamPolynomial, Rat
+from .potential import HARMONIC, harmonic, harmonics
+from .rg import _homological_solve
 
 _ZP = ParamPolynomial.zero()
 
@@ -33,6 +25,10 @@ def particular_solution(n, q):
 
     For |n| != 1 the solution is the unique polynomial of deg q; for the
     resonant n = +-1 it has degree deg q + 1 and zero constant term.
+
+    No caller in the package: it is the step of the test oracle
+    naive_expand, and perfbench/spans.py traces it by name
+    (perturbation.particular_solution) until that metric is dropped.
     """
     if q.is_zero():
         return _ZP
@@ -81,22 +77,15 @@ class NaiveSeries:
         return f"<NaiveSeries cap={self.cap} harmonics={self.harmonics()}>"
 
 
-def expand(V, K, support_bound=None):
+def expand(V, K):
     """Build the naive series of y'' + y = eps*V up to eps^K."""
-    M = V.support_growth_rate()
-    if support_bound is None:
-        support_bound = 1 + K * M
-    # the free oscillation A e^{it} + B e^{-it} at eps^0
-    coeffs = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
-              ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
-    coeffs += [_ZP] * K
-    v_of_y = OnlinePotential(V)
-    for k in range(1, K + 1):
-        # eps^{k-1} of V(y): a Laurent polynomial in z = e^{it}
-        source = v_of_y.feed(coeffs[k - 1], dt(coeffs[k - 1]))
-        f_k = _ZP
-        for n, q in source_harmonics(source, k, support_bound):
-            f_k = f_k + (particular_solution(n, q) *
-                         ParamPolynomial.var(HARMONIC, n))
-        coeffs[k] = f_k
-    return NaiveSeries(V, K, EpsilonSeries(K, coeffs))
+    x_a, x_b, h = _homological_solve(V, K)
+    table = term = h
+    for j in range(1, K + 1):
+        # t^j/j! L^j h from its predecessor
+        term = ((x_a * term.diff("A") + x_b * term.diff("B")) *
+                ParamPolynomial.var("t", 1, GaussianRational(Rat(1, j))))
+        if term.is_zero():
+            break
+        table = table + term
+    return NaiveSeries(V, K, table)

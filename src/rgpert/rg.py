@@ -5,8 +5,9 @@ The amplitude equation is read off the resonant corrections Q_{+-1}:
     d/dt (Ar, Br) = eps * dQ_{+-1}/dt (eps, 0, Ar, Br),
 
 and the secular-free expansion is the harmonic table of the
-P_n(eps, 0, Ar, Br), one EpsilonSeries in z = e^{it}.  derive_rg reads
-both off a naive table; normal_form computes them without t.
+P_n(eps, 0, Ar, Br), one EpsilonSeries in z = e^{it}.  normal_form
+computes both without t; perturbation.expand transports its solve to
+the naive table, and derive_rg reads both back off that table.
 The polar form substitutes Ar = R*w, Br = R/w with w = e^{i*theta} kept
 as an exact Laurent variable.
 """
@@ -71,7 +72,7 @@ def derive_rg(Y):
     at_0 = {"t": ZERO}
 
     def rhs(n):
-        return (Y.secular_coefficient(n).map_coeffs(lambda c: c.diff("t"))
+        return (Y.secular_coefficient(n).diff("t")
                 .subs_poly(at_0).rename(_RENAME))
 
     expansion = Y.table.subs_poly(at_0).rename(_RENAME)
@@ -91,11 +92,18 @@ def normal_form(V, K):
         R_k = sum_{m<k} L_m h_{k-m},   (Dh)_k = i z d_z h_k + R_k + L_k h_0.
 
     The normalisation h_{k,+-1} = 0 is f_{+-1,k}(0) = 0 of the naive
-    series, so the result equals derive_rg(expand(V, K)): the naive P_n(t)
-    is h_n along the flow of X (the generator form of verify).  This is
-    RG as normal form (DeVille, Harkin, Holzer, Josic, Kaper, Physica D
-    2008; Chiba, SIAM J. Appl. Dyn. Syst. 2008).
+    series: the naive table is h transported along the flow of X,
+    P_n(t) = exp(tL) h_n, which is how perturbation.expand builds it.
+    This is RG as normal form (DeVille, Harkin, Holzer, Josic, Kaper,
+    Physica D 2008; Chiba, SIAM J. Appl. Dyn. Syst. 2008).
     """
+    x_a, x_b, h = (s.rename(_RENAME) for s in _homological_solve(V, K))
+    return RGSystem(K, x_a, x_b, h, V)
+
+
+def _homological_solve(V, K):
+    """(X_A, X_B, h) of normal_form as EpsilonSeries in the naive
+    amplitudes A, B."""
     support_bound = 1 + K * V.support_growth_rate()
     h = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
          ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
@@ -128,8 +136,7 @@ def normal_form(V, K):
         x_b.append(b_k)
         h.append(h_k)
         dh.append(dt(h_k) + r + lie(k, h[0]))
-    x_a, x_b, h = (EpsilonSeries(K, c).rename(_RENAME) for c in (x_a, x_b, h))
-    return RGSystem(K, x_a, x_b, h, V)
+    return tuple(EpsilonSeries(K, c) for c in (x_a, x_b, h))
 
 
 def to_polar(rgsys):

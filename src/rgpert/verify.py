@@ -9,6 +9,11 @@ X = d_t P_{+-1}(eps,0,A,B) is the amplitude-equation vector field.  That
 needs only derivatives and products.  The series-composition forms are
 reference oracles of the test suite.
 
+perturbation.expand builds the table by transporting the normal form,
+f = exp(tL) h, so (N) and (G) exercise that transport.  The residual
+check, which recomputes V(y) on the finished table, is the independent
+certificate that the table solves the ODE.
+
 Every check returns an IdentityReport; a failure carries the first
 offending (harmonic, eps-order, monomial) as a concrete counterexample.
 """
@@ -57,10 +62,6 @@ def _report(name, K, offenses):
     return IdentityReport(name, K, True)
 
 
-def _d(series, name):
-    return series.map_coeffs(lambda c: c.diff(name))
-
-
 def _generator_offenses(Y, harmonics):
     """Offenses against the normalisation P_{+-1}(eps,0,A,B) == (A, B) and
     against d_t P_n == X_A d_A P_n + X_B d_B P_n for each given harmonic,
@@ -69,16 +70,16 @@ def _generator_offenses(Y, harmonics):
     at_0 = {"t": 0}
     p1 = Y.secular_coefficient(1)
     pm1 = Y.secular_coefficient(-1)
-    x_a = _d(p1, "t").subs_poly(at_0)
-    x_b = _d(pm1, "t").subs_poly(at_0)
+    x_a = p1.diff("t").subs_poly(at_0)
+    x_b = pm1.diff("t").subs_poly(at_0)
     offenses = [
         _first_offense(n, p.subs_poly(at_0) -
                        EpsilonSeries.from_poly(v, Y.cap))
         for n, p, v in ((1, p1, P("A")), (-1, pm1, P("B")))]
     for n in harmonics:
         pn = Y.secular_coefficient(n)
-        flow = x_a * _d(pn, "A") + x_b * _d(pn, "B")
-        offenses.append(_first_offense(n, _d(pn, "t") - flow))
+        flow = x_a * pn.diff("A") + x_b * pn.diff("B")
+        offenses.append(_first_offense(n, pn.diff("t") - flow))
     return offenses
 
 

@@ -1,6 +1,8 @@
 """Reference oracles of the test suite.
 
-The composition forms of the functional relation and of the inversion,
+The naive table by the order-by-order solve in t, which
+``rgpert.perturbation`` builds by transporting the normal form.  The
+composition forms of the functional relation and of the inversion,
 which ``rgpert.verify`` checks in generator form, V(y) by whole-series
 powers, which ``rgpert.potential`` builds online, and seeded random
 in-class potentials.  Also the readouts only the tests use: the
@@ -17,8 +19,38 @@ import numpy as np
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
                             gr, grq, ZERO)
 from rgpert.errors import RootNotBracketed, TrivialLinear
-from rgpert.potential import HARMONIC, Potential, dt
+from rgpert.perturbation import NaiveSeries, particular_solution
+from rgpert.potential import (HARMONIC, OnlinePotential, Potential, dt,
+                              source_harmonics)
 from rgpert.verify import _first_offense, _report
+
+
+def naive_expand(V, K):
+    """Reference oracle: the naive series of y'' + y = eps*V up to eps^K,
+    one eps-order at a time.
+
+    Each order decouples into one linear ODE per harmonic,
+
+        p'' + 2 i n p' + (1 - n^2) p = q(t),
+
+    whose right-hand side q is the z^n part of the eps^(k-1) coefficient
+    of V(y), fed to an OnlinePotential.  The resonant harmonics n = +-1
+    pick up a t-degree and their free constant is fixed by the
+    normalization f_{+-1,k}(0) = 0.
+    """
+    support_bound = 1 + K * V.support_growth_rate()
+    # the free oscillation A e^{it} + B e^{-it} at eps^0
+    coeffs = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
+              ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
+    v_of_y = OnlinePotential(V)
+    for k in range(1, K + 1):
+        source = v_of_y.feed(coeffs[k - 1], dt(coeffs[k - 1]))
+        f_k = ParamPolynomial.zero()
+        for n, q in source_harmonics(source, k, support_bound):
+            f_k = f_k + (particular_solution(n, q) *
+                         ParamPolynomial.var(HARMONIC, n))
+        coeffs.append(f_k)
+    return NaiveSeries(V, K, EpsilonSeries(K, coeffs))
 
 
 def check_functional_relation_finite(Y, K=None):

@@ -13,7 +13,10 @@ SRC = ROOT / "src" / "rgpert"
 DEMO_NAMES = {"write_gnuplot", "count_envelope_peaks", "example_expansion",
               "find_boundary_root"}
 #: Wrapped by name by the benchmark's span tracer (perfbench/spans.py).
-TRACER_NAMES = {"HarmonicSeries"}
+#: particular_solution is also the step of the order-by-order oracle
+#: (tests/oracles.naive_expand): no code in src/ may solve in t order by
+#: order now that expand transports the normal form.
+TRACER_NAMES = {"HarmonicSeries", "particular_solution"}
 
 
 def _names(node):

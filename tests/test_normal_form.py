@@ -1,9 +1,13 @@
-"""The t-free amplitude equation of rg.normal_form.
+"""The t-free amplitude equation of rg.normal_form, and the naive table
+that perturbation.expand transports from it.
 
 Three independent views of one result: exact equality with
-derive_rg(expand(V, K)), the homological equation
-D^2 h + h = eps*V(h, Dh) recomputed from the finished (h, X) by whole
-series products, and the conjugation symmetry of real potentials.
+derive_rg(naive_expand(V, K)), the order-by-order solve in t of the
+oracles, the homological equation D^2 h + h = eps*V(h, Dh) recomputed
+from the finished (h, X) by whole series products, and the conjugation
+symmetry of real potentials.  The transported table of expand is
+checked against the same oracle; derive_rg(expand(V, K)) ==
+normal_form(V, K) holds by construction and proves nothing.
 """
 
 import pytest
@@ -14,10 +18,10 @@ from rgpert.mathieu import mathieu_potential
 from rgpert.perturbation import expand
 from rgpert.potential import (OnlinePotential, Potential, dt, harmonic,
                               harmonics, parse_potential)
-from rgpert.registry import EXAMPLES, example_expansion, get_example
+from rgpert.registry import EXAMPLES, get_example
 from rgpert.rg import derive_rg, normal_form
 
-from oracles import random_potential
+from oracles import naive_expand, random_potential
 
 
 DSL_CASES = {
@@ -45,30 +49,59 @@ def _truncated(rgsys, K):
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_equals_derive_rg_on_the_examples(name):
-    # the naive table is order by order, so its K = 9 oracle truncated to
-    # K is derive_rg(expand(V, K))
+    # the oracle is order by order, so its K = 9 table truncated to K is
+    # naive_expand(V, K)
     V = get_example(name).potential()
-    oracle = derive_rg(example_expansion(name, 9))
+    oracle = derive_rg(naive_expand(V, 9))
     for K in range(10):
         assert _fields(normal_form(V, K)) == _truncated(oracle, K), K
-    assert _fields(derive_rg(expand(V, 4))) == _truncated(oracle, 4)
 
 
 def test_equals_derive_rg_on_mathieu_potential():
     V = mathieu_potential(8)
-    assert _fields(normal_form(V, 8)) == _fields(derive_rg(expand(V, 8)))
+    assert _fields(normal_form(V, 8)) == _fields(derive_rg(naive_expand(V, 8)))
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_equals_derive_rg_on_random_potentials(seed):
     V = random_potential(seed)
-    assert _fields(normal_form(V, 5)) == _fields(derive_rg(expand(V, 5)))
+    assert _fields(normal_form(V, 5)) == _fields(derive_rg(naive_expand(V, 5)))
 
 
 @pytest.mark.parametrize("name", sorted(DSL_CASES))
 def test_equals_derive_rg_on_dsl_potentials(name):
     V, K = DSL_CASES[name]
-    assert _fields(normal_form(V, K)) == _fields(derive_rg(expand(V, K)))
+    assert _fields(normal_form(V, K)) == _fields(derive_rg(naive_expand(V, K)))
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_expand_equals_the_oracle_on_the_examples(name):
+    V = get_example(name).potential()
+    oracle = naive_expand(V, 9).table
+    for K in range(10):
+        assert expand(V, K).table == oracle.truncate(K), K
+
+
+def test_expand_equals_the_oracle_on_vdp_at_order_12():
+    V = get_example("vdp").potential()
+    assert expand(V, 12).table == naive_expand(V, 12).table
+
+
+def test_expand_equals_the_oracle_on_mathieu_potential():
+    V = mathieu_potential(8)
+    assert expand(V, 8).table == naive_expand(V, 8).table
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_expand_equals_the_oracle_on_random_potentials(seed):
+    V = random_potential(seed)
+    assert expand(V, 5).table == naive_expand(V, 5).table
+
+
+@pytest.mark.parametrize("name", sorted(DSL_CASES))
+def test_expand_equals_the_oracle_on_dsl_potentials(name):
+    V, K = DSL_CASES[name]
+    assert expand(V, K).table == naive_expand(V, K).table
 
 
 def test_keeps_the_potential_and_the_cap():
@@ -82,23 +115,21 @@ def test_support_overflow_guard_matches_expand(monkeypatch):
     # a growth rate below the true one puts harmonic -3 of the order-1
     # source past the bound 1 + 3*0
     monkeypatch.setattr(Potential, "support_growth_rate", lambda self: 0)
+    # source past the bound 1 + 3*0; the order-by-order oracle meets it
+    # at the same harmonic and order
     V = parse_potential("(1 - y^2)*y'")
-    with pytest.raises(SupportOverflow) as naive:
-        expand(V, 3)
-    with pytest.raises(SupportOverflow) as t_free:
-        normal_form(V, 3)
-    assert str(t_free.value) == str(naive.value)
-    assert str(t_free.value).startswith("harmonic -3 at order 1 exceeds "
-                                        "bound 1;")
+    messages = []
+    for solve in (naive_expand, expand, normal_form):
+        with pytest.raises(SupportOverflow) as raised:
+            solve(V, 3)
+        messages.append(str(raised.value))
+    assert len(set(messages)) == 1
+    assert messages[0].startswith("harmonic -3 at order 1 exceeds bound 1;")
 
 
 # ---------------------------------------------------------------------------
 # The homological equation, recomputed
 # ---------------------------------------------------------------------------
-
-def _d_amp(series, name):
-    return series.map_coeffs(lambda c: c.diff(name))
-
 
 def homological_residual(rgsys):
     """D^2 h + h - eps*V(h, Dh) mod eps^{K+1} for the finished system, with
@@ -107,8 +138,8 @@ def homological_residual(rgsys):
     K, x_a, x_b, h = _fields(rgsys)
 
     def D(s):
-        return (s.map_coeffs(dt) + x_a * _d_amp(s, "Ar") +
-                x_b * _d_amp(s, "Br"))
+        return (s.map_coeffs(dt) + x_a * s.diff("Ar") +
+                x_b * s.diff("Br"))
 
     dh = D(h)
     online = OnlinePotential(rgsys.potential)

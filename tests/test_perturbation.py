@@ -1,9 +1,5 @@
-import pytest
-
 from rgpert.algebra import EpsilonSeries, P, gr, grq
-from rgpert.errors import SupportOverflow
-from rgpert.potential import parse_potential
-from rgpert.perturbation import expand, particular_solution
+from rgpert.perturbation import particular_solution
 from rgpert.registry import example_expansion
 
 from oracles import q_split
@@ -112,12 +108,6 @@ def test_support_growth(vdp_Y5):
     for n in vdp_Y5.harmonics():
         v = vdp_Y5.secular_coefficient(n).valuation()
         assert v is not None and abs(n) <= 1 + v * M
-
-
-def test_support_overflow_guard():
-    V = parse_potential("(1 - y^2)*y'")
-    with pytest.raises(SupportOverflow):
-        expand(V, 3, support_bound=2)
 
 
 def test_q_split(vdp_Y5):
