@@ -339,31 +339,65 @@ class ParamPolynomial:
         """Substitute variables by polynomials/GaussianRationals/ints.
 
         A bound variable with a negative exponent raises ValueError.
+
+        Each term c*m*x^e (x the bound variables, m the rest) adds
+        c*m*prod(v^e) into one dict over one common denominator, with
+        prod(v^e) made once per exponent tuple e.  For a zero, constant
+        or monomial value that costs one key addition and one product
+        of Gaussian integers per term.  Terms land in the order that
+        summing the terms' images one by one gives.
         """
-        readers = [(name, *_reader(name)) for name in bindings]
-        split = [(key, c, [(name, shift,
-                            ((key + half) >> shift & _MASK) - _HALF)
-                           for name, shift, half in readers])
-                 for key, c in self.terms.items()]
-        if not any(e for *_, fields in split for *_, e in fields):
+        readers = [_reader(name) for name in bindings]
+        split = []
+        for key, c in self.terms.items():
+            exps = tuple(((key + half) >> shift & _MASK) - _HALF
+                         for shift, half in readers)
+            split.append((key - sum(e << shift for e, (shift, _)
+                                    in zip(exps, readers)), exps, c))
+        if not any(any(exps) for _, exps, _ in split):
             return self
-        values = {n: _as_poly(v) for n, v in bindings.items()}
-        den, bound = self.den, self.bound
-        out = _ZERO_POLY
-        powcache = {}
-        for key, c, fields in split:
-            rest = key - sum(e << shift for _, shift, e in fields)
-            factor = _normalized({rest: c}, den, bound)
-            for name, _, e in fields:
-                if not e:
-                    continue
-                p = powcache.get((name, e))
-                if p is None:
-                    p = values[name] ** e
-                    powcache[name, e] = p
-                factor = factor * p
-            out = out + factor
-        return out
+        values = [_as_poly(v) for v in bindings.values()]
+        powers, images = {}, {}
+        for _, exps, _ in split:
+            if exps in images:
+                continue
+            image = None
+            for i, e in enumerate(exps):
+                if e:
+                    p = powers.get((i, e))
+                    if p is None:
+                        p = powers[i, e] = values[i] ** e
+                    image = p if image is None else image * p
+            images[exps] = _ONE_POLY if image is None else image
+        bound = self.bound + max(p.bound for p in images.values())
+        if bound >= _HALF:
+            bound = max(_remeasured(ParamPolynomial._raw({rest: c}),
+                                    images[exps])
+                        for rest, exps, c in split)
+        den = lcm(*(p.den for p in images.values()))
+        terms = {}
+        get = terms.get
+        for rest, exps, (cr, ci) in split:
+            image = images[exps]
+            f = den // image.den
+            if f != 1:
+                cr *= f
+                ci *= f
+            for k, (pr, pi) in image.terms.items():
+                key = rest + k
+                re = cr * pr - ci * pi
+                im = cr * pi + ci * pr
+                s = get(key)
+                if s is None:
+                    terms[key] = (re, im)
+                else:
+                    re += s[0]
+                    im += s[1]
+                    if re or im:
+                        terms[key] = (re, im)
+                    else:
+                        del terms[key]
+        return _normalized(terms, self.den * den, bound)
 
     def split(self, names):
         """{exponent tuple over ``names``: polynomial in the other

@@ -73,6 +73,16 @@ class NaiveSeries:
     def harmonics(self):
         return harmonics(self.table)
 
+    def at_zero(self):
+        """(X_A, X_B, h), each an EpsilonSeries read off the table: the
+        amplitude-equation field X = d_t P_{+-1}(eps, 0, A, B), the t^1
+        coefficients of the z^{+-1} columns, and h = f(t=0), the t^0
+        coefficients."""
+        h = self.table.map_coeffs(lambda c: c.coefficient("t", 0))
+        x_a, x_b = (self.secular_coefficient(n).map_coeffs(
+            lambda c: c.coefficient("t", 1)) for n in (1, -1))
+        return x_a, x_b, h
+
     def __repr__(self):
         return f"<NaiveSeries cap={self.cap} harmonics={self.harmonics()}>"
 

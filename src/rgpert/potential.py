@@ -368,11 +368,11 @@ def source_harmonics(source, k, bound):
         yield n, source.coefficient(HARMONIC, n)
 
 
-def eval_potential(V, y, K):
-    """Expand V(eps, e^{it}, e^{-it}, y, dy/dt) for a harmonic table y,
-    mod eps^{K+1}.
+def eval_potential(V, y, dy, K):
+    """Expand V(eps, e^{it}, e^{-it}, y, y') mod eps^{K+1} for a harmonic
+    table y and the table dy that stands for y'.
 
-    Feeds the coefficients of y to a fresh OnlinePotential."""
+    Feeds the coefficients of y and dy to a fresh OnlinePotential."""
     online = OnlinePotential(V)
-    return EpsilonSeries(K, [online.feed(c, dt(c))
-                             for c in y.truncate(K).coeffs])
+    return EpsilonSeries(K, [online.feed(c, d) for c, d in
+                             zip(y.truncate(K).coeffs, dy.truncate(K).coeffs)])

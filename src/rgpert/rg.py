@@ -15,7 +15,7 @@ as an exact Laurent variable.
 from math import lcm
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      substitute, series_solve_root, grq, ZERO, Rat)
+                      substitute, series_solve_root, grq, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
                      NonRationalRoot, Underdetermined)
 from .potential import HARMONIC, OnlinePotential, dt, source_harmonics
@@ -69,14 +69,8 @@ class PolarRG:
 
 def derive_rg(Y):
     """RG/amplitude equation and renormalized expansion from a naive series."""
-    at_0 = {"t": ZERO}
-
-    def rhs(n):
-        return (Y.secular_coefficient(n).diff("t")
-                .subs_poly(at_0).rename(_RENAME))
-
-    expansion = Y.table.subs_poly(at_0).rename(_RENAME)
-    return RGSystem(Y.cap, rhs(1), rhs(-1), expansion, Y.potential)
+    x_a, x_b, h = (s.rename(_RENAME) for s in Y.at_zero())
+    return RGSystem(Y.cap, x_a, x_b, h, Y.potential)
 
 
 def normal_form(V, K):

@@ -11,8 +11,10 @@ reference oracles of the test suite.
 
 perturbation.expand builds the table by transporting the normal form,
 f = exp(tL) h, so (N) and (G) exercise that transport.  The residual
-check, which recomputes V(y) on the finished table, is the independent
-certificate that the table solves the ODE.
+check is the independent certificate that the table solves the ODE.  It
+evaluates V on the t-free slice h = f(t=0) and the vector field X read
+off the table, not on polynomials in t: given (G), the ODE residual of f
+is exp(tL) applied to that of (h, X).
 
 Every check returns an IdentityReport; a failure carries the first
 offending (harmonic, eps-order, monomial) as a concrete counterexample.
@@ -67,15 +69,10 @@ def _generator_offenses(Y, harmonics):
     against d_t P_n == X_A d_A P_n + X_B d_B P_n for each given harmonic,
     with X_A = d_t P_1(eps,0,A,B) and X_B = d_t P_-1(eps,0,A,B) taken
     from Y itself rather than from the RG system being certified."""
-    at_0 = {"t": 0}
-    p1 = Y.secular_coefficient(1)
-    pm1 = Y.secular_coefficient(-1)
-    x_a = p1.diff("t").subs_poly(at_0)
-    x_b = pm1.diff("t").subs_poly(at_0)
+    x_a, x_b, h = Y.at_zero()
     offenses = [
-        _first_offense(n, p.subs_poly(at_0) -
-                       EpsilonSeries.from_poly(v, Y.cap))
-        for n, p, v in ((1, p1, P("A")), (-1, pm1, P("B")))]
+        _first_offense(n, harmonic(h, n) - EpsilonSeries.from_poly(v, Y.cap))
+        for n, v in ((1, P("A")), (-1, P("B")))]
     for n in harmonics:
         pn = Y.secular_coefficient(n)
         flow = x_a * pn.diff("A") + x_b * pn.diff("B")
@@ -124,12 +121,40 @@ def check_inversion(Y):
 
 
 def check_residual(Y):
-    """Harmonic-wise residual of y'' + y - eps*V vanishes mod eps^{K+1}."""
+    """y'' + y - eps*V(y, y') == 0 mod eps^{K+1} for the table f, checked
+    on its t-free slice: with h = f(t=0), X = d_t P_{+-1}(eps,0,A,B) and
+    D = i z d_z + X_A d_A + X_B d_B, every harmonic of
+
+        D^2 h + h - eps*V(h, Dh)
+
+    vanishes mod eps^{K+1}.
+
+    Given (G) of check_functional_relation, this residual vanishes iff
+    that of f does.  (G) gives d_t f = L f with L = X_A d_A + X_B d_B,
+    hence f = exp(tL) h by Taylor's formula in t, and the time
+    derivative d_t + i z d_z of f is D f.  X is free of t and z, being
+    the t^1 coefficient of the z^{+-1} columns, so L commutes with
+    i z d_z and exp(tL) commutes with D: f' = exp(tL) Dh and
+    f'' = exp(tL) D^2 h.  exp(tL) is a ring homomorphism that fixes z,
+    eps and the parameters, and V is a polynomial in those and y, y', so
+    V(f, f') = exp(tL) V(h, Dh).  Hence
+
+        f'' + f - eps*V(f, f') = exp(tL)(D^2 h + h - eps*V(h, Dh)),
+
+    and exp(tL) is invertible, with inverse exp(-tL).  A failure names
+    the harmonic, eps-order and monomial of the first nonzero term.
+    """
     K = Y.cap
-    table = Y.table
-    resid = table.map_coeffs(lambda c: dt(dt(c))) + table
+    x_a, x_b, h = Y.at_zero()
+
+    def D(s):
+        # dt is i z d_z on the t-free h and Dh
+        return s.map_coeffs(dt) + x_a * s.diff("A") + x_b * s.diff("B")
+
+    dh = D(h)
+    resid = D(dh) + h
     if K >= 1:
-        rhs = eval_potential(Y.potential, table, K - 1)
+        rhs = eval_potential(Y.potential, h, dh, K - 1)
         resid = resid - rhs.extend(K).shift(1)
     return _report("residual", K, [_first_offense(n, harmonic(resid, n))
                                    for n in harmonics(resid)])

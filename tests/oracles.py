@@ -3,8 +3,11 @@
 The naive table by the order-by-order solve in t, which
 ``rgpert.perturbation`` builds by transporting the normal form.  The
 composition forms of the functional relation and of the inversion,
-which ``rgpert.verify`` checks in generator form, V(y) by whole-series
-powers, which ``rgpert.potential`` builds online, and seeded random
+which ``rgpert.verify`` checks in generator form, and the ODE residual
+on the t-dependent table, which it checks on the t-free slice.  V(y) by
+whole-series powers, which ``rgpert.potential`` builds online, the
+polynomial substitution as a sum of per-term products, which
+``ParamPolynomial.subs`` accumulates in one pass, and seeded random
 in-class potentials.  Also the readouts only the tests use: the
 renormalization constants, the split P_{+-1} = (A, B) + eps*Q_{+-1}, a
 polynomial's constant term and the peak of a sampled trajectory.  And the
@@ -18,11 +21,56 @@ import numpy as np
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
                             gr, grq, ZERO)
+from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
+                                 _normalized, _reader)
 from rgpert.errors import RootNotBracketed, TrivialLinear
 from rgpert.perturbation import NaiveSeries, particular_solution
 from rgpert.potential import (HARMONIC, OnlinePotential, Potential, dt,
+                              eval_potential, harmonic, harmonics,
                               source_harmonics)
 from rgpert.verify import _first_offense, _report
+
+
+def subs_reference(p, bindings):
+    """Reference oracle: ParamPolynomial.subs as the sum, term by term,
+    of each term's rest times the cached powers of the bound values;
+    ValueError on a negative exponent of a bound variable."""
+    readers = [(name, *_reader(name)) for name in bindings]
+    split = [(key, c, [(name, shift,
+                        ((key + half) >> shift & _MASK) - _HALF)
+                       for name, shift, half in readers])
+             for key, c in p.terms.items()]
+    if not any(e for *_, fields in split for *_, e in fields):
+        return p
+    values = {n: _as_poly(v) for n, v in bindings.items()}
+    out = _ZERO_POLY
+    powcache = {}
+    for key, c, fields in split:
+        rest = key - sum(e << shift for _, shift, e in fields)
+        factor = _normalized({rest: c}, p.den, p.bound)
+        for name, _, e in fields:
+            if not e:
+                continue
+            power = powcache.get((name, e))
+            if power is None:
+                power = powcache[name, e] = values[name] ** e
+            factor = factor * power
+        out = out + factor
+    return out
+
+
+def check_residual_table(Y):
+    """Reference oracle: the harmonic-wise residual y'' + y - eps*V of the
+    t-dependent table itself vanishes mod eps^{K+1}."""
+    K = Y.cap
+    table = Y.table
+    dtable = table.map_coeffs(dt)
+    resid = dtable.map_coeffs(dt) + table
+    if K >= 1:
+        rhs = eval_potential(Y.potential, table, dtable, K - 1)
+        resid = resid - rhs.extend(K).shift(1)
+    return _report("residual", K, [_first_offense(n, harmonic(resid, n))
+                                   for n in harmonics(resid)])
 
 
 def naive_expand(V, K):

@@ -9,6 +9,8 @@ from rgpert.algebra import (GaussianRational, ParamPolynomial, P, Rat, gr,
 from rgpert.algebra.poly import W
 from rgpert.errors import BudgetExceeded, NotDivisible
 
+from oracles import subs_reference
+
 
 A, B, t = P("A"), P("B"), P("t")
 
@@ -410,6 +412,44 @@ def test_split_sums_the_rest_per_exponent_tuple():
     # negative exponents split like positive ones
     q = ParamPolynomial.var("z", -2, gr(3)) * A + A
     assert q.split(("z",)) == {(-2,): 3 * A, (0,): A}
+
+
+def binding_values():
+    """Zero, constant, monomial and multi-term substitution values."""
+    coeffs = st.builds(lambda c, k: c * gr(k),
+                       st.sampled_from(MIXED), st.integers(-3, 3))
+    monomials = st.builds(
+        lambda c, exps: ParamPolynomial.monomial(c, **exps), coeffs,
+        st.dictionaries(st.sampled_from(("t", "A", "w", "z")),
+                        st.integers(-2, 2)))
+    return st.one_of(st.just(0), st.just(ParamPolynomial.zero()), coeffs,
+                     monomials, mixed_polys())
+
+
+@given(laurent_terms(("w", "z")), mixed_polys(),
+       st.dictionaries(st.sampled_from(("A", "B", "t")), binding_values(),
+                       max_size=3))
+def test_subs_matches_the_term_by_term_reference(pt, q, bindings):
+    p = built(pt)[0] * q
+    got, want = p.subs(bindings), subs_reference(p, bindings)
+    assert_canonical(got)
+    assert got.den == want.den
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_subs_refuses_negative_powers_and_field_overflow():
+    for value in (0, gr(2), t * B, A + 1):
+        with pytest.raises(ValueError):
+            (ParamPolynomial.var("A", -1) + B).subs({"A": value})
+    x, y = P("x"), P("y")
+    with pytest.raises(BudgetExceeded):
+        (x ** 2).subs({"x": y ** 20000})
+    # the bound value and the rest overflow the field of y together
+    with pytest.raises(BudgetExceeded):
+        (x ** 2 * y ** 20000).subs({"x": y ** 10000})
+    # a loose stored bound is measured before refusing
+    inv = ParamPolynomial.var("y", -20000)
+    assert (x ** 2 * inv).subs({"x": y ** 10000}) == ParamPolynomial.const(1)
 
 
 def test_power_squares_no_further_than_the_target(monkeypatch):

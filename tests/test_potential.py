@@ -112,7 +112,7 @@ def test_eval_potential_on_free_oscillation():
     # V = y' on A e^{it} + B e^{-it} gives iA e^{it} - iB e^{-it}
     V = parse_potential("y' - 1/3*y'^3")
     y = free_oscillation(1)
-    out = eval_potential(V, y, 0)
+    out = eval_potential(V, y, y.map_coeffs(dt), 0)
     assert constant_term(harmonic(out, 1).coeffs[0].coefficient(
         "A", 1)) == gr(0, 1)
     assert constant_term(harmonic(out, -1).coeffs[0].coefficient(
@@ -167,7 +167,8 @@ def test_free_oscillation_time_derivative():
 def test_eval_potential_of_y_times_dy():
     # (A z + B/z)(iA z - iB/z) = iA^2 z^2 - iB^2 z^-2: the z^0 parts cancel
     V = parse_potential("y*y'")
-    out = eval_potential(V, free_oscillation(1), 0)
+    y = free_oscillation(1)
+    out = eval_potential(V, y, y.map_coeffs(dt), 0)
     assert harmonics(out) == [-2, 2]
     assert harmonic(out, 2).coeffs[0] == gr(0, 1) * P("A") ** 2
     assert harmonic(out, -2).coeffs[0] == gr(0, -1) * P("B") ** 2
@@ -201,7 +202,7 @@ def test_online_potential_matches_whole_series_oracle(name):
     online = OnlinePotential(V)
     for j, y_j in enumerate(table.coeffs):
         assert online.feed(y_j, dt(y_j)) == want[j], (name, j)
-    assert eval_potential(V, table, K).coeffs == want
+    assert eval_potential(V, table, table.map_coeffs(dt), K).coeffs == want
 
 
 def test_online_potential_on_a_table_that_is_no_solution():

@@ -1,7 +1,7 @@
 import pytest
 
 from rgpert.algebra import P, EpsilonSeries, ParamPolynomial
-from rgpert.perturbation import expand
+from rgpert.perturbation import NaiveSeries, expand
 from rgpert.potential import HARMONIC
 from rgpert.registry import EXAMPLES, example_expansion
 from rgpert.rg import derive_rg, RGSystem
@@ -9,8 +9,11 @@ from rgpert.verify import (check_functional_relation, check_inversion,
                            check_residual, check_secular_free,
                            run_identity_suite)
 
+from rgpert import verify
+
 from oracles import (check_functional_relation_finite,
-                     check_inversion_finite, random_potential)
+                     check_inversion_finite, check_residual_table,
+                     random_potential)
 
 
 MATHIEU_BIND = {"g": 1}
@@ -133,6 +136,47 @@ def test_counterexample_reporting():
     assert report.counterexample is not None
     n, k, mono = report.counterexample
     assert "FAIL" in str(report)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_t_free_residual_agrees_with_the_table_residual(name):
+    # the K=6 table truncated to eps^K is the table at K
+    Y = _example_Y(name, 6)
+    for K in range(Y.cap + 1):
+        YK = NaiveSeries(Y.potential, K, Y.table.truncate(K))
+        report = check_residual(YK)
+        assert report == check_residual_table(YK)
+        assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("n,k,mono,want", [
+    # a wrong h_2: a t-free term added to f[3,2]
+    (3, 2, P("A"), (1, 3, "-3*i*A^1*B^2")),
+    # a wrong X_{A,2}: t*A added to f[1,2] adds A to d_t P_1(eps,0,A,B)
+    (1, 2, P("t") * P("A"), (-1, 3, "-3/2*A^1*B^2"))])
+def test_residual_names_a_wrong_h_or_x(n, k, mono, want):
+    Y = _example_Y("rayleigh", 3)
+    assert check_residual(Y).passed
+    Yb = _mutated(Y, n, k, mono)
+    report = check_residual(Yb)
+    assert report.counterexample == want
+    assert not check_residual_table(Yb).passed
+
+
+def test_residual_names_a_dropped_eps_order_of_v(monkeypatch):
+    # V(h, Dh) with its eps^j coefficient dropped fails at eps^(j+1)
+    Y = _example_Y("rayleigh", 3)
+    evaluate = verify.eval_potential
+    want = [(-3, 1, "-1/3*i*B^3"), (-5, 2, "1/8*B^5"),
+            (-7, 3, "1/24*i*B^7")]
+    for j, counterexample in enumerate(want):
+        def dropped(V, y, dy, K, j=j):
+            coeffs = list(evaluate(V, y, dy, K).coeffs)
+            coeffs[j] = ParamPolynomial.zero()
+            return EpsilonSeries(K, coeffs)
+
+        monkeypatch.setattr(verify, "eval_potential", dropped)
+        assert check_residual(Y).counterexample == counterexample, j
 
 
 def test_random_potential_determinism():
