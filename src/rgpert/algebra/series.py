@@ -322,12 +322,15 @@ def substitute(obj, bindings):
 
 
 def series_solve_root(G, var, u0):
-    """Formal Newton iteration for G(u(eps), eps) = 0 mod eps^(cap+1).
+    """The root u(eps) of G(u(eps), eps) = 0 mod eps^(cap+1) that starts
+    at u0, by formal Newton iteration.
 
     ``G`` is an EpsilonSeries whose coefficients are polynomials in the
-    unknown ``var`` (rational coefficients in that unknown).  ``u0`` must
-    be a simple root of the leading-order (lowest nonvanishing eps order)
-    equation.  Returns u(eps) with cap = G.cap - valuation(G).
+    unknown ``var``.  Write v for its valuation (its lowest nonvanishing
+    eps-order) and H = G / eps^v.  ``u0`` must be a root of the
+    leading-order equation H_0(u) = 0, else NonRationalRoot, and a simple
+    one, with H_0'(u0) a nonzero constant, else DegenerateRoot.  Returns
+    u(eps) with cap = G.cap - v, unique given u0.
     """
     v = G.valuation()
     if v is None:
@@ -342,18 +345,19 @@ def series_solve_root(G, var, u0):
         raise DegenerateRoot(
             "leading-order derivative vanishes at the seed root")
     Hp = H.diff(var)
-    u = EpsilonSeries.const(u0, H.cap)
-    # Newton doubles the number of correct orders per step.
-    steps = 0
-    need = H.cap + 1
-    while (1 << steps) < need + 1:
-        steps += 1
-    for _ in range(max(steps, 1)):
-        gu = substitute(H, {var: u})
-        if gu.is_zero():
-            break
-        gpu = substitute(Hp, {var: u})
-        u = u - gu * gpu.inverse()
+    # A Newton step from u correct mod eps^(c//2+1) gives u correct mod
+    # eps^(c+1), so each step works to its cap c only, with H, H' and u
+    # truncated to it: caps 1, ..., K//2, K, from the smallest up.
+    caps = [H.cap]
+    while caps[-1] > 1:
+        caps.append(caps[-1] // 2)
+    u = EpsilonSeries.const(u0, 0)
+    for cap in reversed(caps):
+        u = u.extend(cap)
+        gu = substitute(H.truncate(cap), {var: u})
+        if not gu.is_zero():
+            gpu = substitute(Hp.truncate(cap), {var: u})
+            u = u - gu * gpu.inverse()
     residual = substitute(H, {var: u})
     if not residual.is_zero():
         raise DegenerateRoot("Newton iteration failed to converge")

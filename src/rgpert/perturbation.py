@@ -54,14 +54,20 @@ def particular_solution(n, q):
 
 class NaiveSeries:
     """The table f_{n,k}(t) of the normalized naive solution: ``table`` is
-    a harmonic table (see potential), f_{n,k} its z^n entry at eps^k."""
+    a harmonic table (see potential), f_{n,k} its z^n entry at eps^k.
 
-    __slots__ = ("potential", "cap", "table")
+    Immutable by convention: nothing assigns to ``potential``, ``cap`` or
+    ``table`` after construction, so the readouts ``at_zero`` and
+    ``generator_defect`` are computed once and memoised in private
+    slots, shared by rg.derive_rg and every check of verify."""
+
+    __slots__ = ("potential", "cap", "table", "_at_zero", "_defect")
 
     def __init__(self, potential, cap, table):
         self.potential = potential
         self.cap = cap
         self.table = table
+        self._at_zero = self._defect = None
 
     def entry(self, n, k):
         return self.table.coeffs[k].coefficient(HARMONIC, n)
@@ -78,10 +84,29 @@ class NaiveSeries:
         amplitude-equation field X = d_t P_{+-1}(eps, 0, A, B), the t^1
         coefficients of the z^{+-1} columns, and h = f(t=0), the t^0
         coefficients."""
+        if self._at_zero is None:
+            self._at_zero = self._read_at_zero()
+        return self._at_zero
+
+    def _read_at_zero(self):
         h = self.table.map_coeffs(lambda c: c.coefficient("t", 0))
         x_a, x_b = (self.secular_coefficient(n).map_coeffs(
             lambda c: c.coefficient("t", 1)) for n in (1, -1))
         return x_a, x_b, h
+
+    def generator_defect(self):
+        """d_t f - (X_A d_A f + X_B d_B f) on the whole table, with X from
+        at_zero: a harmonic table whose z^n column is the defect of (G)
+        d_t P_n = X_A d_A P_n + X_B d_B P_n.  X is free of z, so the
+        column of the product is the product of the column."""
+        if self._defect is None:
+            self._defect = self._read_defect()
+        return self._defect
+
+    def _read_defect(self):
+        x_a, x_b, _ = self.at_zero()
+        f = self.table
+        return f.diff("t") - (x_a * f.diff("A") + x_b * f.diff("B"))
 
     def __repr__(self):
         return f"<NaiveSeries cap={self.cap} harmonics={self.harmonics()}>"

@@ -6,8 +6,12 @@ and its inversion corollary (``check_inversion``) are checked in
 generator form: the normalisation P_{+-1}(eps,0,A,B) = (A,B) plus the
 first-order PDE d_t P_n = X_A d_A P_n + X_B d_B P_n, where
 X = d_t P_{+-1}(eps,0,A,B) is the amplitude-equation vector field.  That
-needs only derivatives and products.  The series-composition forms are
-reference oracles of the test suite.
+needs only derivatives and products, made once per table: (G) is one
+series expression on the whole harmonic table,
+NaiveSeries.generator_defect, and each report reads the z^n columns it
+needs from it, the inversion report its n = +-1 part.  The readout of
+(X, h) is shared likewise (NaiveSeries.at_zero).  The series-composition
+forms are reference oracles of the test suite.
 
 perturbation.expand builds the table by transporting the normal form,
 f = exp(tL) h, so (N) and (G) exercise that transport.  The residual
@@ -68,16 +72,15 @@ def _generator_offenses(Y, harmonics):
     """Offenses against the normalisation P_{+-1}(eps,0,A,B) == (A, B) and
     against d_t P_n == X_A d_A P_n + X_B d_B P_n for each given harmonic,
     with X_A = d_t P_1(eps,0,A,B) and X_B = d_t P_-1(eps,0,A,B) taken
-    from Y itself rather than from the RG system being certified."""
-    x_a, x_b, h = Y.at_zero()
-    offenses = [
-        _first_offense(n, harmonic(h, n) - EpsilonSeries.from_poly(v, Y.cap))
-        for n, v in ((1, P("A")), (-1, P("B")))]
-    for n in harmonics:
-        pn = Y.secular_coefficient(n)
-        flow = x_a * pn.diff("A") + x_b * pn.diff("B")
-        offenses.append(_first_offense(n, pn.diff("t") - flow))
-    return offenses
+    from Y itself rather than from the RG system being certified.  The
+    (G) products are made once per table, in Y.generator_defect(); each
+    call only reads the z^n columns of that defect."""
+    _, _, h = Y.at_zero()
+    defect = Y.generator_defect()
+    return ([_first_offense(n, harmonic(h, n) -
+                            EpsilonSeries.from_poly(v, Y.cap))
+             for n, v in ((1, P("A")), (-1, P("B")))] +
+            [_first_offense(n, harmonic(defect, n)) for n in harmonics])
 
 
 def check_functional_relation(Y):
@@ -107,8 +110,9 @@ def check_functional_relation(Y):
 
 def check_inversion(Y):
     """P_{+-1}(eps,t, P_1(eps,-t,A,B), P_-1(eps,-t,A,B)) == (A, B),
-    checked in generator form: (N) and (G) of check_functional_relation
-    restricted to n = +-1.
+    checked in generator form: (N) and the n = +-1 part of (G) of
+    check_functional_relation, read off the same (G) defect of the table,
+    which is made once whichever check runs first.
 
     Inversion is the functional relation at t = 0, s = -t, together with
     (N).  (N) + (G) for n = +-1 say that P(t,.) is the time-t flow Phi_t

@@ -3,8 +3,11 @@
 The naive table by the order-by-order solve in t, which
 ``rgpert.perturbation`` builds by transporting the normal form.  The
 composition forms of the functional relation and of the inversion,
-which ``rgpert.verify`` checks in generator form, and the ODE residual
-on the t-dependent table, which it checks on the t-free slice.  V(y) by
+which ``rgpert.verify`` checks in generator form, the generator checks
+with the (G) products made per harmonic, which it makes once on the
+whole table, and the ODE residual on the t-dependent table, which it
+checks on the t-free slice.  Newton's root solve with every step at the
+full cap, which ``series_solve_root`` runs at doubling caps.  V(y) by
 whole-series powers, which ``rgpert.potential`` builds online, the
 polynomial substitution as a sum of per-term products, which
 ``ParamPolynomial.subs`` accumulates in one pass, and seeded random
@@ -23,7 +26,8 @@ from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
                             gr, grq, ZERO)
 from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
                                  _normalized, _reader)
-from rgpert.errors import RootNotBracketed, TrivialLinear
+from rgpert.errors import (DegenerateRoot, NonRationalRoot,
+                           RootNotBracketed, TrivialLinear)
 from rgpert.perturbation import NaiveSeries, particular_solution
 from rgpert.potential import (HARMONIC, OnlinePotential, Potential, dt,
                               eval_potential, harmonic, harmonics,
@@ -134,6 +138,67 @@ def check_inversion_finite(Y, K=None):
         offenses.append(
             _first_offense(n, lhs - EpsilonSeries.from_poly(target, K)))
     return _report("inversion", K, offenses)
+
+
+def generator_offenses_per_harmonic(Y, harmonics):
+    """Reference oracle: the (N) and (G) offenses of rgpert.verify with
+    their own readout of (X_A, X_B, h) and the (G) products made on each
+    P_n in turn, not once on the whole table."""
+    x_a, x_b, h = Y._read_at_zero()
+    offenses = [
+        _first_offense(n, harmonic(h, n) - EpsilonSeries.from_poly(v, Y.cap))
+        for n, v in ((1, P("A")), (-1, P("B")))]
+    for n in harmonics:
+        pn = Y.secular_coefficient(n)
+        flow = x_a * pn.diff("A") + x_b * pn.diff("B")
+        offenses.append(_first_offense(n, pn.diff("t") - flow))
+    return offenses
+
+
+def check_functional_relation_per_harmonic(Y):
+    """Reference oracle: check_functional_relation, (G) per harmonic."""
+    return _report("functional_relation", Y.cap,
+                   generator_offenses_per_harmonic(Y, Y.harmonics()))
+
+
+def check_inversion_per_harmonic(Y):
+    """Reference oracle: check_inversion, (N) and (G) for n = +-1 made
+    on their own."""
+    return _report("inversion", Y.cap,
+                   generator_offenses_per_harmonic(Y, (1, -1)))
+
+
+def series_solve_root_full_cap(G, var, u0):
+    """Reference oracle: series_solve_root with every Newton step at the
+    full cap, enough steps to double 1 correct order past cap + 1."""
+    v = G.valuation()
+    if v is None:
+        return EpsilonSeries.const(u0, G.cap)
+    H = EpsilonSeries(G.cap - v, G.coeffs[v:])
+    lead = H.coeffs[0]
+    if lead.subs({var: u0}).as_constant() != ZERO:
+        raise NonRationalRoot(
+            f"{u0} is not a root of the leading-order equation")
+    dlead = lead.diff(var).subs({var: u0}).as_constant()
+    if dlead is None or not dlead:
+        raise DegenerateRoot(
+            "leading-order derivative vanishes at the seed root")
+    Hp = H.diff(var)
+    u = EpsilonSeries.const(u0, H.cap)
+    steps = 0
+    need = H.cap + 1
+    while (1 << steps) < need + 1:
+        steps += 1
+    for _ in range(max(steps, 1)):
+        gu = substitute(H, {var: u})
+        if gu.is_zero():
+            break
+        gpu = substitute(Hp, {var: u})
+        u = u - gu * gpu.inverse()
+    residual = substitute(H, {var: u})
+    if not residual.is_zero():
+        raise DegenerateRoot("Newton iteration failed to converge")
+    return u
 
 
 def eval_potential_whole(V, y, K):

@@ -10,11 +10,12 @@ from rgpert.errors import DegenerateRoot, ThetaDependent, Underdetermined
 from rgpert.perturbation import expand
 from rgpert.registry import EXAMPLES, example_expansion, get_example
 from rgpert.cli import main
-from rgpert.rg import derive_rg, to_polar, limit_cycle, PolarRG, rational_roots
-from rgpert.potential import harmonic, harmonics
+from rgpert.rg import (derive_rg, normal_form, to_polar, limit_cycle,
+                       PolarRG, rational_roots)
+from rgpert.potential import harmonic, harmonics, parse_potential
 
 from conftest import trig, trig_mul, trig_scale, trig_add, phase_poly
-from oracles import renormalization_constants
+from oracles import renormalization_constants, series_solve_root_full_cap
 
 
 R = P("R")
@@ -430,6 +431,23 @@ def test_limit_cycle_solves_in_the_radius():
     # d theta/dt = eps R_c^2 = 4 eps mod eps^2
     assert dtheta_c == EpsilonSeries.from_poly(ParamPolynomial.const(4), 1,
                                                order=1)
+
+
+@pytest.mark.parametrize("potential,top", [
+    ("vdp", 15), ("rayleigh", 9),
+    ("(100000000000000000000 - y^2)*y'", 4),
+    ("(8 - 40*y^2 + 16*y^4)*y'", 6)])
+def test_limit_cycle_radius_equals_the_full_cap_newton(potential, top):
+    # the normal form is solved order by order, so the polar form at
+    # order K is that at the top order truncated to K
+    V = (get_example(potential).potential() if potential in EXAMPLES
+         else parse_potential(potential))
+    pol = to_polar(normal_form(V, top))
+    for K in range(1, top + 1):
+        G = pol.dlogR_dt.truncate(K)
+        R_c, _ = limit_cycle(PolarRG(K, G, pol.dtheta_dt.truncate(K), {}))
+        seed = R_c.coeffs[0].as_constant()
+        assert R_c == series_solve_root_full_cap(G, "R", seed), K
 
 
 def test_limit_cycle_huge_coefficient_is_fast(capsys):

@@ -6,6 +6,8 @@ from rgpert.algebra import (EpsilonSeries, ParamPolynomial, Composition, P,
 from rgpert.algebra.series import cauchy, square
 from rgpert.errors import CapMismatch, DegenerateRoot, NonRationalRoot
 
+from oracles import series_solve_root_full_cap
+
 
 u = P("u")
 
@@ -88,6 +90,34 @@ def test_solve_root_wrong_start():
     G = EpsilonSeries.from_poly(u - 2, 3)
     with pytest.raises(NonRationalRoot):
         series_solve_root(G, "u", gr(1))
+
+
+def _geometric(cap):
+    """G(eps, u) = u - 1 - eps*u, whose root is u = 1/(1-eps)."""
+    return (EpsilonSeries.from_poly(u, cap) - EpsilonSeries.const(gr(1), cap)
+            - EpsilonSeries.from_poly(u, cap).shift(1))
+
+
+def _solved(solve, G, u0):
+    try:
+        return solve(G, "u", u0)
+    except (DegenerateRoot, NonRationalRoot) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("G,u0", [
+    (_geometric(4), gr(1)),
+    (EpsilonSeries.from_poly(u ** 2, 3), gr(0)),
+    (EpsilonSeries.from_poly(u - 2, 3), gr(1)),
+    *((_geometric(cap), gr(1)) for cap in (0, 1, 2, 3, 7, 8)),
+    # valuation 2, a cubic in u with the simple seed root 1
+    (_geometric(9).shift(2) * EpsilonSeries.from_poly(u ** 2 + 3, 9), gr(1)),
+    (EpsilonSeries(5), gr(3))])
+def test_solve_root_equals_the_full_cap_newton(G, u0):
+    # Newton at doubling caps gives the root, or the error, of Newton with
+    # every step at the full cap
+    assert (_solved(series_solve_root, G, u0) ==
+            _solved(series_solve_root_full_cap, G, u0))
 
 
 @given(series5(), series5(), series5())

@@ -12,8 +12,9 @@ from rgpert.verify import (check_functional_relation, check_inversion,
 from rgpert import verify
 
 from oracles import (check_functional_relation_finite,
-                     check_inversion_finite, check_residual_table,
-                     random_potential)
+                     check_functional_relation_per_harmonic,
+                     check_inversion_finite, check_inversion_per_harmonic,
+                     check_residual_table, random_potential)
 
 
 MATHIEU_BIND = {"g": 1}
@@ -73,7 +74,8 @@ MUTATIONS = {"A": P("A"), "t*A": P("t") * P("A"),
 def test_mutation_grid():
     # one added monomial per table entry: the generator functional
     # relation agrees with the composition form entry by entry, the
-    # generator inversion is at least as strict, and so is the suite
+    # generator inversion is at least as strict, and so is the suite;
+    # every report equals that of (G) made per harmonic
     Y = _example_Y("rayleigh", 2)
     for n in Y.harmonics():
         for k in range(Y.cap + 1):
@@ -88,6 +90,49 @@ def test_mutation_grid():
                 suite = all(r.passed for r in run_identity_suite(Yb))
                 assert suite == (relation and inversion and
                                  check_residual(Yb).passed), where
+                _assert_reports_equal_the_per_harmonic_oracle(Yb)
+
+
+def _assert_reports_equal_the_per_harmonic_oracle(Y):
+    # each check on a fresh copy of Y, so that no readout is shared with
+    # another: the suite, the checks after the suite, and the oracle
+    def fresh():
+        return NaiveSeries(Y.potential, Y.cap, Y.table)
+
+    want = [check_functional_relation_per_harmonic(fresh()),
+            check_inversion_per_harmonic(fresh()), check_residual(fresh())]
+    Z = fresh()
+    assert run_identity_suite(Z) == want
+    assert [check_functional_relation(Z), check_inversion(Z)] == want[:2]
+    Z = fresh()
+    assert [check_inversion(Z), check_functional_relation(Z)] == \
+        want[1::-1]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_generator_reports_equal_the_per_harmonic_oracle(name):
+    # (G) on the whole table reads, column by column, the (G) products
+    # of each P_n
+    Y = _example_Y(name, 6)
+    for K in range(Y.cap + 1):
+        _assert_reports_equal_the_per_harmonic_oracle(
+            NaiveSeries(Y.potential, K, Y.table.truncate(K)))
+
+
+def test_one_suite_reads_the_table_and_makes_the_defect_once(monkeypatch):
+    # derive_rg and the (N), (G) and residual checks share one readout of
+    # (X_A, X_B, h) and one (G) defect of the table
+    calls = {"_read_at_zero": 0, "_read_defect": 0}
+    for name in calls:
+        def counted(self, name=name, original=getattr(NaiveSeries, name)):
+            calls[name] += 1
+            return original(self)
+
+        monkeypatch.setattr(NaiveSeries, name, counted)
+    Y = expand(EXAMPLES["vdp"].potential(), 4)
+    reports = run_identity_suite(Y, derive_rg(Y))
+    assert all(r.passed for r in reports)
+    assert calls == {"_read_at_zero": 1, "_read_defect": 1}
 
 
 @pytest.mark.parametrize("n,k,label", [(1, 2, "A"), (3, 2, "t*A")])
