@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 failed verification, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -94,6 +95,8 @@ def _add_potential_args(p):
 
 def _resolve_potential(args, parser):
     if args.example:
+        if args.params:
+            parser.error("--params applies only to --potential")
         spec = get_example(args.example)
         V = spec.potential()
     elif args.potential:
@@ -106,6 +109,8 @@ def _resolve_potential(args, parser):
         name, _, value = item.partition("=")
         if not _ or not name:
             parser.error(f"--bind expects NAME=VALUE, got {item!r}")
+        if name in bindings:
+            parser.error(f"--bind {name}: given more than once")
         try:
             bindings[name] = GaussianRational(Rat(value))
         except (ValueError, ZeroDivisionError):
@@ -335,7 +340,10 @@ def cmd_examples(args, parser):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser and the handler map, built once per process on the
+    first call; parsing leaves no state on them."""
     parser = argparse.ArgumentParser(
         prog="rgpert",
         description="Exact renormalization-group perturbation theory "

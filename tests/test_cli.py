@@ -1,5 +1,9 @@
+import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -8,9 +12,10 @@ import pytest
 
 from rgpert import mathieu, numeric
 from rgpert import potential as potential_mod
-from rgpert.cli import main
+from rgpert.cli import build_parser, main
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -136,18 +141,33 @@ SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
     SIM_ODE + ["--tmax", "-1"],
     SIM_ODE + ["--tmax", "inf"],
     SIM_ODE + ["--tmax", "nan"],
+    ["polar", "--example", "vdp", "--params", "a,b"],
+    ["polar", "--example", "duffing", "--bind", "g=1", "--bind", "g=2"],
 ], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
         "negative-order", "mathieu-negative-order", "format-csv",
         "format-table", "bind-malformed", "numerics-unbound-parameter",
         "simulate-no-state", "compare-no-R0", "rg-order-negative",
         "rg-order-above-order", "expansion-order-above-order",
         "expansion-order-negative", "dt-zero", "dt-negative", "dt-nan",
-        "dt-inf", "tmax-negative", "tmax-inf", "tmax-nan"])
+        "dt-inf", "tmax-negative", "tmax-inf", "tmax-nan",
+        "params-with-example", "bind-repeated"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["polar", "--example", "vdp", "--params", "a,b"],
+     "--params applies only to --potential"),
+    (["polar", "--example", "duffing", "--bind", "g=1", "--bind", "g=2"],
+     "--bind g: given more than once"),
+])
+def test_ignored_input_is_named(capsys, argv, message):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 SIM_ARGS = {"--eps": "0.1", "--y0": "1", "--dy0": "0", "--R0": "1",
@@ -530,3 +550,77 @@ def test_negative_value_in_exponent_form(capsys, command, option, value):
     code, out = run(capsys, *argv(joined=False))
     assert code == 0
     assert run(capsys, *argv(joined=True)) == (0, out)
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one call, SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+REUSE_SEQUENCE = [
+    ["polar", "--example", "duffing", "--bind", "g=1"],
+    # the --bind list of the call before must not leak into this one
+    ["simulate", "--example", "duffing", "--eps", "0.1", "--y0", "1",
+     "--dy0", "0"],
+    ["polar", "--potential", "-y' - a*y^3", "--params", "a", "--bind", "a=4"],
+    ["examples"],
+    ["expand", "--example", "vdp", "--order", "-1"],
+    ["verify", "--help"],
+    ["--help"],
+    ["polar", "--example", "duffing", "--bind", "g=1"],
+]
+
+
+def test_reused_parser_leaves_no_state(capsys):
+    build_parser.cache_clear()
+    shared = [outcome(capsys, argv) for argv in REUSE_SEQUENCE]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 0, 0, 0]
+    assert "bind the parameters g" in shared[1][2]
+    assert shared[5][1].startswith("usage: rgpert verify ")
+    assert shared[6][1].startswith("usage: rgpert ")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "examples")[0] == 0
+    assert built.count("rgpert") == 1
+    assert len(built) == 1 + len(build_parser()[1])   # one per subcommand
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *a, **k):\n"
+             "    built.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import rgpert.cli\n"
+             "print(len(built))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
