@@ -26,7 +26,7 @@ ode = nm.integrate_ode(system.potential, y0, dy0, EPS, T_MAX)
 for order in (1, 2):
     amplitudes = nm.integrate_rg(polar, EPS, order, T_MAX,
                                  R0=R0, theta0=THETA0)
-    y_rg = nm.evaluate_expansion(polar, amplitudes, EPS, 1)
+    y_rg = nm.evaluate_expansion(system, amplitudes, EPS, 1)
     metrics, rows = nm.compare(ode, y_rg)
     print(f"amplitude-flow order {order}: "
           f"max|diff| = {metrics['max_abs_diff']:.4f}, "

@@ -271,9 +271,12 @@ def _check_orders(args, parser, *names):
                          f"{getattr(args, name)} exceeds --order {args.order}")
 
 
-def _emit_rows(args, header, rows):
+def _emit_rows(args, parser, header, rows):
     if args.out:
-        numeric.write_csv(args.out, rows, header)
+        try:
+            numeric.write_csv(args.out, rows, header)
+        except OSError as exc:
+            parser.error(f"--out {args.out}: {exc.strerror}")
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(header)
@@ -296,7 +299,7 @@ def cmd_simulate(args, parser):
                      "--R0/--theta0 (amplitude flow)")
     import numpy as np
     rows = np.column_stack([traj.t, traj.values])
-    _emit_rows(args, "t," + ",".join(traj.columns), rows)
+    _emit_rows(args, parser, "t," + ",".join(traj.columns), rows)
     if traj.truncated:
         print("# trajectory diverged and was truncated", file=sys.stderr)
     return 0
@@ -312,7 +315,7 @@ def cmd_compare(args, parser):
     amp = numeric.integrate_rg(pol, args.eps, args.rg_order, args.tmax,
                                args.dt, R0=args.R0, theta0=args.theta0)
     numeric.require_whole(amp, "the amplitude flow")
-    y_rg = numeric.evaluate_expansion(pol, amp, args.eps,
+    y_rg = numeric.evaluate_expansion(sysc, amp, args.eps,
                                       args.expansion_order)
     if args.y0 is not None and args.dy0 is not None:
         y0, dy0 = args.y0, args.dy0
@@ -325,7 +328,7 @@ def cmd_compare(args, parser):
     ode = numeric.integrate_ode(V, y0, dy0, args.eps, args.tmax, args.dt)
     numeric.require_whole(ode, "the direct ODE")
     metrics, rows = numeric.compare(ode, y_rg)
-    _emit_rows(args, "t,y_numeric,y_rg,diff", rows)
+    _emit_rows(args, parser, "t,y_numeric,y_rg,diff", rows)
     print(f"# max_abs_diff = {metrics['max_abs_diff']!r}", file=sys.stderr)
     print(f"# rms_diff = {metrics['rms_diff']!r}", file=sys.stderr)
     return 0

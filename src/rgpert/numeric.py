@@ -266,16 +266,17 @@ def integrate_rg(polar, eps, order, t_max, h=DEFAULT_STEP, *, R0, theta0):
                       truncated=truncated)
 
 
-def evaluate_expansion(polar, amplitudes, eps, expansion_order):
-    """y_RG(t) from the secular-free expansion along the polar flow."""
+def evaluate_expansion(system, amplitudes, eps, expansion_order):
+    """y_RG(t) from the expansion of the Cartesian RGSystem along the
+    polar flow: Ar^a Br^b = R^(a+b) w^(a-b) at Ar = R*w, Br = R/w."""
     t = amplitudes.t
     R = amplitudes.column("R")
     w = np.exp(1j * amplitudes.column("theta"))
     signal = np.zeros(len(t), dtype=complex)
     powers = {}
-    for n in harmonics(polar.expansion):
-        terms = _compile(harmonic(polar.expansion, n), eps,
-                         expansion_order, "R", PHASE)
+    for n in harmonics(system.expansion):
+        terms = [((a + b, a - b), c) for (a, b), c in _compile(
+            harmonic(system.expansion, n), eps, expansion_order, "Ar", "Br")]
         if terms:
             signal += (_evaluate(terms, R, w, powers=powers)
                        * np.exp(1j * n * t))

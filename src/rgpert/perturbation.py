@@ -14,7 +14,7 @@ X = O(eps) makes L^j h = O(eps^j): the sum stops after K terms.
 """
 
 from .algebra import GaussianRational, ParamPolynomial, Rat
-from .potential import HARMONIC, harmonic, harmonics
+from .potential import HARMONIC, harmonic, harmonics, lie
 from .rg import _homological_solve
 
 _ZP = ParamPolynomial.zero()
@@ -106,7 +106,7 @@ class NaiveSeries:
     def _read_defect(self):
         x_a, x_b, _ = self.at_zero()
         f = self.table
-        return f.diff("t") - (x_a * f.diff("A") + x_b * f.diff("B"))
+        return f.diff("t") - lie(x_a, x_b, f)
 
     def __repr__(self):
         return f"<NaiveSeries cap={self.cap} harmonics={self.harmonics()}>"
@@ -118,7 +118,7 @@ def expand(V, K):
     table = term = h
     for j in range(1, K + 1):
         # t^j/j! L^j h from its predecessor
-        term = ((x_a * term.diff("A") + x_b * term.diff("B")) *
+        term = (lie(x_a, x_b, term) *
                 ParamPolynomial.var("t", 1, GaussianRational(Rat(1, j))))
         if term.is_zero():
             break

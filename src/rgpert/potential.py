@@ -238,6 +238,8 @@ class _Parser:
             self.advance()
             if "/" in tok:
                 num, den = tok.split("/")
+                if not int(den):
+                    raise ParseError("zero denominator", at)
                 c = GaussianRational(Rat(int(num), int(den)))
             else:
                 c = GaussianRational(int(tok))
@@ -309,6 +311,11 @@ def dt(c):
     """d/dt + i*z*d/dz of one eps-coefficient of a harmonic table: the
     time derivative as t and z = e^{it} vary."""
     return c.diff("t") + c.diff(HARMONIC) * _IZ
+
+
+def lie(x_a, x_b, p):
+    """L p = X_A d_A p + X_B d_B p for a polynomial or a series p."""
+    return x_a * p.diff("A") + x_b * p.diff("B")
 
 
 class HarmonicSeries:

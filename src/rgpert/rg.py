@@ -8,8 +8,8 @@ and the secular-free expansion is the harmonic table of the
 P_n(eps, 0, Ar, Br), one EpsilonSeries in z = e^{it}.  normal_form
 computes both without t; perturbation.expand transports its solve to
 the naive table, and derive_rg reads both back off that table.
-The polar form substitutes Ar = R*w, Br = R/w with w = e^{i*theta} kept
-as an exact Laurent variable.
+The polar form of the amplitude equation substitutes Ar = R*w, Br = R/w
+with w = e^{i*theta} kept as an exact Laurent variable.
 """
 
 from math import lcm
@@ -18,7 +18,7 @@ from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       substitute, series_solve_root, grq, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
                      NonRationalRoot, Underdetermined)
-from .potential import HARMONIC, OnlinePotential, dt, source_harmonics
+from .potential import HARMONIC, OnlinePotential, dt, lie, source_harmonics
 
 _RENAME = {"A": "Ar", "B": "Br"}
 _ZP = ParamPolynomial.zero()
@@ -47,16 +47,15 @@ class RGSystem:
 
 
 class PolarRG:
-    """Polar form: d log R/dt, d theta/dt and the expansion, a harmonic
-    table in R and the phase variable w = e^{i*theta}."""
+    """Polar form of the amplitude flow only: d log R/dt and d theta/dt,
+    series in R and the phase variable w = e^{i*theta}."""
 
-    __slots__ = ("cap", "dlogR_dt", "dtheta_dt", "expansion", "potential")
+    __slots__ = ("cap", "dlogR_dt", "dtheta_dt", "potential")
 
-    def __init__(self, cap, dlogR_dt, dtheta_dt, expansion, potential=None):
+    def __init__(self, cap, dlogR_dt, dtheta_dt, potential=None):
         self.cap = cap
         self.dlogR_dt = dlogR_dt
         self.dtheta_dt = dtheta_dt
-        self.expansion = expansion
         self.potential = potential
 
     def theta_free(self):
@@ -103,19 +102,14 @@ def _homological_solve(V, K):
          ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
     dh = [dt(h[0])]
     x_a, x_b = [_ZP], [_ZP]
-
-    def lie(m, p):
-        """L_m p."""
-        return x_a[m] * p.diff("A") + x_b[m] * p.diff("B")
-
     v_of_y = OnlinePotential(V)
     for k in range(1, K + 1):
         r = _ZP
         source = v_of_y.feed(h[k - 1], dh[k - 1])
         for m in range(1, k):
             if x_a[m] or x_b[m]:
-                r = r + lie(m, h[k - m])
-                source = source - lie(m, dh[k - m])
+                r = r + lie(x_a[m], x_b[m], h[k - m])
+                source = source - lie(x_a[m], x_b[m], dh[k - m])
         source = source - dt(r)
         h_k, a_k, b_k = _ZP, _ZP, _ZP
         for n, s in source_harmonics(source, k, support_bound):
@@ -129,12 +123,12 @@ def _homological_solve(V, K):
         x_a.append(a_k)
         x_b.append(b_k)
         h.append(h_k)
-        dh.append(dt(h_k) + r + lie(k, h[0]))
+        dh.append(dt(h_k) + r + lie(a_k, b_k, h[0]))
     return tuple(EpsilonSeries(K, c) for c in (x_a, x_b, h))
 
 
 def to_polar(rgsys):
-    """Substitute Ar -> R*w, Br -> R*w^-1 and divide out the radius."""
+    """Substitute Ar -> R*w, Br -> R/w in the flow; divide out the radius."""
     w = ParamPolynomial.var(PHASE)
     w_inv = ParamPolynomial.var(PHASE, -1)
     polar_sub = {"Ar": ParamPolynomial.var("R") * w,
@@ -155,8 +149,7 @@ def to_polar(rgsys):
     half = grq(1, 2)
     dlogR = divide_R(rhs_a * w_inv + rhs_b * w, "d log R/dt") * half
     dtheta = divide_R(rhs_a * w_inv - rhs_b * w, "d theta/dt") * _HALF_OVER_I
-    return PolarRG(rgsys.cap, dlogR, dtheta,
-                   rgsys.expansion.subs_poly(polar_sub), rgsys.potential)
+    return PolarRG(rgsys.cap, dlogR, dtheta, rgsys.potential)
 
 
 def rational_roots(poly, var):

@@ -27,7 +27,7 @@ offending (harmonic, eps-order, monomial) as a concrete counterexample.
 from dataclasses import dataclass
 
 from .algebra import EpsilonSeries, P
-from .potential import dt, eval_potential, harmonic, harmonics
+from .potential import dt, eval_potential, harmonic, harmonics, lie
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def check_residual(Y):
 
     def D(s):
         # dt is i z d_z on the t-free h and Dh
-        return s.map_coeffs(dt) + x_a * s.diff("A") + x_b * s.diff("B")
+        return s.map_coeffs(dt) + lie(x_a, x_b, s)
 
     dh = D(h)
     resid = D(dh) + h

@@ -11,7 +11,9 @@ full cap, which ``series_solve_root`` runs at doubling caps.  V(y) by
 whole-series powers, which ``rgpert.potential`` builds online, the
 polynomial substitution as a sum of per-term products, which
 ``ParamPolynomial.subs`` accumulates in one pass, and seeded random
-in-class potentials.  Also the readouts only the tests use: the
+in-class potentials.  The secular-free expansion in the polar amplitudes
+R and w = e^{i*theta}, which ``rgpert.numeric.evaluate_expansion`` reaches
+by mapping exponents.  Also the readouts only the tests use: the
 renormalization constants, the split P_{+-1} = (A, B) + eps*Q_{+-1}, a
 polynomial's constant term and the peak of a sampled trajectory.  And the
 scalar Hill determinant and its one-root-at-a-time bisection, which
@@ -32,6 +34,7 @@ from rgpert.perturbation import NaiveSeries, particular_solution
 from rgpert.potential import (HARMONIC, OnlinePotential, Potential, dt,
                               eval_potential, harmonic, harmonics,
                               source_harmonics)
+from rgpert.rg import PHASE
 from rgpert.verify import _first_offense, _report
 
 
@@ -61,6 +64,14 @@ def subs_reference(p, bindings):
             factor = factor * power
         out = out + factor
     return out
+
+
+def polar_expansion(rgsys):
+    """The secular-free expansion of an RGSystem at Ar = R*w, Br = R/w: a
+    harmonic table in the radius R and the phase variable w."""
+    R, w = ParamPolynomial.var("R"), ParamPolynomial.var(PHASE)
+    w_inv = ParamPolynomial.var(PHASE, -1)
+    return rgsys.expansion.subs_poly({"Ar": R * w, "Br": R * w_inv})
 
 
 def check_residual_table(Y):

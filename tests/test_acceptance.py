@@ -107,28 +107,30 @@ def test_criterion_06_hill_crosscheck():
 
 
 def test_criterion_07_duffing_rayleigh():
-    duf = to_polar(derive_rg(example_expansion("duffing", 5, {"g": 1})))
-    ray = to_polar(derive_rg(example_expansion("rayleigh", 6)))
+    duf_sys = derive_rg(example_expansion("duffing", 5, {"g": 1}))
+    ray_sys = derive_rg(example_expansion("rayleigh", 6))
+    duf, ray = to_polar(duf_sys), to_polar(ray_sys)
     ok = True
     try:
         test_rg.test_duffing_radial_equation(duf)
         test_rg.test_duffing_phase_equation(duf)
-        test_rg.test_duffing_renormalized_expansion(duf)
+        test_rg.test_duffing_renormalized_expansion(duf_sys)
         test_rg.test_rayleigh_radial_equation(ray)
         test_rg.test_rayleigh_phase_equation(ray)
-        test_rg.test_rayleigh_renormalized_expansion(ray)
+        test_rg.test_rayleigh_renormalized_expansion(ray_sys)
     except AssertionError:
         ok = False
     report(7, "Duffing and Rayleigh series", ok)
 
 
 def test_criterion_08_nonautonomous():
-    pol = to_polar(derive_rg(example_expansion("nonauto", 4)))
+    sysc = derive_rg(example_expansion("nonauto", 4))
+    pol = to_polar(sysc)
     ok = True
     try:
         test_rg.test_nonauto_radial_equation(pol)
         test_rg.test_nonauto_phase_equation(pol)
-        test_rg.test_nonauto_renormalized_expansion(pol)
+        test_rg.test_nonauto_renormalized_expansion(sysc)
     except AssertionError:
         ok = False
     report(8, "nonautonomous example", ok)
@@ -165,7 +167,7 @@ def test_criterion_10_modulation_regime():
     peaks = None
     for order in (1, 2):
         amp = nm.integrate_rg(pol, eps, order, t_max, R0=R0, theta0=th0)
-        y_rg = nm.evaluate_expansion(pol, amp, eps, 1)
+        y_rg = nm.evaluate_expansion(sysc, amp, eps, 1)
         diffs[order], _ = nm.compare(ode, y_rg)
         if order == 1:
             peaks = nm.count_envelope_peaks(amp.column("R"))
@@ -177,14 +179,15 @@ def test_criterion_10_modulation_regime():
 
 
 def test_criterion_11_numeric_sanity():
-    pol = to_polar(derive_rg(example_expansion("vdp", 6)))
+    sysc = derive_rg(example_expansion("vdp", 6))
+    pol = to_polar(sysc)
     R_c, _ = limit_cycle(pol)
     eps = 0.1
     two_rc = 2 * sum(float(c.as_constant().re) * eps ** k
                      for k, c in enumerate(R_c.coeffs))
     t_max = 300.0
     amp = nm.integrate_rg(pol, eps, 5, t_max, R0=0.5, theta0=0.0)
-    y = nm.evaluate_expansion(pol, amp, eps, 5)
+    y = nm.evaluate_expansion(sysc, amp, eps, 5)
     traj = nm.integrate_ode(pol.potential, y.column("y")[0],
                             float(np.gradient(y.column("y"), y.t)[0]),
                             eps, t_max)

@@ -143,6 +143,10 @@ SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
     SIM_ODE + ["--tmax", "nan"],
     ["polar", "--example", "vdp", "--params", "a,b"],
     ["polar", "--example", "duffing", "--bind", "g=1", "--bind", "g=2"],
+    ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
+     "--R0", "1", "--theta0", "0", "--tmax", "1",
+     "--out", str(GOLDEN / "mathieu_order5.txt" / "x.csv")],
+    SIM_ODE + ["--tmax", "1", "--out", str(GOLDEN)],
 ], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
         "negative-order", "mathieu-negative-order", "format-csv",
         "format-table", "bind-malformed", "numerics-unbound-parameter",
@@ -150,7 +154,8 @@ SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
         "rg-order-above-order", "expansion-order-above-order",
         "expansion-order-negative", "dt-zero", "dt-negative", "dt-nan",
         "dt-inf", "tmax-negative", "tmax-inf", "tmax-nan",
-        "params-with-example", "bind-repeated"])
+        "params-with-example", "bind-repeated", "out-under-a-file",
+        "out-is-a-directory"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -168,6 +173,23 @@ def test_ignored_input_is_named(capsys, argv, message):
     with pytest.raises(SystemExit):
         main(argv)
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command,out,strerror", [
+    ("compare", GOLDEN / "mathieu_order5.txt" / "x.csv", "Not a directory"),
+    ("simulate", GOLDEN, "Is a directory"),
+], ids=["under-a-file", "a-directory"])
+def test_unwritable_out_is_named(capsys, command, out, strerror):
+    with pytest.raises(SystemExit):
+        main([command, "--example", "vdp", "--order", "2", "--eps", "0.1",
+              "--R0", "1", "--theta0", "0", "--tmax", "1", "--out", str(out)])
+    assert capsys.readouterr().err.endswith(
+        f"error: --out {out}: {strerror}\n")
+
+
+def test_zero_denominator_exit_1(capsys):
+    assert main(["polar", "--potential", "1/0*y'"]) == 1
+    assert "zero denominator" in capsys.readouterr().err
 
 
 SIM_ARGS = {"--eps": "0.1", "--y0": "1", "--dy0": "0", "--R0": "1",

@@ -8,13 +8,13 @@ import pytest
 from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr
 from rgpert.errors import (BudgetExceeded, ComplexPotential, GridMismatch,
                            NotReal)
-from rgpert.potential import HARMONIC, parse_potential
+from rgpert.potential import HARMONIC, harmonic, harmonics, parse_potential
 from rgpert.registry import example_expansion, get_example
 from rgpert.perturbation import expand
 from rgpert.rg import PHASE, derive_rg, normal_form, to_polar, limit_cycle
 from rgpert import numeric as nm
 
-from oracles import peak_amplitude
+from oracles import peak_amplitude, polar_expansion
 
 
 VDP = parse_potential("(1 - y^2)*y'")
@@ -84,14 +84,15 @@ def test_vdp_attracts_to_limit_cycle():
 
 
 def test_vdp_peak_amplitude_matches_radius():
-    pol = to_polar(derive_rg(example_expansion("vdp", 6)))
+    sysc = derive_rg(example_expansion("vdp", 6))
+    pol = to_polar(sysc)
     R_c, _ = limit_cycle(pol)
     eps = 0.1
     two_rc = 2 * sum(float(c.as_constant().re) * eps ** k
                      for k, c in enumerate(R_c.coeffs))
     t_max = 300.0
     amp = nm.integrate_rg(pol, eps, 5, t_max, R0=0.5, theta0=0.0)
-    y = nm.evaluate_expansion(pol, amp, eps, 5)
+    y = nm.evaluate_expansion(sysc, amp, eps, 5)
     traj = nm.integrate_ode(VDP, y.column("y")[0],
                             float(np.gradient(y.column("y"), y.t)[0]),
                             eps, t_max)
@@ -100,12 +101,12 @@ def test_vdp_peak_amplitude_matches_radius():
 
 def test_expansion_leading_term_is_circular():
     # constant amplitudes, expansion order 0: y = 2R cos(t + theta)
-    pol = to_polar(derive_rg(example_expansion("vdp", 3)))
+    sysc = derive_rg(example_expansion("vdp", 3))
     grid = np.arange(0, 201) * (2 * math.pi / 200)
     values = np.column_stack([np.full_like(grid, 0.7),
                               np.full_like(grid, 0.3)])
     amp = nm.Trajectory(grid, ("R", "theta"), values)
-    y = nm.evaluate_expansion(pol, amp, 0.2, 0)
+    y = nm.evaluate_expansion(sysc, amp, 0.2, 0)
     assert np.allclose(y.column("y"), 2 * 0.7 * np.cos(grid + 0.3),
                        atol=1e-12)
 
@@ -118,7 +119,7 @@ def test_initial_conditions_match_reconstruction():
     y0, dy0 = nm.expansion_initial_conditions(sysc, eps, 2, 2,
                                               Ar0=Ar0, Br0=Ar0.conjugate())
     amp = nm.integrate_rg(pol, eps, 2, 1.0, R0=R0, theta0=th0)
-    y = nm.evaluate_expansion(pol, amp, eps, 2)
+    y = nm.evaluate_expansion(sysc, amp, eps, 2)
     assert abs(y.column("y")[0] - y0) < 1e-12
     # finite-difference slope agrees with the chain-rule derivative
     slope = (y.column("y")[1] - y.column("y")[0]) / (y.t[1] - y.t[0])
@@ -140,7 +141,7 @@ def test_slow_modulation_regime():
     discrepancy = {}
     for order in (1, 2):
         amp = nm.integrate_rg(pol, eps, order, t_max, R0=R0, theta0=th0)
-        y_rg = nm.evaluate_expansion(pol, amp, eps, 1)
+        y_rg = nm.evaluate_expansion(sysc, amp, eps, 1)
         metrics, _ = nm.compare(ode, y_rg)
         discrepancy[order] = metrics["max_abs_diff"]
         if order == 1:
@@ -163,13 +164,45 @@ def test_compare_identical_and_mismatch():
 def test_not_real_detection():
     # the expansion of the complex potential i*y^3 is not real on real
     # amplitudes: its e^{3it} and e^{-3it} parts are not conjugate
-    pol = to_polar(normal_form(parse_potential("i*y^3"), 2))
+    sysc = normal_form(parse_potential("i*y^3"), 2)
     grid = np.linspace(0, 1, 5)
     values = np.column_stack([np.full_like(grid, 1.0), np.zeros_like(grid)])
     amp = nm.Trajectory(grid, ("R", "theta"), values)
-    assert nm.evaluate_expansion(pol, amp, 0.1, 0).column("y")[0] == 2.0
+    assert nm.evaluate_expansion(sysc, amp, 0.1, 0).column("y")[0] == 2.0
     with pytest.raises(NotReal):
-        nm.evaluate_expansion(pol, amp, 0.1, 1)
+        nm.evaluate_expansion(sysc, amp, 0.1, 1)
+
+
+BOUND_EXAMPLES = [("vdp", None), ("rayleigh", None), ("nonauto", None),
+                  ("duffing", {"g": 1}), ("mathieu", {"g": 1})]
+
+
+@pytest.mark.parametrize("K", [2, 4])
+@pytest.mark.parametrize("name,bindings", BOUND_EXAMPLES,
+                         ids=[name for name, _ in BOUND_EXAMPLES])
+def test_expansion_through_exponent_map_is_bit_identical(name, bindings, K):
+    # the Cartesian table at Ar = R*w, Br = R/w gives the very floats of
+    # the table substituted into R and w, compiled and evaluated
+    V = get_example(name).potential()
+    if bindings:
+        V = V.bind(bindings)
+    sysc = normal_form(V, K)
+    table = polar_expansion(sysc)
+    grid = np.linspace(0.0, 3.0, 41)
+    values = np.column_stack([0.3 + 0.25 * grid, 1.7 * grid - 0.4])
+    amp = nm.Trajectory(grid, ("R", "theta"), values)
+    R, w = amp.column("R"), np.exp(1j * amp.column("theta"))
+    eps = 0.15
+    for order in range(K + 1):
+        want = np.zeros(len(grid), dtype=complex)
+        powers = {}
+        for n in harmonics(table):
+            terms = nm._compile(harmonic(table, n), eps, order, "R", PHASE)
+            if terms:
+                want += (nm._evaluate(terms, R, w, powers=powers)
+                         * np.exp(1j * n * grid))
+        got = nm.evaluate_expansion(sysc, amp, eps, order).column("y")
+        assert np.array_equal(got, want.real), order
 
 
 def test_csv_and_gnuplot_emission(tmp_path):

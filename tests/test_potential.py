@@ -94,6 +94,9 @@ def test_parse_error_position():
         parse_potential("q*y")        # unknown identifier
     with pytest.raises(ParseError):
         parse_potential("(y")
+    with pytest.raises(ParseError) as exc:
+        parse_potential("1/0*y'")
+    assert exc.value.position == 0
 
 
 def test_conjugation_symmetry():

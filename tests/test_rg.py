@@ -15,30 +15,51 @@ from rgpert.rg import (derive_rg, normal_form, to_polar, limit_cycle,
 from rgpert.potential import harmonic, harmonics, parse_potential
 
 from conftest import trig, trig_mul, trig_scale, trig_add, phase_poly
-from oracles import renormalization_constants, series_solve_root_full_cap
+from oracles import (polar_expansion, renormalization_constants,
+                     series_solve_root_full_cap)
 
 
 R = P("R")
 
 
 @pytest.fixture(scope="module")
-def vdp_polar():
-    return to_polar(derive_rg(example_expansion("vdp", 8)))
+def vdp_rg():
+    return derive_rg(example_expansion("vdp", 8))
 
 
 @pytest.fixture(scope="module")
-def duffing_polar():
-    return to_polar(derive_rg(example_expansion("duffing", 5, {"g": 1})))
+def vdp_polar(vdp_rg):
+    return to_polar(vdp_rg)
 
 
 @pytest.fixture(scope="module")
-def rayleigh_polar():
-    return to_polar(derive_rg(example_expansion("rayleigh", 6)))
+def duffing_rg():
+    return derive_rg(example_expansion("duffing", 5, {"g": 1}))
 
 
 @pytest.fixture(scope="module")
-def nonauto_polar():
-    return to_polar(derive_rg(example_expansion("nonauto", 4)))
+def duffing_polar(duffing_rg):
+    return to_polar(duffing_rg)
+
+
+@pytest.fixture(scope="module")
+def rayleigh_rg():
+    return derive_rg(example_expansion("rayleigh", 6))
+
+
+@pytest.fixture(scope="module")
+def rayleigh_polar(rayleigh_rg):
+    return to_polar(rayleigh_rg)
+
+
+@pytest.fixture(scope="module")
+def nonauto_rg():
+    return derive_rg(example_expansion("nonauto", 4))
+
+
+@pytest.fixture(scope="module")
+def nonauto_polar(nonauto_rg):
+    return to_polar(nonauto_rg)
 
 
 def assert_orders(series, expected, through):
@@ -107,7 +128,7 @@ def test_vdp_phase_eps6_consistency(vdp_polar):
     assert drift_wrong.coeffs[6].as_constant() != grq(35, 884736)
 
 
-def test_vdp_renormalized_expansion(vdp_polar):
+def test_vdp_renormalized_expansion(vdp_rg):
     # y = 2R cos(tau) - (eps R^3/4) sin(3 tau) - ... with tau = t + theta
     def tau(kind, m):
         return trig(kind, m, m)
@@ -125,23 +146,26 @@ def test_vdp_renormalized_expansion(vdp_polar):
                         trig_scale(tau("sin", 5), grq(15, 2304)),
                         trig_scale(tau("sin", 7), grq(28, 2304)))),
     ]
-    _assert_expansion(vdp_polar, terms, through=3)
+    _assert_expansion(vdp_rg, terms, through=3)
 
 
-def _assert_expansion(polar, terms, through):
+def _assert_expansion(rgsys, terms, through):
+    """The expansion of ``rgsys`` at Ar = R*w, Br = R/w against ``terms``
+    in tau = t + theta, through eps^through."""
+    table = polar_expansion(rgsys)
     expected = {}
     for k, r_pow, trig_dict in terms:
         for n, poly in phase_poly(trig_dict, r_pow).items():
             expected.setdefault(n, {})
             expected[n][k] = expected[n].get(k, ParamPolynomial.zero()) + poly
     for n, by_order in expected.items():
-        assert n in harmonics(polar.expansion), f"harmonic {n} missing"
-        series = harmonic(polar.expansion, n)
+        assert n in harmonics(table), f"harmonic {n} missing"
+        series = harmonic(table, n)
         for k in range(through + 1):
             want = by_order.get(k, ParamPolynomial.zero())
             assert series.coeffs[k] == want, (n, k)
-    for n in harmonics(polar.expansion):
-        series = harmonic(polar.expansion, n)
+    for n in harmonics(table):
+        series = harmonic(table, n)
         if n not in expected:
             assert all(series.coeffs[k].is_zero()
                        for k in range(through + 1)), n
@@ -186,7 +210,7 @@ def test_duffing_phase_equation(duffing_polar):
     assert_orders(duffing_polar.dtheta_dt, expected, 5)
 
 
-def test_duffing_renormalized_expansion(duffing_polar):
+def test_duffing_renormalized_expansion(duffing_rg):
     def tau(kind, m):
         return trig(kind, m, m)
 
@@ -203,7 +227,7 @@ def test_duffing_renormalized_expansion(duffing_polar):
                         trig_scale(tau("cos", 5), grq(-3 * 43, 768)),
                         trig_scale(tau("cos", 7), grq(3, 768)))),
     ]
-    _assert_expansion(duffing_polar, terms, through=3)
+    _assert_expansion(duffing_rg, terms, through=3)
 
 
 def test_duffing_has_no_limit_cycle(duffing_polar):
@@ -237,7 +261,7 @@ def test_rayleigh_phase_equation(rayleigh_polar):
     assert_orders(rayleigh_polar.dtheta_dt, expected, 6)
 
 
-def test_rayleigh_renormalized_expansion(rayleigh_polar):
+def test_rayleigh_renormalized_expansion(rayleigh_rg):
     def tau(kind, m):
         return trig(kind, m, m)
 
@@ -254,7 +278,7 @@ def test_rayleigh_renormalized_expansion(rayleigh_polar):
                         trig_scale(tau("sin", 5), grq(51, 2304)),
                         trig_scale(tau("sin", 7), grq(-4, 2304)))),
     ]
-    _assert_expansion(rayleigh_polar, terms, through=3)
+    _assert_expansion(rayleigh_rg, terms, through=3)
 
 
 def test_rayleigh_limit_cycle_leading(rayleigh_polar):
@@ -298,7 +322,7 @@ def test_nonauto_mixes_phase(nonauto_polar):
         limit_cycle(nonauto_polar)
 
 
-def test_nonauto_renormalized_expansion(nonauto_polar):
+def test_nonauto_renormalized_expansion(nonauto_rg):
     terms = [
         (0, 1, trig_scale(trig("cos", 1, 1), gr(2))),
         (1, 2, trig_scale(trig("sin", 2, 3), grq(1, 4))),
@@ -318,7 +342,7 @@ def test_nonauto_renormalized_expansion(nonauto_polar):
                      trig_scale(trig_mul(trig("cos", 1), trig("sin", 3, 5)),
                                 gr(-146))), grq(1, 4608))),
     ]
-    _assert_expansion(nonauto_polar, terms, through=3)
+    _assert_expansion(nonauto_rg, terms, through=3)
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
@@ -332,6 +356,23 @@ def test_expansion_columns_are_renormalized_secular_coefficients(name):
         want = Y.secular_coefficient(n).subs_poly({"t": 0}).rename(
             {"A": "Ar", "B": "Br"})
         assert harmonic(expansion, n) == want, n
+
+
+@pytest.mark.parametrize("K", [1, 3, 6])
+def test_to_polar_substitutes_only_the_flow(monkeypatch, K):
+    # one subs per eps-coefficient of rhs_A and of rhs_B: the expansion
+    # is not substituted
+    sysc = normal_form(get_example("vdp").potential(), K)
+    calls = []
+    subs = ParamPolynomial.subs
+
+    def counting(self, bindings):
+        calls.append(1)
+        return subs(self, bindings)
+
+    monkeypatch.setattr(ParamPolynomial, "subs", counting)
+    to_polar(sysc)
+    assert len(calls) == 2 * (K + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +466,7 @@ def test_limit_cycle_solves_in_the_radius():
     dlog = EpsilonSeries(2, [ParamPolynomial.zero(),
                              (R ** 2 - 2) * (R ** 2 - 4), R ** 2])
     dtheta = EpsilonSeries.from_poly(R ** 2, 2, order=1)
-    R_c, dtheta_c = limit_cycle(PolarRG(2, dlog, dtheta, {}))
+    R_c, dtheta_c = limit_cycle(PolarRG(2, dlog, dtheta))
     assert R_c == EpsilonSeries(1, [ParamPolynomial.const(2),
                                     ParamPolynomial.const(grq(-1, 2))])
     # d theta/dt = eps R_c^2 = 4 eps mod eps^2
@@ -445,7 +486,7 @@ def test_limit_cycle_radius_equals_the_full_cap_newton(potential, top):
     pol = to_polar(normal_form(V, top))
     for K in range(1, top + 1):
         G = pol.dlogR_dt.truncate(K)
-        R_c, _ = limit_cycle(PolarRG(K, G, pol.dtheta_dt.truncate(K), {}))
+        R_c, _ = limit_cycle(PolarRG(K, G, pol.dtheta_dt.truncate(K)))
         seed = R_c.coeffs[0].as_constant()
         assert R_c == series_solve_root_full_cap(G, "R", seed), K
 
