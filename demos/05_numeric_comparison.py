@@ -34,7 +34,8 @@ for order in (1, 2):
     if order == 1:
         peaks = nm.count_envelope_peaks(amplitudes.column("R"))
         print(f"  envelope peaks over the run: {peaks}")
-        nm.write_csv("comparison.csv", rows)
+        with open("comparison.csv", "w") as fh:
+            nm.write_csv(fh, rows)
         nm.write_gnuplot("comparison.gp", "comparison.csv")
         print("  wrote comparison.csv and comparison.gp "
               "(render with: gnuplot -p comparison.gp)")

@@ -19,7 +19,10 @@ Coefficients are stored fraction-free, as in FLINT's ``fmpq_poly``: every
 term holds a Gaussian-integer numerator ``(re, im)`` of Python ints, and
 the polynomial holds one positive common denominator ``den``.  The inner
 loops of multiplication and addition therefore do integer arithmetic
-only, and each result is normalised with one gcd sweep.  The form is
+only, and each result is normalised with one gcd sweep.  Products run
+on one multiply-accumulate kernel, ``dot``: a sum of products, such as a
+Cauchy sum or a Lie derivative, goes into one term table over one
+denominator, and a lone ``a * b`` is its one-pair case.  The form is
 canonical (no zero numerators, ``gcd(den, all numerators) == 1``, and the
 zero polynomial has ``den == 1``), so equal polynomials have equal
 ``terms`` and ``den``.  ``GaussianRational`` remains the scalar type at
@@ -33,6 +36,7 @@ variables that occur, in the fixed precedence
 which also makes every text rendering deterministic (graded lex).
 """
 
+from itertools import repeat
 from math import gcd, lcm
 
 from ..errors import BudgetExceeded, NotDivisible
@@ -253,29 +257,7 @@ class ParamPolynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        bound = a.bound + b.bound
-        if bound >= _HALF:
-            bound = _remeasured(a, b)
-        terms = {}
-        get = terms.get
-        bt = list(b.terms.items())
-        for ka, (ar, ai) in a.terms.items():
-            for kb, (br, bi) in bt:
-                key = ka + kb
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                s = get(key)
-                if s is None:
-                    terms[key] = (re, im)
-                else:
-                    re += s[0]
-                    im += s[1]
-                    if re or im:
-                        terms[key] = (re, im)
-                    else:
-                        del terms[key]
-        return _normalized(terms, a.den * b.den, bound)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -577,6 +559,57 @@ def _normalized(terms, den, bound):
             den //= g
             terms = {e: (re // g, im // g) for e, (re, im) in terms.items()}
     return ParamPolynomial._raw(terms, den, bound)
+
+
+def dot(pairs, weights=None):
+    """sum(w * a * b) over the polynomial ``pairs`` (a, b) and the integer
+    ``weights`` w, all 1 by default: the multiply-accumulate kernel of
+    ``*`` and of every sum of products.
+
+    The products go into one dict over one denominator, the lcm of the
+    ``a.den * b.den``, with each a's numerators scaled once per pair; no
+    polynomial is built per product, and one gcd sweep normalises the
+    sum.  A pair with a zero operand or weight is skipped.  Each pair's
+    exponent bound is checked as a lone product's is, so BudgetExceeded
+    is raised exactly when one of the products alone would raise it.
+    Terms land in the order of the nested loops, pair by pair, a's terms
+    outside b's: a one-pair call lists those of ``a * b``.
+    """
+    live, den, bound = [], 1, 0
+    for (a, b), w in zip(pairs, repeat(1) if weights is None else weights):
+        if a.terms and b.terms and w:
+            d = a.den * b.den
+            den = lcm(den, d)
+            pb = a.bound + b.bound
+            if pb >= _HALF:
+                pb = _remeasured(a, b)
+            if pb > bound:
+                bound = pb
+            live.append((a.terms, b.terms, d, w))
+    terms = {}
+    get = terms.get
+    for at, bt, d, w in live:
+        f = den // d * w
+        bt = list(bt.items())
+        for ka, (ar, ai) in at.items():
+            if f != 1:
+                ar *= f
+                ai *= f
+            for kb, (br, bi) in bt:
+                key = ka + kb
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                s = get(key)
+                if s is None:
+                    terms[key] = (re, im)
+                else:
+                    re += s[0]
+                    im += s[1]
+                    if re or im:
+                        terms[key] = (re, im)
+                    else:
+                        del terms[key]
+    return _normalized(terms, den, bound)
 
 
 def _as_poly(x):

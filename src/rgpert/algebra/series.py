@@ -5,17 +5,21 @@ coefficients.  Mixed-cap arithmetic raises CapMismatch; callers equalize
 caps explicitly with truncate()/extend().
 
 Every product of series goes through one truncated Cauchy sum
-(``cauchy``, and ``square`` for a square).  ``Composition`` evaluates a
-polynomial at series one eps-order at a time on top of them, the naive
-form of online ("relaxed") multiplication (van der Hoeven, J. Symb.
-Comp. 2002); ``substitute`` and the potential's V(y) both use it.
+(``cauchy``, and ``square`` for a square), each coefficient one call of
+the polynomial multiply-accumulate kernel ``poly.dot`` over its pairs of
+coefficients.  ``Composition`` evaluates a polynomial at series one
+eps-order at a time on top of them, the naive form of online ("relaxed")
+multiplication (van der Hoeven, J. Symb. Comp. 2002), and sums the terms
+of each order with one more ``dot``; ``substitute`` and the potential's
+V(y) both use it.
 """
 
 from ..errors import CapMismatch, DegenerateRoot, NonRationalRoot
-from .poly import ParamPolynomial, _as_poly
+from .poly import ParamPolynomial, _as_poly, dot
 from .rationals import GaussianRational, ZERO
 
 _ZP = ParamPolynomial.zero()
+_ONE = ParamPolynomial.const(1)
 
 
 class EpsilonSeries:
@@ -120,11 +124,11 @@ class EpsilonSeries:
             raise ZeroDivisionError(
                 "series inverse needs a nonzero constant leading coefficient")
         inv0 = c0.inverse()
-        # out_k = -inv0 * sum_{j>=1} c_j out_{k-j}: the tail times out
-        tail = (_ZP,) + self.coeffs[1:]
+        # out_k = -inv0 * sum_{j>=1} c_j out_{k-j}
+        c = self.coeffs
         out = [ParamPolynomial.const(inv0)]
         for k in range(1, self.cap + 1):
-            acc = cauchy(tail, out, k)
+            acc = dot([(c[j], out[k - j]) for j in range(1, k + 1)])
             out.append(acc.scaled(-inv0) if acc else _ZP)
         return EpsilonSeries(self.cap, out)
 
@@ -211,24 +215,18 @@ def _as_series_like(x, cap):
 
 def cauchy(a, b, j):
     """[eps^j] of the product of the series with coefficients a and b."""
-    out = _ZP
-    for i in range(j + 1):
-        if a[i] and b[j - i]:
-            out = out + a[i] * b[j - i]
-    return out
+    return dot([(a[i], b[j - i]) for i in range(j + 1)])
 
 
 def square(a, j):
     """[eps^j] of the square of the series with coefficients a; each
-    product a_i*a_{j-i} with i < j-i is made once and doubled."""
-    out = _ZP
-    for i in range((j + 1) // 2):
-        if a[i] and a[j - i]:
-            out = out + a[i] * a[j - i]
-    out = out.scaled(2)
-    if j % 2 == 0 and a[j // 2]:
-        out = out + a[j // 2] * a[j // 2]
-    return out
+    product a_i*a_{j-i} with i < j-i is made once, with weight 2."""
+    pairs = [(a[i], a[j - i]) for i in range((j + 1) // 2)]
+    weights = [2] * len(pairs)
+    if j % 2 == 0:
+        pairs.append((a[j // 2], a[j // 2]))
+        weights.append(1)
+    return dot(pairs, weights)
 
 
 class Composition:
@@ -251,7 +249,7 @@ class Composition:
     __slots__ = ("terms", "bases", "products", "lists", "order")
 
     def __init__(self, terms):
-        self.terms = tuple(terms)
+        self.terms = tuple((n, exps, _as_poly(c)) for n, exps, c in terms)
         if any(e < 0 for _, exps, _ in self.terms for e in exps):
             raise ValueError("negative exponent of a composed variable")
         top = [max(col) for col in zip(*(exps for _, exps, _ in self.terms))]
@@ -291,14 +289,14 @@ class Composition:
         for key, (a, b) in self.products.items():
             lists[key].append(square(lists[a], j) if a == b
                               else cauchy(lists[a], lists[b], j))
-        out = _ZP
+        pairs = []
         for n, exps, c in self.terms:
             if not any(exps):
                 if n == j:
-                    out = out + c
-            elif n <= j and lists[exps][j - n]:
-                out = out + c * lists[exps][j - n]
-        return out
+                    pairs.append((c, _ONE))
+            elif n <= j:
+                pairs.append((c, lists[exps][j - n]))
+        return dot(pairs)
 
 
 def substitute(obj, bindings):

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 failed verification, 2 usage error.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -271,35 +272,51 @@ def _check_orders(args, parser, *names):
                          f"{getattr(args, name)} exceeds --order {args.order}")
 
 
-def _emit_rows(args, parser, header, rows):
-    if args.out:
-        try:
-            numeric.write_csv(args.out, rows, header)
-        except OSError as exc:
-            parser.error(f"--out {args.out}: {exc.strerror}")
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(header)
-        sys.stdout.writelines(numeric.csv_lines(rows))
+def _open_out(args, parser):
+    """The --out file, opened before any work so that an unwritable path
+    is a usage error at once, or stdout."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.out, "w")
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror}")
+
+
+def _emit_rows(args, parser, out, header, rows):
+    """The CSV to ``out``; a failed write or close of the --out file is
+    a usage error, like a failed open."""
+    if not args.out:
+        numeric.write_csv(out, rows, header)
+        return
+    try:
+        numeric.write_csv(out, rows, header)
+        out.close()
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror}")
+    print(f"wrote {len(rows)} rows to {args.out}")
 
 
 def cmd_simulate(args, parser):
     V = _numeric_potential(args, parser)
-    if args.y0 is not None and args.dy0 is not None:
-        traj = numeric.integrate_ode(V, args.y0, args.dy0, args.eps,
-                                     args.tmax, args.dt)
-    elif args.R0 is not None and args.theta0 is not None:
+    direct = args.y0 is not None and args.dy0 is not None
+    if not direct:
+        if args.R0 is None or args.theta0 is None:
+            parser.error("simulate needs --y0/--dy0 (direct) or "
+                         "--R0/--theta0 (amplitude flow)")
         _check_orders(args, parser, "rg_order")
-        pol = to_polar(normal_form(V, args.order))
-        traj = numeric.integrate_rg(pol, args.eps, args.rg_order,
-                                    args.tmax, args.dt,
-                                    R0=args.R0, theta0=args.theta0)
-    else:
-        parser.error("simulate needs --y0/--dy0 (direct) or "
-                     "--R0/--theta0 (amplitude flow)")
-    import numpy as np
-    rows = np.column_stack([traj.t, traj.values])
-    _emit_rows(args, parser, "t," + ",".join(traj.columns), rows)
+    with _open_out(args, parser) as out:
+        if direct:
+            traj = numeric.integrate_ode(V, args.y0, args.dy0, args.eps,
+                                         args.tmax, args.dt)
+        else:
+            pol = to_polar(normal_form(V, args.order))
+            traj = numeric.integrate_rg(pol, args.eps, args.rg_order,
+                                        args.tmax, args.dt,
+                                        R0=args.R0, theta0=args.theta0)
+        import numpy as np
+        rows = np.column_stack([traj.t, traj.values])
+        _emit_rows(args, parser, out, "t," + ",".join(traj.columns), rows)
     if traj.truncated:
         print("# trajectory diverged and was truncated", file=sys.stderr)
     return 0
@@ -310,25 +327,27 @@ def cmd_compare(args, parser):
     if args.R0 is None or args.theta0 is None:
         parser.error("compare needs --R0 and --theta0")
     _check_orders(args, parser, "rg_order", "expansion_order")
-    sysc = normal_form(V, args.order)
-    pol = to_polar(sysc)
-    amp = numeric.integrate_rg(pol, args.eps, args.rg_order, args.tmax,
-                               args.dt, R0=args.R0, theta0=args.theta0)
-    numeric.require_whole(amp, "the amplitude flow")
-    y_rg = numeric.evaluate_expansion(sysc, amp, args.eps,
-                                      args.expansion_order)
-    if args.y0 is not None and args.dy0 is not None:
-        y0, dy0 = args.y0, args.dy0
-    else:
-        Ar0 = args.R0 * complex(math.cos(args.theta0),
-                                math.sin(args.theta0))
-        y0, dy0 = numeric.expansion_initial_conditions(
-            sysc, args.eps, args.rg_order, args.expansion_order,
-            Ar0=Ar0, Br0=Ar0.conjugate())
-    ode = numeric.integrate_ode(V, y0, dy0, args.eps, args.tmax, args.dt)
-    numeric.require_whole(ode, "the direct ODE")
-    metrics, rows = numeric.compare(ode, y_rg)
-    _emit_rows(args, parser, "t,y_numeric,y_rg,diff", rows)
+    with _open_out(args, parser) as out:
+        sysc = normal_form(V, args.order)
+        pol = to_polar(sysc)
+        amp = numeric.integrate_rg(pol, args.eps, args.rg_order, args.tmax,
+                                   args.dt, R0=args.R0, theta0=args.theta0)
+        numeric.require_whole(amp, "the amplitude flow")
+        y_rg = numeric.evaluate_expansion(sysc, amp, args.eps,
+                                          args.expansion_order)
+        if args.y0 is not None and args.dy0 is not None:
+            y0, dy0 = args.y0, args.dy0
+        else:
+            Ar0 = args.R0 * complex(math.cos(args.theta0),
+                                    math.sin(args.theta0))
+            y0, dy0 = numeric.expansion_initial_conditions(
+                sysc, args.eps, args.rg_order, args.expansion_order,
+                Ar0=Ar0, Br0=Ar0.conjugate())
+        ode = numeric.integrate_ode(V, y0, dy0, args.eps, args.tmax,
+                                    args.dt)
+        numeric.require_whole(ode, "the direct ODE")
+        metrics, rows = numeric.compare(ode, y_rg)
+        _emit_rows(args, parser, out, "t,y_numeric,y_rg,diff", rows)
     print(f"# max_abs_diff = {metrics['max_abs_diff']!r}", file=sys.stderr)
     print(f"# rms_diff = {metrics['rms_diff']!r}", file=sys.stderr)
     return 0

@@ -214,7 +214,10 @@ def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
 
 def _compile(series, eps, order, *names):
     """[(exponents of ``names``, complex coefficient * eps^k)] over the
-    eps-orders k <= order of a series in the variables ``names``."""
+    eps-orders k <= order of a series in the variables ``names``, each
+    order's terms sorted by exponent tuple: the floats and the order of
+    every float sum built on them depend on the exact values only, not
+    on the order in which the terms of a polynomial were made."""
     terms = []
     for k in range(min(order, series.cap) + 1):
         c = series.coeffs[k]
@@ -228,7 +231,7 @@ def _compile(series, eps, order, *names):
             # the +-inf of a float64, as a float: see _RHS.power
             epsk = math.copysign(math.inf, eps) ** k
         terms += [(exps, coeff.as_constant().to_complex() * epsk)
-                  for exps, coeff in c.split(names).items()]
+                  for exps, coeff in sorted(c.split(names).items())]
     return terms
 
 
@@ -350,10 +353,11 @@ def csv_lines(rows):
         yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
-def write_csv(path, rows, header="t,y_numeric,y_rg,diff"):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(csv_lines(rows))
+def write_csv(out, rows, header="t,y_numeric,y_rg,diff"):
+    """The header line and the CSV lines of ``rows`` to the open text
+    file ``out``."""
+    out.write(header + "\n")
+    out.writelines(csv_lines(rows))
 
 
 def write_gnuplot(path, csv_path):

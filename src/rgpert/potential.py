@@ -13,7 +13,7 @@ is split into this table.
 import re as _re
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      Composition, I, Rat, grq)
+                      Composition, I, Rat, dot, grq)
 from .errors import (ParseError, NotInClass, TrivialLinear, SupportOverflow,
                      BudgetExceeded)
 
@@ -83,11 +83,11 @@ class Potential:
         """V as an eps-series of polynomials in z = e^{it}, y, y' and the
         parameters."""
         cap = max((n for *_, n in self.coeffs), default=0)
-        coeffs = [_ZP] * (cap + 1)
+        pairs = [[] for _ in range(cap + 1)]
         for (k, l, m, n), c in self.coeffs.items():
-            coeffs[n] = coeffs[n] + c * ParamPolynomial.monomial(
-                1, **{HARMONIC: k, "y": l, "y'": m})
-        return EpsilonSeries(cap, coeffs)
+            pairs[n].append((c, ParamPolynomial.monomial(
+                1, **{HARMONIC: k, "y": l, "y'": m})))
+        return EpsilonSeries(cap, [dot(p) for p in pairs])
 
     def support_growth_rate(self):
         """M = max(|k|+l+m-1, 1) over the support; harmonic support at
@@ -314,8 +314,19 @@ def dt(c):
 
 
 def lie(x_a, x_b, p):
-    """L p = X_A d_A p + X_B d_B p for a polynomial or a series p."""
-    return x_a * p.diff("A") + x_b * p.diff("B")
+    """L p = X_A d_A p + X_B d_B p for a polynomial or a series p: one
+    multiply-accumulate for a polynomial, one per eps-order for a
+    series."""
+    pa, pb = p.diff("A"), p.diff("B")
+    if not isinstance(p, EpsilonSeries):
+        return dot(((x_a, pa), (x_b, pb)))
+    x_a._check(p)
+    x_b._check(p)
+    xa, xb, pa, pb = x_a.coeffs, x_b.coeffs, pa.coeffs, pb.coeffs
+    return EpsilonSeries(p.cap, [
+        dot([(x[i], q[j - i]) for x, q in ((xa, pa), (xb, pb))
+             for i in range(j + 1)])
+        for j in range(p.cap + 1)])
 
 
 class HarmonicSeries:
@@ -352,12 +363,12 @@ class OnlinePotential:
             raise BudgetExceeded(f"potential of degree {degree} in (y, y') "
                                  f"exceeds the budget of {MAX_DEGREE}")
         # sum_k C_klmn z^k, collected per (l, m, n)
-        terms = {}
+        pairs = {}
         for (k, l, m, n), c in sorted(V.coeffs.items()):
-            terms[l, m, n] = (terms.get((l, m, n), _ZP) +
-                              c * ParamPolynomial.var(HARMONIC, k))
+            pairs.setdefault((l, m, n), []).append(
+                (c, ParamPolynomial.var(HARMONIC, k)))
         self.composition = Composition(
-            (n, (l, m), c) for (l, m, n), c in terms.items())
+            (n, (l, m), dot(p)) for (l, m, n), p in pairs.items())
 
     def feed(self, y_j, dy_j):
         """[eps^j] V(y), given y_j and y'_j after the lower orders."""
@@ -365,14 +376,16 @@ class OnlinePotential:
 
 
 def source_harmonics(source, k, bound):
-    """(n, z^n coefficient) of the order-k source term for increasing n;
-    SupportOverflow on a harmonic |n| > bound."""
-    for n in sorted(source.exponents(HARMONIC)):
+    """(n, z^n coefficient) of the order-k source term for increasing n,
+    from one split of the source; SupportOverflow on a harmonic
+    |n| > bound."""
+    parts = source.split((HARMONIC,))
+    for (n,) in sorted(parts):
         if abs(n) > bound:
             raise SupportOverflow(
                 f"harmonic {n} at order {k} exceeds bound {bound}; "
                 "potential may be outside the class")
-        yield n, source.coefficient(HARMONIC, n)
+        yield n, parts[n,]
 
 
 def eval_potential(V, y, dy, K):

@@ -15,7 +15,7 @@ with w = e^{i*theta} kept as an exact Laurent variable.
 from math import lcm
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      substitute, series_solve_root, grq, Rat)
+                      dot, substitute, series_solve_root, grq, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
                      NonRationalRoot, Underdetermined)
 from .potential import HARMONIC, OnlinePotential, dt, lie, source_harmonics
@@ -50,13 +50,12 @@ class PolarRG:
     """Polar form of the amplitude flow only: d log R/dt and d theta/dt,
     series in R and the phase variable w = e^{i*theta}."""
 
-    __slots__ = ("cap", "dlogR_dt", "dtheta_dt", "potential")
+    __slots__ = ("cap", "dlogR_dt", "dtheta_dt")
 
-    def __init__(self, cap, dlogR_dt, dtheta_dt, potential=None):
+    def __init__(self, cap, dlogR_dt, dtheta_dt):
         self.cap = cap
         self.dlogR_dt = dlogR_dt
         self.dtheta_dt = dtheta_dt
-        self.potential = potential
 
     def theta_free(self):
         return (not self.dlogR_dt.uses_var(PHASE) and
@@ -96,7 +95,11 @@ def normal_form(V, K):
 
 def _homological_solve(V, K):
     """(X_A, X_B, h) of normal_form as EpsilonSeries in the naive
-    amplitudes A, B."""
+    amplitudes A, B.
+
+    R_k and sum_{m<k} L_m (Dh)_{k-m} are one multiply-accumulate each,
+    over every m and both amplitudes; h_k is one more, over the
+    harmonics of one split of S_k."""
     support_bound = 1 + K * V.support_growth_rate()
     h = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
          ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
@@ -104,27 +107,30 @@ def _homological_solve(V, K):
     x_a, x_b = [_ZP], [_ZP]
     v_of_y = OnlinePotential(V)
     for k in range(1, K + 1):
-        r = _ZP
-        source = v_of_y.feed(h[k - 1], dh[k - 1])
-        for m in range(1, k):
-            if x_a[m] or x_b[m]:
-                r = r + lie(x_a[m], x_b[m], h[k - m])
-                source = source - lie(x_a[m], x_b[m], dh[k - m])
-        source = source - dt(r)
-        h_k, a_k, b_k = _ZP, _ZP, _ZP
+        r = _lie_sum(x_a, x_b, h, k)
+        source = (v_of_y.feed(h[k - 1], dh[k - 1]) -
+                  _lie_sum(x_a, x_b, dh, k) - dt(r))
+        pairs, a_k, b_k = [], _ZP, _ZP
         for n, s in source_harmonics(source, k, support_bound):
             if n == 1:
                 a_k = s.scaled(_HALF_OVER_I)
             elif n == -1:
                 b_k = -s.scaled(_HALF_OVER_I)
             else:
-                h_k = h_k + (s.scaled(grq(1, 1 - n * n)) *
-                             ParamPolynomial.var(HARMONIC, n))
+                pairs.append((s, ParamPolynomial.var(HARMONIC, n,
+                                                     grq(1, 1 - n * n))))
+        h_k = dot(pairs)
         x_a.append(a_k)
         x_b.append(b_k)
         h.append(h_k)
         dh.append(dt(h_k) + r + lie(a_k, b_k, h[0]))
     return tuple(EpsilonSeries(K, c) for c in (x_a, x_b, h))
+
+
+def _lie_sum(x_a, x_b, p, k):
+    """sum_{0<m<k} L_m p_{k-m} in one multiply-accumulate."""
+    return dot([(x[m], p[k - m].diff(name)) for m in range(1, k)
+                for x, name in ((x_a, "A"), (x_b, "B")) if x[m]])
 
 
 def to_polar(rgsys):
@@ -149,7 +155,7 @@ def to_polar(rgsys):
     half = grq(1, 2)
     dlogR = divide_R(rhs_a * w_inv + rhs_b * w, "d log R/dt") * half
     dtheta = divide_R(rhs_a * w_inv - rhs_b * w, "d theta/dt") * _HALF_OVER_I
-    return PolarRG(rgsys.cap, dlogR, dtheta, rgsys.potential)
+    return PolarRG(rgsys.cap, dlogR, dtheta)
 
 
 def rational_roots(poly, var):

@@ -10,8 +10,10 @@ checks on the t-free slice.  Newton's root solve with every step at the
 full cap, which ``series_solve_root`` runs at doubling caps.  V(y) by
 whole-series powers, which ``rgpert.potential`` builds online, the
 polynomial substitution as a sum of per-term products, which
-``ParamPolynomial.subs`` accumulates in one pass, and seeded random
-in-class potentials.  The secular-free expansion in the polar amplitudes
+``ParamPolynomial.subs`` accumulates in one pass, a sum of products as
+one product and one addition at a time, which ``algebra.poly.dot``
+accumulates into one term table, and seeded random in-class
+potentials.  The secular-free expansion in the polar amplitudes
 R and w = e^{i*theta}, which ``rgpert.numeric.evaluate_expansion`` reaches
 by mapping exponents.  Also the readouts only the tests use: the
 renormalization constants, the split P_{+-1} = (A, B) + eps*Q_{+-1}, a
@@ -63,6 +65,17 @@ def subs_reference(p, bindings):
                 power = powcache[name, e] = values[name] ** e
             factor = factor * power
         out = out + factor
+    return out
+
+
+def dot_reference(pairs, weights=None):
+    """Reference oracle: algebra.poly.dot as the sequential sum of the
+    weighted products, each made and normalised on its own."""
+    if weights is None:
+        weights = [1] * len(pairs)
+    out = _ZERO_POLY
+    for (a, b), w in zip(pairs, weights):
+        out = out + (a * b).scaled(w)
     return out
 
 

@@ -188,13 +188,13 @@ def test_criterion_11_numeric_sanity():
     t_max = 300.0
     amp = nm.integrate_rg(pol, eps, 5, t_max, R0=0.5, theta0=0.0)
     y = nm.evaluate_expansion(sysc, amp, eps, 5)
-    traj = nm.integrate_ode(pol.potential, y.column("y")[0],
+    traj = nm.integrate_ode(sysc.potential, y.column("y")[0],
                             float(np.gradient(y.column("y"), y.t)[0]),
                             eps, t_max)
     amplitude_ok = abs(peak_amplitude(traj, 200.0) - two_rc) < 1e-3
 
     def max_err(h):
-        t = nm.integrate_ode(pol.potential, 1.0, 0.0, 0.0, 10.0, h=h)
+        t = nm.integrate_ode(sysc.potential, 1.0, 0.0, 0.0, 10.0, h=h)
         return np.max(np.abs(t.column("y") - np.cos(t.t)))
 
     ratio = max_err(0.02) / max_err(0.01)

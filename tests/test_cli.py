@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from rgpert import mathieu, numeric
+from rgpert import cli, mathieu, numeric
 from rgpert import potential as potential_mod
 from rgpert.cli import build_parser, main
 
@@ -185,6 +185,26 @@ def test_unwritable_out_is_named(capsys, command, out, strerror):
               "--R0", "1", "--theta0", "0", "--tmax", "1", "--out", str(out)])
     assert capsys.readouterr().err.endswith(
         f"error: --out {out}: {strerror}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    SIM_ODE + ["--tmax", "6000"],
+    SIM_FLOW + ["--tmax", "6000"],
+    ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
+     "--R0", "1", "--theta0", "0", "--tmax", "6000"],
+], ids=["simulate-direct", "simulate-flow", "compare"])
+def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(numeric, "integrate_ode", no_work)
+    monkeypatch.setattr(numeric, "integrate_rg", no_work)
+    monkeypatch.setattr(cli, "normal_form", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(GOLDEN)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: --out {GOLDEN}: Is a directory\n")
 
 
 def test_zero_denominator_exit_1(capsys):

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr
+from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr, grq
 from rgpert.errors import (BudgetExceeded, ComplexPotential, GridMismatch,
                            NotReal)
 from rgpert.potential import HARMONIC, harmonic, harmonics, parse_potential
 from rgpert.registry import example_expansion, get_example
 from rgpert.perturbation import expand
-from rgpert.rg import PHASE, derive_rg, normal_form, to_polar, limit_cycle
+from rgpert.rg import (PHASE, PolarRG, derive_rg, normal_form, to_polar,
+                       limit_cycle)
 from rgpert import numeric as nm
 
 from oracles import peak_amplitude, polar_expansion
@@ -208,7 +209,8 @@ def test_expansion_through_exponent_map_is_bit_identical(name, bindings, K):
 def test_csv_and_gnuplot_emission(tmp_path):
     rows = np.array([[0.0, 1.0, 1.0, 0.0], [0.1, 0.9, 0.8, 0.1]])
     csv = tmp_path / "out.csv"
-    nm.write_csv(csv, rows)
+    with open(csv, "w") as fh:
+        nm.write_csv(fh, rows)
     lines = csv.read_text().splitlines()
     assert lines[0] == "t,y_numeric,y_rg,diff"
     assert len(lines) == 3
@@ -517,7 +519,8 @@ def test_csv_lines_match_float_repr(tmp_path):
     rows = np.array([[0.0, -0.0, 1e-300, 2.0 / 3],
                      [math.inf, -math.inf, math.nan, 123456789.125]])
     path = tmp_path / "rows.csv"
-    nm.write_csv(path, rows, "a,b,c,d")
+    with open(path, "w") as fh:
+        nm.write_csv(fh, rows, "a,b,c,d")
     expected = "a,b,c,d\n" + "".join(
         ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
     assert path.read_text() == expected
@@ -531,3 +534,25 @@ def test_overflow_in_the_kernel_warns_nobody():
         traj = nm.integrate_ode(V, 10.0, 0.0, 1.0, 1.0)
     assert traj.truncated
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_numeric_output_ignores_the_order_of_terms():
+    # two equal polynomials in (w, R) whose terms were made in opposite
+    # orders: the compiled terms, their real folding and the RK4
+    # trajectory are the same, float for float
+    monos = [ParamPolynomial.monomial(grq(k + 3, 7 * p, p, 11 + k),
+                                      **{PHASE: k, "R": p})
+             for k in range(-2, 3) for p in range(1, 4)]
+    fwd = sum(monos, ParamPolynomial.zero())
+    rev = sum(reversed(monos), ParamPolynomial.zero())
+    assert fwd == rev and list(fwd.terms) != list(rev.terms)
+    flows = []
+    for p in (fwd, rev):
+        series = EpsilonSeries(2, [ParamPolynomial.zero(), p,
+                                   p * P("R") * grq(1, 3)])
+        terms = nm._compile(series, 0.1, 2, PHASE, "R")
+        flows.append((terms, nm._fold(terms), nm.integrate_rg(
+            PolarRG(2, series, series), 0.1, 2, 5.0, R0=0.3, theta0=0.7)))
+    (terms, folded, traj), (terms2, folded2, traj2) = flows
+    assert terms == terms2 and folded == folded2
+    assert np.array_equal(traj.values, traj2.values)

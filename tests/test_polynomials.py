@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from rgpert.algebra import (GaussianRational, ParamPolynomial, P, Rat, gr,
                             grq, order_vars)
-from rgpert.algebra.poly import W
+from rgpert.algebra.poly import W, dot
 from rgpert.errors import BudgetExceeded, NotDivisible
 
-from oracles import subs_reference
+from oracles import dot_reference, subs_reference
 
 
 A, B, t = P("A"), P("B"), P("t")
@@ -450,6 +450,65 @@ def test_subs_refuses_negative_powers_and_field_overflow():
     # a loose stored bound is measured before refusing
     inv = ParamPolynomial.var("y", -20000)
     assert (x ** 2 * inv).subs({"x": y ** 10000}) == ParamPolynomial.const(1)
+
+
+# ---------------------------------------------------------------------------
+# The multiply-accumulate kernel
+# ---------------------------------------------------------------------------
+
+def dot_cases():
+    """(pairs, weights, cancel): mixed denominators and Gaussian
+    coefficients, zero operands, zero and negative weights, the empty
+    list, and, when ``cancel`` is drawn, every pair again with a negated
+    factor, so that the products cancel to the canonical zero."""
+    operand = st.one_of(st.just(ParamPolynomial.zero()), mixed_polys())
+    pairs = st.lists(st.tuples(operand, operand), max_size=5)
+    weights = st.one_of(st.none(), st.integers(-2, 3))
+
+    def build(draw_pairs, w, cancel):
+        if cancel:
+            draw_pairs = draw_pairs + [(a, -b) for a, b in draw_pairs]
+        return (draw_pairs, None if w is None else [w] * len(draw_pairs),
+                cancel)
+
+    return st.builds(build, pairs, weights, st.booleans())
+
+
+@given(dot_cases())
+def test_dot_equals_the_sequential_sum_of_products(case):
+    pairs, weights, cancel = case
+    got, want = dot(pairs, weights), dot_reference(pairs, weights)
+    assert_canonical(got)
+    assert got.den == want.den and got.terms == want.terms
+    if cancel or not pairs:
+        assert got.is_zero() and got.bound == 0
+
+
+@given(mixed_polys(), mixed_polys())
+def test_one_pair_dot_is_the_product(p, q):
+    one, product = dot([(p, q)]), p * q
+    assert one.den == product.den
+    assert list(one.terms.items()) == list(product.terms.items())
+
+
+def test_dot_cancels_to_the_canonical_zero():
+    p = A.scaled(grq(1, 3)) + B.scaled(grq(0, 1, 2, 5))
+    q = t.scaled(grq(5, 6, -1, 10)) + 1
+    z = dot([(p, q), (q, p)], [1, -1])
+    assert z.is_zero() and z.den == 1 and z.bound == 0
+    assert_canonical(z)
+    assert dot([(p, ParamPolynomial.zero()), (q, p)], [1, 0]).is_zero()
+
+
+def test_dot_keeps_the_exponent_budget_of_each_product():
+    x, y = P("x"), P("y")
+    big = y ** 20000
+    with pytest.raises(BudgetExceeded):
+        dot([(x, y), (big, big)])
+    # a loose stored bound is measured before refusing, as for a * b
+    loose = ParamPolynomial.var("y", 10000) * ParamPolynomial.var("y", -10000)
+    assert loose == 1 and loose.bound == 20000
+    assert dot([(loose, big), (x, y)]) == big + x * y
 
 
 def test_power_squares_no_further_than_the_target(monkeypatch):

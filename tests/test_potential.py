@@ -1,13 +1,14 @@
 import pytest
 
 from rgpert.algebra import ParamPolynomial, EpsilonSeries, P, gr, grq
-from rgpert.errors import (BudgetExceeded, ParseError, NotInClass,
-                           TrivialLinear)
+from rgpert.errors import (BudgetExceeded, CapMismatch, ParseError,
+                           NotInClass, TrivialLinear)
 from rgpert.perturbation import expand
 from rgpert.potential import (Potential, parse_potential, eval_potential,
                               HARMONIC, MAX_DEGREE, RESERVED_NAMES,
-                              OnlinePotential, dt, harmonic, harmonics)
+                              OnlinePotential, dt, harmonic, harmonics, lie)
 from rgpert.registry import EXAMPLES, get_example
+from rgpert.rg import _homological_solve
 
 from oracles import constant_term, eval_potential_whole, random_potential
 
@@ -253,3 +254,23 @@ def test_harmonics_of_the_hand_written_table():
     assert harmonics(HAND_TABLE) == [-5, -1, 0, 1, 3]
     assert harmonic(HAND_TABLE, 0) == EpsilonSeries.from_poly(
         -grq(1, 2) * P("g") * P("B") ** 2, 3, 1)
+
+
+def test_series_lie_is_the_sum_of_series_products():
+    # one multiply-accumulate per eps-order equals the whole-series form,
+    # on the solve's own (X, h) and on its naive table, whose X have
+    # support at several orders
+    for name in ("vdp", "nonauto", "duffing"):
+        x_a, x_b, h = _homological_solve(get_example(name).potential(), 5)
+        table = expand(get_example(name).potential(), 5).table
+        for p in (h, table, table.diff("t")):
+            assert lie(x_a, x_b, p) == (x_a * p.diff("A") +
+                                        x_b * p.diff("B"))
+    # the polynomial form, with a parameter
+    p = (grq(1, 3) * P("A") ** 2 * P("g") * z + gr(0, 2) * P("B") * z_inv)
+    x_a, x_b = grq(1, 2) * P("A") * P("B"), gr(0, -1) * P("g") * P("B")
+    assert lie(x_a, x_b, p) == x_a * p.diff("A") + x_b * p.diff("B")
+    x3, p4 = (EpsilonSeries.from_poly(P("A") * P("B"), cap, 1)
+              for cap in (3, 4))
+    with pytest.raises(CapMismatch):
+        lie(x3, x3, p4)
