@@ -272,6 +272,16 @@ def _check_orders(args, parser, *names):
                          f"{getattr(args, name)} exceeds --order {args.order}")
 
 
+def _direct_start(args, parser):
+    """Whether --y0 and --dy0 give the ODE's start; one without the other
+    would be dropped, so it is a usage error."""
+    if (args.y0 is None) != (args.dy0 is None):
+        given, missing = (("--y0", "--dy0") if args.dy0 is None
+                          else ("--dy0", "--y0"))
+        parser.error(f"{given} needs {missing}")
+    return args.y0 is not None
+
+
 def _open_out(args, parser):
     """The --out file, opened before any work so that an unwritable path
     is a usage error at once, or stdout."""
@@ -299,7 +309,10 @@ def _emit_rows(args, parser, out, header, rows):
 
 def cmd_simulate(args, parser):
     V = _numeric_potential(args, parser)
-    direct = args.y0 is not None and args.dy0 is not None
+    direct = _direct_start(args, parser)
+    if direct and (args.R0 is not None or args.theta0 is not None):
+        parser.error("simulate takes --y0/--dy0 (direct) or --R0/--theta0 "
+                     "(amplitude flow), not both")
     if not direct:
         if args.R0 is None or args.theta0 is None:
             parser.error("simulate needs --y0/--dy0 (direct) or "
@@ -326,6 +339,7 @@ def cmd_compare(args, parser):
     V = _numeric_potential(args, parser)
     if args.R0 is None or args.theta0 is None:
         parser.error("compare needs --R0 and --theta0")
+    direct = _direct_start(args, parser)
     _check_orders(args, parser, "rg_order", "expansion_order")
     with _open_out(args, parser) as out:
         sysc = normal_form(V, args.order)
@@ -335,7 +349,7 @@ def cmd_compare(args, parser):
         numeric.require_whole(amp, "the amplitude flow")
         y_rg = numeric.evaluate_expansion(sysc, amp, args.eps,
                                           args.expansion_order)
-        if args.y0 is not None and args.dy0 is not None:
+        if direct:
             y0, dy0 = args.y0, args.dy0
         else:
             Ar0 = args.R0 * complex(math.cos(args.theta0),

@@ -17,7 +17,8 @@ from .rg import PHASE
 DEFAULT_STEP = 2 * math.pi / 200
 DIVERGENCE_LIMIT = 1e8
 #: Most steps (t_max/h) one integration may take: 15x the longest run in
-#: the tests and 25x the benchmark's; about 170 MB of four-float states.
+#: the tests and 25x the benchmark's.  Such a run peaks at about 105 MB
+#: (tracemalloc): the grid, its step times and two floats a step.
 MAX_STEPS = 10 ** 6
 IMAG_TOL_EXPANSION = 1e-10
 
@@ -97,7 +98,9 @@ class _RHS:
         name = self.powers.get((fn, phi, n))
         if name is None:
             name = self.powers[fn, phi, n] = f"_{fn}{len(self.powers)}"
-            arg = phi if n == 1 else f"{n} * {phi}"
+            # a float literal: float * float is the interpreter's fast
+            # path, int * float a slower one with the same product
+            arg = phi if n == 1 else f"{float(n)!r} * {phi}"
             lines = self.time_lines if phi == "t" else self.lines
             lines += [f"try: {name} = {fn}({arg})",
                       f"except ValueError: {name} = nan"]
@@ -143,7 +146,10 @@ def _fold(terms):
 
 def _kernel_source(rhs):
     """One function running every RK4 step of ``rhs`` with inlined stages;
-    stages 2 and 3 share their time and so their ``time_lines``."""
+    stages 2 and 3 share their time and so their ``time_lines``.  Each
+    step appends the floats of its state, one at a time, through
+    ``_append``; the 2 of the update is the float 2.0 (see
+    ``_RHS.trig``)."""
     s = [f"_s{i}" for i in range(len(rhs.states))]
     src = [f"def _kernel({', '.join(s)}, _ts, _append):",
            "    for _t0 in _ts:"]
@@ -157,10 +163,10 @@ def _kernel_source(rhs):
                        f"{name} = {s[i]} + {a} * _k{j - 1}_{i}")
         src += rhs.lines
         src += [f"_k{j}_{i} = {d}" for i, d in enumerate(rhs.derivs)]
-    src += [f"{x} = {x} + _h6 * (_k0_{i} + 2 * _k1_{i} + 2 * _k2_{i}"
+    src += [f"{x} = {x} + _h6 * (_k0_{i} + 2.0 * _k1_{i} + 2.0 * _k2_{i}"
             f" + _k3_{i})" for i, x in enumerate(s)]
-    src += [f"_append(({', '.join(s)},))",
-            "if " + " or ".join(f"not abs({x}) <= _limit" for x in s)
+    src += [f"_append({x})" for x in s]
+    src += ["if " + " or ".join(f"not abs({x}) <= _limit" for x in s)
             + ":",
             "    return True"]
     return "\n".join(src[:2] + ["        " + line for line in src[2:]]
@@ -168,23 +174,25 @@ def _kernel_source(rhs):
 
 
 def _rk4(rhs, state0, grid):
-    """Classical RK4 of the system ``rhs`` over a uniform grid; the state
-    is a tuple of floats.  Stops after the first step that leaves the
-    box |x| <= DIVERGENCE_LIMIT, or turns nan, and reports it as
-    truncated."""
-    out = [state0]
-    if len(grid) < 2:
-        return out, False
-    h = float(grid[1] - grid[0])
-    namespace = dict(rhs.consts, _h=h, _h2=h / 2, _h6=h / 6,
-                     _limit=DIVERGENCE_LIMIT, _f64=np.float64,
-                     cos=math.cos, sin=math.sin, nan=math.nan)
-    exec(compile(_kernel_source(rhs), "<rk4 kernel>", "exec"), namespace)
-    # overflow to inf or nan is caught by the kernel's divergence check
-    with np.errstate(over="ignore", invalid="ignore"):
-        truncated = namespace["_kernel"](*state0, map(float, grid[:-1]),
-                                         out.append)
-    return out, truncated
+    """Classical RK4 of the system ``rhs`` over a uniform grid: the states
+    as one float64 array, a row per sample, built once from the kernel's
+    flat list of floats, and whether the run was truncated.  Stops after
+    the first step that leaves the box |x| <= DIVERGENCE_LIMIT, or turns
+    nan, and reports it as truncated, with fewer rows than the grid."""
+    flat = list(state0)
+    truncated = False
+    if len(grid) > 1:
+        h = float(grid[1] - grid[0])
+        namespace = dict(rhs.consts, _h=h, _h2=h / 2, _h6=h / 6,
+                         _limit=DIVERGENCE_LIMIT, _f64=np.float64,
+                         cos=math.cos, sin=math.sin, nan=math.nan)
+        exec(compile(_kernel_source(rhs), "<rk4 kernel>", "exec"),
+             namespace)
+        # overflow to inf or nan is caught by the kernel's divergence check
+        with np.errstate(over="ignore", invalid="ignore"):
+            truncated = namespace["_kernel"](*state0, grid[:-1].tolist(),
+                                             flat.append)
+    return np.array(flat).reshape(-1, len(state0)), truncated
 
 
 def check_real(V):
@@ -205,8 +213,7 @@ def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
     rhs.add_real_sum("_v", _compile(series, eps, series.cap, HARMONIC, "y",
                                     "y'"), "t", "y", "yp")
     rhs.derivs = ("yp", f"-y + {rhs.const(eps)} * _v")
-    states, truncated = _rk4(rhs, (float(y0), float(dy0)), grid)
-    values = np.array(states)
+    values, truncated = _rk4(rhs, (float(y0), float(dy0)), grid)
     return Trajectory(grid[:len(values)], ("y", "dy"), values,
                       meta={"eps": eps, "h": h, "kind": "ode"},
                       truncated=truncated)
@@ -261,8 +268,7 @@ def integrate_rg(polar, eps, order, t_max, h=DEFAULT_STEP, *, R0, theta0):
     rhs.add_real_sum("_dtheta", _compile(polar.dtheta_dt, eps, order, PHASE,
                                          "R"), "theta", "R")
     rhs.derivs = ("R * _dlogR", "_dtheta")
-    states, truncated = _rk4(rhs, (float(R0), float(theta0)), grid)
-    values = np.array(states)
+    values, truncated = _rk4(rhs, (float(R0), float(theta0)), grid)
     return Trajectory(grid[:len(values)], ("R", "theta"), values,
                       meta={"eps": eps, "order": order, "h": h,
                             "kind": "rg-polar"},

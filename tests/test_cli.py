@@ -17,6 +17,7 @@ from rgpert.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+TWO_PERIODS = "12.566370614359172"       # repr(4 * math.pi)
 
 
 def run(capsys, *argv):
@@ -52,6 +53,19 @@ def test_examples_listing(capsys):
     ("mathieu_crosscheck_order5_N40.txt",
      ["mathieu", "--order", "5", "--crosscheck",
       "eps=" + ":".join(f"{0.01 * i:.2f}" for i in range(1, 51)) + ",N=40"]),
+    # two periods, 401 rows: every float of the RK4 kernels, the
+    # expansion and the CSV writer
+    ("nonauto_compare_order4.csv",
+     ["compare", "--example", "nonauto", "--order", "4", "--eps", "0.25",
+      "--R0", "0.2", "--theta0", "-0.1", "--rg-order", "2",
+      "--tmax", TWO_PERIODS]),
+    ("vdp_flow_order4.csv",
+     ["simulate", "--example", "vdp", "--order", "4", "--eps", "0.1",
+      "--R0", "0.5", "--theta0", "0", "--rg-order", "4",
+      "--tmax", TWO_PERIODS]),
+    ("vdp_ode.csv",
+     ["simulate", "--example", "vdp", "--eps", "0.1", "--y0", "2",
+      "--dy0", "0", "--tmax", TWO_PERIODS]),
 ])
 def test_golden_outputs(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -114,6 +128,8 @@ SIM_ODE = ["simulate", "--example", "vdp", "--eps", "0.1", "--y0", "1",
            "--dy0", "0"]
 SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
             "--R0", "1", "--theta0", "0"]
+COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
+           "--R0", "1", "--theta0", "0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -147,6 +163,10 @@ SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
      "--R0", "1", "--theta0", "0", "--tmax", "1",
      "--out", str(GOLDEN / "mathieu_order5.txt" / "x.csv")],
     SIM_ODE + ["--tmax", "1", "--out", str(GOLDEN)],
+    COMPARE + ["--y0", "5"],
+    COMPARE + ["--dy0", "7"],
+    SIM_FLOW + ["--rg-order", "2", "--y0", "5"],
+    SIM_ODE + ["--R0", "3", "--theta0", "0"],
 ], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
         "negative-order", "mathieu-negative-order", "format-csv",
         "format-table", "bind-malformed", "numerics-unbound-parameter",
@@ -155,7 +175,9 @@ SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
         "expansion-order-negative", "dt-zero", "dt-negative", "dt-nan",
         "dt-inf", "tmax-negative", "tmax-inf", "tmax-nan",
         "params-with-example", "bind-repeated", "out-under-a-file",
-        "out-is-a-directory"])
+        "out-is-a-directory", "compare-y0-without-dy0",
+        "compare-dy0-without-y0", "simulate-flow-with-y0",
+        "simulate-both-starts"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -168,6 +190,12 @@ def test_bad_input_is_a_usage_error(capsys, argv):
      "--params applies only to --potential"),
     (["polar", "--example", "duffing", "--bind", "g=1", "--bind", "g=2"],
      "--bind g: given more than once"),
+    (COMPARE + ["--y0", "5"], "--y0 needs --dy0"),
+    (COMPARE + ["--dy0", "7"], "--dy0 needs --y0"),
+    (SIM_FLOW + ["--y0", "5"], "--y0 needs --dy0"),
+    (SIM_ODE + ["--R0", "3", "--theta0", "0"],
+     "simulate takes --y0/--dy0 (direct) or --R0/--theta0 (amplitude "
+     "flow), not both"),
 ])
 def test_ignored_input_is_named(capsys, argv, message):
     with pytest.raises(SystemExit):
@@ -185,6 +213,18 @@ def test_unwritable_out_is_named(capsys, command, out, strerror):
               "--R0", "1", "--theta0", "0", "--tmax", "1", "--out", str(out)])
     assert capsys.readouterr().err.endswith(
         f"error: --out {out}: {strerror}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    COMPARE + ["--y0", "5"],
+    SIM_ODE + ["--R0", "3", "--theta0", "0"],
+], ids=["compare-y0-without-dy0", "simulate-both-starts"])
+def test_dropped_start_fails_before_out_is_opened(capsys, tmp_path, argv):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
