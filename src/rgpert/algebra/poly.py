@@ -22,7 +22,8 @@ loops of multiplication and addition therefore do integer arithmetic
 only, and each result is normalised with one gcd sweep.  Products run
 on one multiply-accumulate kernel, ``dot``: a sum of products, such as a
 Cauchy sum or a Lie derivative, goes into one term table over one
-denominator, and a lone ``a * b`` is its one-pair case.  The form is
+denominator, and a lone ``a * b`` is its one-pair case; ``subs`` is
+one call over the parts of one split.  The form is
 canonical (no zero numerators, ``gcd(den, all numerators) == 1``, and the
 zero polynomial has ``den == 1``), so equal polynomials have equal
 ``terms`` and ``den``.  ``GaussianRational`` remains the scalar type at
@@ -39,7 +40,7 @@ which also makes every text rendering deterministic (graded lex).
 from itertools import repeat
 from math import gcd, lcm
 
-from ..errors import BudgetExceeded, NotDivisible
+from ..errors import BudgetExceeded
 from .rationals import GaussianRational, ZERO, Rat
 
 _CORE_PRECEDENCE = {"t": 0, "A": 1, "B": 2, "Ar": 3, "Br": 4, "R": 5}
@@ -322,64 +323,27 @@ class ParamPolynomial:
 
         A bound variable with a negative exponent raises ValueError.
 
-        Each term c*m*x^e (x the bound variables, m the rest) adds
-        c*m*prod(v^e) into one dict over one common denominator, with
-        prod(v^e) made once per exponent tuple e.  For a zero, constant
-        or monomial value that costs one key addition and one product
-        of Gaussian integers per term.  Terms land in the order that
-        summing the terms' images one by one gives.
+        One ``dot`` over the parts of ``split(bindings)``, each times the
+        product of the bound values' powers for its exponent tuple; each
+        power is made once.
         """
-        readers = [_reader(name) for name in bindings]
-        split = []
-        for key, c in self.terms.items():
-            exps = tuple(((key + half) >> shift & _MASK) - _HALF
-                         for shift, half in readers)
-            split.append((key - sum(e << shift for e, (shift, _)
-                                    in zip(exps, readers)), exps, c))
-        if not any(any(exps) for _, exps, _ in split):
+        parts = self.split(bindings)
+        if not any(map(any, parts)):
             return self
         values = [_as_poly(v) for v in bindings.values()]
-        powers, images = {}, {}
-        for _, exps, _ in split:
-            if exps in images:
-                continue
-            image = None
+        powers = {}
+
+        def image(exps):
+            out = _ONE_POLY
             for i, e in enumerate(exps):
                 if e:
                     p = powers.get((i, e))
                     if p is None:
                         p = powers[i, e] = values[i] ** e
-                    image = p if image is None else image * p
-            images[exps] = _ONE_POLY if image is None else image
-        bound = self.bound + max(p.bound for p in images.values())
-        if bound >= _HALF:
-            bound = max(_remeasured(ParamPolynomial._raw({rest: c}),
-                                    images[exps])
-                        for rest, exps, c in split)
-        den = lcm(*(p.den for p in images.values()))
-        terms = {}
-        get = terms.get
-        for rest, exps, (cr, ci) in split:
-            image = images[exps]
-            f = den // image.den
-            if f != 1:
-                cr *= f
-                ci *= f
-            for k, (pr, pi) in image.terms.items():
-                key = rest + k
-                re = cr * pr - ci * pi
-                im = cr * pi + ci * pr
-                s = get(key)
-                if s is None:
-                    terms[key] = (re, im)
-                else:
-                    re += s[0]
-                    im += s[1]
-                    if re or im:
-                        terms[key] = (re, im)
-                    else:
-                        del terms[key]
-        return _normalized(terms, self.den * den, bound)
+                    out = p if out is _ONE_POLY else out * p
+            return out
+
+        return dot([(part, image(exps)) for exps, part in parts.items()])
 
     def split(self, names):
         """{exponent tuple over ``names``: polynomial in the other
@@ -425,20 +389,6 @@ class ParamPolynomial:
 
     def degree_in(self, name):
         return max(self.exponents(name), default=0)
-
-    def min_degree_in(self, name):
-        return min(self.exponents(name), default=0)
-
-    def divide_by_var(self, name, power=1):
-        """Exact division by name**power; every term must carry it."""
-        if self.is_zero():
-            return self
-        if self.min_degree_in(name) < power:
-            raise NotDivisible(f"not divisible by {name}^{power}")
-        off = power << W * _slot(name)
-        return ParamPolynomial._raw(
-            {key - off: c for key, c in self.terms.items()}, self.den,
-            self._shifted_bound(name, -power))
 
     def conjugated(self):
         """Conjugate every coefficient (variables are treated as real)."""

@@ -90,8 +90,6 @@ def _add_potential_args(p):
                    help="bind a parameter to a rational value")
     p.add_argument("--order", type=_order, default=3, metavar="K",
                    help="truncation order in eps (default 3)")
-    p.add_argument("--format", default="text", choices=["text", "json"],
-                   help="output format")
 
 
 def _resolve_potential(args, parser):
@@ -255,7 +253,6 @@ def _common_sim_args(p):
     p.add_argument("--tmax", type=_duration, default=25 * 2 * math.pi)
     p.add_argument("--dt", type=_step, default=numeric.DEFAULT_STEP)
     p.add_argument("--rg-order", type=_order, default=1)
-    p.add_argument("--expansion-order", type=_order, default=1)
     p.add_argument("--R0", type=_finite)
     p.add_argument("--theta0", type=_finite)
     p.add_argument("--y0", type=_finite)
@@ -389,10 +386,14 @@ def build_parser():
     handlers = {}
 
     def add(name, fn, sim=False):
+        """A potential command; the numeric ones (sim) print only CSV."""
         p = sub.add_parser(name)
         _add_potential_args(p)
         if sim:
             _common_sim_args(p)
+        else:
+            p.add_argument("--format", default="text",
+                           choices=["text", "json"], help="output format")
         handlers[name] = fn
         return p
 
@@ -408,7 +409,8 @@ def build_parser():
     pm.add_argument("--format", default="text", choices=["text", "json"])
     handlers["mathieu"] = cmd_mathieu
     add("simulate", cmd_simulate, sim=True)
-    add("compare", cmd_compare, sim=True)
+    add("compare", cmd_compare, sim=True).add_argument(
+        "--expansion-order", type=_order, default=1)
     sub.add_parser("examples")
     handlers["examples"] = cmd_examples
     return parser, handlers

@@ -39,10 +39,6 @@ class NonRationalRoot(RgpertError):
     """A required root is not certifiably rational."""
 
 
-class NotDivisible(RgpertError):
-    """Amplitude factor does not divide the resonant correction."""
-
-
 class NotPolarizable(RgpertError):
     """Polar form would need negative powers of the radius."""
 

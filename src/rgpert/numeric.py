@@ -5,7 +5,7 @@ systems sampled on the same uniform grid so comparisons never interpolate.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,9 @@ from .rg import PHASE
 DEFAULT_STEP = 2 * math.pi / 200
 DIVERGENCE_LIMIT = 1e8
 #: Most steps (t_max/h) one integration may take: 15x the longest run in
-#: the tests and 25x the benchmark's.  Such a run peaks at about 105 MB
-#: (tracemalloc): the grid, its step times and two floats a step.
+#: the tests and 25x the benchmark's.  Such a run peaks at about 90 MB
+#: (tracemalloc): the grid and two floats a step, in a list and then an
+#: array.
 MAX_STEPS = 10 ** 6
 IMAG_TOL_EXPANSION = 1e-10
 
@@ -29,7 +30,6 @@ class Trajectory:
     t: np.ndarray
     columns: tuple
     values: np.ndarray          # shape (len(t), len(columns))
-    meta: dict = field(default_factory=dict)
     truncated: bool = False
 
     def column(self, name):
@@ -145,14 +145,18 @@ def _fold(terms):
 
 
 def _kernel_source(rhs):
-    """One function running every RK4 step of ``rhs`` with inlined stages;
-    stages 2 and 3 share their time and so their ``time_lines``.  Each
+    """One function running ``_n`` RK4 steps of ``rhs`` with inlined
+    stages; stages 2 and 3 share their time and so their ``time_lines``.
+    Step i starts at ``_t0 = i * h``, the float of the grid's
+    ``np.arange(n + 1) * h``, made only if ``time_lines`` read it.  Each
     step appends the floats of its state, one at a time, through
     ``_append``; the 2 of the update is the float 2.0 (see
     ``_RHS.trig``)."""
     s = [f"_s{i}" for i in range(len(rhs.states))]
-    src = [f"def _kernel({', '.join(s)}, _ts, _append):",
-           "    for _t0 in _ts:"]
+    src = [f"def _kernel({', '.join(s)}, _n, _append):",
+           "    for _i in range(_n):"]
+    if rhs.time_lines:
+        src.append("_t0 = _i * _h")
     stages = (("_t0", None), ("_t0 + _h2", "_h2"), (None, "_h2"),
               ("_t0 + _h", "_h"))
     for j, (t, a) in enumerate(stages):
@@ -190,7 +194,7 @@ def _rk4(rhs, state0, grid):
              namespace)
         # overflow to inf or nan is caught by the kernel's divergence check
         with np.errstate(over="ignore", invalid="ignore"):
-            truncated = namespace["_kernel"](*state0, grid[:-1].tolist(),
+            truncated = namespace["_kernel"](*state0, len(grid) - 1,
                                              flat.append)
     return np.array(flat).reshape(-1, len(state0)), truncated
 
@@ -215,7 +219,6 @@ def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
     rhs.derivs = ("yp", f"-y + {rhs.const(eps)} * _v")
     values, truncated = _rk4(rhs, (float(y0), float(dy0)), grid)
     return Trajectory(grid[:len(values)], ("y", "dy"), values,
-                      meta={"eps": eps, "h": h, "kind": "ode"},
                       truncated=truncated)
 
 
@@ -270,8 +273,6 @@ def integrate_rg(polar, eps, order, t_max, h=DEFAULT_STEP, *, R0, theta0):
     rhs.derivs = ("R * _dlogR", "_dtheta")
     values, truncated = _rk4(rhs, (float(R0), float(theta0)), grid)
     return Trajectory(grid[:len(values)], ("R", "theta"), values,
-                      meta={"eps": eps, "order": order, "h": h,
-                            "kind": "rg-polar"},
                       truncated=truncated)
 
 
@@ -292,9 +293,7 @@ def evaluate_expansion(system, amplitudes, eps, expansion_order):
     resid = np.max(np.abs(signal.imag)) if len(signal) else 0.0
     if resid > IMAG_TOL_EXPANSION * max(1.0, np.max(np.abs(signal.real))):
         raise NotReal(f"imaginary residue {resid} in reconstructed signal")
-    return Trajectory(t, ("y",), signal.real.reshape(-1, 1),
-                      meta={"eps": eps, "expansion_order": expansion_order,
-                            "kind": "rg-expansion"})
+    return Trajectory(t, ("y",), signal.real.reshape(-1, 1))
 
 
 def expansion_initial_conditions(system, eps, rhs_order, expansion_order,

@@ -8,8 +8,9 @@ and the secular-free expansion is the harmonic table of the
 P_n(eps, 0, Ar, Br), one EpsilonSeries in z = e^{it}.  normal_form
 computes both without t; perturbation.expand transports its solve to
 the naive table, and derive_rg reads both back off that table.
-The polar form of the amplitude equation substitutes Ar = R*w, Br = R/w
-with w = e^{i*theta} kept as an exact Laurent variable.
+The polar form of the amplitude equation is the exponent map
+Ar^a Br^b -> R^(a+b) w^(a-b) of Ar = R*w, Br = R/w, with w = e^{i*theta}
+kept as an exact Laurent variable; no polynomial is substituted.
 """
 
 from math import lcm
@@ -22,6 +23,7 @@ from .potential import HARMONIC, OnlinePotential, dt, lie, source_harmonics
 
 _RENAME = {"A": "Ar", "B": "Br"}
 _ZP = ParamPolynomial.zero()
+_HALF = grq(1, 2)
 _HALF_OVER_I = grq(0, 1, -1, 2)  # 1/(2i)
 
 #: Laurent phase variable standing for e^{i*theta}.
@@ -134,28 +136,35 @@ def _lie_sum(x_a, x_b, p, k):
 
 
 def to_polar(rgsys):
-    """Substitute Ar -> R*w, Br -> R/w in the flow; divide out the radius."""
-    w = ParamPolynomial.var(PHASE)
-    w_inv = ParamPolynomial.var(PHASE, -1)
-    polar_sub = {"Ar": ParamPolynomial.var("R") * w,
-                 "Br": ParamPolynomial.var("R") * w_inv}
+    """The flow in R and w as the exponent map c*Ar^a*Br^b ->
+    c*R^(a+b)*w^(a-b) of Ar = R*w, Br = R/w:
 
-    rhs_a = rgsys.rhs_A.subs_poly(polar_sub)
-    rhs_b = rgsys.rhs_B.subs_poly(polar_sub)
+        d log R/dt = (X_A/Ar + X_B/Br)/2,
+        d theta/dt = (X_A/Ar - X_B/Br)/(2i),
 
-    def divide_R(series, what):
-        coeffs = []
-        for c in series.coeffs:
-            if c.min_degree_in("R") < 1 and not c.is_zero():
-                raise NotPolarizable(
-                    f"{what} keeps negative powers of R after division")
-            coeffs.append(c.divide_by_var("R") if not c.is_zero() else c)
-        return EpsilonSeries(series.cap, coeffs)
-
-    half = grq(1, 2)
-    dlogR = divide_R(rhs_a * w_inv + rhs_b * w, "d log R/dt") * half
-    dtheta = divide_R(rhs_a * w_inv - rhs_b * w, "d theta/dt") * _HALF_OVER_I
-    return PolarRG(rgsys.cap, dlogR, dtheta)
+    where a term over Ar maps to c*R^(a+b-1)*w^(a-b-1) and over Br to
+    c*R^(a+b-1)*w^(a-b+1).  Each eps-order splits X_A and X_B once and
+    makes both sums as two dot calls over the same pairs; a term with
+    a + b = 0 raises NotPolarizable.  The expansion is not read."""
+    dlogR, dtheta = [], []
+    for k, (x_a, x_b) in enumerate(zip(rgsys.rhs_A.coeffs,
+                                       rgsys.rhs_B.coeffs)):
+        pairs, signs = [], []
+        # (equation, w-step, theta sign) of X_A/Ar and of X_B/Br
+        for x, name, step, sign in ((x_a, "dAr/dt", -1, 1),
+                                    (x_b, "dBr/dt", 1, -1)):
+            for (a, b), part in x.split(("Ar", "Br")).items():
+                if a + b == 0:
+                    raise NotPolarizable(
+                        f"{name} has the term {part} with no Ar or Br at "
+                        f"eps^{k}: no polar form")
+                pairs.append((part, ParamPolynomial.monomial(
+                    1, **{"R": a + b - 1, PHASE: a - b + step})))
+                signs.append(sign)
+        dlogR.append(dot(pairs).scaled(_HALF))
+        dtheta.append(dot(pairs, signs).scaled(_HALF_OVER_I))
+    return PolarRG(rgsys.cap, EpsilonSeries(rgsys.cap, dlogR),
+                   EpsilonSeries(rgsys.cap, dtheta))
 
 
 def rational_roots(poly, var):

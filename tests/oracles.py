@@ -10,12 +10,14 @@ checks on the t-free slice.  Newton's root solve with every step at the
 full cap, which ``series_solve_root`` runs at doubling caps.  V(y) by
 whole-series powers, which ``rgpert.potential`` builds online, the
 polynomial substitution as a sum of per-term products, which
-``ParamPolynomial.subs`` accumulates in one pass, a sum of products as
+``ParamPolynomial.subs`` makes as one ``dot`` over the parts of one
+split, a sum of products as
 one product and one addition at a time, which ``algebra.poly.dot``
 accumulates into one term table, and seeded random in-class
-potentials.  The secular-free expansion in the polar amplitudes
-R and w = e^{i*theta}, which ``rgpert.numeric.evaluate_expansion`` reaches
-by mapping exponents.  Also the readouts only the tests use: the
+potentials.  The polar flow and the secular-free expansion in the polar
+amplitudes R and w = e^{i*theta} by substituting Ar = R*w, Br = R/w,
+where ``rgpert.rg.to_polar`` and ``rgpert.numeric.evaluate_expansion``
+map exponents.  Also the readouts only the tests use: the
 renormalization constants, the split P_{+-1} = (A, B) + eps*Q_{+-1}, a
 polynomial's constant term and the peak of a sampled trajectory.  And the
 scalar Hill determinant and its one-root-at-a-time bisection, which
@@ -30,13 +32,13 @@ from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
                             gr, grq, ZERO)
 from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
                                  _normalized, _reader)
-from rgpert.errors import (DegenerateRoot, NonRationalRoot,
+from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
                            RootNotBracketed, TrivialLinear)
 from rgpert.perturbation import NaiveSeries, particular_solution
 from rgpert.potential import (HARMONIC, OnlinePotential, Potential, dt,
                               eval_potential, harmonic, harmonics,
                               source_harmonics)
-from rgpert.rg import PHASE
+from rgpert.rg import PHASE, PolarRG
 from rgpert.verify import _first_offense, _report
 
 
@@ -77,6 +79,35 @@ def dot_reference(pairs, weights=None):
     for (a, b), w in zip(pairs, weights):
         out = out + (a * b).scaled(w)
     return out
+
+
+def polar_by_substitution(rgsys):
+    """Reference oracle: rgpert.rg.to_polar by substituting Ar -> R*w,
+    Br -> R/w in the flow and dividing out the radius, where to_polar
+    maps exponents."""
+    w = ParamPolynomial.var(PHASE)
+    w_inv = ParamPolynomial.var(PHASE, -1)
+    R_inv = ParamPolynomial.var("R", -1)
+    polar_sub = {"Ar": ParamPolynomial.var("R") * w,
+                 "Br": ParamPolynomial.var("R") * w_inv}
+
+    rhs_a = rgsys.rhs_A.subs_poly(polar_sub)
+    rhs_b = rgsys.rhs_B.subs_poly(polar_sub)
+
+    def divide_R(series, what):
+        coeffs = []
+        for c in series.coeffs:
+            if min(c.exponents("R"), default=0) < 1 and not c.is_zero():
+                raise NotPolarizable(
+                    f"{what} keeps negative powers of R after division")
+            coeffs.append(c * R_inv)
+        return EpsilonSeries(series.cap, coeffs)
+
+    half = grq(1, 2)
+    dlogR = divide_R(rhs_a * w_inv + rhs_b * w, "d log R/dt") * half
+    dtheta = (divide_R(rhs_a * w_inv - rhs_b * w, "d theta/dt")
+              * grq(0, 1, -1, 2))
+    return PolarRG(rgsys.cap, dlogR, dtheta)
 
 
 def polar_expansion(rgsys):
@@ -278,9 +309,11 @@ def renormalization_constants(Y):
     neg_t = {"t": -P("t")}
 
     def z(n, amp):
-        return (Y.secular_coefficient(n).subs_poly(neg_t)
-                .map_coeffs(lambda c: c.divide_by_var(amp))
-                .rename({"A": "Ar", "B": "Br"}))
+        p = Y.secular_coefficient(n).subs_poly(neg_t)
+        # every term carries the amplitude: the division is exact
+        assert all(min(c.exponents(amp)) >= 1 for c in p.coeffs if c)
+        return (p * ParamPolynomial.var(amp, -1)).rename({"A": "Ar",
+                                                          "B": "Br"})
 
     return z(1, "A"), z(-1, "B")
 

@@ -149,7 +149,7 @@ COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
     SIM_FLOW + ["--rg-order", "3"],
     ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
      "--R0", "1", "--theta0", "0", "--expansion-order", "3"],
-    SIM_ODE + ["--expansion-order", "-2"],
+    COMPARE + ["--expansion-order", "-2"],
     SIM_ODE + ["--dt", "0"],
     SIM_ODE + ["--dt", "-0.1"],
     SIM_ODE + ["--dt", "nan"],
@@ -167,6 +167,9 @@ COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
     COMPARE + ["--dy0", "7"],
     SIM_FLOW + ["--rg-order", "2", "--y0", "5"],
     SIM_ODE + ["--R0", "3", "--theta0", "0"],
+    SIM_ODE + ["--format", "json"],
+    COMPARE + ["--format", "text"],
+    SIM_FLOW + ["--expansion-order", "1"],
 ], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
         "negative-order", "mathieu-negative-order", "format-csv",
         "format-table", "bind-malformed", "numerics-unbound-parameter",
@@ -177,7 +180,8 @@ COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
         "params-with-example", "bind-repeated", "out-under-a-file",
         "out-is-a-directory", "compare-y0-without-dy0",
         "compare-dy0-without-y0", "simulate-flow-with-y0",
-        "simulate-both-starts"])
+        "simulate-both-starts", "simulate-format", "compare-format",
+        "simulate-expansion-order"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -250,6 +254,17 @@ def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, argv):
 def test_zero_denominator_exit_1(capsys):
     assert main(["polar", "--potential", "1/0*y'"]) == 1
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_no_polar_form_names_where(capsys):
+    # resonant forcing gives the flow a term with no amplitude factor:
+    # the Cartesian flow exists, its polar form does not
+    forced = ["--potential", "y^3 + cos(1t)", "--order", "2"]
+    assert main(["polar", *forced]) == 1
+    assert capsys.readouterr().err == (
+        "error: dAr/dt has the term -1/4*i with no Ar or Br at eps^1: no "
+        "polar form\n")
+    assert main(["rg", *forced]) == 0
 
 
 SIM_ARGS = {"--eps": "0.1", "--y0": "1", "--dy0": "0", "--R0": "1",

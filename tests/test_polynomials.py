@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from rgpert.algebra import (GaussianRational, ParamPolynomial, P, Rat, gr,
                             grq, order_vars)
 from rgpert.algebra.poly import W, dot
-from rgpert.errors import BudgetExceeded, NotDivisible
+from rgpert.errors import BudgetExceeded
 
 from oracles import dot_reference, subs_reference
 
@@ -65,14 +65,7 @@ def test_rename_and_coefficient():
     assert q == P("Ar") ** 2 * P("Br") + 3 * P("Ar")
     assert p.coefficient("A", 2) == B
     assert p.coefficient("A", 1) == ParamPolynomial.const(3)
-    assert p.degree_in("A") == 2 and p.min_degree_in("A") == 1
-
-
-def test_divide_by_var():
-    p = A ** 2 * B + A
-    assert p.divide_by_var("A") == A * B + 1
-    with pytest.raises(NotDivisible):
-        (A + B).divide_by_var("A")
+    assert p.degree_in("A") == 2
 
 
 def test_conjugation():
@@ -434,7 +427,9 @@ def test_subs_matches_the_term_by_term_reference(pt, q, bindings):
     got, want = p.subs(bindings), subs_reference(p, bindings)
     assert_canonical(got)
     assert got.den == want.den
-    assert list(got.terms.items()) == list(want.terms.items())
+    # split + dot lists the terms per exponent tuple; no output depends
+    # on their order
+    assert got.terms == want.terms
 
 
 def test_subs_refuses_negative_powers_and_field_overflow():

@@ -11,12 +11,12 @@ from rgpert.perturbation import expand
 from rgpert.registry import EXAMPLES, example_expansion, get_example
 from rgpert.cli import main
 from rgpert.rg import (derive_rg, normal_form, to_polar, limit_cycle,
-                       PolarRG, rational_roots)
+                       PolarRG, RGSystem, rational_roots)
 from rgpert.potential import harmonic, harmonics, parse_potential
 
 from conftest import trig, trig_mul, trig_scale, trig_add, phase_poly
-from oracles import (polar_expansion, renormalization_constants,
-                     series_solve_root_full_cap)
+from oracles import (polar_by_substitution, polar_expansion,
+                     renormalization_constants, series_solve_root_full_cap)
 
 
 R = P("R")
@@ -359,20 +359,33 @@ def test_expansion_columns_are_renormalized_secular_coefficients(name):
 
 
 @pytest.mark.parametrize("K", [1, 3, 6])
-def test_to_polar_substitutes_only_the_flow(monkeypatch, K):
-    # one subs per eps-coefficient of rhs_A and of rhs_B: the expansion
-    # is not substituted
+def test_to_polar_reads_only_the_flow(K):
+    # the expansion is never read: a system without one maps the same
     sysc = normal_form(get_example("vdp").potential(), K)
-    calls = []
-    subs = ParamPolynomial.subs
+    flow_only = RGSystem(K, sysc.rhs_A, sysc.rhs_B, None)
+    want, got = to_polar(sysc), to_polar(flow_only)
+    assert (got.dlogR_dt, got.dtheta_dt) == (want.dlogR_dt, want.dtheta_dt)
 
-    def counting(self, bindings):
-        calls.append(1)
-        return subs(self, bindings)
 
-    monkeypatch.setattr(ParamPolynomial, "subs", counting)
-    to_polar(sysc)
-    assert len(calls) == 2 * (K + 1)
+POLAR_CASES = {"vdp": ("vdp", None), "rayleigh": ("rayleigh", None),
+               "nonauto": ("nonauto", None),
+               "duffing-g1": ("duffing", {"g": gr(1)}),
+               "duffing": ("duffing", None),
+               "mathieu-g1": ("mathieu", {"g": gr(1)})}
+
+
+@pytest.mark.parametrize("case,K", [
+    *((case, K) for case in POLAR_CASES for K in range(9)), ("vdp", 12)])
+def test_to_polar_maps_exponents_as_substitution_does(case, K):
+    name, bindings = POLAR_CASES[case]
+    V = get_example(name).potential()
+    if bindings:
+        V = V.bind(bindings)
+    sysc = normal_form(V, K)
+    got, want = to_polar(sysc), polar_by_substitution(sysc)
+    assert got.cap == want.cap == K
+    assert got.dlogR_dt == want.dlogR_dt
+    assert got.dtheta_dt == want.dtheta_dt
 
 
 # ---------------------------------------------------------------------------
