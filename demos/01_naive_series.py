@@ -27,4 +27,4 @@ for k in range(Y.cap + 1):
 # normalization that makes the renormalization-group step well defined.
 p1 = Y.secular_coefficient(1)
 print("P_1(eps, t, A, B) =", p1)
-print("P_1(eps, 0, A, B) =", p1.subs_poly({"t": 0}))
+print("P_1(eps, 0, A, B) =", p1.map_coeffs(lambda c: c.subs({"t": 0})))

@@ -6,10 +6,11 @@ der Pol flow is phase-free, and d log R/dt = 0 yields the limit-cycle
 radius as an exact rational series.
 """
 
-from rgpert.registry import example_expansion
+from rgpert.perturbation import expand
+from rgpert.registry import get_example
 from rgpert.rg import derive_rg, to_polar, limit_cycle
 
-Y = example_expansion("vdp", 8)
+Y = expand(get_example("vdp").potential(), 8)
 system = derive_rg(Y)
 print("cartesian amplitude equation:")
 print("  dAr/dt =", system.rhs_A)

@@ -8,7 +8,7 @@ are then cross-checked against zeros of truncated tridiagonal
 determinants.
 """
 
-from rgpert.mathieu import analyze, boundary_crosscheck, find_boundary_root
+from rgpert.mathieu import analyze, boundary_crosscheck, find_boundary_roots
 
 omega2, branches = analyze(7)
 
@@ -27,5 +27,5 @@ for row in boundary_crosscheck(branches, [0.05, 0.1, 0.2], N=12):
 
 # The truncation size N converges fast; compare a coarse and a fine cut.
 for N in (4, 8, 12):
-    root = find_boundary_root(0.2, N, "+")
+    root = find_boundary_roots([0.2], N, "+")[0]
     print(f"N={N:>2}: root of the + determinant at eps=0.2 -> {root:.10f}")

@@ -6,7 +6,8 @@ R and theta so its radial equation cannot be closed on its own.
 """
 
 from rgpert.errors import DegenerateRoot, ThetaDependent
-from rgpert.registry import EXAMPLES, example_expansion
+from rgpert.perturbation import expand
+from rgpert.registry import EXAMPLES
 from rgpert.rg import derive_rg, to_polar, limit_cycle
 
 RUNS = [("duffing", 5, {"g": 1}),
@@ -17,7 +18,10 @@ for name, order, bindings in RUNS:
     spec = EXAMPLES[name]
     print(f"== {name}: V = {spec.dsl}"
           + (f" with {bindings}" if bindings else ""))
-    polar = to_polar(derive_rg(example_expansion(name, order, bindings)))
+    V = spec.potential()
+    if bindings:
+        V = V.bind(bindings)
+    polar = to_polar(derive_rg(expand(V, order)))
     print("  d log R/dt =", polar.dlogR_dt)
     print("  d theta/dt =", polar.dtheta_dt)
     try:

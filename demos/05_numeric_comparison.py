@@ -8,14 +8,17 @@ gap.  The envelope R(t) shows a single peak over the run.
 
 import math
 
-from rgpert.registry import example_expansion
+import numpy as np
+
+from rgpert.perturbation import expand
+from rgpert.registry import get_example
 from rgpert.rg import derive_rg, to_polar
 from rgpert import numeric as nm
 
 EPS, R0, THETA0 = 0.25, 0.2, -0.1
 T_MAX = 25 * 2 * math.pi
 
-system = derive_rg(example_expansion("nonauto", 4))
+system = derive_rg(expand(get_example("nonauto").potential(), 4))
 polar = to_polar(system)
 
 Ar0 = R0 * complex(math.cos(THETA0), math.sin(THETA0))
@@ -32,10 +35,16 @@ for order in (1, 2):
           f"max|diff| = {metrics['max_abs_diff']:.4f}, "
           f"rms = {metrics['rms_diff']:.4f}")
     if order == 1:
-        peaks = nm.count_envelope_peaks(amplitudes.column("R"))
+        # strict interior maxima of the sampled envelope
+        dR = np.diff(amplitudes.column("R"))
+        peaks = np.count_nonzero((dR[:-1] > 1e-12) & (dR[1:] < -1e-12))
         print(f"  envelope peaks over the run: {peaks}")
         with open("comparison.csv", "w") as fh:
             nm.write_csv(fh, rows)
-        nm.write_gnuplot("comparison.gp", "comparison.csv")
+        with open("comparison.gp", "w") as fh:
+            fh.write("set datafile separator ','\n"
+                     "set key autotitle columnhead\n"
+                     "plot 'comparison.csv' using 1:2 with lines, "
+                     "'comparison.csv' using 1:3 with lines\n")
         print("  wrote comparison.csv and comparison.gp "
               "(render with: gnuplot -p comparison.gp)")

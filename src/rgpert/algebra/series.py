@@ -153,10 +153,6 @@ class EpsilonSeries:
     def rename(self, mapping):
         return self.map_coeffs(lambda c: c.rename(mapping))
 
-    def subs_poly(self, bindings):
-        """Polynomial-level substitution applied to every coefficient."""
-        return self.map_coeffs(lambda c: c.subs(bindings))
-
     def uses_var(self, name):
         return any(name in c.vars for c in self.coeffs)
 

@@ -305,15 +305,27 @@ def _emit_rows(args, parser, out, header, rows):
 
 
 def cmd_simulate(args, parser):
+    """The direct ODE or the amplitude flow.  Its parser leaves --order
+    and --rg-order unset, so that the direct mode can refuse them; the
+    flow mode resolves them to the defaults 3 and 1."""
     V = _numeric_potential(args, parser)
     direct = _direct_start(args, parser)
-    if direct and (args.R0 is not None or args.theta0 is not None):
-        parser.error("simulate takes --y0/--dy0 (direct) or --R0/--theta0 "
-                     "(amplitude flow), not both")
-    if not direct:
+    if direct:
+        if args.R0 is not None or args.theta0 is not None:
+            parser.error("simulate takes --y0/--dy0 (direct) or "
+                         "--R0/--theta0 (amplitude flow), not both")
+        for name in ("order", "rg_order"):
+            if getattr(args, name) is not None:
+                parser.error(f"--{name.replace('_', '-')} applies only to "
+                             "the amplitude flow (--R0/--theta0)")
+    else:
         if args.R0 is None or args.theta0 is None:
             parser.error("simulate needs --y0/--dy0 (direct) or "
                          "--R0/--theta0 (amplitude flow)")
+        if args.order is None:
+            args.order = 3
+        if args.rg_order is None:
+            args.rg_order = 1
         _check_orders(args, parser, "rg_order")
     with _open_out(args, parser) as out:
         if direct:
@@ -408,7 +420,8 @@ def build_parser():
     pm.add_argument("--crosscheck", metavar="eps=v1:v2,N=n")
     pm.add_argument("--format", default="text", choices=["text", "json"])
     handlers["mathieu"] = cmd_mathieu
-    add("simulate", cmd_simulate, sim=True)
+    add("simulate", cmd_simulate, sim=True).set_defaults(order=None,
+                                                         rg_order=None)
     add("compare", cmd_compare, sim=True).add_argument(
         "--expansion-order", type=_order, default=1)
     sub.add_parser("examples")

@@ -255,11 +255,6 @@ def find_boundary_roots(eps, N, branch, bracket=(0.5, 1.5), grid=400):
     return 0.5 * (lo + hi)
 
 
-def find_boundary_root(eps, N, branch, bracket=(0.5, 1.5), grid=400):
-    """Bisection root of Delta^{branch}(eps, a) = 0 near a = 1."""
-    return float(find_boundary_roots([eps], N, branch, bracket, grid)[0])
-
-
 @dataclass(frozen=True)
 class CrosscheckRow:
     eps: float

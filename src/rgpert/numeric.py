@@ -364,22 +364,3 @@ def write_csv(out, rows, header="t,y_numeric,y_rg,diff"):
     out.write(header + "\n")
     out.writelines(csv_lines(rows))
 
-
-def write_gnuplot(path, csv_path):
-    """Minimal gnuplot script plotting the comparison CSV."""
-    with open(path, "w") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            f"plot '{csv_path}' using 1:2 with lines, "
-            f"'{csv_path}' using 1:3 with lines\n")
-
-
-def count_envelope_peaks(R, tol=1e-12):
-    """Strict interior local maxima of a sampled envelope."""
-    peaks = 0
-    for i in range(1, len(R) - 1):
-        if R[i] - R[i - 1] > tol and R[i] - R[i + 1] > tol:
-            peaks += 1
-    return peaks
-

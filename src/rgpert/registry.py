@@ -1,10 +1,8 @@
 """Built-in example oscillators addressable by name."""
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .potential import parse_potential
-from .perturbation import expand
 
 
 @dataclass(frozen=True)
@@ -43,17 +41,3 @@ def get_example(name):
     except KeyError:
         raise KeyError(
             f"unknown example {name!r}; choose from {sorted(EXAMPLES)}")
-
-
-@lru_cache(maxsize=None)
-def _expand_cached(name, order, bindings):
-    V = get_example(name).potential()
-    if bindings:
-        V = V.bind(dict(bindings))
-    return expand(V, order)
-
-
-def example_expansion(name, order, bindings=None):
-    """Naive series of a registry example; results are cached."""
-    items = tuple(sorted((bindings or {}).items()))
-    return _expand_cached(name, order, items)

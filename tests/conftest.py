@@ -15,7 +15,24 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from rgpert.algebra import ParamPolynomial, EpsilonSeries, P, grq
+from rgpert.perturbation import expand
+from rgpert.registry import get_example
 from rgpert.rg import PHASE
+
+#: Naive series of the registry examples, expanded once per test session.
+_EXPANSIONS = {}
+
+
+def example_expansion(name, order, bindings=None):
+    """Naive series of a registry example with its parameters bound as
+    given, from the session cache."""
+    key = (name, order, tuple(sorted((bindings or {}).items())))
+    if key not in _EXPANSIONS:
+        V = get_example(name).potential()
+        if bindings:
+            V = V.bind(bindings)
+        _EXPANSIONS[key] = expand(V, order)
+    return _EXPANSIONS[key]
 
 
 def rq(*args):
@@ -92,11 +109,9 @@ def r_series(cap, terms):
 
 @pytest.fixture(scope="session")
 def vdp_Y5():
-    from rgpert.registry import example_expansion
     return example_expansion("vdp", 5)
 
 
 @pytest.fixture(scope="session")
 def nonauto_Y4():
-    from rgpert.registry import example_expansion
     return example_expansion("nonauto", 4)

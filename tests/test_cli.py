@@ -170,6 +170,8 @@ COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
     SIM_ODE + ["--format", "json"],
     COMPARE + ["--format", "text"],
     SIM_FLOW + ["--expansion-order", "1"],
+    SIM_ODE + ["--order", "3"],
+    SIM_ODE + ["--rg-order", "1"],
 ], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
         "negative-order", "mathieu-negative-order", "format-csv",
         "format-table", "bind-malformed", "numerics-unbound-parameter",
@@ -181,7 +183,8 @@ COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
         "out-is-a-directory", "compare-y0-without-dy0",
         "compare-dy0-without-y0", "simulate-flow-with-y0",
         "simulate-both-starts", "simulate-format", "compare-format",
-        "simulate-expansion-order"])
+        "simulate-expansion-order", "simulate-direct-order",
+        "simulate-direct-rg-order"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -200,6 +203,10 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     (SIM_ODE + ["--R0", "3", "--theta0", "0"],
      "simulate takes --y0/--dy0 (direct) or --R0/--theta0 (amplitude "
      "flow), not both"),
+    (SIM_ODE + ["--order", "3"],
+     "--order applies only to the amplitude flow (--R0/--theta0)"),
+    (SIM_ODE + ["--rg-order", "1"],
+     "--rg-order applies only to the amplitude flow (--R0/--theta0)"),
 ])
 def test_ignored_input_is_named(capsys, argv, message):
     with pytest.raises(SystemExit):
@@ -519,6 +526,16 @@ def test_simulate_stdout(capsys):
     assert lines[1].startswith("0.0,0.5,")
 
 
+def test_simulate_flow_defaults_to_order_3_and_rg_order_1(capsys):
+    # simulate leaves --order and --rg-order unset so that the direct
+    # mode can refuse them; the flow resolves them to 3 and 1
+    flow = ["simulate", "--example", "vdp", "--eps", "0.1", "--R0", "1",
+            "--theta0", "0", "--tmax", "1"]
+    assert run(capsys, *flow) == \
+        run(capsys, *flow, "--order", "3", "--rg-order", "1")
+    assert run(capsys, *flow) != run(capsys, *flow, "--rg-order", "2")
+
+
 def test_step_longer_than_tmax_gives_the_initial_state(capsys):
     code, out = run(capsys, *SIM_ODE, "--dt", "5", "--tmax", "1")
     assert code == 0
@@ -638,7 +655,10 @@ def test_negative_value_in_exponent_form(capsys, command, option, value):
              else ("--R0", "--theta0"))
 
     def argv(joined):
-        out = [command, "--example", "vdp", "--order", "2", "--tmax", "0.1"]
+        out = [command, "--example", "vdp", "--tmax", "0.1"]
+        if start == ("--R0", "--theta0"):
+            # the direct ODE of simulate takes no --order
+            out += ["--order", "2"]
         for name in ("--eps",) + start:
             v = value if name == option else SIM_ARGS[name]
             out += [f"{name}={v}"] if joined else [name, v]

@@ -1,6 +1,8 @@
-"""No dead API: every module-level function and class in src/rgpert is
-referred to somewhere in src/, or is on an explicit allowlist of names
-used only from outside the package."""
+"""No dead API: every module-level function and class, and every method
+of a module-level class, in src/rgpert is referred to somewhere in src/,
+or is on an explicit allowlist of names used only from outside the
+package.  Special methods (``__add__`` and the like) are called by the
+language, not by name, and are not checked."""
 
 import ast
 import pathlib
@@ -9,14 +11,11 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rgpert"
 
-#: Called by the demos only.
-DEMO_NAMES = {"write_gnuplot", "count_envelope_peaks", "example_expansion",
-              "find_boundary_root"}
 #: Wrapped by name by the benchmark's span tracer (perfbench/spans.py).
 #: particular_solution is also the step of the order-by-order oracle
 #: (tests/oracles.naive_expand): no code in src/ may solve in t order by
 #: order now that expand transports the normal form.
-TRACER_NAMES = {"HarmonicSeries", "particular_solution"}
+TRACER_NAMES = {"HarmonicSeries", "HarmonicSeries.mul", "particular_solution"}
 
 
 def _names(node):
@@ -37,36 +36,59 @@ def _names(node):
     return out
 
 
+def _is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+
+
 def _scan():
-    """({module-level def or class name: defining files}, the names that
-    src/ refers to outside their own definition)."""
+    """({name or Class.method: defining files}, the names that src/
+    refers to outside their own definition)."""
     defined, used = {}, set()
+
+    def define(key, path):
+        defined.setdefault(key, []).append(str(path.relative_to(SRC)))
+
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            names = _names(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defined.setdefault(node.name, []).append(
-                    str(path.relative_to(SRC)))
-                names.discard(node.name)
-            used |= names
+            if not _is_def(node):
+                used |= _names(node)
+                continue
+            define(node.name, path)
+            if not isinstance(node, ast.ClassDef):
+                used |= _names(node) - {node.name}
+                continue
+            # a class: the bases, decorators and each statement of its
+            # body, every method without its own name
+            for part in (*node.bases, *node.keywords, *node.decorator_list):
+                used |= _names(part)
+            for stmt in node.body:
+                names = _names(stmt)
+                if _is_def(stmt):
+                    names.discard(stmt.name)
+                    if not (stmt.name.startswith("__")
+                            and stmt.name.endswith("__")):
+                        define(f"{node.name}.{stmt.name}", path)
+                used |= names - {node.name}
     return defined, used
+
+
+def _is_used(key, used):
+    return key.rpartition(".")[2] in used
 
 
 def test_every_module_level_name_is_used():
     defined, used = _scan()
-    dead = {name: files for name, files in defined.items()
-            if name not in used and name not in DEMO_NAMES | TRACER_NAMES}
+    dead = {key: files for key, files in defined.items()
+            if not _is_used(key, used) and key not in TRACER_NAMES}
     assert dead == {}
 
 
 def test_the_allowlist_names_live_code_used_elsewhere():
     defined, used = _scan()
-    allowed = DEMO_NAMES | TRACER_NAMES
     # a deleted or newly used name leaves the allowlist with it
-    assert allowed <= set(defined) and not allowed & used
-    demos = "".join(p.read_text() for p in (ROOT / "demos").glob("*.py"))
+    assert TRACER_NAMES <= set(defined)
+    assert not any(_is_used(key, used) for key in TRACER_NAMES)
     spans = (ROOT / "perfbench" / "spans.py").read_text()
-    for names, text in ((DEMO_NAMES, demos), (TRACER_NAMES, spans)):
-        for name in names:
-            assert re.search(rf"\b{name}\b", text), name
+    for key in TRACER_NAMES:
+        assert re.search(rf"\b{re.escape(key)}\b", spans), key

@@ -8,12 +8,12 @@ from rgpert.algebra import ParamPolynomial, P, gr, grq, Rat
 from rgpert.errors import NotLinear, RootNotBracketed, SeriesOverflow
 from rgpert.mathieu import (mathieu_potential, linear_matrix, omega_squared,
                             stability_boundaries, hill_determinant,
-                            find_boundary_root, find_boundary_roots,
+                            find_boundary_roots,
                             boundary_crosscheck, analyze)
 from rgpert.perturbation import expand
-from rgpert.registry import example_expansion
 from rgpert.rg import derive_rg, normal_form
 
+from conftest import example_expansion
 from oracles import find_boundary_root_scalar, hill_determinant_scalar
 
 
@@ -161,13 +161,13 @@ def test_hill_determinant_basics():
 def test_boundary_root_matches_series(analysis7):
     _, branches = analysis7
     for b in branches:
-        root = find_boundary_root(0.1, 12, b.label)
+        root = find_boundary_roots([0.1], 12, b.label)[0]
         assert abs(root - b.a_value(0.1)) < 1e-5, b.label
 
 
 def test_boundary_root_not_bracketed():
     with pytest.raises(RootNotBracketed):
-        find_boundary_root(0.01, 12, "-", bracket=(1.5, 1.6))
+        find_boundary_roots([0.01], 12, "-", bracket=(1.5, 1.6))
 
 
 def test_crosscheck_report(analysis7):
@@ -186,8 +186,8 @@ def test_crosscheck_report(analysis7):
 def test_crosscheck_converges_in_N(analysis7):
     _, branches = analysis7
     minus = branches[0]
-    coarse = abs(find_boundary_root(0.1, 4, "-") - minus.a_value(0.1))
-    fine = abs(find_boundary_root(0.1, 12, "-") - minus.a_value(0.1))
+    coarse = abs(find_boundary_roots([0.1], 4, "-")[0] - minus.a_value(0.1))
+    fine = abs(find_boundary_roots([0.1], 12, "-")[0] - minus.a_value(0.1))
     assert fine < coarse
 
 
@@ -222,7 +222,7 @@ def test_batched_roots_equal_the_scalar_oracle(N, branch):
     assert 0.0 in expected and 1e3 not in expected
     roots = find_boundary_roots(list(expected), N, branch)
     assert roots.tolist() == list(expected.values())
-    assert [find_boundary_root(eps, N, branch) for eps in expected] == \
+    assert [find_boundary_roots([eps], N, branch)[0] for eps in expected] == \
         list(expected.values())
 
 

@@ -3,7 +3,7 @@ import pytest
 from rgpert.algebra import P, EpsilonSeries, ParamPolynomial
 from rgpert.perturbation import NaiveSeries, expand
 from rgpert.potential import HARMONIC
-from rgpert.registry import EXAMPLES, example_expansion
+from rgpert.registry import EXAMPLES
 from rgpert.rg import derive_rg, RGSystem
 from rgpert.verify import (check_functional_relation, check_inversion,
                            check_residual, check_secular_free,
@@ -11,6 +11,7 @@ from rgpert.verify import (check_functional_relation, check_inversion,
 
 from rgpert import verify
 
+from conftest import example_expansion
 from oracles import (check_functional_relation_finite,
                      check_functional_relation_per_harmonic,
                      check_inversion_finite, check_inversion_per_harmonic,
@@ -75,7 +76,8 @@ def test_mutation_grid():
     # one added monomial per table entry: the generator functional
     # relation agrees with the composition form entry by entry, the
     # generator inversion is at least as strict, and so is the suite;
-    # every report equals that of (G) made per harmonic
+    # every report equals that of (G) made per harmonic, and the
+    # residual report that of the t-dependent table's residual at t = 0
     Y = _example_Y("rayleigh", 2)
     for n in Y.harmonics():
         for k in range(Y.cap + 1):
@@ -90,6 +92,8 @@ def test_mutation_grid():
                 suite = all(r.passed for r in run_identity_suite(Yb))
                 assert suite == (relation and inversion and
                                  check_residual(Yb).passed), where
+                assert check_residual(Yb) == \
+                    check_residual_table(Yb, at_zero=True), where
                 _assert_reports_equal_the_per_harmonic_oracle(Yb)
 
 
@@ -168,7 +172,7 @@ def test_functional_relation_specialized_shift():
     pm1_t = Y.secular_coefficient(-1)
     for n in Y.harmonics():
         lhs = Y.secular_coefficient(n)
-        rhs = substitute(lhs.subs_poly({"t": gr(0)}),
+        rhs = substitute(lhs.map_coeffs(lambda c: c.subs({"t": gr(0)})),
                          {"A": p1_t, "B": pm1_t})
         assert lhs == rhs, n
 
@@ -191,6 +195,7 @@ def test_t_free_residual_agrees_with_the_table_residual(name):
         YK = NaiveSeries(Y.potential, K, Y.table.truncate(K))
         report = check_residual(YK)
         assert report == check_residual_table(YK)
+        assert report == check_residual_table(YK, at_zero=True)
         assert report.passed, str(report)
 
 
@@ -198,7 +203,7 @@ def test_t_free_residual_agrees_with_the_table_residual(name):
     # a wrong h_2: a t-free term added to f[3,2]
     (3, 2, P("A"), (1, 3, "-3*i*A^1*B^2")),
     # a wrong X_{A,2}: t*A added to f[1,2] adds A to d_t P_1(eps,0,A,B)
-    (1, 2, P("t") * P("A"), (-1, 3, "-3/2*A^1*B^2"))])
+    (1, 2, P("t") * P("A"), (-1, 3, "-1*A^1*B^2"))])
 def test_residual_names_a_wrong_h_or_x(n, k, mono, want):
     Y = _example_Y("rayleigh", 3)
     assert check_residual(Y).passed
