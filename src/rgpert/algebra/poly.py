@@ -23,7 +23,9 @@ only, and each result is normalised with one gcd sweep.  Products run
 on one multiply-accumulate kernel, ``dot``: a sum of products, such as a
 Cauchy sum or a Lie derivative, goes into one term table over one
 denominator, and a lone ``a * b`` is its one-pair case; ``subs`` is
-one call over the parts of one split.  The form is
+one call over the parts of one split.  ``term_map`` scales the terms
+by a scalar per exponent of one variable and sorts them into several
+results in one pass, with no split and no product.  The form is
 canonical (no zero numerators, ``gcd(den, all numerators) == 1``, and the
 zero polynomial has ``den == 1``), so equal polynomials have equal
 ``terms`` and ``den``.  ``GaussianRational`` remains the scalar type at
@@ -315,6 +317,37 @@ class ParamPolynomial:
             terms[key + unit] = (re * f, im * f)
         return _normalized(terms, self.den * scale,
                            self._shifted_bound(name, 1))
+
+    def term_map(self, name, rule, steps=(0,)):
+        """``len(steps)`` polynomials made in one pass over the terms, by
+        the exponent e of ``name`` in each.  ``rule(e)`` is called once
+        per distinct e, in increasing order.  It gives None, which drops
+        the terms, or ``(i, re, im, d)`` with integers and d > 0: each
+        term times (re + im*i)/d, with e moved by ``steps[i]``, goes to
+        polynomial i.  Each part moves all its terms alike, so no two of
+        them meet."""
+        shift, half = _reader(name)
+        exps = [((key + half) >> shift & _MASK) - _HALF for key in self.terms]
+        rules, scale = {}, [1] * len(steps)
+        for e in sorted(set(exps)):
+            r = rule(e)
+            if r is not None:
+                rules[e] = r
+                scale[r[0]] = lcm(scale[r[0]], r[3])
+        parts = [{} for _ in steps]
+        moves = {}
+        for e, (i, cr, ci, d) in rules.items():
+            f = scale[i] // d
+            moves[e] = parts[i], steps[i] << shift, cr * f, ci * f
+        for e, (key, (re, im)) in zip(exps, self.terms.items()):
+            move = moves.get(e)
+            if move is not None:
+                out, off, cr, ci = move
+                out[key + off] = (re * cr - im * ci, re * ci + im * cr)
+        return [_normalized(terms, self.den * s,
+                            self._shifted_bound(name, step) if step
+                            else self.bound)
+                for terms, s, step in zip(parts, scale, steps)]
 
     # -- substitution and extraction -------------------------------------
 

@@ -5,6 +5,7 @@ systems sampled on the same uniform grid so comparisons never interpolate.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,8 @@ from .rg import PHASE
 DEFAULT_STEP = 2 * math.pi / 200
 DIVERGENCE_LIMIT = 1e8
 #: Most steps (t_max/h) one integration may take: 15x the longest run in
-#: the tests and 25x the benchmark's.  Such a run peaks at about 90 MB
-#: (tracemalloc): the grid and two floats a step, in a list and then an
-#: array.
+#: the tests and 25x the benchmark's.  Such a run peaks at about 26 MB
+#: (tracemalloc): the grid and the float64 buffer of two states a step.
 MAX_STEPS = 10 ** 6
 IMAG_TOL_EXPANSION = 1e-10
 
@@ -179,11 +179,12 @@ def _kernel_source(rhs):
 
 def _rk4(rhs, state0, grid):
     """Classical RK4 of the system ``rhs`` over a uniform grid: the states
-    as one float64 array, a row per sample, built once from the kernel's
-    flat list of floats, and whether the run was truncated.  Stops after
-    the first step that leaves the box |x| <= DIVERGENCE_LIMIT, or turns
-    nan, and reports it as truncated, with fewer rows than the grid."""
-    flat = list(state0)
+    as one float64 array, a row per sample, viewing the one float64
+    buffer that the kernel appends to, and whether the run was
+    truncated.  Stops after the first step that leaves the box
+    |x| <= DIVERGENCE_LIMIT, or turns nan, and reports it as truncated,
+    with fewer rows than the grid."""
+    flat = array("d", state0)
     truncated = False
     if len(grid) > 1:
         h = float(grid[1] - grid[0])
@@ -196,7 +197,7 @@ def _rk4(rhs, state0, grid):
         with np.errstate(over="ignore", invalid="ignore"):
             truncated = namespace["_kernel"](*state0, len(grid) - 1,
                                              flat.append)
-    return np.array(flat).reshape(-1, len(state0)), truncated
+    return np.frombuffer(flat).reshape(-1, len(state0)), truncated
 
 
 def check_real(V):

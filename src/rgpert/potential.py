@@ -14,14 +14,12 @@ import re as _re
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       Composition, I, Rat, dot, grq)
-from .errors import (ParseError, NotInClass, TrivialLinear, SupportOverflow,
-                     BudgetExceeded)
+from .errors import ParseError, NotInClass, TrivialLinear, BudgetExceeded
 
 _ZP = ParamPolynomial.zero()
 
 #: Laurent variable standing for e^{it} in a harmonic table.
 HARMONIC = "z"
-_IZ = ParamPolynomial.var(HARMONIC, 1, I)
 
 #: Names a parameter may not take.  The engine's variables (time, the
 #: amplitudes A, B and their renormalized forms Ar, Br, the polar radius
@@ -307,19 +305,22 @@ def harmonics(table):
     return sorted(out)
 
 
-def dt(c):
-    """d/dt + i*z*d/dz of one eps-coefficient of a harmonic table: the
-    time derivative as t and z = e^{it} vary."""
-    return c.diff("t") + c.diff(HARMONIC) * _IZ
+def _times_in(n):
+    """The term rule of iz_dz: z^n terms times i*n, z^0 terms dropped."""
+    return (0, 0, n, 1) if n else None
+
+
+def iz_dz(c):
+    """i*z*d/dz of one eps-coefficient of a harmonic table, its time
+    derivative where it is free of t: one term map, c_n z^n -> i n c_n
+    z^n."""
+    return c.term_map(HARMONIC, _times_in)[0]
 
 
 def lie(x_a, x_b, p):
-    """L p = X_A d_A p + X_B d_B p for a polynomial or a series p: one
-    multiply-accumulate for a polynomial, one per eps-order for a
-    series."""
+    """L p = X_A d_A p + X_B d_B p for a series p: one multiply-accumulate
+    per eps-order."""
     pa, pb = p.diff("A"), p.diff("B")
-    if not isinstance(p, EpsilonSeries):
-        return dot(((x_a, pa), (x_b, pb)))
     x_a._check(p)
     x_b._check(p)
     xa, xb, pa, pb = x_a.coeffs, x_b.coeffs, pa.coeffs, pb.coeffs
@@ -351,8 +352,9 @@ class OnlinePotential:
     y'.
 
     ``feed(y_j, dy_j)`` takes the next coefficients of y and y' and
-    returns [eps^j] V(y).  The caller owns y': dt(y_j) for a harmonic
-    table, (Dh)_j for the t-free expansion of rg.normal_form.
+    returns [eps^j] V(y).  The caller owns y': i z d_z f_0 + f_1 at t = 0
+    in verify.check_residual, (Dh)_j for the t-free expansion of
+    rg.normal_form.
     """
 
     __slots__ = ("composition",)
@@ -373,19 +375,6 @@ class OnlinePotential:
     def feed(self, y_j, dy_j):
         """[eps^j] V(y), given y_j and y'_j after the lower orders."""
         return self.composition.feed(y_j, dy_j)
-
-
-def source_harmonics(source, k, bound):
-    """(n, z^n coefficient) of the order-k source term for increasing n,
-    from one split of the source; SupportOverflow on a harmonic
-    |n| > bound."""
-    parts = source.split((HARMONIC,))
-    for (n,) in sorted(parts):
-        if abs(n) > bound:
-            raise SupportOverflow(
-                f"harmonic {n} at order {k} exceeds bound {bound}; "
-                "potential may be outside the class")
-        yield n, parts[n,]
 
 
 def eval_potential(V, y, dy, K):

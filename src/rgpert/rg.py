@@ -18,8 +18,8 @@ from math import lcm
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       dot, substitute, series_solve_root, grq, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
-                     NonRationalRoot, Underdetermined)
-from .potential import HARMONIC, OnlinePotential, dt, lie, source_harmonics
+                     NonRationalRoot, Underdetermined, SupportOverflow)
+from .potential import HARMONIC, OnlinePotential, iz_dz
 
 _RENAME = {"A": "Ar", "B": "Br"}
 _ZP = ParamPolynomial.zero()
@@ -100,38 +100,66 @@ def _homological_solve(V, K):
     amplitudes A, B.
 
     R_k and sum_{m<k} L_m (Dh)_{k-m} are one multiply-accumulate each,
-    over every m and both amplitudes; h_k is one more, over the
-    harmonics of one split of S_k."""
+    over every m and both amplitudes, on partials d_A and d_B made once
+    per polynomial, on first use.  X_A,k, X_B,k and h_k are read off S_k
+    in one term map keyed by the z exponent, and so is i z d_z."""
     support_bound = 1 + K * V.support_growth_rate()
     h = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
          ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
-    dh = [dt(h[0])]
+    dh = [iz_dz(h[0])]
+    d_h, d_dh = _partials(h), _partials(dh)
     x_a, x_b = [_ZP], [_ZP]
     v_of_y = OnlinePotential(V)
     for k in range(1, K + 1):
-        r = _lie_sum(x_a, x_b, h, k)
+        r = _lie_sum(x_a, x_b, d_h, k)
         source = (v_of_y.feed(h[k - 1], dh[k - 1]) -
-                  _lie_sum(x_a, x_b, dh, k) - dt(r))
-        pairs, a_k, b_k = [], _ZP, _ZP
-        for n, s in source_harmonics(source, k, support_bound):
-            if n == 1:
-                a_k = s.scaled(_HALF_OVER_I)
-            elif n == -1:
-                b_k = -s.scaled(_HALF_OVER_I)
-            else:
-                pairs.append((s, ParamPolynomial.var(HARMONIC, n,
-                                                     grq(1, 1 - n * n))))
-        h_k = dot(pairs)
+                  _lie_sum(x_a, x_b, d_dh, k) - iz_dz(r))
+        a_k, b_k, h_k = source.term_map(
+            HARMONIC, _homological_rule(k, support_bound), (-1, 1, 0))
         x_a.append(a_k)
         x_b.append(b_k)
         h.append(h_k)
-        dh.append(dt(h_k) + r + lie(a_k, b_k, h[0]))
+        if k < K:       # (Dh)_K is not read
+            dh.append(iz_dz(h_k) + r +
+                      dot(((a_k, d_h(0, "A")), (b_k, d_h(0, "B")))))
     return tuple(EpsilonSeries(K, c) for c in (x_a, x_b, h))
 
 
-def _lie_sum(x_a, x_b, p, k):
-    """sum_{0<m<k} L_m p_{k-m} in one multiply-accumulate."""
-    return dot([(x[m], p[k - m].diff(name)) for m in range(1, k)
+def _homological_rule(k, bound):
+    """The term rule of order k for ParamPolynomial.term_map: the z^{+-1}
+    terms of S_k, over +-2i and without z, are X_A,k and X_B,k; every
+    other z^n term, over 1 - n^2, is one of h_k.  SupportOverflow at the
+    first harmonic |n| > bound in increasing n."""
+    def rule(n):
+        if abs(n) > bound:
+            raise SupportOverflow(
+                f"harmonic {n} at order {k} exceeds bound {bound}; "
+                "potential may be outside the class")
+        if n == 1:
+            return 0, 0, -1, 2      # 1/(2i)
+        if n == -1:
+            return 1, 0, 1, 2       # -1/(2i)
+        # 1/(1 - n^2), over a positive denominator
+        return (2, 1, 0, 1) if n == 0 else (2, -1, 0, n * n - 1)
+    return rule
+
+
+def _partials(p):
+    """partial(j, name): d_name p[j], made on first use and kept."""
+    made = {}
+
+    def partial(j, name):
+        d = made.get((j, name))
+        if d is None:
+            d = made[j, name] = p[j].diff(name)
+        return d
+    return partial
+
+
+def _lie_sum(x_a, x_b, partial, k):
+    """sum_{0<m<k} L_m p_{k-m} in one multiply-accumulate, with
+    ``partial`` the partials of p."""
+    return dot([(x[m], partial(k - m, name)) for m in range(1, k)
                 for x, name in ((x_a, "A"), (x_b, "B")) if x[m]])
 
 

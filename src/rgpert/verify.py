@@ -27,7 +27,7 @@ offending (harmonic, eps-order, monomial) as a concrete counterexample.
 from dataclasses import dataclass
 
 from .algebra import EpsilonSeries, P
-from .potential import dt, eval_potential, harmonic, harmonics
+from .potential import eval_potential, harmonic, harmonics, iz_dz
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,8 @@ def check_residual(Y):
     _, _, f0 = Y.at_zero()
     f1, f2 = (Y.table.map_coeffs(lambda c, j=j: c.coefficient("t", j))
               for j in (1, 2))
-    # dt is i z d_z on the t-free slices
-    df = f0.map_coeffs(dt) + f1
-    resid = (df + f1).map_coeffs(dt) + f2 + f2 + f0
+    df = f0.map_coeffs(iz_dz) + f1
+    resid = (df + f1).map_coeffs(iz_dz) + f2 + f2 + f0
     if K >= 1:
         rhs = eval_potential(Y.potential, f0, df, K - 1)
         resid = resid - rhs.extend(K).shift(1)

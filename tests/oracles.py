@@ -1,7 +1,8 @@
 """Reference oracles of the test suite.
 
 The naive table by the order-by-order solve in t, which
-``rgpert.perturbation`` builds by transporting the normal form.  The
+``rgpert.perturbation`` builds by transporting the normal form, with
+its steps: the time derivative ``dt`` and the split ``source_harmonics``.  The
 composition forms of the functional relation and of the inversion,
 which ``rgpert.verify`` checks in generator form, the generator checks
 with the (G) products made per harmonic, which it makes once on the
@@ -29,15 +30,14 @@ import random
 import numpy as np
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
-                            gr, grq, ZERO)
+                            gr, grq, I, ZERO)
 from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
                                  _normalized, _reader)
 from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
-                           RootNotBracketed, TrivialLinear)
+                           RootNotBracketed, SupportOverflow, TrivialLinear)
 from rgpert.perturbation import NaiveSeries, particular_solution
-from rgpert.potential import (HARMONIC, OnlinePotential, Potential, dt,
-                              eval_potential, harmonic, harmonics,
-                              source_harmonics)
+from rgpert.potential import (HARMONIC, OnlinePotential, Potential,
+                              eval_potential, harmonic, harmonics)
 from rgpert.rg import PHASE, PolarRG
 from rgpert.verify import _first_offense, _report
 
@@ -134,6 +134,31 @@ def check_residual_table(Y, at_zero=False):
         resid = resid.map_coeffs(lambda c: c.coefficient("t", 0))
     return _report("residual", K, [_first_offense(n, harmonic(resid, n))
                                    for n in harmonics(resid)])
+
+
+_IZ = ParamPolynomial.var(HARMONIC, 1, I)
+
+
+def dt(c):
+    """d/dt + i*z*d/dz of one eps-coefficient of a harmonic table: the
+    time derivative as t and z = e^{it} vary, by two derivatives, a
+    product and a sum, where ``rgpert.potential.iz_dz`` maps the terms of
+    a t-free one."""
+    return c.diff("t") + c.diff(HARMONIC) * _IZ
+
+
+def source_harmonics(source, k, bound):
+    """(n, z^n coefficient) of the order-k source term for increasing n,
+    from one split of the source, where ``rgpert.rg`` reads the order's
+    unknowns off it in one term map; SupportOverflow on a harmonic
+    |n| > bound."""
+    parts = source.split((HARMONIC,))
+    for (n,) in sorted(parts):
+        if abs(n) > bound:
+            raise SupportOverflow(
+                f"harmonic {n} at order {k} exceeds bound {bound}; "
+                "potential may be outside the class")
+        yield n, parts[n,]
 
 
 def naive_expand(V, K):

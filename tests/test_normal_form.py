@@ -12,16 +12,16 @@ normal_form(V, K) holds by construction and proves nothing.
 
 import pytest
 
-from rgpert.algebra import EpsilonSeries, ParamPolynomial, P
+from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr, grq
 from rgpert.errors import SupportOverflow
 from rgpert.mathieu import mathieu_potential
 from rgpert.perturbation import expand
-from rgpert.potential import (OnlinePotential, Potential, dt, harmonic,
-                              harmonics, parse_potential)
+from rgpert.potential import (HARMONIC, OnlinePotential, Potential,
+                              harmonic, harmonics, iz_dz, parse_potential)
 from rgpert.registry import EXAMPLES, get_example
 from rgpert.rg import derive_rg, normal_form
 
-from oracles import naive_expand, random_potential
+from oracles import dt, naive_expand, random_potential
 
 
 DSL_CASES = {
@@ -125,6 +125,68 @@ def test_support_overflow_guard_matches_expand(monkeypatch):
         messages.append(str(raised.value))
     assert len(set(messages)) == 1
     assert messages[0].startswith("harmonic -3 at order 1 exceeds bound 1;")
+
+
+# ---------------------------------------------------------------------------
+# The work of one solve
+# ---------------------------------------------------------------------------
+
+def test_each_partial_is_made_once(monkeypatch):
+    # d_A and d_B of each h_j and each (Dh)_j, on first use: at most four
+    # derivatives per order, none made twice.  Made again at every later
+    # order, as R_k and the L_m (Dh)_{k-m} sum need them, they would
+    # number 286 at K = 12
+    made = []
+    diff = ParamPolynomial.diff
+
+    def counted(self, name):
+        made.append((self, name))   # keeps each id unique
+        return diff(self, name)
+
+    V = get_example("vdp").potential()
+    monkeypatch.setattr(ParamPolynomial, "diff", counted)
+    K = 12
+    normal_form(V, K)
+    assert len(made) <= 4 * (K + 1)
+    assert len({(id(p), name) for p, name in made}) == len(made)
+
+
+@pytest.mark.parametrize("name", ["vdp", "nonauto"])
+def test_the_solve_splits_nothing(monkeypatch, name):
+    # each order's unknowns are read off S_k in one term map
+    V = get_example(name).potential()     # parsing splits
+    calls = []
+    split = ParamPolynomial.split
+
+    def counted(self, names):
+        calls.append(names)
+        return split(self, names)
+
+    monkeypatch.setattr(ParamPolynomial, "split", counted)
+    normal_form(V, 8)
+    assert calls == []
+
+
+def test_iz_dz_is_the_time_derivative_without_t():
+    z, t, A, B = P(HARMONIC), P("t"), P("A"), P("B")
+    z_inv = ParamPolynomial.var(HARMONIC, -1)
+    cases = [
+        A * z + B * z_inv,
+        # d_t t z = z cancels i z d_z (i z) = -z
+        t * z + gr(0, 1) * z,
+        grq(1, 2) * A ** 2 * z ** 3 - t ** 2 * B * z_inv ** 2 + 5 * A * B + t,
+        # only z^0 terms: the image is the zero polynomial
+        A * B - t * gr(0, 3),
+        # i n over a denominator: the image is made canonical again
+        grq(1, 2) * z ** 2 + grq(1, 3) * z ** 3 * A + grq(1, 6) * t * z_inv,
+        ParamPolynomial.zero(),
+    ]
+    for c in cases:
+        assert c.diff("t") + iz_dz(c) == dt(c), c
+        t_free = c.coefficient("t", 0)
+        assert iz_dz(t_free) == dt(t_free), c
+    assert iz_dz(cases[1]) == gr(0, 1) * t * z - z
+    assert iz_dz(cases[3]).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,38 @@ def test_split_sums_the_rest_per_exponent_tuple():
     assert q.split(("z",)) == {(-2,): 3 * A, (0,): A}
 
 
+def _parity_rule(e):
+    """Drops z^0; odd e to part 0 times (e + i)/3, even e to part 1 times
+    -1/e^2."""
+    if e == 0:
+        return None
+    if e % 2:
+        return 0, e, 1, 3
+    return 1, -1, 0, e * e
+
+
+@given(laurent_terms(("z", "A", "t")))
+def test_term_map_is_the_sum_over_exponents(terms):
+    p, _ = built(terms)
+    steps = (-1, 2)
+    want = [ParamPolynomial.zero()] * 2
+    for e in sorted(p.exponents("z")):
+        rule = _parity_rule(e)
+        if rule is not None:
+            i, re, im, d = rule
+            want[i] = want[i] + p.coefficient("z", e) * ParamPolynomial.var(
+                "z", e + steps[i], grq(re, d, im, d))
+    seen = []
+
+    def rule(e):
+        seen.append(e)
+        return _parity_rule(e)
+
+    assert p.term_map("z", rule, steps) == want
+    # once per distinct exponent, in increasing order
+    assert seen == sorted(p.exponents("z"))
+
+
 def binding_values():
     """Zero, constant, monomial and multi-term substitution values."""
     coeffs = st.builds(lambda c, k: c * gr(k),

@@ -287,6 +287,19 @@ def test_rayleigh_limit_cycle_leading(rayleigh_polar):
     assert R_c.coeffs[0].as_constant() == gr(1)
 
 
+def test_vdp_and_rayleigh_limit_cycles_agree_exactly():
+    # u = y' of a Rayleigh solution, y'' + y = eps*(y' - y'^3/3), solves
+    # van der Pol.  So the two limit cycles share the frequency
+    # 1 + drift, and the first harmonic of u is 1 + drift times that of
+    # y: exact identities between two independent solves, through eps^8
+    (R_vdp, drift_vdp), (R_ray, drift_ray) = (
+        limit_cycle(to_polar(normal_form(get_example(name).potential(), 9)))
+        for name in ("vdp", "rayleigh"))
+    assert R_vdp.cap == drift_vdp.cap == 8 and drift_vdp.coeffs[8]
+    assert drift_vdp == drift_ray
+    assert R_vdp == (EpsilonSeries.const(1, 8) + drift_vdp) * R_ray
+
+
 # ---------------------------------------------------------------------------
 # Nonlinear nonautonomous oscillator
 # ---------------------------------------------------------------------------
