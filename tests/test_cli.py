@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -71,6 +72,31 @@ def test_golden_outputs(capsys, name, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+# the orders of CI's high-order smoke step, which compares the same files
+@pytest.mark.parametrize("name,argv", [
+    ("vdp_limit_cycle_order19.txt",
+     ["limit-cycle", "--example", "vdp", "--order", "19"]),
+    ("vdp_polar_order19.txt",
+     ["polar", "--example", "vdp", "--order", "19"]),
+    ("mathieu_order13.txt",
+     ["mathieu", "--order", "13"]),
+    ("rayleigh_polar_order11.txt",
+     ["polar", "--example", "rayleigh", "--order", "11"]),
+])
+def test_high_order_golden_outputs(capsys, name, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+def test_high_order_expand_digest(capsys):
+    # 227 KB of stdout, kept as the line of `sha256sum` over it
+    code, out = run(capsys, "expand", "--example", "vdp", "--order", "12")
+    assert code == 0
+    want = (GOLDEN / "vdp_expand_order12.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_expand_json(capsys):
