@@ -16,10 +16,9 @@ print()
 
 # The table rows are eps-orders, the columns harmonics e^{int}.
 for k in range(Y.cap + 1):
-    for n in Y.harmonics():
-        f = Y.entry(n, k)
-        if not f.is_zero():
-            print(f"  f[{n},{k}] = {f}")
+    row = Y.row(k)          # {n: f[n,k]} over the nonzero cells
+    for n in sorted(row):
+        print(f"  f[{n},{k}] = {row[n]}")
     print()
 
 # The resonant coefficient P_1 collects the t-growing terms of e^{it};

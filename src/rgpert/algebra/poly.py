@@ -39,6 +39,7 @@ variables that occur, in the fixed precedence
 which also makes every text rendering deterministic (graded lex).
 """
 
+from bisect import bisect_left, bisect_right
 from itertools import repeat
 from math import gcd, lcm
 
@@ -134,10 +135,12 @@ class ParamPolynomial:
     """Immutable sparse polynomial: packed monomial -> (re, im) over den.
 
     The coefficient of the monomial with key ``k`` is
-    ``(re + im*i) / den`` where ``terms[k] == (re, im)``.
+    ``(re + im*i) / den`` where ``terms[k] == (re, im)``.  ``_groups``,
+    set by the first banded ``dot`` that reads the polynomial, keeps its
+    terms grouped by the banded exponent.
     """
 
-    __slots__ = ("terms", "den", "bound")
+    __slots__ = ("terms", "den", "bound", "_groups")
 
     # -- constructors -----------------------------------------------------
 
@@ -544,7 +547,7 @@ def _normalized(terms, den, bound):
     return ParamPolynomial._raw(terms, den, bound)
 
 
-def dot(pairs, weights=None):
+def dot(pairs, weights=None, band=None):
     """sum(w * a * b) over the polynomial ``pairs`` (a, b) and the integer
     ``weights`` w, all 1 by default: the multiply-accumulate kernel of
     ``*`` and of every sum of products.
@@ -557,6 +560,13 @@ def dot(pairs, weights=None):
     is raised exactly when one of the products alone would raise it.
     Terms land in the order of the nested loops, pair by pair, a's terms
     outside b's: a one-pair call lists those of ``a * b``.
+
+    ``band = (name, w)`` forms only the products whose exponent n of
+    ``name`` has |n| <= w, which gives the sum with its terms past the
+    band dropped.  Each operand's terms are grouped by n once, and the
+    groups are kept on it; the loop then runs over the group pairs that
+    land in the band.  Grouping costs more than it saves on the few
+    terms of most calls, so a call with no band keeps the plain loop.
     """
     live, den, bound = [], 1, 0
     for (a, b), w in zip(pairs, repeat(1) if weights is None else weights):
@@ -568,7 +578,10 @@ def dot(pairs, weights=None):
                 pb = _remeasured(a, b)
             if pb > bound:
                 bound = pb
-            live.append((a.terms, b.terms, d, w))
+            live.append((a.terms, b.terms, d, w) if band is None
+                        else (a, b, d, w))
+    if band is not None:
+        live = _band_blocks(live, *band)
     terms = {}
     get = terms.get
     for at, bt, d, w in live:
@@ -593,6 +606,38 @@ def dot(pairs, weights=None):
                     else:
                         del terms[key]
     return _normalized(terms, den, bound)
+
+
+def _band_blocks(live, name, width):
+    """The pairs ``live`` of dot as pairs of term groups by the exponent
+    of ``name``, only those whose products land in [-width, width]."""
+    shift, half = _reader(name)
+    blocks = []
+    for a, b, d, w in live:
+        exps_b, groups_b = _grouped(b, shift, half)
+        for na, at in zip(*_grouped(a, shift, half)):
+            lo = bisect_left(exps_b, -width - na)
+            hi = bisect_right(exps_b, width - na)
+            blocks += [(at, bt, d, w) for bt in groups_b[lo:hi]]
+    return blocks
+
+
+def _grouped(p, shift, half):
+    """(sorted exponents, the terms of each) of the field at ``shift``,
+    made once per polynomial and field and kept on it."""
+    g = getattr(p, "_groups", None)
+    if g is None or g[0] != shift:
+        by = {}
+        for key, c in p.terms.items():
+            e = ((key + half) >> shift & _MASK) - _HALF
+            group = by.get(e)
+            if group is None:
+                by[e] = {key: c}
+            else:
+                group[key] = c
+        exps = sorted(by)
+        g = p._groups = shift, exps, [by[e] for e in exps]
+    return g[1:]
 
 
 def _as_poly(x):

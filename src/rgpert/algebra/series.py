@@ -209,20 +209,22 @@ def _as_series_like(x, cap):
     return EpsilonSeries.from_poly(p, cap)
 
 
-def cauchy(a, b, j):
-    """[eps^j] of the product of the series with coefficients a and b."""
-    return dot([(a[i], b[j - i]) for i in range(j + 1)])
+def cauchy(a, b, j, band=None):
+    """[eps^j] of the product of the series with coefficients a and b, in
+    the ``band`` of ``dot``."""
+    return dot([(a[i], b[j - i]) for i in range(j + 1)], band=band)
 
 
-def square(a, j):
-    """[eps^j] of the square of the series with coefficients a; each
-    product a_i*a_{j-i} with i < j-i is made once, with weight 2."""
+def square(a, j, band=None):
+    """[eps^j] of the square of the series with coefficients a, in the
+    ``band`` of ``dot``; each product a_i*a_{j-i} with i < j-i is made
+    once, with weight 2."""
     pairs = [(a[i], a[j - i]) for i in range((j + 1) // 2)]
     weights = [2] * len(pairs)
     if j % 2 == 0:
         pairs.append((a[j // 2], a[j // 2]))
         weights.append(1)
-    return dot(pairs, weights)
+    return dot(pairs, weights, band)
 
 
 class Composition:
@@ -275,16 +277,19 @@ class Composition:
         self.lists = {key: [] for key in [*self.bases, *products]}
         self.order = 0
 
-    def feed(self, *xs):
-        """[eps^j] F, given x_ij after x_i0, ..., x_i(j-1) for every i."""
+    def feed(self, *xs, band=None, out_band=None):
+        """[eps^j] F, given x_ij after x_i0, ..., x_i(j-1) for every i.
+
+        ``band`` and ``out_band`` are the bands of ``dot`` in which the
+        new coefficients of the power lists and [eps^j] F are formed."""
         j = self.order
         self.order += 1
         lists = self.lists
         for key, i in self.bases.items():
             lists[key].append(xs[i])
         for key, (a, b) in self.products.items():
-            lists[key].append(square(lists[a], j) if a == b
-                              else cauchy(lists[a], lists[b], j))
+            lists[key].append(square(lists[a], j, band) if a == b
+                              else cauchy(lists[a], lists[b], j, band))
         pairs = []
         for n, exps, c in self.terms:
             if not any(exps):
@@ -292,7 +297,7 @@ class Composition:
                     pairs.append((c, _ONE))
             elif n <= j:
                 pairs.append((c, lists[exps][j - n]))
-        return dot(pairs)
+        return dot(pairs, band=out_band)
 
 
 def substitute(obj, bindings):

@@ -141,33 +141,28 @@ def _print_series(pairs, fmt):
 def cmd_expand(args, parser):
     V = _resolve_potential(args, parser)
     Y = expand(V, args.order)
-    harmonics = Y.harmonics()
+    rows = [Y.row(k) for k in range(Y.cap + 1)]
+    harmonics = sorted(set().union(*rows))
     if args.format == "json":
         data = {"order": Y.cap,
                 "harmonics": harmonics,
-                "table": {str(n): {str(k): Y.entry(n, k).to_json()
-                                   for k in range(Y.cap + 1)
-                                   if not Y.entry(n, k).is_zero()}
+                "table": {str(n): {str(k): row[n].to_json()
+                                   for k, row in enumerate(rows) if n in row}
                           for n in harmonics}}
         print(json.dumps(data, indent=2))
         return 0
     # table layout: rows = eps order, columns = harmonic
-    for k in range(Y.cap + 1):
-        cells = []
-        for n in harmonics:
-            f = Y.entry(n, k)
-            if not f.is_zero():
-                cells.append(f"f[{n},{k}] = {f}")
-        if cells:
+    for k, row in enumerate(rows):
+        if row:
             print(f"eps^{k}:")
-            for cell in cells:
-                print("  " + cell)
+            for n in sorted(row):
+                print(f"  f[{n},{k}] = {row[n]}")
     return 0
 
 
 def cmd_rg(args, parser):
     V = _resolve_potential(args, parser)
-    sysc = normal_form(V, args.order)
+    sysc = normal_form(V, args.order, expansion=False)
     _print_series([("dAr/dt", sysc.rhs_A),
                    ("dBr/dt", sysc.rhs_B)], args.format)
     return 0
@@ -175,7 +170,7 @@ def cmd_rg(args, parser):
 
 def cmd_polar(args, parser):
     V = _resolve_potential(args, parser)
-    pol = to_polar(normal_form(V, args.order))
+    pol = to_polar(normal_form(V, args.order, expansion=False))
     _print_series([("d log R/dt", pol.dlogR_dt),
                    ("d theta/dt", pol.dtheta_dt)], args.format)
     if pol.theta_free() and args.format != "json":
@@ -185,7 +180,7 @@ def cmd_polar(args, parser):
 
 def cmd_limit_cycle(args, parser):
     V = _resolve_potential(args, parser)
-    pol = to_polar(normal_form(V, args.order))
+    pol = to_polar(normal_form(V, args.order, expansion=False))
     R_c, dtheta_c = limit_cycle(pol)
     _print_series([("R_c", R_c),
                    ("2*R_c", R_c * GaussianRational(2)),
@@ -332,7 +327,7 @@ def cmd_simulate(args, parser):
             traj = numeric.integrate_ode(V, args.y0, args.dy0, args.eps,
                                          args.tmax, args.dt)
         else:
-            pol = to_polar(normal_form(V, args.order))
+            pol = to_polar(normal_form(V, args.order, expansion=False))
             traj = numeric.integrate_rg(pol, args.eps, args.rg_order,
                                         args.tmax, args.dt,
                                         R0=args.R0, theta0=args.theta0)

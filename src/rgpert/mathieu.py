@@ -289,5 +289,5 @@ def boundary_crosscheck(branches, eps_list, N=12):
 
 def analyze(K=5):
     """Full pipeline: omega^2 and the branches at cap K."""
-    w2 = omega_squared(normal_form(mathieu_potential(K), K))
+    w2 = omega_squared(normal_form(mathieu_potential(K), K, expansion=False))
     return w2, stability_boundaries(w2, K)

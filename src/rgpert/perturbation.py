@@ -69,8 +69,11 @@ class NaiveSeries:
         self.table = table
         self._at_zero = self._defect = None
 
-    def entry(self, n, k):
-        return self.table.coeffs[k].coefficient(HARMONIC, n)
+    def row(self, k):
+        """{n: f_{n,k}} over the nonzero cells of eps-order k, read in one
+        pass over its terms."""
+        return {n: f for (n,), f in
+                self.table.coeffs[k].split((HARMONIC,)).items()}
 
     def secular_coefficient(self, n):
         """P_n(eps, t, A, B) truncated at the cap."""
@@ -114,7 +117,7 @@ class NaiveSeries:
 
 def expand(V, K):
     """Build the naive series of y'' + y = eps*V up to eps^K."""
-    x_a, x_b, h = _homological_solve(V, K)
+    x_a, x_b, h = _homological_solve(V, K, ("A", "B"))
     table = term = h
     for j in range(1, K + 1):
         # t^j/j! L^j h from its predecessor

@@ -372,9 +372,11 @@ class OnlinePotential:
         self.composition = Composition(
             (n, (l, m), dot(p)) for (l, m, n), p in pairs.items())
 
-    def feed(self, y_j, dy_j):
-        """[eps^j] V(y), given y_j and y'_j after the lower orders."""
-        return self.composition.feed(y_j, dy_j)
+    def feed(self, y_j, dy_j, band=None, out_band=None):
+        """[eps^j] V(y), given y_j and y'_j after the lower orders, with
+        the bands of Composition.feed."""
+        return self.composition.feed(y_j, dy_j, band=band,
+                                     out_band=out_band)
 
 
 def eval_potential(V, y, dy, K):

@@ -73,7 +73,7 @@ def derive_rg(Y):
     return RGSystem(Y.cap, x_a, x_b, h, Y.potential)
 
 
-def normal_form(V, K):
+def normal_form(V, K, expansion=True):
     """The RGSystem of y'' + y = eps*V to eps^K, solved without t.
 
     Write y = h(A, B, z) with z = e^{it} and (A, B)' = (X_A, X_B) = O(eps),
@@ -90,39 +90,68 @@ def normal_form(V, K):
     P_n(t) = exp(tL) h_n, which is how perturbation.expand builds it.
     This is RG as normal form (DeVille, Harkin, Holzer, Josic, Kaper,
     Physica D 2008; Chiba, SIAM J. Appl. Dyn. Syst. 2008).
+
+    A caller that reads only the flow passes ``expansion=False``: the
+    solve then forms only the harmonics that reach X_A and X_B, and the
+    RGSystem's expansion is None.
     """
-    x_a, x_b, h = (s.rename(_RENAME) for s in _homological_solve(V, K))
+    x_a, x_b, h = _homological_solve(V, K, ("Ar", "Br"),
+                                     flow_only=not expansion)
     return RGSystem(K, x_a, x_b, h, V)
 
 
-def _homological_solve(V, K):
-    """(X_A, X_B, h) of normal_form as EpsilonSeries in the naive
-    amplitudes A, B.
+def _homological_solve(V, K, names, flow_only=False):
+    """(X_A, X_B, h) of normal_form as EpsilonSeries in the amplitudes
+    ``names``, A and B for perturbation.expand and Ar and Br for
+    normal_form.
 
     R_k and sum_{m<k} L_m (Dh)_{k-m} are one multiply-accumulate each,
     over every m and both amplitudes, on partials d_A and d_B made once
     per polynomial, on first use.  X_A,k, X_B,k and h_k are read off S_k
-    in one term map keyed by the z exponent, and so is i z d_z."""
-    support_bound = 1 + K * V.support_growth_rate()
-    h = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
-         ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
+    in one term map keyed by the z exponent, and so is i z d_z.
+
+    With ``flow_only`` h is None, and every product of eps-order j is
+    formed only in the harmonic band |n| <= W(j) = 1 + M (K - j), M the
+    support growth rate: an h_j term at harmonic n reaches X_K only
+    through |n| <= W(j).  That holds when every term
+    C z^k y^l y'^m eps^n of V has |k| + l + m <= 1 + (n + 1) M, which
+    _check_growth asserts before any product is formed."""
+    M = V.support_growth_rate()
+    if flow_only:
+        _check_growth(V, M)
+
+    def band(j):
+        return (HARMONIC, 1 + M * (K - j)) if flow_only else None
+
+    a, b = (ParamPolynomial.var(name) for name in names)
+    h = [a * ParamPolynomial.var(HARMONIC) +
+         b * ParamPolynomial.var(HARMONIC, -1)]
     dh = [iz_dz(h[0])]
     d_h, d_dh = _partials(h), _partials(dh)
     x_a, x_b = [_ZP], [_ZP]
+    lie = ((x_a, names[0]), (x_b, names[1]))
     v_of_y = OnlinePotential(V)
+    support_bound = 1 + K * M
     for k in range(1, K + 1):
-        r = _lie_sum(x_a, x_b, d_h, k)
-        source = (v_of_y.feed(h[k - 1], dh[k - 1]) -
-                  _lie_sum(x_a, x_b, d_dh, k) - iz_dz(r))
+        r = _lie_sum(lie, d_h, k, band(k))
+        source = (v_of_y.feed(h[k - 1], dh[k - 1], band(k - 1), band(k)) -
+                  _lie_sum(lie, d_dh, k, band(k)) - iz_dz(r))
         a_k, b_k, h_k = source.term_map(
             HARMONIC, _homological_rule(k, support_bound), (-1, 1, 0))
         x_a.append(a_k)
         x_b.append(b_k)
         h.append(h_k)
         if k < K:       # (Dh)_K is not read
-            dh.append(iz_dz(h_k) + r +
-                      dot(((a_k, d_h(0, "A")), (b_k, d_h(0, "B")))))
-    return tuple(EpsilonSeries(K, c) for c in (x_a, x_b, h))
+            dh.append(iz_dz(h_k) + r + dot(
+                ((a_k, d_h(0, names[0])), (b_k, d_h(0, names[1]))),
+                band=band(k)))
+    return (EpsilonSeries(K, x_a), EpsilonSeries(K, x_b),
+            None if flow_only else EpsilonSeries(K, h))
+
+
+def _overflow(n, k, bound):
+    return SupportOverflow(f"harmonic {n} at order {k} exceeds bound "
+                           f"{bound}; potential may be outside the class")
 
 
 def _homological_rule(k, bound):
@@ -132,9 +161,7 @@ def _homological_rule(k, bound):
     first harmonic |n| > bound in increasing n."""
     def rule(n):
         if abs(n) > bound:
-            raise SupportOverflow(
-                f"harmonic {n} at order {k} exceeds bound {bound}; "
-                "potential may be outside the class")
+            raise _overflow(n, k, bound)
         if n == 1:
             return 0, 0, -1, 2      # 1/(2i)
         if n == -1:
@@ -142,6 +169,27 @@ def _homological_rule(k, bound):
         # 1/(1 - n^2), over a positive denominator
         return (2, 1, 0, 1) if n == 0 else (2, -1, 0, n * n - 1)
     return rule
+
+
+def _check_growth(V, M):
+    """SupportOverflow unless the growth rate M bounds every term of V.
+
+    The term C z^k y^l y'^m eps^n first acts at order n + 1, on h_0 and
+    (Dh)_0, where it spans the harmonics k - l - m ... k + l + m.  M
+    must keep both within 1 + (n + 1) M.  This inequality is all that
+    the harmonic band of the flow-only solve relies on, and all that the
+    support bound 1 + j M of order j relies on.  The check reads V's
+    table, not the solve, so it does not matter whether those harmonics
+    cancel between terms.  The first violation is reported by increasing
+    order and harmonic, in the words of _homological_rule."""
+    reach = {}
+    for k, l, m, n in V.coeffs:
+        reach.setdefault(n + 1, set()).update((k - l - m, k + l + m))
+    for order, harmonics in sorted(reach.items()):
+        bound = 1 + order * M
+        for n in sorted(harmonics):
+            if abs(n) > bound:
+                raise _overflow(n, order, bound)
 
 
 def _partials(p):
@@ -156,11 +204,12 @@ def _partials(p):
     return partial
 
 
-def _lie_sum(x_a, x_b, partial, k):
-    """sum_{0<m<k} L_m p_{k-m} in one multiply-accumulate, with
-    ``partial`` the partials of p."""
+def _lie_sum(lie, partial, k, band):
+    """sum_{0<m<k} L_m p_{k-m} in one multiply-accumulate in ``band``,
+    with ``lie`` the pairs (X_A, A) and (X_B, B) and ``partial`` the
+    partials of p."""
     return dot([(x[m], partial(k - m, name)) for m in range(1, k)
-                for x, name in ((x_a, "A"), (x_b, "B")) if x[m]])
+                for x, name in lie if x[m]], band=band)
 
 
 def to_polar(rgsys):

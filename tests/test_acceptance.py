@@ -41,7 +41,7 @@ def report(number, title, ok):
 def test_criterion_01_table_reproduction(capsys):
     start = time.perf_counter()
     Y = example_expansion("vdp", 3)
-    ok = all(Y.entry(n, k) == cell
+    ok = all(Y.row(k).get(n) == cell
              for (n, k), cell in harmonic_table().items())
     code = cli_main(["expand", "--example", "vdp", "--order", "3"])
     capsys.readouterr()

@@ -63,17 +63,17 @@ def test_resonant_corrections(Y4):
              - 36 * A * g1 * g2 + 72 * A * g3)
         + 3 * A * g1 * (8 + 3 * g1 ** 2 - 12 * g2) * t
         - 3 * i * A * g1 ** 3 * t ** 2)
-    assert Y4.entry(1, 1) == C1
-    assert Y4.entry(1, 2) == C2
-    assert Y4.entry(1, 3) == C3
+    assert Y4.row(1)[1] == C1
+    assert Y4.row(2)[1] == C2
+    assert Y4.row(3)[1] == C3
 
 
 def test_conjugate_resonance(Y4):
     # Q_-1(eps,t,A,B) = Q_1(eps,t,B,A) with i -> -i
     swap = {"A": "B", "B": "A"}
     for k in range(1, Y4.cap + 1):
-        assert Y4.entry(-1, k) == \
-            Y4.entry(1, k).conjugated().rename(swap)
+        row = Y4.row(k)
+        assert row[-1] == row[1].conjugated().rename(swap)
 
 
 def test_linear_matrix_and_nonlinear_rejection(Y4):

@@ -19,6 +19,7 @@ from rgpert.perturbation import expand
 from rgpert.potential import (HARMONIC, OnlinePotential, Potential,
                               harmonic, harmonics, iz_dz, parse_potential)
 from rgpert.registry import EXAMPLES, get_example
+from rgpert import rg
 from rgpert.rg import derive_rg, normal_form
 
 from oracles import dt, naive_expand, random_potential
@@ -111,20 +112,90 @@ def test_keeps_the_potential_and_the_cap():
     assert rgsys.cap == rgsys.rhs_A.cap == rgsys.expansion.cap == 3
 
 
+def flow_only(V, K):
+    return normal_form(V, K, expansion=False)
+
+
 def test_support_overflow_guard_matches_expand(monkeypatch):
     # a growth rate below the true one puts harmonic -3 of the order-1
     # source past the bound 1 + 3*0
     monkeypatch.setattr(Potential, "support_growth_rate", lambda self: 0)
     # source past the bound 1 + 3*0; the order-by-order oracle meets it
-    # at the same harmonic and order
+    # at the same harmonic and order, and the flow-only solve finds it
+    # in the term y^2 y' of V before it forms any product
     V = parse_potential("(1 - y^2)*y'")
     messages = []
-    for solve in (naive_expand, expand, normal_form):
+    for solve in (naive_expand, expand, normal_form, flow_only):
         with pytest.raises(SupportOverflow) as raised:
             solve(V, 3)
         messages.append(str(raised.value))
     assert len(set(messages)) == 1
     assert messages[0].startswith("harmonic -3 at order 1 exceeds bound 1;")
+
+
+# ---------------------------------------------------------------------------
+# The flow-only solve: products formed in a harmonic band
+# ---------------------------------------------------------------------------
+
+FLOW_CASES = {
+    **{name: get_example(name).potential() for name in sorted(EXAMPLES)},
+    "duffing g=1": get_example("duffing").potential().bind({"g": 1}),
+    **{name: V for name, (V, _) in DSL_CASES.items()},
+    "mathieu_potential(8)": mathieu_potential(8),
+    **{f"random {seed}": random_potential(seed) for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_CASES))
+def test_flow_only_solve_equals_the_full_solve(name):
+    # the full solve's orders do not depend on K; the band does
+    V = FLOW_CASES[name]
+    full = normal_form(V, 8)
+    for K in range(9):
+        flow = flow_only(V, K)
+        assert flow.cap == K and flow.expansion is None
+        assert flow.rhs_A == full.rhs_A.truncate(K), K
+        assert flow.rhs_B == full.rhs_B.truncate(K), K
+
+
+def test_flow_only_solve_equals_the_full_solve_on_vdp_at_order_19():
+    V = get_example("vdp").potential()
+    full, flow = normal_form(V, 19), flow_only(V, 19)
+    assert (flow.rhs_A, flow.rhs_B) == (full.rhs_A, full.rhs_B)
+
+
+def test_flow_only_guard_is_what_keeps_the_band_exact(monkeypatch):
+    # vdp has growth rate 2; trusted at 1, the band drops harmonics that
+    # reach X_K.  The guard reads V's term y^2 y' at order 1, whose
+    # harmonic -3 exceeds 1 + 1*1, at any K, where the full solve's
+    # bound 1 + K*1 lets order 1 pass
+    V = get_example("vdp").potential()
+    want = normal_form(V, 6)
+    monkeypatch.setattr(Potential, "support_growth_rate", lambda self: 1)
+    for K in (1, 6):
+        with pytest.raises(SupportOverflow,
+                           match="^harmonic -3 at order 1 exceeds bound 2;"):
+            flow_only(V, K)
+    monkeypatch.setattr(rg, "_check_growth", lambda V, M: None)
+    wrong = flow_only(V, 6)
+    assert (wrong.rhs_A, wrong.rhs_B) != (want.rhs_A, want.rhs_B)
+
+
+def test_normal_form_renames_nothing(monkeypatch):
+    # the solve writes Ar and Br itself; only derive_rg renames
+    calls = []
+    rename = ParamPolynomial.rename
+
+    def counted(self, mapping):
+        calls.append(mapping)
+        return rename(self, mapping)
+
+    V = get_example("vdp").potential()
+    monkeypatch.setattr(ParamPolynomial, "rename", counted)
+    for expansion in (True, False):
+        rgsys = normal_form(V, 8, expansion)
+        assert not rgsys.rhs_A.uses_var("A") and rgsys.rhs_A.uses_var("Ar")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

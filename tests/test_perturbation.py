@@ -1,5 +1,6 @@
-from rgpert.algebra import EpsilonSeries, P, gr, grq
+from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr, grq
 from rgpert.perturbation import particular_solution
+from rgpert.potential import HARMONIC
 
 from oracles import q_split
 
@@ -41,15 +42,29 @@ def harmonic_table():
     }
 
 
+def entry(Y, n, k):
+    """f_{n,k}, zero where the row of eps-order k has no harmonic n."""
+    return Y.row(k).get(n, ParamPolynomial.zero())
+
+
+def test_rows_are_the_cells_of_the_table(vdp_Y5, nonauto_Y4):
+    for Y in (vdp_Y5, nonauto_Y4):
+        for k, c in enumerate(Y.table.coeffs):
+            row = Y.row(k)
+            assert set(row) == c.exponents(HARMONIC)
+            for n, f in row.items():
+                assert f and f == c.coefficient(HARMONIC, n), (n, k)
+
+
 def test_table_positive_harmonics(vdp_Y5):
     expected = harmonic_table()
     for (n, k), cell in expected.items():
-        assert vdp_Y5.entry(n, k) == cell, (n, k)
+        assert entry(vdp_Y5, n, k) == cell, (n, k)
     # all remaining positive-harmonic cells through k=3 vanish
     for k in range(4):
         for n in range(0, 9):
             if (n, k) not in expected:
-                assert vdp_Y5.entry(n, k).is_zero(), (n, k)
+                assert entry(vdp_Y5, n, k).is_zero(), (n, k)
 
 
 def test_negative_harmonics_by_symmetry(vdp_Y5):
@@ -57,8 +72,8 @@ def test_negative_harmonics_by_symmetry(vdp_Y5):
     # harmonics follow by conjugation combined with A <-> B
     swap = {"A": "B", "B": "A"}
     for (n, k) in harmonic_table():
-        mirrored = vdp_Y5.entry(n, k).conjugated().rename(swap)
-        assert vdp_Y5.entry(-n, k) == mirrored
+        mirrored = entry(vdp_Y5, n, k).conjugated().rename(swap)
+        assert entry(vdp_Y5, -n, k) == mirrored
 
 
 def test_fifth_harmonic_series(vdp_Y5):
@@ -78,7 +93,7 @@ def test_resonant_normalization(vdp_Y5, nonauto_Y4):
     for Y in (vdp_Y5, nonauto_Y4):
         for n in (1, -1):
             for k in range(1, Y.cap + 1):
-                f = Y.entry(n, k)
+                f = entry(Y, n, k)
                 assert f.subs({"t": gr(0)}).is_zero(), (n, k)
 
 
@@ -113,8 +128,8 @@ def test_support_growth(vdp_Y5):
 def test_q_split(vdp_Y5):
     q1, qm1 = q_split(vdp_Y5)
     assert q1.cap == vdp_Y5.cap - 1
-    assert q1.coeffs[0] == vdp_Y5.entry(1, 1)
-    assert qm1.coeffs[0] == vdp_Y5.entry(-1, 1)
+    assert q1.coeffs[0] == entry(vdp_Y5, 1, 1)
+    assert qm1.coeffs[0] == entry(vdp_Y5, -1, 1)
     # Q_{+-1}(eps, 0, A, B) = 0
     assert q1.map_coeffs(lambda c: c.subs(T_ZERO)).is_zero()
     assert qm1.map_coeffs(lambda c: c.subs(T_ZERO)).is_zero()

@@ -511,6 +511,47 @@ def test_dot_equals_the_sequential_sum_of_products(case):
         assert got.is_zero() and got.bound == 0
 
 
+def banded_dot_cases():
+    """(pairs, weights) over Laurent operands in z, A and t drawn from a
+    pool of up to three, so that one operand can sit in several pairs and
+    on both sides of one; with ``cancel``, every pair again with a
+    negated factor."""
+    operand = st.one_of(st.just(ParamPolynomial.zero()),
+                        laurent_terms(("z", "A", "t")).map(
+                            lambda terms: built(terms)[0]))
+    indices = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       max_size=5)
+    weights = st.one_of(st.none(), st.integers(-2, 3))
+
+    def build(pool, index_pairs, w, cancel):
+        pairs = [(pool[i % len(pool)], pool[j % len(pool)])
+                 for i, j in index_pairs]
+        if cancel:
+            pairs += [(a, -b) for a, b in pairs]
+        return pairs, None if w is None else [w] * len(pairs)
+
+    return st.builds(build, st.lists(operand, min_size=1, max_size=3),
+                     indices, weights, st.booleans())
+
+
+@given(banded_dot_cases(), st.integers(0, 5))
+def test_banded_dot_drops_the_terms_past_the_band(case, width):
+    pairs, weights = case
+    full = dot(pairs, weights)
+    # z, A, then z again: the operands' kept groups are of another
+    # variable, then of the same one
+    for name in ("z", "A", "z"):
+        want = ParamPolynomial.zero()
+        for e in full.exponents(name):
+            if abs(e) <= width:
+                want = want + full.coefficient(name, e) * (
+                    ParamPolynomial.var(name, e))
+        got = dot(pairs, weights, (name, width))
+        assert_canonical(got)
+        assert got.den == want.den and got.terms == want.terms
+        assert got == want
+
+
 @given(mixed_polys(), mixed_polys())
 def test_one_pair_dot_is_the_product(p, q):
     one, product = dot([(p, q)]), p * q

@@ -262,7 +262,8 @@ def test_series_lie_is_the_sum_of_series_products():
     # on the solve's own (X, h) and on its naive table, whose X have
     # support at several orders
     for name in ("vdp", "nonauto", "duffing"):
-        x_a, x_b, h = _homological_solve(get_example(name).potential(), 5)
+        x_a, x_b, h = _homological_solve(get_example(name).potential(), 5,
+                                           ("A", "B"))
         table = expand(get_example(name).potential(), 5).table
         for p in (h, table, table.diff("t")):
             assert lie(x_a, x_b, p) == (x_a * p.diff("A") +
