@@ -212,7 +212,7 @@ def _as_series_like(x, cap):
 def cauchy(a, b, j, band=None):
     """[eps^j] of the product of the series with coefficients a and b, in
     the ``band`` of ``dot``."""
-    return dot([(a[i], b[j - i]) for i in range(j + 1)], band=band)
+    return dot([(a[i], b[j - i]) for i in range(j + 1)], None, band)
 
 
 def square(a, j, band=None):
@@ -297,7 +297,7 @@ class Composition:
                     pairs.append((c, _ONE))
             elif n <= j:
                 pairs.append((c, lists[exps][j - n]))
-        return dot(pairs, band=out_band)
+        return dot(pairs, None, out_band)
 
 
 def substitute(obj, bindings):

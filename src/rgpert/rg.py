@@ -209,7 +209,7 @@ def _lie_sum(lie, partial, k, band):
     with ``lie`` the pairs (X_A, A) and (X_B, B) and ``partial`` the
     partials of p."""
     return dot([(x[m], partial(k - m, name)) for m in range(1, k)
-                for x, name in lie if x[m]], band=band)
+                for x, name in lie if x[m]], None, band)
 
 
 def to_polar(rgsys):
