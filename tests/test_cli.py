@@ -84,6 +84,8 @@ def test_golden_outputs(capsys, name, argv):
      ["mathieu", "--order", "13"]),
     ("rayleigh_polar_order11.txt",
      ["polar", "--example", "rayleigh", "--order", "11"]),
+    ("mathieu_order19.txt",
+     ["mathieu", "--order", "19"]),
 ])
 def test_high_order_golden_outputs(capsys, name, argv):
     code, out = run(capsys, *argv)
