@@ -346,7 +346,8 @@ def cmd_compare(args, parser):
     direct = _direct_start(args, parser)
     _check_orders(args, parser, "rg_order", "expansion_order")
     with _open_out(args, parser) as out:
-        sysc = normal_form(V, args.order)
+        # the orders read; --order only bounds them
+        sysc = normal_form(V, max(args.rg_order, args.expansion_order))
         pol = to_polar(sysc)
         amp = numeric.integrate_rg(pol, args.eps, args.rg_order, args.tmax,
                                    args.dt, R0=args.R0, theta0=args.theta0)

@@ -1,32 +1,22 @@
 """Parametric-resonance analysis of y'' + y + eps*(g + 2 cos t)*y = 0.
 
-The detuning is carried as a series g = g1 + g2*eps + g3*eps^2 + ...;
-the amplitude equation is linear, its square is a scalar matrix -omega^2,
-and solving omega^2 = 0 order by order yields the two stability-band
-edges a = 1 + eps*g of the conventional coupling a.
+The amplitude equation of the registry's potential is linear in one
+detuning g, and its square is a scalar matrix -omega^2.  With g the
+series g1 + g2*eps + g3*eps^2 + ..., solving omega^2 = 0 order by order
+yields the two stability-band edges a = 1 + eps*g of the conventional
+coupling a.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GaussianRational, ParamPolynomial, EpsilonSeries, Rat
+from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries, Rat,
+                      substitute)
 from .errors import (BudgetExceeded, NotLinear, NotScalar, Underdetermined,
                      NonRationalRoot, RootNotBracketed, SeriesOverflow)
-from .potential import Potential
+from .registry import get_example
 from .rg import normal_form, rational_roots
-
-_ZP = ParamPolynomial.zero()
-
-
-def mathieu_potential(n_params):
-    """V = -(g + 2 cos t) y with g = g1 + g2*eps + ... + g_J*eps^(J-1)."""
-    params = tuple(f"g{j}" for j in range(1, n_params + 1))
-    coeffs = {(1, 1, 0, 0): ParamPolynomial.const(-1),
-              (-1, 1, 0, 0): ParamPolynomial.const(-1)}
-    for j, name in enumerate(params, start=1):
-        coeffs[(0, 1, 0, j - 1)] = -ParamPolynomial.var(name)
-    return Potential(coeffs, params)
 
 
 def linear_matrix(rgsys):
@@ -77,8 +67,7 @@ def omega_squared(rgsys):
 class Branch:
     """One stability-boundary branch a = 1 + eps*g."""
     label: str
-    g_values: dict          # parameter name -> Rat
-    a_coeffs: tuple         # a = sum a_coeffs[j] * eps^j
+    a_coeffs: tuple         # a = sum a_coeffs[j] * eps^j; g_j = a_coeffs[j]
 
     def a_series_str(self):
         parts = ["1"]
@@ -143,13 +132,8 @@ def stability_boundaries(omega2, n_unknowns):
         labels = ["-", "+"]
     else:
         labels = [str(i) for i in range(len(branches))]
-    out = []
-    for label, a_coeffs in zip(labels, branches):
-        g_values = {v: a_coeffs[j]
-                    for j, v in enumerate(unknowns, start=1)
-                    if j < len(a_coeffs)}
-        out.append(Branch(label, g_values, a_coeffs))
-    return out
+    return [Branch(label, a_coeffs)
+            for label, a_coeffs in zip(labels, branches)]
 
 
 def _solve_univariate(c, var):
@@ -288,6 +272,21 @@ def boundary_crosscheck(branches, eps_list, N=12):
 
 
 def analyze(K=5):
-    """Full pipeline: omega^2 and the branches at cap K."""
-    w2 = omega_squared(normal_form(mathieu_potential(K), K, expansion=False))
+    """Full pipeline: omega^2 in g1, ..., gK and the branches at cap K.
+
+    omega^2 is solved for the registry's potential -(g + 2 cos t) y in
+    one g, then phi: g -> G = g1 + g2*eps + ... + gK*eps^(K-1) is
+    substituted.  That equals the solve of V(G) with K parameters:
+
+    - phi is a ring map that never lowers an eps-order;
+    - the normalised solve is unique and polynomial in V's coefficients,
+      so phi carries X for V(g) to X for V(G) mod eps^(K+1);
+    - M^2 and omega^2 to cap K+1 read M only to order K, as M has no
+      eps^0 part.
+    """
+    w2 = omega_squared(normal_form(get_example("mathieu").potential(), K,
+                                   expansion=False))
+    G = [ParamPolynomial.var(f"g{j}") for j in range(1, K + 1)]
+    G += [ParamPolynomial.zero()] * 2
+    w2 = substitute(w2, {"g": EpsilonSeries(K + 1, G)})
     return w2, stability_boundaries(w2, K)

@@ -34,8 +34,8 @@ _QUARTET = ("E", "y", "y'", "eps")
 
 #: Largest total degree l + m in (y, y') that the symbolic solvers take:
 #: 12x the degree 5 of the largest potential that the tests, demos,
-#: README and benchmark expand.  The lists of powers and products of an
-#: OnlinePotential grow with it.
+#: README and benchmark expand.  The lists of powers and products of
+#: Potential.composition grow with it.
 MAX_DEGREE = 64
 
 
@@ -86,6 +86,27 @@ class Potential:
             pairs[n].append((c, ParamPolynomial.monomial(
                 1, **{HARMONIC: k, "y": l, "y'": m})))
         return EpsilonSeries(cap, [dot(p) for p in pairs])
+
+    def composition(self):
+        """V(y) one eps-order at a time: a Composition of V's terms in y
+        and y', BudgetExceeded above MAX_DEGREE.
+
+        Its ``feed(y_j, dy_j)`` takes the next coefficients of y and y'
+        and returns [eps^j] V(y).  The caller owns y': i z d_z f_0 + f_1
+        at t = 0 in verify.check_residual, (Dh)_j for the t-free
+        expansion of rg.normal_form.
+        """
+        degree = max((l + m for _, l, m, _ in self.coeffs), default=0)
+        if degree > MAX_DEGREE:
+            raise BudgetExceeded(f"potential of degree {degree} in (y, y') "
+                                 f"exceeds the budget of {MAX_DEGREE}")
+        # sum_k C_klmn z^k, collected per (l, m, n)
+        pairs = {}
+        for (k, l, m, n), c in sorted(self.coeffs.items()):
+            pairs.setdefault((l, m, n), []).append(
+                (c, ParamPolynomial.var(HARMONIC, k)))
+        return Composition(
+            (n, (l, m), dot(p)) for (l, m, n), p in pairs.items())
 
     def support_growth_rate(self):
         """M = max(|k|+l+m-1, 1) over the support; harmonic support at
@@ -347,43 +368,11 @@ class HarmonicSeries:
         return HarmonicSeries(self.series * other.series)
 
 
-class OnlinePotential:
-    """V(y) one eps-order at a time: a Composition of V's terms in y and
-    y'.
-
-    ``feed(y_j, dy_j)`` takes the next coefficients of y and y' and
-    returns [eps^j] V(y).  The caller owns y': i z d_z f_0 + f_1 at t = 0
-    in verify.check_residual, (Dh)_j for the t-free expansion of
-    rg.normal_form.
-    """
-
-    __slots__ = ("composition",)
-
-    def __init__(self, V):
-        degree = max((l + m for _, l, m, _ in V.coeffs), default=0)
-        if degree > MAX_DEGREE:
-            raise BudgetExceeded(f"potential of degree {degree} in (y, y') "
-                                 f"exceeds the budget of {MAX_DEGREE}")
-        # sum_k C_klmn z^k, collected per (l, m, n)
-        pairs = {}
-        for (k, l, m, n), c in sorted(V.coeffs.items()):
-            pairs.setdefault((l, m, n), []).append(
-                (c, ParamPolynomial.var(HARMONIC, k)))
-        self.composition = Composition(
-            (n, (l, m), dot(p)) for (l, m, n), p in pairs.items())
-
-    def feed(self, y_j, dy_j, band=None, out_band=None):
-        """[eps^j] V(y), given y_j and y'_j after the lower orders, with
-        the bands of Composition.feed."""
-        return self.composition.feed(y_j, dy_j, band=band,
-                                     out_band=out_band)
-
-
 def eval_potential(V, y, dy, K):
     """Expand V(eps, e^{it}, e^{-it}, y, y') mod eps^{K+1} for a harmonic
     table y and the table dy that stands for y'.
 
-    Feeds the coefficients of y and dy to a fresh OnlinePotential."""
-    online = OnlinePotential(V)
-    return EpsilonSeries(K, [online.feed(c, d) for c, d in
+    Feeds the coefficients of y and dy to a fresh V.composition()."""
+    v_of_y = V.composition()
+    return EpsilonSeries(K, [v_of_y.feed(c, d) for c, d in
                              zip(y.truncate(K).coeffs, dy.truncate(K).coeffs)])

@@ -19,7 +19,7 @@ from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       dot, substitute, series_solve_root, grq, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
                      NonRationalRoot, Underdetermined, SupportOverflow)
-from .potential import HARMONIC, OnlinePotential, iz_dz
+from .potential import HARMONIC, iz_dz
 
 _RENAME = {"A": "Ar", "B": "Br"}
 _ZP = ParamPolynomial.zero()
@@ -130,11 +130,12 @@ def _homological_solve(V, K, names, flow_only=False):
     d_h, d_dh = _partials(h), _partials(dh)
     x_a, x_b = [_ZP], [_ZP]
     lie = ((x_a, names[0]), (x_b, names[1]))
-    v_of_y = OnlinePotential(V)
+    v_of_y = V.composition()
     support_bound = 1 + K * M
     for k in range(1, K + 1):
         r = _lie_sum(lie, d_h, k, band(k))
-        source = (v_of_y.feed(h[k - 1], dh[k - 1], band(k - 1), band(k)) -
+        source = (v_of_y.feed(h[k - 1], dh[k - 1], band=band(k - 1),
+                              out_band=band(k)) -
                   _lie_sum(lie, d_dh, k, band(k)) - iz_dz(r))
         a_k, b_k, h_k = source.term_map(
             HARMONIC, _homological_rule(k, support_bound), (-1, 1, 0))

@@ -20,8 +20,10 @@ amplitudes R and w = e^{i*theta} by substituting Ar = R*w, Br = R/w,
 where ``rgpert.rg.to_polar`` and ``rgpert.numeric.evaluate_expansion``
 map exponents.  Also the readouts only the tests use: the
 renormalization constants, the split P_{+-1} = (A, B) + eps*Q_{+-1}, a
-polynomial's constant term and the peak of a sampled trajectory.  And the
-scalar Hill determinant and its one-root-at-a-time bisection, which
+polynomial's constant term and the peak of a sampled trajectory.  The
+Mathieu potential with the detuning series g1 + g2*eps + ... in its
+table, which ``rgpert.mathieu`` substitutes after a solve in one g.  And
+the scalar Hill determinant and its one-root-at-a-time bisection, which
 ``rgpert.mathieu`` runs on arrays in lockstep.
 """
 
@@ -36,8 +38,8 @@ from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
 from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
                            RootNotBracketed, SupportOverflow, TrivialLinear)
 from rgpert.perturbation import NaiveSeries, particular_solution
-from rgpert.potential import (HARMONIC, OnlinePotential, Potential,
-                              eval_potential, harmonic, harmonics)
+from rgpert.potential import (HARMONIC, Potential, eval_potential, harmonic,
+                              harmonics)
 from rgpert.rg import PHASE, PolarRG
 from rgpert.verify import _first_offense, _report
 
@@ -170,7 +172,7 @@ def naive_expand(V, K):
         p'' + 2 i n p' + (1 - n^2) p = q(t),
 
     whose right-hand side q is the z^n part of the eps^(k-1) coefficient
-    of V(y), fed to an OnlinePotential.  The resonant harmonics n = +-1
+    of V(y), fed to V.composition().  The resonant harmonics n = +-1
     pick up a t-degree and their free constant is fixed by the
     normalization f_{+-1,k}(0) = 0.
     """
@@ -178,7 +180,7 @@ def naive_expand(V, K):
     # the free oscillation A e^{it} + B e^{-it} at eps^0
     coeffs = [ParamPolynomial.var("A") * ParamPolynomial.var(HARMONIC) +
               ParamPolynomial.var("B") * ParamPolynomial.var(HARMONIC, -1)]
-    v_of_y = OnlinePotential(V)
+    v_of_y = V.composition()
     for k in range(1, K + 1):
         source = v_of_y.feed(coeffs[k - 1], dt(coeffs[k - 1]))
         f_k = ParamPolynomial.zero()
@@ -374,6 +376,17 @@ def peak_amplitude(traj, t_min):
         return float(y1)
     delta = 0.5 * (y0 - y2) / denom
     return float(y1 - 0.25 * (y0 - y2) * delta)
+
+
+def mathieu_potential(n_params):
+    """Reference oracle: V = -(g + 2 cos t) y with the detuning series
+    g = g1 + g2*eps + ... + g_J*eps^(J-1) in the table, J = n_params."""
+    params = tuple(f"g{j}" for j in range(1, n_params + 1))
+    coeffs = {(1, 1, 0, 0): ParamPolynomial.const(-1),
+              (-1, 1, 0, 0): ParamPolynomial.const(-1)}
+    for j, name in enumerate(params, start=1):
+        coeffs[(0, 1, 0, j - 1)] = -ParamPolynomial.var(name)
+    return Potential(coeffs, params)
 
 
 def hill_determinant_scalar(eps, a, N, branch):

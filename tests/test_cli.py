@@ -545,6 +545,28 @@ def test_compare_csv_contract(capsys, tmp_path):
     assert len(lines) > 100
 
 
+@pytest.mark.parametrize("rg_order,expansion_order", [(2, 1), (1, 2)])
+def test_compare_solves_only_the_orders_it_reads(capsys, monkeypatch,
+                                                 rg_order, expansion_order):
+    # --order bounds --rg-order and --expansion-order; the solve stops at
+    # the larger of the two, so the CSV is the same at every --order
+    caps = []
+    solve = cli.normal_form
+
+    def counted(V, K, *args, **kwargs):
+        caps.append(K)
+        return solve(V, K, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "normal_form", counted)
+    argv = ["compare", "--example", "nonauto", "--eps", "0.25", "--R0", "0.2",
+            "--theta0", "-0.1", "--rg-order", str(rg_order),
+            "--expansion-order", str(expansion_order), "--tmax", "6.28"]
+    outs = [run(capsys, *argv, "--order", order) for order in ("2", "4", "6")]
+    assert caps == [2, 2, 2]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_simulate_stdout(capsys):
     code, out = run(capsys, "simulate", "--example", "vdp", "--eps", "0.1",
                     "--y0", "0.5", "--dy0", "0.0", "--tmax", "1.0")

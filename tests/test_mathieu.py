@@ -6,7 +6,7 @@ import pytest
 from rgpert import mathieu
 from rgpert.algebra import ParamPolynomial, P, gr, grq, Rat
 from rgpert.errors import NotLinear, RootNotBracketed, SeriesOverflow
-from rgpert.mathieu import (mathieu_potential, linear_matrix, omega_squared,
+from rgpert.mathieu import (linear_matrix, omega_squared,
                             stability_boundaries, hill_determinant,
                             find_boundary_roots,
                             boundary_crosscheck, analyze)
@@ -14,7 +14,8 @@ from rgpert.perturbation import expand
 from rgpert.rg import derive_rg, normal_form
 
 from conftest import example_expansion
-from oracles import find_boundary_root_scalar, hill_determinant_scalar
+from oracles import (find_boundary_root_scalar, hill_determinant_scalar,
+                     mathieu_potential)
 
 
 g1, g2, g3, g4 = P("g1"), P("g2"), P("g3"), P("g4")
@@ -114,16 +115,28 @@ def test_omega_squared_lowest_order():
     assert w2.coeffs[0].is_zero() and w2.coeffs[1].is_zero()
 
 
+@pytest.mark.parametrize("K", range(10))
+def test_analyze_equals_the_solve_in_K_parameters(K):
+    # the one-g solve with g1 + g2*eps + ... substituted after it, against
+    # the solve of the potential with that series in its table
+    w2, branches = analyze(K)
+    want = omega_squared(normal_form(mathieu_potential(K), K,
+                                     expansion=False))
+    assert w2 == want and str(w2) == str(want)
+    assert branches == stability_boundaries(want, K)
+
+
 def test_branch_forking_details(rg4):
     branches = stability_boundaries(omega_squared(rg4), 4)
     assert [b.label for b in branches] == ["-", "+"]
     minus, plus = branches
     # eps^2 order: g1^2/4 = 0 forces the double root g1 = 0; the eps^4
     # order then reads 9 g2^2 - 12 g2 - 5 = 0 with roots -1/3 and 5/3
-    assert minus.g_values["g1"] == 0 and plus.g_values["g1"] == 0
-    assert minus.g_values["g2"] == Rat(-1, 3)
-    assert plus.g_values["g2"] == Rat(5, 3)
-    assert minus.g_values["g3"] == 0 and plus.g_values["g3"] == 0
+    # (a_coeffs[j] is g_j)
+    assert minus.a_coeffs[1] == 0 and plus.a_coeffs[1] == 0
+    assert minus.a_coeffs[2] == Rat(-1, 3)
+    assert plus.a_coeffs[2] == Rat(5, 3)
+    assert minus.a_coeffs[3] == 0 and plus.a_coeffs[3] == 0
 
 
 def test_branch_a_series(analysis7):
@@ -142,7 +155,7 @@ def test_branch_a_series(analysis7):
 def test_branches_annihilate_omega_squared(analysis7):
     w2, branches = analysis7
     for b in branches:
-        values = {k: gr(v) for k, v in b.g_values.items()}
+        values = {f"g{j}": gr(v) for j, v in enumerate(b.a_coeffs) if j}
         resub = w2.map_coeffs(lambda c: c.subs(values))
         assert resub.is_zero(), b.label
 

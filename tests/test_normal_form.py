@@ -14,15 +14,14 @@ import pytest
 
 from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr, grq
 from rgpert.errors import SupportOverflow
-from rgpert.mathieu import mathieu_potential
 from rgpert.perturbation import expand
-from rgpert.potential import (HARMONIC, OnlinePotential, Potential,
-                              harmonic, harmonics, iz_dz, parse_potential)
+from rgpert.potential import (HARMONIC, Potential, harmonic, harmonics,
+                              iz_dz, parse_potential)
 from rgpert.registry import EXAMPLES, get_example
 from rgpert import rg
 from rgpert.rg import derive_rg, normal_form
 
-from oracles import dt, naive_expand, random_potential
+from oracles import dt, mathieu_potential, naive_expand, random_potential
 
 
 DSL_CASES = {
@@ -267,7 +266,7 @@ def test_iz_dz_is_the_time_derivative_without_t():
 def homological_residual(rgsys):
     """D^2 h + h - eps*V(h, Dh) mod eps^{K+1} for the finished system, with
     D = i z d_z + X_A d_Ar + X_B d_Br applied by whole-series products and
-    V fed to a fresh OnlinePotential."""
+    V fed to a fresh V.composition()."""
     K, x_a, x_b, h = _fields(rgsys)
 
     def D(s):
@@ -275,7 +274,7 @@ def homological_residual(rgsys):
                 x_b * s.diff("Br"))
 
     dh = D(h)
-    online = OnlinePotential(rgsys.potential)
+    online = rgsys.potential.composition()
     v = [online.feed(y_j, dy_j) for y_j, dy_j in zip(h.coeffs, dh.coeffs)]
     return D(dh) + h - EpsilonSeries(K, [ParamPolynomial.zero()] + v[:K])
 

@@ -6,7 +6,7 @@ from rgpert.errors import (BudgetExceeded, CapMismatch, ParseError,
 from rgpert.perturbation import expand
 from rgpert.potential import (Potential, parse_potential, eval_potential,
                               HARMONIC, MAX_DEGREE, RESERVED_NAMES,
-                              OnlinePotential, harmonic, harmonics, lie)
+                              harmonic, harmonics, lie)
 from rgpert.registry import EXAMPLES, get_example
 from rgpert.rg import _homological_solve
 
@@ -204,7 +204,7 @@ def test_online_potential_matches_whole_series_oracle(name):
     V, K = ONLINE_CASES[name]
     table = expand(V, K).table
     want = eval_potential_whole(V, table, K).coeffs
-    online = OnlinePotential(V)
+    online = V.composition()
     for j, y_j in enumerate(table.coeffs):
         assert online.feed(y_j, dt(y_j)) == want[j], (name, j)
     assert eval_potential(V, table, table.map_coeffs(dt), K).coeffs == want
@@ -217,15 +217,15 @@ def test_online_potential_on_a_table_that_is_no_solution():
     y = EpsilonSeries(3, [
         A * z + P("B") * z_inv, t * A * z ** 3, _ZERO, grq(1, 3) * t * z])
     want = eval_potential_whole(V, y, 3).coeffs
-    online = OnlinePotential(V)
+    online = V.composition()
     assert [online.feed(c, dt(c)) for c in y.coeffs] == list(want)
 
 
 def test_online_potential_degree_budget():
     at_budget = parse_potential(f"y^{MAX_DEGREE - 1}*y' + y")
-    OnlinePotential(at_budget)
+    at_budget.composition()
     with pytest.raises(BudgetExceeded, match=f"degree {MAX_DEGREE + 1}"):
-        OnlinePotential(parse_potential(f"y^{MAX_DEGREE}*y' + y"))
+        parse_potential(f"y^{MAX_DEGREE}*y' + y").composition()
     with pytest.raises(BudgetExceeded):
         expand(parse_potential(f"y'^{MAX_DEGREE + 1}"), 1)
 
