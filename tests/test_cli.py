@@ -101,6 +101,14 @@ def test_high_order_expand_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+def test_high_order_mathieu_digest(capsys):
+    # 1.04 MB of stdout, kept as the line of `sha256sum` over it
+    code, out = run(capsys, "mathieu", "--order", "25")
+    assert code == 0
+    want = (GOLDEN / "mathieu_order25.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_expand_json(capsys):
     code, out = run(capsys, "expand", "--example", "vdp", "--order", "2",
                     "--format", "json")
