@@ -1,9 +1,10 @@
 """Parametric-resonance analysis of y'' + y + eps*(g + 2 cos t)*y = 0.
 
 The amplitude equation of the registry's potential is linear in one
-detuning g, and its square is a scalar matrix -omega^2.  With g the
-series g1 + g2*eps + g3*eps^2 + ..., solving omega^2 = 0 order by order
-yields the two stability-band edges a = 1 + eps*g of the conventional
+detuning g, and its matrix M is trace-free, so omega^2 = det M.  The
+band edges are the roots g(eps) of omega^2(g) = 0, one formal Newton
+solve per simple root of the leading order; with g = g1 + g2*eps + ...
+they are the two stability-band edges a = 1 + eps*g of the conventional
 coupling a.
 """
 
@@ -12,55 +13,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries, Rat,
-                      substitute)
+                      substitute, series_solve_root)
 from .errors import (BudgetExceeded, NotLinear, NotScalar, Underdetermined,
                      NonRationalRoot, RootNotBracketed, SeriesOverflow)
 from .registry import get_example
 from .rg import normal_form, rational_roots
 
+_ZP = ParamPolynomial.zero()
+_G = ParamPolynomial.var("g")
+
 
 def linear_matrix(rgsys):
-    """2x2 matrix M with d/dt (Ar, Br) = M (Ar, Br); NotLinear otherwise."""
-    out = []
-    for rhs in (rgsys.rhs_A, rgsys.rhs_B):
-        row = [[], []]
-        for c in rhs.coeffs:
-            for amp, slot in (("Ar", 0), ("Br", 1)):
-                row[slot].append(c.coefficient(amp, 1))
-            leftover = (c - c.coefficient("Ar", 1) * ParamPolynomial.var("Ar")
-                        - c.coefficient("Br", 1) * ParamPolynomial.var("Br"))
-            if not leftover.is_zero():
-                raise NotLinear("amplitude equation is not linear")
-        out.append([EpsilonSeries(rhs.cap, row[0]),
-                    EpsilonSeries(rhs.cap, row[1])])
-    return out
+    """2x2 matrix M with d/dt (Ar, Br) = M (Ar, Br); NotLinear otherwise.
 
-
-def _mat_square(M):
-    """M @ M with cap lifted by one (exact: M has no eps^0 part)."""
-    cap = M[0][0].cap + 1
-    for row in M:
-        for entry in row:
-            if not entry.coeffs[0].is_zero():
-                raise NotScalar("amplitude matrix has an eps^0 part")
-    E = [[entry.extend(cap) for entry in row] for row in M]
-    return [[E[i][0] * E[0][j] + E[i][1] * E[1][j] for j in range(2)]
-            for i in range(2)]
+    Each eps-order of X_A and X_B is split once over (Ar, Br), and every
+    part must be the one of Ar^1 or of Br^1."""
+    rows = [[c.split(("Ar", "Br")) for c in rhs.coeffs]
+            for rhs in (rgsys.rhs_A, rgsys.rhs_B)]
+    if any(parts.keys() - {(1, 0), (0, 1)} for row in rows for parts in row):
+        raise NotLinear("amplitude equation is not linear")
+    return [[EpsilonSeries(rgsys.cap, [parts.get(e, _ZP) for parts in row])
+             for e in ((1, 0), (0, 1))] for row in rows]
 
 
 def omega_squared(rgsys):
-    """-omega^2 is the scalar of M^2; asserts scalarness exactly.
+    """omega^2 = det M, where M must be trace-free with no eps^0 part, so
+    that M^2 is the scalar -omega^2; NotScalar otherwise.
 
     The returned series has cap rgsys.cap + 1 (exact because the amplitude
     matrix carries an explicit eps factor).
     """
-    M = linear_matrix(rgsys)
-    M2 = _mat_square(M)
-    if not M2[0][1].is_zero() or not M2[1][0].is_zero():
-        raise NotScalar("M^2 has nonzero off-diagonal entries")
-    if M2[0][0] != M2[1][1]:
-        raise NotScalar("M^2 diagonal entries differ")
-    return -M2[0][0]
+    (a, b), (c, d) = linear_matrix(rgsys)
+    if any(entry.coeffs[0] for entry in (a, b, c, d)):
+        raise NotScalar("amplitude matrix has an eps^0 part")
+    if not (a + d).is_zero():
+        raise NotScalar("amplitude matrix is not trace-free")
+    a, b, c, d = (entry.extend(rgsys.cap + 1) for entry in (a, b, c, d))
+    return a * d - b * c
 
 
 @dataclass(frozen=True)
@@ -87,53 +76,45 @@ class Branch:
                                  f"float at eps = {eps!r}") from None
 
 
-def stability_boundaries(omega2, n_unknowns):
-    """Solve omega^2 = 0 order by order for g1, g2, ...; returns the
-    branches as a = 1 + eps*(g1 + g2*eps + ...)."""
-    partials = [{}]
-    unknowns = [f"g{j}" for j in range(1, n_unknowns + 1)]
-    for order in range(omega2.cap + 1):
-        coeff = omega2.coeffs[order]
-        new_partials = []
-        for assignment in partials:
-            c = coeff.subs({k: GaussianRational(v)
-                            for k, v in assignment.items()})
-            if c.is_zero():
-                new_partials.append(assignment)
-                continue
-            free = [v for v in unknowns
-                    if v in c.vars and v not in assignment]
-            if not free:
-                raise Underdetermined(
-                    f"order eps^{order} gives the nonzero constraint {c}")
-            var = free[0]
-            if any(v in c.vars and v != var for v in free[1:]):
-                raise Underdetermined(
-                    f"order eps^{order} couples several new unknowns: {c}")
-            for root in _solve_univariate(c, var):
-                new_assignment = dict(assignment)
-                new_assignment[var] = root
-                new_partials.append(new_assignment)
-        partials = new_partials
-
-    branches = []
-    for assignment in partials:
-        a_coeffs = [Rat(1)] + [assignment.get(v, None) for v in unknowns]
-        # drop trailing unresolved orders
-        while a_coeffs and a_coeffs[-1] is None:
-            a_coeffs.pop()
-        if any(c is None for c in a_coeffs):
-            raise Underdetermined("gap in the resolved parameter sequence")
-        branches.append(tuple(a_coeffs))
-    branches = sorted(set(branches))
-    if len(branches) == 1:
-        labels = ["0"]
-    elif len(branches) == 2:
-        labels = ["-", "+"]
-    else:
-        labels = [str(i) for i in range(len(branches))]
+def stability_boundaries(omega2):
+    """The branches a = 1 + eps*g(eps) of omega^2(g) = 0, for omega^2 a
+    series in the one detuning g; g(eps) = g1 + g2*eps + ... to the
+    order that omega^2's cap determines."""
+    branches = sorted(set((Rat(1), *g) for g in _series_roots(omega2)))
+    labels = ({1: "0", 2: "-+"}.get(len(branches))
+              or map(str, range(len(branches))))
     return [Branch(label, a_coeffs)
             for label, a_coeffs in zip(labels, branches)]
+
+
+def _series_roots(W):
+    """The coefficient lists of the roots g(eps) of W(g) = 0.
+
+    Each rational root r of the leading coefficient of W is lifted by
+    Newton if it is simple, and a multiple one continues in W(r + eps*g),
+    whose valuation is higher; the zero series ends a root."""
+    v = W.valuation()
+    if v is None:
+        return [()]
+    lead = W.coeffs[v]
+    if "g" not in lead.vars:
+        raise Underdetermined(f"order eps^{v} gives the nonzero "
+                              f"constraint {lead}")
+    dlead = lead.diff("g")
+    roots = []
+    for r in _solve_univariate(lead, "g"):
+        r = GaussianRational(r)
+        if dlead.subs({"g": r}).as_constant():
+            u = [c.as_constant() for c in
+                 series_solve_root(W, "g", r).coeffs]
+            if not all(c.is_real for c in u):
+                raise NonRationalRoot(f"non-real root {u} of {W}")
+            roots.append(tuple(c.re for c in u))
+        else:
+            shift = EpsilonSeries.from_poly(_G, W.cap, 1) + r
+            roots.extend((r.re, *rest) for rest in
+                         _series_roots(substitute(W, {"g": shift})))
+    return roots
 
 
 def _solve_univariate(c, var):
@@ -275,18 +256,19 @@ def analyze(K=5):
     """Full pipeline: omega^2 in g1, ..., gK and the branches at cap K.
 
     omega^2 is solved for the registry's potential -(g + 2 cos t) y in
-    one g, then phi: g -> G = g1 + g2*eps + ... + gK*eps^(K-1) is
-    substituted.  That equals the solve of V(G) with K parameters:
+    one g, and so are the branches.  For printing, phi: g -> G = g1 +
+    g2*eps + ... + gK*eps^(K-1) is then substituted.  That equals the
+    solve of V(G) with K parameters:
 
     - phi is a ring map that never lowers an eps-order;
     - the normalised solve is unique and polynomial in V's coefficients,
       so phi carries X for V(g) to X for V(G) mod eps^(K+1);
-    - M^2 and omega^2 to cap K+1 read M only to order K, as M has no
+    - omega^2 = det M to cap K+1 reads M only to order K, as M has no
       eps^0 part.
     """
     w2 = omega_squared(normal_form(get_example("mathieu").potential(), K,
                                    expansion=False))
+    branches = stability_boundaries(w2)
     G = [ParamPolynomial.var(f"g{j}") for j in range(1, K + 1)]
-    G += [ParamPolynomial.zero()] * 2
-    w2 = substitute(w2, {"g": EpsilonSeries(K + 1, G)})
-    return w2, stability_boundaries(w2, K)
+    G += [_ZP] * 2
+    return substitute(w2, {"g": EpsilonSeries(K + 1, G)}), branches

@@ -115,10 +115,10 @@ def _homological_solve(V, K, names, flow_only=False):
     support growth rate: an h_j term at harmonic n reaches X_K only
     through |n| <= W(j).  That holds when every term
     C z^k y^l y'^m eps^n of V has |k| + l + m <= 1 + (n + 1) M, which
-    _check_growth asserts before any product is formed."""
+    _check_growth asserts before any product is formed, for either
+    solve."""
     M = V.support_growth_rate()
-    if flow_only:
-        _check_growth(V, M)
+    _check_growth(V, M)
 
     def band(j):
         return (HARMONIC, 1 + M * (K - j)) if flow_only else None
@@ -131,14 +131,13 @@ def _homological_solve(V, K, names, flow_only=False):
     x_a, x_b = [_ZP], [_ZP]
     lie = ((x_a, names[0]), (x_b, names[1]))
     v_of_y = V.composition()
-    support_bound = 1 + K * M
     for k in range(1, K + 1):
         r = _lie_sum(lie, d_h, k, band(k))
         source = (v_of_y.feed(h[k - 1], dh[k - 1], band=band(k - 1),
                               out_band=band(k)) -
                   _lie_sum(lie, d_dh, k, band(k)) - iz_dz(r))
         a_k, b_k, h_k = source.term_map(
-            HARMONIC, _homological_rule(k, support_bound), (-1, 1, 0))
+            HARMONIC, _homological_rule, (-1, 1, 0))
         x_a.append(a_k)
         x_b.append(b_k)
         h.append(h_k)
@@ -150,26 +149,16 @@ def _homological_solve(V, K, names, flow_only=False):
             None if flow_only else EpsilonSeries(K, h))
 
 
-def _overflow(n, k, bound):
-    return SupportOverflow(f"harmonic {n} at order {k} exceeds bound "
-                           f"{bound}; potential may be outside the class")
-
-
-def _homological_rule(k, bound):
-    """The term rule of order k for ParamPolynomial.term_map: the z^{+-1}
-    terms of S_k, over +-2i and without z, are X_A,k and X_B,k; every
-    other z^n term, over 1 - n^2, is one of h_k.  SupportOverflow at the
-    first harmonic |n| > bound in increasing n."""
-    def rule(n):
-        if abs(n) > bound:
-            raise _overflow(n, k, bound)
-        if n == 1:
-            return 0, 0, -1, 2      # 1/(2i)
-        if n == -1:
-            return 1, 0, 1, 2       # -1/(2i)
-        # 1/(1 - n^2), over a positive denominator
-        return (2, 1, 0, 1) if n == 0 else (2, -1, 0, n * n - 1)
-    return rule
+def _homological_rule(n):
+    """The term rule for ParamPolynomial.term_map: the z^{+-1} terms of
+    S_k, over +-2i and without z, are X_A,k and X_B,k; every other z^n
+    term, over 1 - n^2, is one of h_k."""
+    if n == 1:
+        return 0, 0, -1, 2      # 1/(2i)
+    if n == -1:
+        return 1, 0, 1, 2       # -1/(2i)
+    # 1/(1 - n^2), over a positive denominator
+    return (2, 1, 0, 1) if n == 0 else (2, -1, 0, n * n - 1)
 
 
 def _check_growth(V, M):
@@ -178,11 +167,11 @@ def _check_growth(V, M):
     The term C z^k y^l y'^m eps^n first acts at order n + 1, on h_0 and
     (Dh)_0, where it spans the harmonics k - l - m ... k + l + m.  M
     must keep both within 1 + (n + 1) M.  This inequality is all that
-    the harmonic band of the flow-only solve relies on, and all that the
-    support bound 1 + j M of order j relies on.  The check reads V's
-    table, not the solve, so it does not matter whether those harmonics
-    cancel between terms.  The first violation is reported by increasing
-    order and harmonic, in the words of _homological_rule."""
+    the harmonic band of the flow-only solve relies on, and it keeps
+    every harmonic of h_j within 1 + j M.  The check reads V's table,
+    not the solve, so it does not matter whether those harmonics cancel
+    between terms.  The first violation is reported by increasing order
+    and harmonic."""
     reach = {}
     for k, l, m, n in V.coeffs:
         reach.setdefault(n + 1, set()).update((k - l - m, k + l + m))
@@ -190,7 +179,9 @@ def _check_growth(V, M):
         bound = 1 + order * M
         for n in sorted(harmonics):
             if abs(n) > bound:
-                raise _overflow(n, order, bound)
+                raise SupportOverflow(
+                    f"harmonic {n} at order {order} exceeds bound {bound}; "
+                    f"potential may be outside the class")
 
 
 def _partials(p):

@@ -22,8 +22,10 @@ map exponents.  Also the readouts only the tests use: the
 renormalization constants, the split P_{+-1} = (A, B) + eps*Q_{+-1}, a
 polynomial's constant term and the peak of a sampled trajectory.  The
 Mathieu potential with the detuning series g1 + g2*eps + ... in its
-table, which ``rgpert.mathieu`` substitutes after a solve in one g.  And
-the scalar Hill determinant and its one-root-at-a-time bisection, which
+table, which ``rgpert.mathieu`` substitutes after a solve in one g, and
+the order-by-order solve of omega^2 = 0 for g1, g2, ..., where
+``rgpert.mathieu`` finds the roots g(eps) in the one g.  And the scalar
+Hill determinant and its one-root-at-a-time bisection, which
 ``rgpert.mathieu`` runs on arrays in lockstep.
 """
 
@@ -32,11 +34,13 @@ import random
 import numpy as np
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
-                            gr, grq, I, ZERO)
+                            gr, grq, I, ZERO, Rat, GaussianRational)
 from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
                                  _normalized, _reader)
 from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
-                           RootNotBracketed, SupportOverflow, TrivialLinear)
+                           RootNotBracketed, SupportOverflow, TrivialLinear,
+                           Underdetermined)
+from rgpert.mathieu import Branch, _solve_univariate
 from rgpert.perturbation import NaiveSeries, particular_solution
 from rgpert.potential import (HARMONIC, Potential, eval_potential, harmonic,
                               harmonics)
@@ -387,6 +391,56 @@ def mathieu_potential(n_params):
     for j, name in enumerate(params, start=1):
         coeffs[(0, 1, 0, j - 1)] = -ParamPolynomial.var(name)
     return Potential(coeffs, params)
+
+
+def stability_boundaries_by_order(omega2, n_unknowns):
+    """Reference oracle: solve omega^2 = 0 order by order for g1, g2,
+    ..., g_J, J = n_unknowns, substituting each partial assignment into
+    every order; the branches as a = 1 + eps*(g1 + g2*eps + ...)."""
+    partials = [{}]
+    unknowns = [f"g{j}" for j in range(1, n_unknowns + 1)]
+    for order in range(omega2.cap + 1):
+        coeff = omega2.coeffs[order]
+        new_partials = []
+        for assignment in partials:
+            c = coeff.subs({k: GaussianRational(v)
+                            for k, v in assignment.items()})
+            if c.is_zero():
+                new_partials.append(assignment)
+                continue
+            free = [v for v in unknowns
+                    if v in c.vars and v not in assignment]
+            if not free:
+                raise Underdetermined(
+                    f"order eps^{order} gives the nonzero constraint {c}")
+            var = free[0]
+            if any(v in c.vars and v != var for v in free[1:]):
+                raise Underdetermined(
+                    f"order eps^{order} couples several new unknowns: {c}")
+            for root in _solve_univariate(c, var):
+                new_assignment = dict(assignment)
+                new_assignment[var] = root
+                new_partials.append(new_assignment)
+        partials = new_partials
+
+    branches = []
+    for assignment in partials:
+        a_coeffs = [Rat(1)] + [assignment.get(v, None) for v in unknowns]
+        # drop trailing unresolved orders
+        while a_coeffs and a_coeffs[-1] is None:
+            a_coeffs.pop()
+        if any(c is None for c in a_coeffs):
+            raise Underdetermined("gap in the resolved parameter sequence")
+        branches.append(tuple(a_coeffs))
+    branches = sorted(set(branches))
+    if len(branches) == 1:
+        labels = ["0"]
+    elif len(branches) == 2:
+        labels = ["-", "+"]
+    else:
+        labels = [str(i) for i in range(len(branches))]
+    return [Branch(label, a_coeffs)
+            for label, a_coeffs in zip(labels, branches)]
 
 
 def hill_determinant_scalar(eps, a, N, branch):

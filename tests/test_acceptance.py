@@ -88,7 +88,7 @@ def test_criterion_05_mathieu_series():
     rgsys = normal_form(test_mathieu.mathieu_potential(4), 4)
     ok = True
     try:
-        test_mathieu.test_omega_squared_series(rgsys)  # asserts M^2 scalar
+        test_mathieu.test_omega_squared_series(rgsys)  # asserts M trace-free
         _, branches = analyze(5)     # the eps^6 order resolves g4
         assert branches[0].a_coeffs == (Rat(1), Rat(0), Rat(-1, 3), Rat(0),
                                         Rat(5, 216))

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from rgpert import mathieu
-from rgpert.algebra import ParamPolynomial, P, gr, grq, Rat
-from rgpert.errors import NotLinear, RootNotBracketed, SeriesOverflow
+from rgpert.algebra import (EpsilonSeries, ParamPolynomial, P, gr, grq, Rat,
+                            substitute)
+from rgpert.errors import (NotLinear, NotScalar, RootNotBracketed,
+                           SeriesOverflow)
 from rgpert.mathieu import (linear_matrix, omega_squared,
                             stability_boundaries, hill_determinant,
                             find_boundary_roots,
                             boundary_crosscheck, analyze)
 from rgpert.perturbation import expand
+from rgpert.potential import parse_potential
 from rgpert.rg import derive_rg, normal_form
 
 from conftest import example_expansion
 from oracles import (find_boundary_root_scalar, hill_determinant_scalar,
-                     mathieu_potential)
+                     mathieu_potential, stability_boundaries_by_order)
 
 
 g1, g2, g3, g4 = P("g1"), P("g2"), P("g3"), P("g4")
@@ -84,6 +87,24 @@ def test_linear_matrix_and_nonlinear_rejection(Y4):
         linear_matrix(derive_rg(example_expansion("vdp", 3)))
 
 
+def test_linear_matrix_rejects_a_cubic():
+    # X_A = -3/2*i*Ar^2*Br*eps: its part in Br^1 is -3/2*i*Ar^2, which
+    # is not a constant times Br
+    with pytest.raises(NotLinear):
+        linear_matrix(normal_form(parse_potential("y^3"), 1,
+                                  expansion=False))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_omega_squared_needs_a_trace_free_matrix(K):
+    # damping makes M = -eps/2*I + ..., whose square is scalar while
+    # truncated at K = 1 but whose trace is -eps
+    rgsys = normal_form(parse_potential("-y' + y*cos(5t)"), K,
+                        expansion=False)
+    with pytest.raises(NotScalar, match="trace-free"):
+        omega_squared(rgsys)
+
+
 def test_omega_squared_series(rg4):
     w2 = omega_squared(rg4)
     assert w2.cap == 5
@@ -123,11 +144,46 @@ def test_analyze_equals_the_solve_in_K_parameters(K):
     want = omega_squared(normal_form(mathieu_potential(K), K,
                                      expansion=False))
     assert w2 == want and str(w2) == str(want)
-    assert branches == stability_boundaries(want, K)
+    assert branches == stability_boundaries_by_order(want, K)
 
 
-def test_branch_forking_details(rg4):
-    branches = stability_boundaries(omega_squared(rg4), 4)
+@pytest.mark.parametrize("K", [13, 19])
+def test_analyze_branches_equal_the_order_by_order_solve(K):
+    # the order-by-order solve on analyze's own omega^2 in g1, ..., gK
+    w2, branches = analyze(K)
+    assert branches == stability_boundaries_by_order(w2, K)
+
+
+def _in_parameters(W):
+    """W(g) with g = g1 + g2*eps + ... + g_n*eps^(n-1), n = cap + 1."""
+    G = [P(f"g{j}") for j in range(1, W.cap + 2)]
+    return substitute(W, {"g": EpsilonSeries(W.cap, G)})
+
+
+@pytest.mark.parametrize("coeffs,want", [
+    # (g - 2)^2 - eps^2: the double root 2 continues in
+    # W(2 + eps*g) = eps^2*(g^2 - 1), whose simple roots Newton lifts
+    ([(P("g") - 2) ** 2, 0, -1, 0],
+     [(Rat(1), Rat(2), Rat(-1), Rat(0)), (Rat(1), Rat(2), Rat(1), Rat(0))]),
+    # g^2*eps: W(eps*g) = g^2*eps^3 is zero at cap 2, which ends the root
+    ([0, P("g") ** 2, 0], [(Rat(1), Rat(0))]),
+    # (g - eps)^2: double roots 0, then 1 in W(eps*g) = eps^2*(g - 1)^2,
+    # then W(eps*(1 + eps*g)) is zero at cap 2
+    ([P("g") ** 2, -2 * P("g"), 1], [(Rat(1), Rat(0), Rat(1))]),
+    # the zero series has the one empty root
+    ([0, 0], [(Rat(1),)]),
+])
+def test_multiple_roots_continue_in_the_shifted_series(coeffs, want):
+    W = EpsilonSeries(len(coeffs) - 1,
+                      [ParamPolynomial.zero() + c for c in coeffs])
+    branches = stability_boundaries(W)
+    assert [b.a_coeffs for b in branches] == want
+    assert branches == stability_boundaries_by_order(_in_parameters(W),
+                                                     W.cap + 1)
+
+
+def test_branch_forking_details():
+    _, branches = analyze(4)
     assert [b.label for b in branches] == ["-", "+"]
     minus, plus = branches
     # eps^2 order: g1^2/4 = 0 forces the double root g1 = 0; the eps^4
