@@ -27,7 +27,7 @@ def linear_matrix(rgsys):
     """2x2 matrix M with d/dt (Ar, Br) = M (Ar, Br); NotLinear otherwise.
 
     Each eps-order of X_A and X_B is split once over (Ar, Br), and every
-    part must be the one of Ar^1 or of Br^1."""
+    part must be that of Ar^1*Br^0 or of Ar^0*Br^1."""
     rows = [[c.split(("Ar", "Br")) for c in rhs.coeffs]
             for rhs in (rgsys.rhs_A, rgsys.rhs_B)]
     if any(parts.keys() - {(1, 0), (0, 1)} for row in rows for parts in row):

@@ -88,8 +88,8 @@ def test_linear_matrix_and_nonlinear_rejection(Y4):
 
 
 def test_linear_matrix_rejects_a_cubic():
-    # X_A = -3/2*i*Ar^2*Br*eps: its part in Br^1 is -3/2*i*Ar^2, which
-    # is not a constant times Br
+    # X_A = -3/2*i*Ar^2*Br*eps is cubic, though it is Br^1 times its
+    # coefficient -3/2*i*Ar^2
     with pytest.raises(NotLinear):
         linear_matrix(normal_form(parse_potential("y^3"), 1,
                                   expansion=False))
