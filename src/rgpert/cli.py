@@ -327,7 +327,8 @@ def cmd_simulate(args, parser):
             traj = numeric.integrate_ode(V, args.y0, args.dy0, args.eps,
                                          args.tmax, args.dt)
         else:
-            pol = to_polar(normal_form(V, args.order, expansion=False))
+            # the order read; --order only bounds it
+            pol = to_polar(normal_form(V, args.rg_order, expansion=False))
             traj = numeric.integrate_rg(pol, args.eps, args.rg_order,
                                         args.tmax, args.dt,
                                         R0=args.R0, theta0=args.theta0)

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries, Rat,
-                      substitute, series_solve_root)
+from .algebra import (ParamPolynomial, EpsilonSeries, Rat, substitute,
+                      series_solve_root)
 from .errors import (BudgetExceeded, NotLinear, NotScalar, Underdetermined,
                      NonRationalRoot, RootNotBracketed, SeriesOverflow)
 from .registry import get_example
-from .rg import normal_form, rational_roots
+from .rg import lead_roots, normal_form
 
 _ZP = ParamPolynomial.zero()
 _G = ParamPolynomial.var("g")
@@ -90,9 +90,9 @@ def stability_boundaries(omega2):
 def _series_roots(W):
     """The coefficient lists of the roots g(eps) of W(g) = 0.
 
-    Each rational root r of the leading coefficient of W is lifted by
-    Newton if it is simple, and a multiple one continues in W(r + eps*g),
-    whose valuation is higher; the zero series ends a root."""
+    Each root r of lead_roots is lifted by Newton if it is simple, and a
+    multiple one continues in W(r + eps*g), whose valuation is higher;
+    the zero series ends a root."""
     v = W.valuation()
     if v is None:
         return [()]
@@ -100,11 +100,12 @@ def _series_roots(W):
     if "g" not in lead.vars:
         raise Underdetermined(f"order eps^{v} gives the nonzero "
                               f"constraint {lead}")
-    dlead = lead.diff("g")
+    seeds = lead_roots(W, "g")
+    if not seeds:
+        raise NonRationalRoot(f"{lead} = 0 has no rational root in g")
     roots = []
-    for r in _solve_univariate(lead, "g"):
-        r = GaussianRational(r)
-        if dlead.subs({"g": r}).as_constant():
+    for r, simple in seeds:
+        if simple:
             u = [c.as_constant() for c in
                  series_solve_root(W, "g", r).coeffs]
             if not all(c.is_real for c in u):
@@ -114,20 +115,6 @@ def _series_roots(W):
             shift = EpsilonSeries.from_poly(_G, W.cap, 1) + r
             roots.extend((r.re, *rest) for rest in
                          _series_roots(substitute(W, {"g": shift})))
-    return roots
-
-
-def _solve_univariate(c, var):
-    """Rational roots of a degree <= 2 polynomial constraint in var."""
-    deg = c.degree_in(var)
-    if deg > 2:
-        raise NonRationalRoot(f"constraint of degree {deg} in {var}: {c}")
-    roots = rational_roots(c, var)
-    if roots is None:
-        raise NonRationalRoot(f"non-real constraint {c}")
-    if not roots:
-        raise NonRationalRoot(f"constraint {c} = 0 has irrational roots "
-                              f"in {var}")
     return roots
 
 

@@ -44,7 +44,7 @@ class Potential:
 
     __slots__ = ("coeffs", "params")
 
-    def __init__(self, coeffs, params=(), validate=True):
+    def __init__(self, coeffs, params=()):
         self.params = tuple(params)
         clean = {}
         for key, c in coeffs.items():
@@ -53,10 +53,6 @@ class Potential:
             if not c.is_zero():
                 clean[key] = c
         self.coeffs = clean
-        if validate:
-            self.validate()
-
-    def validate(self):
         for name in self.params:
             if name in RESERVED_NAMES:
                 raise NotInClass(f"parameter name {name!r} is reserved for "
@@ -117,7 +113,8 @@ class Potential:
         return M
 
     def bind(self, values):
-        """Substitute numeric/rational values for (some) parameters."""
+        """Substitute numeric/rational values for (some) parameters; the
+        result is validated like any other potential."""
         bindings = {}
         for name, v in values.items():
             if name not in self.params:
@@ -128,7 +125,7 @@ class Potential:
                 bindings[name] = GaussianRational(Rat(v))
         coeffs = {key: c.subs(bindings) for key, c in self.coeffs.items()}
         remaining = tuple(p for p in self.params if p not in bindings)
-        return Potential(coeffs, remaining, validate=False)
+        return Potential(coeffs, remaining)
 
     def __eq__(self, other):
         if not isinstance(other, Potential):

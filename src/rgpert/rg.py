@@ -239,8 +239,9 @@ def to_polar(rgsys):
 def rational_roots(poly, var):
     """Sorted distinct rational roots of a polynomial in ``var`` alone.
 
-    Returns None if the coefficients are not all real rational, and
-    raises Underdetermined if ``poly`` has variables besides ``var``.
+    Raises NonRationalRoot if the coefficients are not all real
+    rational, and Underdetermined if ``poly`` has variables besides
+    ``var``.
     With the coefficients cleared to integers c_0 != 0, ..., c_n, every
     rational root is y/c_n for an integer root y of the monic integer
     polynomial c_n^(n-1) * f(y/c_n) (rational root theorem);
@@ -254,7 +255,7 @@ def rational_roots(poly, var):
     coeffs = {}
     for exps, c in poly.items():
         if not c.is_real:
-            return None
+            raise NonRationalRoot(f"{poly} = 0 has complex coefficients")
         coeffs[exps[0] if exps else 0] = c.re
     if not coeffs or max(coeffs) == 0:
         return []
@@ -354,31 +355,34 @@ def _horner(p, x):
     return v
 
 
+def lead_roots(G, var):
+    """(r, simple) for each rational root r, a GaussianRational, of the
+    leading coefficient of the nonzero series G in ``var``, in increasing
+    order; simple when the derivative in ``var`` does not vanish at r.
+    These are the seeds of series_solve_root."""
+    lead = G.coeffs[G.valuation()]
+    dlead = lead.diff(var)
+    return [(r, bool(dlead.subs({var: r}).as_constant()))
+            for r in map(GaussianRational, rational_roots(lead, var))]
+
+
 def limit_cycle(polar):
     """Solve d log R/dt = 0 for the radius series and the phase drift.
 
-    The seed is the smallest positive simple rational root of the
-    leading radial equation.  Returns (R_c, dtheta_dt_c) as
-    EpsilonSeries with rational constant coefficients.
+    The seed is the smallest positive simple root of lead_roots.  Returns
+    (R_c, dtheta_dt_c) as EpsilonSeries with rational constant
+    coefficients.
     """
     G = polar.dlogR_dt
     if G.uses_var(PHASE):
         raise ThetaDependent(
             "radial equation mixes theta; no phase-free limit cycle")
-    v = G.valuation()
-    if v is None:
+    if G.is_zero():
         raise DegenerateRoot("radial equation is identically zero")
-    lead = G.coeffs[v]
-    roots = rational_roots(lead, "R")
-    if roots is None:
-        raise NonRationalRoot("leading radial equation has complex "
-                              "coefficients")
-    dlead = lead.diff("R")
-    seeds = [r for r in roots if r > 0 and
-             dlead.subs({"R": GaussianRational(r)}).as_constant()]
+    seeds = [r for r, simple in lead_roots(G, "R") if simple and r.re > 0]
     if not seeds:
         raise DegenerateRoot(
             "leading radial equation has no simple positive rational root")
-    R_c = series_solve_root(G, "R", GaussianRational(seeds[0]))
+    R_c = series_solve_root(G, "R", seeds[0])
     dtheta_c = substitute(polar.dtheta_dt.truncate(R_c.cap), {"R": R_c})
     return R_c, dtheta_c

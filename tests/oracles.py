@@ -24,7 +24,9 @@ polynomial's constant term and the peak of a sampled trajectory.  The
 Mathieu potential with the detuning series g1 + g2*eps + ... in its
 table, which ``rgpert.mathieu`` substitutes after a solve in one g, and
 the order-by-order solve of omega^2 = 0 for g1, g2, ..., where
-``rgpert.mathieu`` finds the roots g(eps) in the one g.  And the scalar
+``rgpert.mathieu`` finds the roots g(eps) in the one g.  The limit cycle
+of an autonomous potential by Poincare-Lindstedt in tau = w t, where
+``rgpert.rg.limit_cycle`` solves the normal form's radial equation.  And the scalar
 Hill determinant and its one-root-at-a-time bisection, which
 ``rgpert.mathieu`` runs on arrays in lockstep.
 """
@@ -40,11 +42,11 @@ from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
 from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
                            RootNotBracketed, SupportOverflow, TrivialLinear,
                            Underdetermined)
-from rgpert.mathieu import Branch, _solve_univariate
+from rgpert.mathieu import Branch
 from rgpert.perturbation import NaiveSeries, particular_solution
 from rgpert.potential import (HARMONIC, Potential, eval_potential, harmonic,
                               harmonics)
-from rgpert.rg import PHASE, PolarRG
+from rgpert.rg import PHASE, PolarRG, rational_roots
 from rgpert.verify import _first_offense, _report
 
 
@@ -291,6 +293,75 @@ def series_solve_root_full_cap(G, var, u0):
     return u
 
 
+def poincare_lindstedt(V, K):
+    """Reference oracle: the limit cycle (R, w - 1) of an autonomous V
+    by the Poincare-Lindstedt method, both with cap K - 1, where
+    ``rgpert.rg.limit_cycle`` solves the radial equation of the normal
+    form.
+
+    In tau = w t the cycle solves w^2 y_tautau + y = eps V(y, w y_tau).
+    Each y_k is a Laurent polynomial in z = e^{i tau} whose z^{+-1} part
+    is exactly R_k (z + 1/z), the normalisation h_{+-1} = 0 of the
+    normal form.  With D = i z d_z the eps^k equation reads
+
+        (1 - n^2) y_{k,n} = [z^n] S_k,
+        S_k = [eps^(k-1)] V(y, w D y) - sum_{a=1..k} (w^2)_a D^2 y_{k-a}.
+
+    At n = 1 the left side vanishes.  At order 1, [z^1] S_1 is
+    F(R_0) + 2 w_1 R_0: R_0 is the smallest positive simple rational
+    root of Im F and w_1 = -Re F(R_0) / (2 R_0).  At order k >= 2 it is
+    affine in the unknowns (R_{k-1}, w_k), named r and s: its imaginary
+    part gives R_{k-1} and its real part w_k.  The other harmonics of
+    y_k are [z^n] S_k over 1 - n^2.
+    """
+    if any(k for k, *_ in V.coeffs):
+        raise ValueError("poincare_lindstedt needs an autonomous potential")
+    first = ParamPolynomial.var(HARMONIC) + ParamPolynomial.var(HARMONIC, -1)
+    r, s = P("r"), P("s")
+    y, w, R = [r * first], [ParamPolynomial.const(1)], []
+    for k in range(1, K + 1):
+        Y = EpsilonSeries(k - 1, y)
+        ys, dys = [Y], [EpsilonSeries(k - 1, w) * Y.map_coeffs(dt)]
+        v_y = EpsilonSeries(k - 1)
+        for (_, l, m, n), c in V.coeffs.items():
+            term = EpsilonSeries.const(c, k - 1)
+            if l:
+                term = term * _power(ys, l)
+            if m:
+                term = term * _power(dys, m)
+            if n < k:
+                v_y = v_y + term.shift(n)
+        W = EpsilonSeries(k, w + [s])
+        w2 = W * W
+        S = v_y.coeffs[k - 1]
+        for a in range(1, k + 1):
+            S = S - w2.coeffs[a] * dt(dt(y[k - a]))
+        # [z^1] S_k = f_0(r) + f_1(r) s
+        f = S.split((HARMONIC,)).get((1,), _ZERO_POLY).split(("s",))
+        f_0, f_1 = (f.get((e,), _ZERO_POLY) for e in (0, 1))
+        im = (f_0 - f_0.conjugated()).scaled(grq(0, 1, -1, 2))
+        roots = rational_roots(im, "r")
+        if k == 1:
+            slope = im.diff("r")
+            roots = [x for x in roots if x > 0 and
+                     slope.subs({"r": GaussianRational(x)}).as_constant()]
+        root = GaussianRational(roots[0])
+        R.append(root)
+        a, b = (p.subs({"r": root}).as_constant() for p in (f_0, f_1))
+        w_k = -a * b.inverse()
+        w.append(ParamPolynomial.const(w_k))
+        y[k - 1] = y[k - 1].subs({"r": root})
+        y_k = r * first
+        for (n,), c in S.subs({"r": root, "s": w_k}).split(
+                (HARMONIC,)).items():
+            if abs(n) != 1:
+                y_k = y_k + c.scaled(grq(1, 1 - n * n)) * \
+                    ParamPolynomial.var(HARMONIC, n)
+        y.append(y_k)
+    return (EpsilonSeries(K - 1, [ParamPolynomial.const(x) for x in R]),
+            EpsilonSeries(K - 1, [_ZERO_POLY] + w[1:K]))
+
+
 def eval_potential_whole(V, y, K):
     """Reference oracle: V(y) mod eps^{K+1}, every power of y and y' a
     whole truncated series, each power the previous one times the base."""
@@ -417,7 +488,11 @@ def stability_boundaries_by_order(omega2, n_unknowns):
             if any(v in c.vars and v != var for v in free[1:]):
                 raise Underdetermined(
                     f"order eps^{order} couples several new unknowns: {c}")
-            for root in _solve_univariate(c, var):
+            roots = rational_roots(c, var)
+            if not roots:
+                raise NonRationalRoot(f"{c} = 0 has no rational root in "
+                                      f"{var}")
+            for root in roots:
                 new_assignment = dict(assignment)
                 new_assignment[var] = root
                 new_partials.append(new_assignment)

@@ -133,6 +133,22 @@ def test_inline_potential_with_params(capsys):
     assert "d log R/dt" in out
 
 
+def test_bind_to_a_trivial_potential_is_an_error(capsys):
+    # duffing at g = 0 is -y', outside the class: --bind says so as the
+    # parser does, with exit 1 and the same message
+    errs = []
+    for source in (["--example", "duffing", "--bind", "g=0"],
+                   ["--potential=-y'-g*y^3", "--params", "g", "--bind",
+                    "g=0"],
+                   ["--potential=-y'"]):
+        assert main(["polar", *source, "--order", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs == ["error: potential reduces to the removable "
+                    "linear/driving form\n"] * 3
+
+
 def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "--example", "rayleigh", "--order", "3")
     assert code == 0
@@ -582,6 +598,27 @@ def test_simulate_stdout(capsys):
     lines = out.splitlines()
     assert lines[0] == "t,y,dy"
     assert lines[1].startswith("0.0,0.5,")
+
+
+@pytest.mark.parametrize("rg_order", [1, 2])
+def test_simulate_solves_only_the_orders_it_reads(capsys, monkeypatch,
+                                                  rg_order):
+    # --order bounds --rg-order; the solve stops at --rg-order, so the
+    # CSV is the same at every --order
+    caps = []
+    solve = cli.normal_form
+
+    def counted(V, K, *args, **kwargs):
+        caps.append(K)
+        return solve(V, K, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "normal_form", counted)
+    argv = ["simulate", "--example", "vdp", "--eps", "0.1", "--R0", "0.5",
+            "--theta0", "0", "--rg-order", str(rg_order), "--tmax", "10"]
+    outs = [run(capsys, *argv, "--order", order) for order in ("2", "5", "9")]
+    assert caps == [rg_order] * 3
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_simulate_flow_defaults_to_order_3_and_rg_order_1(capsys):

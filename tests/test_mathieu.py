@@ -6,8 +6,8 @@ import pytest
 from rgpert import mathieu
 from rgpert.algebra import (EpsilonSeries, ParamPolynomial, P, gr, grq, Rat,
                             substitute)
-from rgpert.errors import (NotLinear, NotScalar, RootNotBracketed,
-                           SeriesOverflow)
+from rgpert.errors import (NonRationalRoot, NotLinear, NotScalar,
+                           RootNotBracketed, SeriesOverflow, Underdetermined)
 from rgpert.mathieu import (linear_matrix, omega_squared,
                             stability_boundaries, hill_determinant,
                             find_boundary_roots,
@@ -180,6 +180,35 @@ def test_multiple_roots_continue_in_the_shifted_series(coeffs, want):
     assert [b.a_coeffs for b in branches] == want
     assert branches == stability_boundaries_by_order(_in_parameters(W),
                                                      W.cap + 1)
+
+
+def test_the_leading_equation_has_no_degree_cap():
+    # a quartic leading coefficient: its simple roots -3 and 2 are lifted
+    # by Newton and its double root 1 continues in W(1 + eps*g), whose
+    # leading eps^2*(g - 4*g^2) has the simple roots 0 and 1/4
+    g = P("g")
+    W = EpsilonSeries(3, [ParamPolynomial.zero() + c for c in
+                          ((g - 1) ** 2 * (g + 3) * (g - 2), g - 1, 0, 0)])
+    branches = stability_boundaries(W)
+    assert [b.label for b in branches] == ["0", "1", "2", "3"]
+    assert [b.a_coeffs[1:3] for b in branches] == [
+        (-3, Rat(-1, 20)), (1, 0), (1, Rat(1, 4)), (2, Rat(-1, 5))]
+    assert branches == stability_boundaries_by_order(_in_parameters(W),
+                                                     W.cap + 1)
+
+
+@pytest.mark.parametrize("lead,error,message", [
+    (P("x") + 1, Underdetermined,
+     r"^order eps\^1 gives the nonzero constraint x \+ 1$"),
+    (P("g") ** 2 - 2, NonRationalRoot,
+     r"^g\^2 - 2 = 0 has no rational root in g$"),
+    (P("g") ** 2 + gr(0, 1), NonRationalRoot,
+     r"^g\^2 \+ i = 0 has complex coefficients$"),
+])
+def test_band_edge_seeds_are_typed_errors(lead, error, message):
+    W = EpsilonSeries(2, [ParamPolynomial.zero(), lead, P("g")])
+    with pytest.raises(error, match=message):
+        stability_boundaries(W)
 
 
 def test_branch_forking_details():

@@ -116,12 +116,13 @@ def flow_only(V, K):
 
 
 def test_support_overflow_guard_matches_expand(monkeypatch):
-    # a growth rate below the true one puts harmonic -3 of the order-1
-    # source past the bound 1 + 3*0
+    # a growth rate below the true one: the term y^2 y' of V reaches
+    # harmonic -3 at order 1, past the bound 1 + 1*0.  expand,
+    # normal_form and the flow-only solve all find it in _check_growth
+    # before they form any product; the order-by-order oracle meets it
+    # in the order-1 source, against its bound 1 + 3*0, at the same
+    # harmonic and order
     monkeypatch.setattr(Potential, "support_growth_rate", lambda self: 0)
-    # source past the bound 1 + 3*0; the order-by-order oracle meets it
-    # at the same harmonic and order, and the flow-only solve finds it
-    # in the term y^2 y' of V before it forms any product
     V = parse_potential("(1 - y^2)*y'")
     messages = []
     for solve in (naive_expand, expand, normal_form, flow_only):

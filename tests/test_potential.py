@@ -52,6 +52,15 @@ def test_symbolic_parameters():
     assert bound.coeffs[(0, 3, 0, 0)] == -one
 
 
+def test_bind_validates_the_bound_potential():
+    # g = 0 leaves the damping -y', which the parser rejects as well
+    V = parse_potential("-y' - g*y^3", ("g",))
+    with pytest.raises(TrivialLinear):
+        V.bind({"g": 0})
+    with pytest.raises(TrivialLinear):
+        parse_potential("-y'")
+
+
 def test_eps_dependence():
     V = parse_potential("y + eps*y^2")
     assert V.coeffs == {(0, 1, 0, 0): one, (0, 2, 0, 1): one}

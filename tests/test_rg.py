@@ -6,18 +6,20 @@ from hypothesis import given, strategies as st
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, Rat, gr, grq,
                             substitute)
-from rgpert.errors import DegenerateRoot, ThetaDependent, Underdetermined
+from rgpert.errors import (DegenerateRoot, NonRationalRoot, ThetaDependent,
+                           Underdetermined)
 from rgpert.perturbation import expand
 from rgpert.registry import EXAMPLES, get_example
 from rgpert.cli import main
 from rgpert.rg import (derive_rg, normal_form, to_polar, limit_cycle,
-                       PolarRG, RGSystem, rational_roots)
+                       lead_roots, PolarRG, RGSystem, rational_roots)
 from rgpert.potential import harmonic, harmonics, parse_potential
 
 from conftest import (example_expansion, trig, trig_mul, trig_scale, trig_add,
                       phase_poly)
-from oracles import (polar_by_substitution, polar_expansion,
-                     renormalization_constants, series_solve_root_full_cap)
+from oracles import (poincare_lindstedt, polar_by_substitution,
+                     polar_expansion, renormalization_constants,
+                     series_solve_root_full_cap)
 
 
 R = P("R")
@@ -300,6 +302,32 @@ def test_vdp_and_rayleigh_limit_cycles_agree_exactly():
     assert R_vdp == (EpsilonSeries.const(1, 8) + drift_vdp) * R_ray
 
 
+PL_CASES = {
+    "vdp": ("(1 - y^2)*y'", 9, 0),
+    "vdp K=12": ("(1 - y^2)*y'", 12, 0),
+    "rayleigh": ("y' - 1/3*y'^3", 9, 0),
+    "y' - y^2*y' + 1/2*y^3": ("y' - y^2*y' + 1/2*y^3", 9, grq(-3, 4)),
+    "(1 - y^2)*y' - y^3 + 2*y'^2*y": ("(1 - y^2)*y' - y^3 + 2*y'^2*y", 9,
+                                      grq(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PL_CASES))
+def test_limit_cycle_equals_poincare_lindstedt(name):
+    # the same cycle solved in tau = w t with the first harmonic of y
+    # held at R (z + 1/z): R is R_c and w - 1 the drift, coefficient by
+    # coefficient through eps^(K-1)
+    dsl, K, w_1 = PL_CASES[name]
+    V = parse_potential(dsl)
+    R, drift = poincare_lindstedt(V, K)
+    R_c, dtheta_c = limit_cycle(to_polar(normal_form(V, K,
+                                                     expansion=False)))
+    assert R.cap == R_c.cap == K - 1
+    assert R.coeffs == R_c.coeffs
+    assert drift.coeffs == dtheta_c.coeffs
+    assert drift.coeffs[1].as_constant() == w_1 and any(drift.coeffs[-2:])
+
+
 # ---------------------------------------------------------------------------
 # Nonlinear nonautonomous oscillator
 # ---------------------------------------------------------------------------
@@ -454,7 +482,28 @@ def test_rational_roots(roots, extra, lead):
 
 
 def test_rational_roots_rejects_complex_coefficients():
-    assert rational_roots(P("u") - gr(0, 1), "u") is None
+    with pytest.raises(NonRationalRoot,
+                       match=r"^u - i = 0 has complex coefficients$"):
+        rational_roots(P("u") - gr(0, 1), "u")
+
+
+def test_lead_roots_are_the_seeds_of_the_leading_coefficient():
+    # eps^0 vanishes; the leading (u - 1)^2 (2u + 1) has the simple root
+    # -1/2 and the double root 1, in increasing order
+    u = P("u")
+    G = EpsilonSeries(2, [ParamPolynomial.zero(),
+                          (u - 1) ** 2 * (2 * u + 1), u ** 5])
+    assert lead_roots(G, "u") == [(grq(-1, 2), True), (gr(1), False)]
+    assert lead_roots(EpsilonSeries(0, [u ** 2 + 1]), "u") == []
+
+
+def test_limit_cycle_names_a_complex_leading_equation():
+    polar = PolarRG(1, EpsilonSeries(1, [ParamPolynomial.zero(),
+                                         R ** 2 * gr(0, 1) - 1]),
+                    EpsilonSeries(1))
+    with pytest.raises(NonRationalRoot,
+                       match=r"^i\*R\^2 - 1 = 0 has complex coefficients$"):
+        limit_cycle(polar)
 
 
 def test_rational_roots_rejects_other_variables():
