@@ -498,11 +498,10 @@ def test_lead_roots_are_the_seeds_of_the_leading_coefficient():
 
 
 def test_limit_cycle_names_a_complex_leading_equation():
-    polar = PolarRG(1, EpsilonSeries(1, [ParamPolynomial.zero(),
-                                         R ** 2 * gr(0, 1) - 1]),
-                    EpsilonSeries(1))
-    with pytest.raises(NonRationalRoot,
-                       match=r"^i\*R\^2 - 1 = 0 has complex coefficients$"):
+    polar = to_polar(normal_form(parse_potential("i*y^2*y'"), 3,
+                                 expansion=False))
+    with pytest.raises(NonRationalRoot, match=r"^1/2\*i\*R\^2 = 0 has "
+                                              r"complex coefficients$"):
         limit_cycle(polar)
 
 
