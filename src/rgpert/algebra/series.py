@@ -41,12 +41,8 @@ class EpsilonSeries:
 
     @classmethod
     def from_poly(cls, p, cap, order=0):
-        """p * eps^order as a series with the given cap."""
-        p = _as_poly(p)
-        coeffs = [_ZP] * (cap + 1)
-        if order <= cap:
-            coeffs[order] = p
-        return cls(cap, coeffs)
+        """p * eps^order as a series with the given cap (see shift)."""
+        return cls(cap, (_as_poly(p),) + (_ZP,) * cap).shift(order)
 
     @classmethod
     def const(cls, c, cap):
@@ -111,11 +107,14 @@ class EpsilonSeries:
     __rmul__ = __mul__
 
     def shift(self, n):
-        """Multiply by eps^n (truncating at the cap)."""
+        """Multiply by eps^n, n >= 0, truncating at the cap: the zero
+        series once n > cap."""
+        if n < 0:
+            raise ValueError(f"eps^{n}: negative power of eps")
         if n == 0:
             return self
-        coeffs = (_ZP,) * n + self.coeffs[:self.cap + 1 - n]
-        return EpsilonSeries(self.cap, coeffs)
+        return EpsilonSeries(self.cap,
+                             ((_ZP,) * n + self.coeffs)[:self.cap + 1])
 
     def inverse(self):
         """Multiplicative inverse; the eps^0 term must be a nonzero constant."""

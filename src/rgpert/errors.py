@@ -23,10 +23,6 @@ class TrivialLinear(RgpertError):
     """Potential is of the removable linear/driving-only form."""
 
 
-class SupportOverflow(RgpertError):
-    """Harmonic support grew past the configured resource guard."""
-
-
 class BudgetExceeded(RgpertError):
     """An input would cost more than a fixed budget allows."""
 

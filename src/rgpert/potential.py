@@ -106,7 +106,12 @@ class Potential:
 
     def support_growth_rate(self):
         """M = max(|k|+l+m-1, 1) over the support; harmonic support at
-        eps-order j is contained in |n| <= 1 + j*M."""
+        eps-order j is contained in |n| <= 1 + j*M.  The term
+        C z^k y^l y'^m eps^n first acts at order n + 1, on h_0 and
+        (Dh)_0, within |n| <= |k| + l + m; the band of rg's flow-only
+        solve needs |k| + l + m <= 1 + (n + 1) M for every term.  That
+        holds by construction, so no solve checks it:
+        |k| + l + m <= M + 1 <= 1 + (n + 1) M, as n >= 0."""
         M = 1
         for (k, l, m, n) in self.coeffs:
             M = max(M, abs(k) + l + m - 1)
@@ -335,17 +340,37 @@ def iz_dz(c):
     return c.term_map(HARMONIC, _times_in)[0]
 
 
+def partials(p):
+    """partial(j, name): d_name p[j], made on first use and kept."""
+    made = {}
+
+    def partial(j, name):
+        d = made.get((j, name))
+        if d is None:
+            d = made[j, name] = p[j].diff(name)
+        return d
+    return partial
+
+
+def lie_sum(xs, partial, k, band=None):
+    """[eps^k] L p = sum_{m<=k} X_m d p_{k-m} in one multiply-accumulate
+    in ``band``, with ``xs`` the pairs (X, name) of L = X_A d_A + X_B d_B,
+    each X the list of its orders given so far, and ``partial`` the
+    partials of p.  A zero X_m is skipped: the partials only it would
+    multiply are never made."""
+    return dot([(x[m], partial(k - m, name)) for m in range(k + 1)
+                for x, name in xs if m < len(x) and x[m]], None, band)
+
+
 def lie(x_a, x_b, p):
-    """L p = X_A d_A p + X_B d_B p for a series p: one multiply-accumulate
-    per eps-order."""
-    pa, pb = p.diff("A"), p.diff("B")
+    """L p = X_A d_A p + X_B d_B p for a series p: one lie_sum per
+    eps-order, which never differentiates p's top order if X_0 = 0."""
     x_a._check(p)
     x_b._check(p)
-    xa, xb, pa, pb = x_a.coeffs, x_b.coeffs, pa.coeffs, pb.coeffs
-    return EpsilonSeries(p.cap, [
-        dot([(x[i], q[j - i]) for x, q in ((xa, pa), (xb, pb))
-             for i in range(j + 1)])
-        for j in range(p.cap + 1)])
+    xs = ((x_a.coeffs, "A"), (x_b.coeffs, "B"))
+    partial = partials(p.coeffs)
+    return EpsilonSeries(p.cap, [lie_sum(xs, partial, k)
+                                 for k in range(p.cap + 1)])
 
 
 class HarmonicSeries:

@@ -18,8 +18,8 @@ from math import lcm
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       dot, substitute, series_solve_root, grq, Rat)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
-                     NonRationalRoot, Underdetermined, SupportOverflow)
-from .potential import HARMONIC, iz_dz
+                     NonRationalRoot, Underdetermined)
+from .potential import HARMONIC, iz_dz, lie_sum, partials
 
 _RENAME = {"A": "Ar", "B": "Br"}
 _ZP = ParamPolynomial.zero()
@@ -105,20 +105,18 @@ def _homological_solve(V, K, names, flow_only=False):
     ``names``, A and B for perturbation.expand and Ar and Br for
     normal_form.
 
-    R_k and sum_{m<k} L_m (Dh)_{k-m} are one multiply-accumulate each,
-    over every m and both amplitudes, on partials d_A and d_B made once
-    per polynomial, on first use.  X_A,k, X_B,k and h_k are read off S_k
-    in one term map keyed by the z exponent, and so is i z d_z.
+    R_k and sum_{m<k} L_m (Dh)_{k-m} are one potential.lie_sum each, on
+    partials d_A and d_B made once per polynomial, on first use.
+    X_A,k, X_B,k and h_k are read off S_k in one term map keyed by the
+    z exponent, and so is i z d_z.
 
     With ``flow_only`` h is None, and every product of eps-order j is
     formed only in the harmonic band |n| <= W(j) = 1 + M (K - j), M the
     support growth rate: an h_j term at harmonic n reaches X_K only
-    through |n| <= W(j).  That holds when every term
+    through |n| <= W(j).  That holds because every term
     C z^k y^l y'^m eps^n of V has |k| + l + m <= 1 + (n + 1) M, which
-    _check_growth asserts before any product is formed, for either
-    solve."""
+    Potential.support_growth_rate guarantees by construction."""
     M = V.support_growth_rate()
-    _check_growth(V, M)
 
     def band(j):
         return (HARMONIC, 1 + M * (K - j)) if flow_only else None
@@ -127,15 +125,15 @@ def _homological_solve(V, K, names, flow_only=False):
     h = [a * ParamPolynomial.var(HARMONIC) +
          b * ParamPolynomial.var(HARMONIC, -1)]
     dh = [iz_dz(h[0])]
-    d_h, d_dh = _partials(h), _partials(dh)
+    d_h, d_dh = partials(h), partials(dh)
     x_a, x_b = [_ZP], [_ZP]
-    lie = ((x_a, names[0]), (x_b, names[1]))
+    xs = ((x_a, names[0]), (x_b, names[1]))
     v_of_y = V.composition()
     for k in range(1, K + 1):
-        r = _lie_sum(lie, d_h, k, band(k))
+        r = lie_sum(xs, d_h, k, band(k))
         source = (v_of_y.feed(h[k - 1], dh[k - 1], band=band(k - 1),
                               out_band=band(k)) -
-                  _lie_sum(lie, d_dh, k, band(k)) - iz_dz(r))
+                  lie_sum(xs, d_dh, k, band(k)) - iz_dz(r))
         a_k, b_k, h_k = source.term_map(
             HARMONIC, _homological_rule, (-1, 1, 0))
         x_a.append(a_k)
@@ -159,49 +157,6 @@ def _homological_rule(n):
         return 1, 0, 1, 2       # -1/(2i)
     # 1/(1 - n^2), over a positive denominator
     return (2, 1, 0, 1) if n == 0 else (2, -1, 0, n * n - 1)
-
-
-def _check_growth(V, M):
-    """SupportOverflow unless the growth rate M bounds every term of V.
-
-    The term C z^k y^l y'^m eps^n first acts at order n + 1, on h_0 and
-    (Dh)_0, where it spans the harmonics k - l - m ... k + l + m.  M
-    must keep both within 1 + (n + 1) M.  This inequality is all that
-    the harmonic band of the flow-only solve relies on, and it keeps
-    every harmonic of h_j within 1 + j M.  The check reads V's table,
-    not the solve, so it does not matter whether those harmonics cancel
-    between terms.  The first violation is reported by increasing order
-    and harmonic."""
-    reach = {}
-    for k, l, m, n in V.coeffs:
-        reach.setdefault(n + 1, set()).update((k - l - m, k + l + m))
-    for order, harmonics in sorted(reach.items()):
-        bound = 1 + order * M
-        for n in sorted(harmonics):
-            if abs(n) > bound:
-                raise SupportOverflow(
-                    f"harmonic {n} at order {order} exceeds bound {bound}; "
-                    f"potential may be outside the class")
-
-
-def _partials(p):
-    """partial(j, name): d_name p[j], made on first use and kept."""
-    made = {}
-
-    def partial(j, name):
-        d = made.get((j, name))
-        if d is None:
-            d = made[j, name] = p[j].diff(name)
-        return d
-    return partial
-
-
-def _lie_sum(lie, partial, k, band):
-    """sum_{0<m<k} L_m p_{k-m} in one multiply-accumulate in ``band``,
-    with ``lie`` the pairs (X_A, A) and (X_B, B) and ``partial`` the
-    partials of p."""
-    return dot([(x[m], partial(k - m, name)) for m in range(1, k)
-                for x, name in lie if x[m]], None, band)
 
 
 def to_polar(rgsys):

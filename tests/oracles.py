@@ -40,8 +40,7 @@ from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
 from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
                                  _normalized, _reader)
 from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
-                           RootNotBracketed, SupportOverflow, TrivialLinear,
-                           Underdetermined)
+                           RootNotBracketed, TrivialLinear, Underdetermined)
 from rgpert.mathieu import Branch
 from rgpert.perturbation import NaiveSeries, particular_solution
 from rgpert.potential import (HARMONIC, Potential, eval_potential, harmonic,
@@ -147,6 +146,11 @@ def check_residual_table(Y, at_zero=False):
 _IZ = ParamPolynomial.var(HARMONIC, 1, I)
 
 
+class SupportBoundExceeded(Exception):
+    """A harmonic of the order-by-order solve lies past the support bound
+    1 + K*M of Potential.support_growth_rate."""
+
+
 def dt(c):
     """d/dt + i*z*d/dz of one eps-coefficient of a harmonic table: the
     time derivative as t and z = e^{it} vary, by two derivatives, a
@@ -158,12 +162,12 @@ def dt(c):
 def source_harmonics(source, k, bound):
     """(n, z^n coefficient) of the order-k source term for increasing n,
     from one split of the source, where ``rgpert.rg`` reads the order's
-    unknowns off it in one term map; SupportOverflow on a harmonic
+    unknowns off it in one term map; SupportBoundExceeded on a harmonic
     |n| > bound."""
     parts = source.split((HARMONIC,))
     for (n,) in sorted(parts):
         if abs(n) > bound:
-            raise SupportOverflow(
+            raise SupportBoundExceeded(
                 f"harmonic {n} at order {k} exceeds bound {bound}; "
                 "potential may be outside the class")
         yield n, parts[n,]
@@ -329,8 +333,7 @@ def poincare_lindstedt(V, K):
                 term = term * _power(ys, l)
             if m:
                 term = term * _power(dys, m)
-            if n < k:
-                v_y = v_y + term.shift(n)
+            v_y = v_y + term.shift(n)
         W = EpsilonSeries(k, w + [s])
         w2 = W * W
         S = v_y.coeffs[k - 1]
@@ -369,8 +372,6 @@ def eval_potential_whole(V, y, K):
     y_powers, dy_powers = [y], []
     out = EpsilonSeries(K)
     for (k, l, m, n), c in sorted(V.coeffs.items()):
-        if n > K:
-            continue
         term = EpsilonSeries.const(c * ParamPolynomial.var(HARMONIC, k), K)
         if l:
             term = term * _power(y_powers, l)

@@ -13,15 +13,14 @@ normal_form(V, K) holds by construction and proves nothing.
 import pytest
 
 from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr, grq
-from rgpert.errors import SupportOverflow
 from rgpert.perturbation import expand
 from rgpert.potential import (HARMONIC, Potential, harmonic, harmonics,
                               iz_dz, parse_potential)
 from rgpert.registry import EXAMPLES, get_example
-from rgpert import rg
 from rgpert.rg import derive_rg, normal_form
 
-from oracles import dt, mathieu_potential, naive_expand, random_potential
+from oracles import (SupportBoundExceeded, dt, mathieu_potential, naive_expand,
+                     random_potential)
 
 
 DSL_CASES = {
@@ -115,24 +114,6 @@ def flow_only(V, K):
     return normal_form(V, K, expansion=False)
 
 
-def test_support_overflow_guard_matches_expand(monkeypatch):
-    # a growth rate below the true one: the term y^2 y' of V reaches
-    # harmonic -3 at order 1, past the bound 1 + 1*0.  expand,
-    # normal_form and the flow-only solve all find it in _check_growth
-    # before they form any product; the order-by-order oracle meets it
-    # in the order-1 source, against its bound 1 + 3*0, at the same
-    # harmonic and order
-    monkeypatch.setattr(Potential, "support_growth_rate", lambda self: 0)
-    V = parse_potential("(1 - y^2)*y'")
-    messages = []
-    for solve in (naive_expand, expand, normal_form, flow_only):
-        with pytest.raises(SupportOverflow) as raised:
-            solve(V, 3)
-        messages.append(str(raised.value))
-    assert len(set(messages)) == 1
-    assert messages[0].startswith("harmonic -3 at order 1 exceeds bound 1;")
-
-
 # ---------------------------------------------------------------------------
 # The flow-only solve: products formed in a harmonic band
 # ---------------------------------------------------------------------------
@@ -166,19 +147,29 @@ def test_flow_only_solve_equals_the_full_solve_on_vdp_at_order_19():
 
 def test_flow_only_guard_is_what_keeps_the_band_exact(monkeypatch):
     # vdp has growth rate 2; trusted at 1, the band drops harmonics that
-    # reach X_K.  The guard reads V's term y^2 y' at order 1, whose
-    # harmonic -3 exceeds 1 + 1*1, at any K, where the full solve's
-    # bound 1 + K*1 lets order 1 pass
+    # reach X_K, and the order-by-order oracle meets harmonic -9 at
+    # order 4, past its bound 1 + 6*1
     V = get_example("vdp").potential()
     want = normal_form(V, 6)
     monkeypatch.setattr(Potential, "support_growth_rate", lambda self: 1)
-    for K in (1, 6):
-        with pytest.raises(SupportOverflow,
-                           match="^harmonic -3 at order 1 exceeds bound 2;"):
-            flow_only(V, K)
-    monkeypatch.setattr(rg, "_check_growth", lambda V, M: None)
     wrong = flow_only(V, 6)
     assert (wrong.rhs_A, wrong.rhs_B) != (want.rhs_A, want.rhs_B)
+    with pytest.raises(SupportBoundExceeded,
+                       match="^harmonic -9 at order 4 exceeds bound 7;"):
+        naive_expand(V, 6)
+
+
+def test_every_term_lies_within_the_band():
+    # the precondition of the harmonic band, which no solve checks: the
+    # term C z^k y^l y'^m eps^n has |k| + l + m <= 1 + (n + 1) M
+    potentials = [*FLOW_CASES.values(),
+                  *(random_potential(seed) for seed in range(12, 212))]
+    for V in potentials:
+        M = V.support_growth_rate()
+        assert M == max([1] + [abs(k) + l + m - 1
+                               for k, l, m, _ in V.coeffs])
+        for k, l, m, n in V.coeffs:
+            assert abs(k) + l + m <= 1 + (n + 1) * M, (V, (k, l, m, n))
 
 
 def test_normal_form_renames_nothing(monkeypatch):

@@ -277,7 +277,37 @@ def test_series_lie_is_the_sum_of_series_products():
         for p in (h, table, table.diff("t")):
             assert lie(x_a, x_b, p) == (x_a * p.diff("A") +
                                         x_b * p.diff("B"))
+    # a hand-built X with an eps^0 part, which reaches the top
+    # coefficient of p, and a zero X_B at eps^1
+    x_a = EpsilonSeries(3, [P("B"), grq(1, 2) * P("A") ** 2, _ZERO,
+                            gr(0, 1) * P("A") * P("g")])
+    x_b = EpsilonSeries(3, [-P("A") * P("B"), _ZERO, P("B") ** 3, one])
+    for p in (HAND_TABLE, HAND_TABLE.diff("t")):
+        assert lie(x_a, x_b, p) == x_a * p.diff("A") + x_b * p.diff("B")
     x3, p4 = (EpsilonSeries.from_poly(P("A") * P("B"), cap, 1)
               for cap in (3, 4))
     with pytest.raises(CapMismatch):
         lie(x3, x3, p4)
+
+
+def test_lie_differentiates_each_coefficient_once(monkeypatch):
+    # on the solve's X, X_0 = 0: only the coefficients below the cap are
+    # differentiated, each at most once per amplitude
+    V = get_example("vdp").potential()
+    x_a, x_b, h = _homological_solve(V, 5, ("A", "B"))
+    table = expand(V, 5).table
+    calls = []
+    diff = ParamPolynomial.diff
+
+    def counted(self, name):
+        calls.append((id(self), name))
+        return diff(self, name)
+
+    monkeypatch.setattr(ParamPolynomial, "diff", counted)
+    for p in (h, table):
+        calls.clear()
+        lie(x_a, x_b, p)
+        below = {id(c) for c in p.coeffs[:-1]}
+        assert calls and len(set(calls)) == len(calls)
+        assert {c for c, _ in calls} <= below
+        assert id(p.coeffs[-1]) not in below

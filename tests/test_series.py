@@ -55,6 +55,21 @@ def test_shift_and_valuation():
     assert EpsilonSeries(3).valuation() is None
 
 
+def test_shift_and_from_poly_out_of_range():
+    # past the cap eps^n truncates to the zero series; a negative power
+    # of eps is an error, not an index from the top
+    s = EpsilonSeries(2, [u, u ** 2, u ** 3])
+    for n in range(3, 7):
+        assert s.shift(n) == EpsilonSeries(2)
+        assert EpsilonSeries.from_poly(u, 2, n) == EpsilonSeries(2)
+    assert EpsilonSeries(0, [u]).shift(2) == EpsilonSeries(0)
+    assert s.shift(2) == EpsilonSeries.from_poly(u, 2, 2)
+    with pytest.raises(ValueError):
+        s.shift(-1)
+    with pytest.raises(ValueError):
+        EpsilonSeries.from_poly(u, 2, -1)
+
+
 def test_string_rendering():
     s = EpsilonSeries.const(gr(1), 2) - eps(2)
     assert str(s) == "1 - eps"
