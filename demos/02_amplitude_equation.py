@@ -10,7 +10,8 @@ from rgpert.perturbation import expand
 from rgpert.registry import get_example
 from rgpert.rg import derive_rg, to_polar, limit_cycle
 
-Y = expand(get_example("vdp").potential(), 8)
+V = get_example("vdp").potential()
+Y = expand(V, 8)
 system = derive_rg(Y)
 print("cartesian amplitude equation:")
 print("  dAr/dt =", system.rhs_A)
@@ -23,7 +24,9 @@ print("  d theta/dt =", polar.dtheta_dt)
 print("  theta-free:", polar.theta_free())
 print()
 
-R_c, dtheta_c = limit_cycle(polar)
+# solved on the cycle itself, where y is a Laurent polynomial in
+# z = e^{it} and w = e^{i theta} at each order
+R_c, dtheta_c = limit_cycle(V, 8)
 print("limit cycle:")
 print("  2*R_c          =", R_c * 2)
 print("  (d theta/dt)_c =", dtheta_c)

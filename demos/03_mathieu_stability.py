@@ -8,11 +8,12 @@ are then cross-checked against zeros of truncated tridiagonal
 determinants.
 """
 
-from rgpert.mathieu import analyze, boundary_crosscheck, find_boundary_roots
+from rgpert.mathieu import (analyze, boundary_crosscheck, find_boundary_roots,
+                            in_parameters)
 
 omega2, branches = analyze(7)
 
-print("omega^2 =", omega2)
+print("omega^2 =", in_parameters(omega2))
 print()
 for b in branches:
     print(f"a{b.label} = {b.a_series_str()}")

@@ -25,7 +25,7 @@ for name, order, bindings in RUNS:
     print("  d log R/dt =", polar.dlogR_dt)
     print("  d theta/dt =", polar.dtheta_dt)
     try:
-        R_c, dtheta_c = limit_cycle(polar)
+        R_c, dtheta_c = limit_cycle(V, order)
         print("  limit cycle: 2*R_c =", R_c * 2)
     except DegenerateRoot as exc:
         print("  no limit cycle:", exc)

@@ -298,6 +298,13 @@ class Composition:
                 pairs.append((c, lists[exps][j - n]))
         return dot(pairs, None, out_band)
 
+    def subs(self, bindings, since=0):
+        """Substitute ``bindings`` in every list coefficient of order
+        ``since`` and up: a variable in the fed coefficients that is
+        bound later."""
+        for coeffs in self.lists.values():
+            coeffs[since:] = [c.subs(bindings) for c in coeffs[since:]]
+
 
 def substitute(obj, bindings):
     """Composition with truncation: the EpsilonSeries ``obj`` with each

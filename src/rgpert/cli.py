@@ -180,8 +180,7 @@ def cmd_polar(args, parser):
 
 def cmd_limit_cycle(args, parser):
     V = _resolve_potential(args, parser)
-    pol = to_polar(normal_form(V, args.order, expansion=False))
-    R_c, dtheta_c = limit_cycle(pol)
+    R_c, dtheta_c = limit_cycle(V, args.order)
     _print_series([("R_c", R_c),
                    ("2*R_c", R_c * GaussianRational(2)),
                    ("(d theta/dt)_c", dtheta_c)], args.format)
@@ -232,12 +231,12 @@ def cmd_mathieu(args, parser):
                   f"{r.a_determinant!r},{r.deviation!r}")
     elif args.format == "json":
         print(json.dumps(
-            {"omega2": omega2.to_json(),
+            {"omega2": mathieu_mod.in_parameters(omega2).to_json(),
              "branches": [{"label": b.label,
                            "a": [str(c) for c in b.a_coeffs]}
                           for b in branches]}, indent=2))
     else:
-        print(f"omega^2 = {omega2}")
+        print(f"omega^2 = {mathieu_mod.in_parameters(omega2)}")
         for b in branches:
             print(f"a{b.label} = {b.a_series_str()}")
     return 0

@@ -240,12 +240,20 @@ def boundary_crosscheck(branches, eps_list, N=12):
 
 
 def analyze(K=5):
-    """Full pipeline: omega^2 in g1, ..., gK and the branches at cap K.
+    """Full pipeline: omega^2 and the branches at cap K, both solved for
+    the registry's potential -(g + 2 cos t) y in one g.  in_parameters
+    gives the printed form of omega^2; the crosscheck reads only the
+    branches."""
+    w2 = omega_squared(normal_form(get_example("mathieu").potential(), K,
+                                   expansion=False))
+    return w2, stability_boundaries(w2)
 
-    omega^2 is solved for the registry's potential -(g + 2 cos t) y in
-    one g, and so are the branches.  For printing, phi: g -> G = g1 +
-    g2*eps + ... + gK*eps^(K-1) is then substituted.  That equals the
-    solve of V(G) with K parameters:
+
+def in_parameters(w2):
+    """omega^2 in g1, ..., gK, K = w2.cap - 1, as mathieu prints it: the
+    substitution phi: g -> G = g1 + g2*eps + ... + gK*eps^(K-1) in the
+    omega^2 of analyze.  That equals the solve of V(G) with K
+    parameters:
 
     - phi is a ring map that never lowers an eps-order;
     - the normalised solve is unique and polynomial in V's coefficients,
@@ -253,9 +261,6 @@ def analyze(K=5):
     - omega^2 = det M to cap K+1 reads M only to order K, as M has no
       eps^0 part.
     """
-    w2 = omega_squared(normal_form(get_example("mathieu").potential(), K,
-                                   expansion=False))
-    branches = stability_boundaries(w2)
+    K = w2.cap - 1
     G = [ParamPolynomial.var(f"g{j}") for j in range(1, K + 1)]
-    G += [_ZP] * 2
-    return substitute(w2, {"g": EpsilonSeries(K + 1, G)}), branches
+    return substitute(w2, {"g": EpsilonSeries(K + 1, G + [_ZP] * 2)})

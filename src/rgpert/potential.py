@@ -341,14 +341,15 @@ def iz_dz(c):
 
 
 def partials(p):
-    """partial(j, name): d_name p[j], made on first use and kept."""
+    """partial(j, name): d_name p[j], made on first use and kept while
+    p[j] is the same polynomial."""
     made = {}
 
     def partial(j, name):
         d = made.get((j, name))
-        if d is None:
-            d = made[j, name] = p[j].diff(name)
-        return d
+        if d is None or d[0] is not p[j]:
+            d = made[j, name] = p[j], p[j].diff(name)
+        return d[1]
     return partial
 
 

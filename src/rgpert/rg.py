@@ -11,12 +11,40 @@ the naive table, and derive_rg reads both back off that table.
 The polar form of the amplitude equation is the exponent map
 Ar^a Br^b -> R^(a+b) w^(a-b) of Ar = R*w, Br = R/w, with w = e^{i*theta}
 kept as an exact Laurent variable; no polynomial is substituted.
+
+limit_cycle solves on the cycle, not the flow.  There A = R w and
+B = R/w with R = R_0 + R_1 eps + ... constant, so d/dt is D = P + L,
+P = i z d_z and L = X_w d_w, X_w = i w Omega with Omega = sum_{k>=1}
+Omega_k eps^k the drift d theta/dt.  Every eps-coefficient of y is a
+Laurent polynomial in (z, w) with O(k) terms, where h_k in (A, B) has
+O(k^2), and its z^{+-1} part is R_k (z w)^{+-1}.  At order k,
+
+    (1 - n^2) y_{k,n,m} = [z^n w^m] S_k,
+    S_k = [eps^(k-1)] V(y, Dy) - P T_k - sum_{a<k} L_a (Dy)_{k-a},
+    T_k = sum_{a<k} L_a y_{k-a},   (Dy)_k = P y_k + T_k + L_k y_0,
+
+with V(y, Dy) fed one order at a time through Potential.composition().
+The z^{+-1} parts of S_k over +-2i are X_A and X_B of order k on the
+cycle, so with X_A/A + X_B/B read as in to_polar,
+
+    R_0 [eps^k] d log R/dt = (X_A w^-1 + X_B w)/2,
+    R_0 [eps^k] d theta/dt = (X_A w^-1 - X_B w)/(2i).
+
+The first order v where the radial one is nonzero gives the leading
+radial equation in R_0, and the order v + j gives R_j, in which it is
+affine; the phase one gives Omega_k.  A radial term w^m with m != 0,
+that is a z^1 w^(m+1) or z^-1 w^(m-1) term of S_k, is a flow that
+depends on theta: ThetaDependent.  It is decided on the terms of each
+order's source, with R_0 free up to order v: the flow in (R, w), which
+is the normal form at A = R w, B = R/w, has the same recurrence with
+L = X_R d_R + X_w d_w, X_R = R d log R/dt.  A phase that depends on
+theta stays in Omega, as in the polar flow.
 """
 
 from math import lcm
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
-                      dot, substitute, series_solve_root, grq, Rat)
+                      dot, grq, Rat, I)
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
                      NonRationalRoot, Underdetermined)
 from .potential import HARMONIC, iz_dz, lie_sum, partials
@@ -321,23 +349,151 @@ def lead_roots(G, var):
             for r in map(GaussianRational, rational_roots(lead, var))]
 
 
-def limit_cycle(polar):
-    """Solve d log R/dt = 0 for the radius series and the phase drift.
+#: The first harmonic z*w + 1/(z*w) of y on the cycle A = R w, B = R/w.
+_FIRST = (ParamPolynomial.monomial(1, **{HARMONIC: 1, PHASE: 1}) +
+          ParamPolynomial.monomial(1, **{HARMONIC: -1, PHASE: -1}))
+_IW = ParamPolynomial.var(PHASE, 1, I)
+_W, _W_INV = ParamPolynomial.var(PHASE), ParamPolynomial.var(PHASE, -1)
 
-    The seed is the smallest positive simple root of lead_roots.  Returns
-    (R_c, dtheta_dt_c) as EpsilonSeries with rational constant
-    coefficients.
+
+def _radius(j):
+    """The name of the free radius R_j of the cycle solve, j >= 1: a name
+    no DSL parameter can spell."""
+    return f"R[{j}]"
+
+
+def limit_cycle(V, K):
+    """The limit cycle of y'' + y = eps*V, solved on the cycle: (R_c,
+    dtheta_c), EpsilonSeries with cap K - v, v the order of the leading
+    radial equation.  See the module docstring for the recurrence.
+
+    The solve with R free runs to the leading radial equation, whose
+    smallest positive simple root of lead_roots is the seed R_0; the
+    solve on the cycle starts from it.  If the seed fails, the solve
+    with R free runs on to order K first, as a theta-dependent radial
+    equation comes before a failed seed.
     """
-    G = polar.dlogR_dt
-    if G.uses_var(PHASE):
-        raise ThetaDependent(
-            "radial equation mixes theta; no phase-free limit cycle")
-    if G.is_zero():
+    if any(not (l or m) for _, l, m, _ in V.coeffs):
+        _check_polarizable(V, K)
+    v, lead = _cycle_solve(V, K)
+    if v is None:
         raise DegenerateRoot("radial equation is identically zero")
-    seeds = [r for r, simple in lead_roots(G, "R") if simple and r.re > 0]
+    try:
+        r0 = _seed(lead)
+    except (DegenerateRoot, NonRationalRoot, Underdetermined):
+        _cycle_solve(V, K, v)
+        raise
+    return _cycle_solve(V, K, v, r0)
+
+
+def _cycle_solve(V, K, v=None, r0=None):
+    """D^2 y + y = eps*V(y, Dy) with D = P + X_R d_R + X_w d_w, solved
+    as normal_form solves it in (A, B), with X_R = R d log R/dt and
+    X_w = i w d theta/dt read off as in the module docstring.  A radial
+    equation that depends on theta raises ThetaDependent.
+
+    Without ``r0``, R is free and y_k has no first harmonic for k >= 1:
+    this is the flow in (R, w).  It returns (v, the leading radial
+    equation) at its first order v, or, with ``v`` given or none found,
+    runs to order K and returns (v, None).
+
+    With ``r0``, y_0 = R_0 (z w + 1/(z w)) and X_R = 0: the cycle.  The
+    first harmonic of y_j is R_j (z w)^{+-1}, R_j free until order
+    v + j, where the radial equation is affine in it; R_j is then
+    substituted in every coefficient made so far, the power lists of
+    V(y) too.  It returns (R_c, dtheta_c).
+
+    Every product of eps-order j is formed only in the harmonic band
+    |n| <= 1 + M (K - j) of normal_form: only the z^{+-1} part of the
+    last order is read.
+    """
+    M = V.support_growth_rate()
+
+    def band(j):
+        return HARMONIC, 1 + M * (K - j)
+
+    y = [(ParamPolynomial.var("R") if r0 is None
+          else ParamPolynomial.const(r0)) * _FIRST]
+    dy = [iz_dz(y[0])]
+    d_y, d_dy = partials(y), partials(dy)
+    x_r, x_w = [_ZP], [_ZP]
+    xs = ((x_r, "R"), (x_w, PHASE)) if r0 is None else ((x_w, PHASE),)
+    radii = [ParamPolynomial.const(r0)] if r0 is not None else None
+    v_of_y = V.composition()
+    for k in range(1, K + 1):
+        r = lie_sum(xs, d_y, k, band(k))
+        source = (v_of_y.feed(y[k - 1], dy[k - 1], band=band(k - 1),
+                              out_band=band(k)) -
+                  lie_sum(xs, d_dy, k, band(k)) - iz_dz(r))
+        x_a, x_b, y_k = source.term_map(
+            HARMONIC, _homological_rule, (-1, 1, 0))
+        # R_0 times [eps^k] of d log R/dt and of d theta/dt
+        pairs = ((x_a, _W_INV), (x_b, _W))
+        radial = dot(pairs).scaled(_HALF)
+        phase = dot(pairs, (1, -1)).scaled(_HALF_OVER_I)
+        if radial.exponents(PHASE) - {0}:
+            raise ThetaDependent(
+                "radial equation mixes theta; no phase-free limit cycle")
+        if r0 is None:
+            if radial and v is None:
+                return k, _over_radius(radial, None)
+            x_r.append(radial)
+        elif k > v:
+            # radial is affine in R_j, with a constant slope
+            j = k - v
+            parts = radial.split((_radius(j),))
+            radii.append(parts.get((0,), _ZP).scaled(
+                -parts[1, ].as_constant().inverse()))
+            bindings = {_radius(j): radii[j]}
+            for seq in (y, dy, x_w):
+                seq[j:] = [c.subs(bindings) for c in seq[j:]]
+            v_of_y.subs(bindings, j)
+            r, phase, y_k = (c.subs(bindings) for c in (r, phase, y_k))
+        if k == K:      # X_K and y_K are not read
+            break
+        x_w.append(_IW * _over_radius(phase, r0))
+        if r0 is not None:
+            y_k = y_k + ParamPolynomial.var(_radius(k)) * _FIRST
+        y.append(y_k)
+        dy.append(iz_dz(y_k) + r + dot(
+            [(x[k], d_y(0, name)) for x, name in xs], None, band(k)))
+    if r0 is None:
+        return v, None
+    drift = [(x * _W_INV).scaled(-I) for x in x_w[:K - v + 1]]
+    return EpsilonSeries(K - v, radii), EpsilonSeries(K - v, drift)
+
+
+def _over_radius(p, r0):
+    """p / R_0: a term map that lowers the exponent of the free R, which
+    divides every term of p; a scaling once R_0 is known."""
+    if r0 is None:
+        return p.term_map("R", lambda e: (0, 1, 0, 1), (-1,))[0]
+    return p.scaled(r0.inverse())
+
+
+def _seed(lead):
+    """The smallest positive simple rational root of the leading radial
+    equation ``lead`` in R."""
+    seeds = [r for r, simple in lead_roots(EpsilonSeries(0, [lead]), "R")
+             if simple and r.re > 0]
     if not seeds:
         raise DegenerateRoot(
             "leading radial equation has no simple positive rational root")
-    R_c = series_solve_root(G, "R", seeds[0])
-    dtheta_c = substitute(polar.dtheta_dt.truncate(R_c.cap), {"R": R_c})
-    return R_c, dtheta_c
+    return seeds[0]
+
+
+def _check_polarizable(V, K):
+    """NotPolarizable at the first order where the flow has a term with
+    no A or B.  Those terms are the flow of the forced response, the
+    solve at A = B = 0, until the first of them: there the z^{+-1} parts
+    of each order's source must vanish."""
+    v_of_y = V.composition()
+    y = dy = _ZP
+    for k in range(1, K + 1):
+        x_a, x_b, y = v_of_y.feed(y, dy).term_map(
+            HARMONIC, _homological_rule, (-1, 1, 0))
+        for x, name in ((x_a, "dAr/dt"), (x_b, "dBr/dt")):
+            if x:
+                raise NotPolarizable(f"{name} has the term {x} with no Ar "
+                                     f"or Br at eps^{k}: no polar form")
+        dy = iz_dz(y)

@@ -25,9 +25,10 @@ Mathieu potential with the detuning series g1 + g2*eps + ... in its
 table, which ``rgpert.mathieu`` substitutes after a solve in one g, and
 the order-by-order solve of omega^2 = 0 for g1, g2, ..., where
 ``rgpert.mathieu`` finds the roots g(eps) in the one g.  The limit cycle
-of an autonomous potential by Poincare-Lindstedt in tau = w t, where
-``rgpert.rg.limit_cycle`` solves the normal form's radial equation.  And the scalar
-Hill determinant and its one-root-at-a-time bisection, which
+as the root of the polar flow's radial equation by Newton, and that of
+an autonomous potential by Poincare-Lindstedt in tau = w t, where
+``rgpert.rg.limit_cycle`` solves on the cycle.  And the scalar Hill
+determinant and its one-root-at-a-time bisection, which
 ``rgpert.mathieu`` runs on arrays in lockstep.
 """
 
@@ -36,16 +37,18 @@ import random
 import numpy as np
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
-                            gr, grq, I, ZERO, Rat, GaussianRational)
+                            gr, grq, I, ZERO, Rat, GaussianRational,
+                            series_solve_root)
 from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
                                  _normalized, _reader)
 from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
-                           RootNotBracketed, TrivialLinear, Underdetermined)
+                           RootNotBracketed, ThetaDependent, TrivialLinear,
+                           Underdetermined)
 from rgpert.mathieu import Branch
 from rgpert.perturbation import NaiveSeries, particular_solution
 from rgpert.potential import (HARMONIC, Potential, eval_potential, harmonic,
                               harmonics)
-from rgpert.rg import PHASE, PolarRG, rational_roots
+from rgpert.rg import PHASE, PolarRG, lead_roots, rational_roots
 from rgpert.verify import _first_offense, _report
 
 
@@ -300,8 +303,7 @@ def series_solve_root_full_cap(G, var, u0):
 def poincare_lindstedt(V, K):
     """Reference oracle: the limit cycle (R, w - 1) of an autonomous V
     by the Poincare-Lindstedt method, both with cap K - 1, where
-    ``rgpert.rg.limit_cycle`` solves the radial equation of the normal
-    form.
+    ``rgpert.rg.limit_cycle`` solves on the cycle in (z, w).
 
     In tau = w t the cycle solves w^2 y_tautau + y = eps V(y, w y_tau).
     Each y_k is a Laurent polynomial in z = e^{i tau} whose z^{+-1} part
@@ -363,6 +365,29 @@ def poincare_lindstedt(V, K):
         y.append(y_k)
     return (EpsilonSeries(K - 1, [ParamPolynomial.const(x) for x in R]),
             EpsilonSeries(K - 1, [_ZERO_POLY] + w[1:K]))
+
+
+def polar_limit_cycle(polar):
+    """Reference oracle: solve d log R/dt = 0 of a PolarRG for the radius
+    series and the phase drift, where ``rgpert.rg.limit_cycle`` solves on
+    the cycle.
+
+    The seed is the smallest positive simple root of lead_roots, lifted
+    by series_solve_root.  Returns (R_c, dtheta_dt_c) as EpsilonSeries.
+    """
+    G = polar.dlogR_dt
+    if G.uses_var(PHASE):
+        raise ThetaDependent(
+            "radial equation mixes theta; no phase-free limit cycle")
+    if G.is_zero():
+        raise DegenerateRoot("radial equation is identically zero")
+    seeds = [r for r, simple in lead_roots(G, "R") if simple and r.re > 0]
+    if not seeds:
+        raise DegenerateRoot(
+            "leading radial equation has no simple positive rational root")
+    R_c = series_solve_root(G, "R", seeds[0])
+    dtheta_c = substitute(polar.dtheta_dt.truncate(R_c.cap), {"R": R_c})
+    return R_c, dtheta_c
 
 
 def eval_potential_whole(V, y, K):

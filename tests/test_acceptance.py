@@ -75,10 +75,9 @@ def test_criterion_03_vdp_rg_series():
 
 
 def test_criterion_04_limit_cycle():
-    pol = to_polar(derive_rg(example_expansion("vdp", 8)))
     ok = True
     try:
-        test_rg.test_vdp_limit_cycle(pol)
+        test_rg.test_vdp_limit_cycle()
     except AssertionError:
         ok = False
     report(4, "limit-cycle radius and drift", ok)
@@ -183,7 +182,7 @@ def test_criterion_10_modulation_regime():
 def test_criterion_11_numeric_sanity():
     sysc = derive_rg(example_expansion("vdp", 6))
     pol = to_polar(sysc)
-    R_c, _ = limit_cycle(pol)
+    R_c, _ = limit_cycle(sysc.potential, 6)
     eps = 0.1
     two_rc = 2 * sum(float(c.as_constant().re) * eps ** k
                      for k, c in enumerate(R_c.coeffs))

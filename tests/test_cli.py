@@ -111,6 +111,16 @@ def test_high_order_mathieu_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+def test_high_order_limit_cycle_digest(capsys):
+    # the line of `sha256sum` over the stdout, checked once against
+    # oracles.poincare_lindstedt at K = 40
+    code, out = run(capsys, "limit-cycle", "--example", "vdp", "--order",
+                    "40")
+    assert code == 0
+    want = (GOLDEN / "vdp_limit_cycle_order40.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_expand_json(capsys):
     code, out = run(capsys, "expand", "--example", "vdp", "--order", "2",
                     "--format", "json")

@@ -78,7 +78,7 @@ def test_vdp_fixed_point_at_leading_order():
 
 def test_vdp_attracts_to_limit_cycle():
     pol = to_polar(derive_rg(example_expansion("vdp", 6)))
-    R_c, _ = limit_cycle(pol)
+    R_c, _ = limit_cycle(VDP, 6)
     eps = 0.1
     rc = sum(float(c.as_constant().re) * eps ** k
              for k, c in enumerate(R_c.coeffs))
@@ -89,7 +89,7 @@ def test_vdp_attracts_to_limit_cycle():
 def test_vdp_peak_amplitude_matches_radius():
     sysc = derive_rg(example_expansion("vdp", 6))
     pol = to_polar(sysc)
-    R_c, _ = limit_cycle(pol)
+    R_c, _ = limit_cycle(VDP, 6)
     eps = 0.1
     two_rc = 2 * sum(float(c.as_constant().re) * eps ** k
                      for k, c in enumerate(R_c.coeffs))

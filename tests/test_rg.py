@@ -18,11 +18,12 @@ from rgpert.potential import harmonic, harmonics, parse_potential
 from conftest import (example_expansion, trig, trig_mul, trig_scale, trig_add,
                       phase_poly)
 from oracles import (poincare_lindstedt, polar_by_substitution,
-                     polar_expansion, renormalization_constants,
-                     series_solve_root_full_cap)
+                     polar_expansion, polar_limit_cycle,
+                     renormalization_constants, series_solve_root_full_cap)
 
 
 R = P("R")
+VDP = get_example("vdp").potential()
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,8 @@ def test_vdp_is_phase_free(vdp_polar):
     assert vdp_polar.theta_free()
 
 
-def test_vdp_limit_cycle(vdp_polar):
-    R_c, dtheta_c = limit_cycle(vdp_polar)
+def test_vdp_limit_cycle():
+    R_c, dtheta_c = limit_cycle(VDP, 8)
     two_R_c = R_c * gr(2)
     assert_orders(two_R_c, {0: gr(2), 2: grq(1, 64), 4: grq(-23, 49152),
                             6: grq(-51619, 169869312)}, 6)
@@ -122,7 +123,7 @@ def test_vdp_phase_eps6_consistency(vdp_polar):
     independently known drift -eps^2/16 + 17 eps^4/3072 + 35 eps^6/884736;
     this only balances with an R^6 coefficient of -445608/1769472.
     """
-    R_c, dtheta_c = limit_cycle(vdp_polar)
+    R_c, dtheta_c = limit_cycle(VDP, 8)
     assert dtheta_c.coeffs[6].as_constant() == grq(35, 884736)
     # shifting the R^6 coefficient to -455608/1769472 breaks the balance
     wrong = vdp_polar.dtheta_dt.truncate(6) + EpsilonSeries(
@@ -233,10 +234,11 @@ def test_duffing_renormalized_expansion(duffing_rg):
     _assert_expansion(duffing_rg, terms, through=3)
 
 
-def test_duffing_has_no_limit_cycle(duffing_polar):
+def test_duffing_has_no_limit_cycle():
     # leading radial equation -1/2 = 0 has no root at all
+    V = get_example("duffing").potential().bind({"g": 1})
     with pytest.raises(DegenerateRoot):
-        limit_cycle(duffing_polar)
+        limit_cycle(V, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +286,8 @@ def test_rayleigh_renormalized_expansion(rayleigh_rg):
     _assert_expansion(rayleigh_rg, terms, through=3)
 
 
-def test_rayleigh_limit_cycle_leading(rayleigh_polar):
-    R_c, _ = limit_cycle(rayleigh_polar)
+def test_rayleigh_limit_cycle_leading():
+    R_c, _ = limit_cycle(get_example("rayleigh").potential(), 6)
     assert R_c.coeffs[0].as_constant() == gr(1)
 
 
@@ -295,7 +297,7 @@ def test_vdp_and_rayleigh_limit_cycles_agree_exactly():
     # 1 + drift, and the first harmonic of u is 1 + drift times that of
     # y: exact identities between two independent solves, through eps^8
     (R_vdp, drift_vdp), (R_ray, drift_ray) = (
-        limit_cycle(to_polar(normal_form(get_example(name).potential(), 9)))
+        limit_cycle(get_example(name).potential(), 9)
         for name in ("vdp", "rayleigh"))
     assert R_vdp.cap == drift_vdp.cap == 8 and drift_vdp.coeffs[8]
     assert drift_vdp == drift_ray
@@ -320,8 +322,7 @@ def test_limit_cycle_equals_poincare_lindstedt(name):
     dsl, K, w_1 = PL_CASES[name]
     V = parse_potential(dsl)
     R, drift = poincare_lindstedt(V, K)
-    R_c, dtheta_c = limit_cycle(to_polar(normal_form(V, K,
-                                                     expansion=False)))
+    R_c, dtheta_c = limit_cycle(V, K)
     assert R.cap == R_c.cap == K - 1
     assert R.coeffs == R_c.coeffs
     assert drift.coeffs == dtheta_c.coeffs
@@ -361,7 +362,7 @@ def test_nonauto_phase_equation(nonauto_polar):
 def test_nonauto_mixes_phase(nonauto_polar):
     assert not nonauto_polar.theta_free()
     with pytest.raises(ThetaDependent):
-        limit_cycle(nonauto_polar)
+        limit_cycle(get_example("nonauto").potential(), 4)
 
 
 def test_nonauto_renormalized_expansion(nonauto_rg):
@@ -498,11 +499,9 @@ def test_lead_roots_are_the_seeds_of_the_leading_coefficient():
 
 
 def test_limit_cycle_names_a_complex_leading_equation():
-    polar = to_polar(normal_form(parse_potential("i*y^2*y'"), 3,
-                                 expansion=False))
     with pytest.raises(NonRationalRoot, match=r"^1/2\*i\*R\^2 = 0 has "
                                               r"complex coefficients$"):
-        limit_cycle(polar)
+        limit_cycle(parse_potential("i*y^2*y'"), 3)
 
 
 def test_rational_roots_rejects_other_variables():
@@ -535,13 +534,14 @@ def test_rational_roots_property(roots, lead, negate, j, irreducible):
 
 
 def test_limit_cycle_solves_in_the_radius():
-    # d log R/dt = eps (R^2-2)(R^2-4) + eps^2 R^2: the smallest positive
-    # simple rational root of the leading factor is R = 2, where its
-    # derivative is 8, so R_c = 2 - (4/8) eps
+    # the reference solve of a polar flow: d log R/dt = eps (R^2-2)
+    # (R^2-4) + eps^2 R^2: the smallest positive simple rational root of
+    # the leading factor is R = 2, where its derivative is 8, so R_c =
+    # 2 - (4/8) eps
     dlog = EpsilonSeries(2, [ParamPolynomial.zero(),
                              (R ** 2 - 2) * (R ** 2 - 4), R ** 2])
     dtheta = EpsilonSeries.from_poly(R ** 2, 2, order=1)
-    R_c, dtheta_c = limit_cycle(PolarRG(2, dlog, dtheta))
+    R_c, dtheta_c = polar_limit_cycle(PolarRG(2, dlog, dtheta))
     assert R_c == EpsilonSeries(1, [ParamPolynomial.const(2),
                                     ParamPolynomial.const(grq(-1, 2))])
     # d theta/dt = eps R_c^2 = 4 eps mod eps^2
@@ -555,13 +555,14 @@ def test_limit_cycle_solves_in_the_radius():
     ("(8 - 40*y^2 + 16*y^4)*y'", 6)])
 def test_limit_cycle_radius_equals_the_full_cap_newton(potential, top):
     # the normal form is solved order by order, so the polar form at
-    # order K is that at the top order truncated to K
+    # order K is that at the top order truncated to K; the cycle solve
+    # at K gives the root of its radial equation
     V = (get_example(potential).potential() if potential in EXAMPLES
          else parse_potential(potential))
     pol = to_polar(normal_form(V, top))
     for K in range(1, top + 1):
         G = pol.dlogR_dt.truncate(K)
-        R_c, _ = limit_cycle(PolarRG(K, G, pol.dtheta_dt.truncate(K)))
+        R_c, _ = limit_cycle(V, K)
         seed = R_c.coeffs[0].as_constant()
         assert R_c == series_solve_root_full_cap(G, "R", seed), K
 
