@@ -35,10 +35,11 @@ radial equation in R_0, and the order v + j gives R_j, in which it is
 affine; the phase one gives Omega_k.  A radial term w^m with m != 0,
 that is a z^1 w^(m+1) or z^-1 w^(m-1) term of S_k, is a flow that
 depends on theta: ThetaDependent.  It is decided on the terms of each
-order's source, with R_0 free up to order v: the flow in (R, w), which
-is the normal form at A = R w, B = R/w, has the same recurrence with
-L = X_R d_R + X_w d_w, X_R = R d log R/dt.  A phase that depends on
-theta stays in Omega, as in the polar flow.
+order's source, and up to order v, where R_0 is not yet known, on
+normal_form's own (Ar, Br) orders through _polar_order, which give the
+leading radial equation too.  A phase that depends on theta stays in
+Omega, as in the polar flow.  One _Recurrence makes the order-k step
+of every solve here: normal_form, the forced response and the cycle.
 """
 
 from math import lcm
@@ -120,59 +121,92 @@ def normal_form(V, K, expansion=True):
     Physica D 2008; Chiba, SIAM J. Appl. Dyn. Syst. 2008).
 
     A caller that reads only the flow passes ``expansion=False``: the
-    solve then forms only the harmonics that reach X_A and X_B, and the
-    RGSystem's expansion is None.
+    solve is then banded (see _Recurrence), and the RGSystem's expansion
+    is None.
     """
     x_a, x_b, h = _homological_solve(V, K, ("Ar", "Br"),
-                                     flow_only=not expansion)
+                                     banded=not expansion)
     return RGSystem(K, x_a, x_b, h, V)
 
 
-def _homological_solve(V, K, names, flow_only=False):
+def _homological_solve(V, K, names, banded=False):
     """(X_A, X_B, h) of normal_form as EpsilonSeries in the amplitudes
     ``names``, A and B for perturbation.expand and Ar and Br for
-    normal_form.
-
-    R_k and sum_{m<k} L_m (Dh)_{k-m} are one potential.lie_sum each, on
-    partials d_A and d_B made once per polynomial, on first use.
-    X_A,k, X_B,k and h_k are read off S_k in one term map keyed by the
-    z exponent, and so is i z d_z.
-
-    With ``flow_only`` h is None, and every product of eps-order j is
-    formed only in the harmonic band |n| <= W(j) = 1 + M (K - j), M the
-    support growth rate: an h_j term at harmonic n reaches X_K only
-    through |n| <= W(j).  That holds because every term
-    C z^k y^l y'^m eps^n of V has |k| + l + m <= 1 + (n + 1) M, which
-    Potential.support_growth_rate guarantees by construction."""
-    M = V.support_growth_rate()
-
-    def band(j):
-        return (HARMONIC, 1 + M * (K - j)) if flow_only else None
-
-    a, b = (ParamPolynomial.var(name) for name in names)
-    h = [a * ParamPolynomial.var(HARMONIC) +
-         b * ParamPolynomial.var(HARMONIC, -1)]
-    dh = [iz_dz(h[0])]
-    d_h, d_dh = partials(h), partials(dh)
-    x_a, x_b = [_ZP], [_ZP]
-    xs = ((x_a, names[0]), (x_b, names[1]))
-    v_of_y = V.composition()
-    for k in range(1, K + 1):
-        r = lie_sum(xs, d_h, k, band(k))
-        source = (v_of_y.feed(h[k - 1], dh[k - 1], band=band(k - 1),
-                              out_band=band(k)) -
-                  lie_sum(xs, d_dh, k, band(k)) - iz_dz(r))
-        a_k, b_k, h_k = source.term_map(
-            HARMONIC, _homological_rule, (-1, 1, 0))
-        x_a.append(a_k)
-        x_b.append(b_k)
-        h.append(h_k)
-        if k < K:       # (Dh)_K is not read
-            dh.append(iz_dz(h_k) + r + dot(
-                ((a_k, d_h(0, names[0])), (b_k, d_h(0, names[1]))),
-                band=band(k)))
+    normal_form; h is None if ``banded``."""
+    rec = _Recurrence(V, K, _first_harmonic(*names), names, banded)
+    for _ in rec.flow():
+        pass
+    (x_a, _), (x_b, _) = rec.xs
     return (EpsilonSeries(K, x_a), EpsilonSeries(K, x_b),
-            None if flow_only else EpsilonSeries(K, h))
+            None if banded else EpsilonSeries(K, rec.y))
+
+
+def _first_harmonic(a, b):
+    """a z + b/z, the y_0 of the solve in the amplitudes a and b."""
+    return (ParamPolynomial.monomial(1, **{a: 1, HARMONIC: 1}) +
+            ParamPolynomial.monomial(1, **{b: 1, HARMONIC: -1}))
+
+
+class _Recurrence:
+    """normal_form's order-k step from any y_0, with L = sum X_name d_name
+    over ``names``.  R_k and sum_{m<k} L_m (Dy)_{k-m} are one lie_sum
+    each, on partials made once per polynomial, on first use.
+
+    With ``banded`` every product of eps-order j is formed only in the
+    harmonic band |n| <= W(j) = 1 + M (K - j), M the support growth
+    rate: a y_j term at harmonic n reaches X_K only through |n| <= W(j).
+    That holds because every term C z^k y^l y'^m eps^n of V has
+    |k| + l + m <= 1 + (n + 1) M, which Potential.support_growth_rate
+    guarantees by construction."""
+
+    def __init__(self, V, K, y0, names, banded):
+        self.K = K
+        self.growth = V.support_growth_rate() if banded else None
+        self.xs = tuple(([_ZP], name) for name in names)
+        self.y, self.dy = [y0], [iz_dz(y0)]
+        self.d_y, self.d_dy = partials(self.y), partials(self.dy)
+        self.v_of_y = V.composition()
+        self.r = None       # R_k of the order that source made last
+
+    def band(self, j):
+        if self.growth is not None:
+            return HARMONIC, 1 + self.growth * (self.K - j)
+
+    def source(self):
+        """S_k of the next order k, split by _homological_rule."""
+        k, band = len(self.y), self.band
+        self.r = lie_sum(self.xs, self.d_y, k, band(k))
+        source = (self.v_of_y.feed(self.y[-1], self.dy[-1],
+                                   band=band(k - 1), out_band=band(k)) -
+                  lie_sum(self.xs, self.d_dy, k, band(k)) - iz_dz(self.r))
+        return source.term_map(HARMONIC, _homological_rule, (-1, 1, 0))
+
+    def push(self, flow, y_k):
+        """Take X_k, one per name, and y_k; form (Dy)_k below order K."""
+        k = len(self.y)
+        for (x, _), x_k in zip(self.xs, flow):
+            x.append(x_k)
+        self.y.append(y_k)
+        if k < self.K:      # (Dy)_K is not read
+            self.dy.append(iz_dz(y_k) + self.r + dot(
+                [(x[k], self.d_y(0, name)) for x, name in self.xs], None,
+                self.band(k)))
+
+    def subs(self, bindings, since):
+        """Substitute ``bindings`` in every coefficient of order ``since``
+        and up, in V(y)'s power lists and the pending R_k too."""
+        for seq in (self.y, self.dy, *(x for x, _ in self.xs)):
+            seq[since:] = [c.subs(bindings) for c in seq[since:]]
+        self.v_of_y.subs(bindings, since)
+        self.r = self.r.subs(bindings)
+
+    def flow(self):
+        """Yield (k, X_A,k, X_B,k) of two amplitudes for k = 1, ..., K,
+        each order pushed with h_k when the next is asked for."""
+        for k in range(1, self.K + 1):
+            x_a, x_b, h_k = self.source()
+            yield k, x_a, x_b
+            self.push((x_a, x_b), h_k)
 
 
 def _homological_rule(n):
@@ -188,35 +222,39 @@ def _homological_rule(n):
 
 
 def to_polar(rgsys):
-    """The flow in R and w as the exponent map c*Ar^a*Br^b ->
-    c*R^(a+b)*w^(a-b) of Ar = R*w, Br = R/w:
+    """The flow in R and w, _polar_order at each eps-order.  The
+    expansion is not read."""
+    dlogR, dtheta = zip(*map(_polar_order, range(rgsys.cap + 1),
+                             rgsys.rhs_A.coeffs, rgsys.rhs_B.coeffs))
+    return PolarRG(rgsys.cap, EpsilonSeries(rgsys.cap, dlogR),
+                   EpsilonSeries(rgsys.cap, dtheta))
+
+
+def _polar_order(k, x_a, x_b):
+    """[eps^k] of d log R/dt and of d theta/dt from X_A,k and X_B,k, as
+    the exponent map c*Ar^a*Br^b -> c*R^(a+b)*w^(a-b) of Ar = R*w,
+    Br = R/w:
 
         d log R/dt = (X_A/Ar + X_B/Br)/2,
         d theta/dt = (X_A/Ar - X_B/Br)/(2i),
 
     where a term over Ar maps to c*R^(a+b-1)*w^(a-b-1) and over Br to
-    c*R^(a+b-1)*w^(a-b+1).  Each eps-order splits X_A and X_B once and
-    makes both sums as two dot calls over the same pairs; a term with
-    a + b = 0 raises NotPolarizable.  The expansion is not read."""
-    dlogR, dtheta = [], []
-    for k, (x_a, x_b) in enumerate(zip(rgsys.rhs_A.coeffs,
-                                       rgsys.rhs_B.coeffs)):
-        pairs, signs = [], []
-        # (equation, w-step, theta sign) of X_A/Ar and of X_B/Br
-        for x, name, step, sign in ((x_a, "dAr/dt", -1, 1),
-                                    (x_b, "dBr/dt", 1, -1)):
-            for (a, b), part in x.split(("Ar", "Br")).items():
-                if a + b == 0:
-                    raise NotPolarizable(
-                        f"{name} has the term {part} with no Ar or Br at "
-                        f"eps^{k}: no polar form")
-                pairs.append((part, ParamPolynomial.monomial(
-                    1, **{"R": a + b - 1, PHASE: a - b + step})))
-                signs.append(sign)
-        dlogR.append(dot(pairs).scaled(_HALF))
-        dtheta.append(dot(pairs, signs).scaled(_HALF_OVER_I))
-    return PolarRG(rgsys.cap, EpsilonSeries(rgsys.cap, dlogR),
-                   EpsilonSeries(rgsys.cap, dtheta))
+    c*R^(a+b-1)*w^(a-b+1).  It splits X_A and X_B once and makes both
+    sums as two dot calls over the same pairs; a term with a + b = 0
+    raises NotPolarizable."""
+    pairs, signs = [], []
+    # (equation, w-step, theta sign) of X_A/Ar and of X_B/Br
+    for x, name, step, sign in ((x_a, "dAr/dt", -1, 1),
+                                (x_b, "dBr/dt", 1, -1)):
+        for (a, b), part in x.split(("Ar", "Br")).items():
+            if a + b == 0:
+                raise NotPolarizable(
+                    f"{name} has the term {part} with no Ar or Br at "
+                    f"eps^{k}: no polar form")
+            pairs.append((part, ParamPolynomial.monomial(
+                1, **{"R": a + b - 1, PHASE: a - b + step})))
+            signs.append(sign)
+    return dot(pairs).scaled(_HALF), dot(pairs, signs).scaled(_HALF_OVER_I)
 
 
 def rational_roots(poly, var):
@@ -354,6 +392,7 @@ _FIRST = (ParamPolynomial.monomial(1, **{HARMONIC: 1, PHASE: 1}) +
           ParamPolynomial.monomial(1, **{HARMONIC: -1, PHASE: -1}))
 _IW = ParamPolynomial.var(PHASE, 1, I)
 _W, _W_INV = ParamPolynomial.var(PHASE), ParamPolynomial.var(PHASE, -1)
+_MIXES_THETA = "radial equation mixes theta; no phase-free limit cycle"
 
 
 def _radius(j):
@@ -367,108 +406,81 @@ def limit_cycle(V, K):
     dtheta_c), EpsilonSeries with cap K - v, v the order of the leading
     radial equation.  See the module docstring for the recurrence.
 
-    The solve with R free runs to the leading radial equation, whose
-    smallest positive simple root of lead_roots is the seed R_0; the
-    solve on the cycle starts from it.  If the seed fails, the solve
-    with R free runs on to order K first, as a theta-dependent radial
-    equation comes before a failed seed.
+    The errors keep the order of the polar path.  A V with a term free
+    of y and y' is solved first at y_0 = 0 to order K, where every flow
+    term lacks Ar and Br: NotPolarizable at the first.  The seed R_0 is
+    the smallest positive simple root of the leading radial equation,
+    read off normal_form's flow.  If it fails, that flow runs on to K
+    for a theta-dependent radial equation, unless V has no harmonic
+    z^k, k != 0: then the solve is graded by time translation, every
+    term of X_A is Ar^(b+1) Br^b and of X_B Ar^a Br^(a+1), so no radial
+    equation depends on theta and no flow term lacks Ar and Br.
     """
     if any(not (l or m) for _, l, m, _ in V.coeffs):
-        _check_polarizable(V, K)
-    v, lead = _cycle_solve(V, K)
-    if v is None:
+        for _ in _radial_orders(V, K, _ZP):
+            pass
+    radials = _radial_orders(V, K, _first_harmonic("Ar", "Br"))
+    for v, lead in radials:
+        if lead:
+            break
+    else:
         raise DegenerateRoot("radial equation is identically zero")
     try:
         r0 = _seed(lead)
     except (DegenerateRoot, NonRationalRoot, Underdetermined):
-        _cycle_solve(V, K, v)
+        if any(k for k, _, _, _ in V.coeffs):
+            for _ in radials:
+                pass
         raise
     return _cycle_solve(V, K, v, r0)
 
 
-def _cycle_solve(V, K, v=None, r0=None):
-    """D^2 y + y = eps*V(y, Dy) with D = P + X_R d_R + X_w d_w, solved
-    as normal_form solves it in (A, B), with X_R = R d log R/dt and
-    X_w = i w d theta/dt read off as in the module docstring.  A radial
-    equation that depends on theta raises ThetaDependent.
+def _radial_orders(V, K, y0):
+    """(k, [eps^k] d log R/dt) for k = 1, ..., K, of the banded
+    normal_form solve from y_0 in (Ar, Br); ThetaDependent at the first
+    radial equation that depends on theta."""
+    for k, x_a, x_b in _Recurrence(V, K, y0, ("Ar", "Br"), True).flow():
+        radial = _polar_order(k, x_a, x_b)[0]
+        if radial.exponents(PHASE) - {0}:
+            raise ThetaDependent(_MIXES_THETA)
+        yield k, radial
 
-    Without ``r0``, R is free and y_k has no first harmonic for k >= 1:
-    this is the flow in (R, w).  It returns (v, the leading radial
-    equation) at its first order v, or, with ``v`` given or none found,
-    runs to order K and returns (v, None).
 
-    With ``r0``, y_0 = R_0 (z w + 1/(z w)) and X_R = 0: the cycle.  The
-    first harmonic of y_j is R_j (z w)^{+-1}, R_j free until order
+def _cycle_solve(V, K, v, r0):
+    """(R_c, dtheta_c): the banded _Recurrence from y_0 = R_0 (z w +
+    1/(z w)) with L = X_w d_w, X_w = i w d theta/dt read off as in the
+    module docstring; ThetaDependent for a radial equation in theta.
+
+    The first harmonic of y_j is R_j (z w)^{+-1}, R_j free until order
     v + j, where the radial equation is affine in it; R_j is then
-    substituted in every coefficient made so far, the power lists of
-    V(y) too.  It returns (R_c, dtheta_c).
-
-    Every product of eps-order j is formed only in the harmonic band
-    |n| <= 1 + M (K - j) of normal_form: only the z^{+-1} part of the
-    last order is read.
+    substituted in every coefficient made so far (_Recurrence.subs).
     """
-    M = V.support_growth_rate()
-
-    def band(j):
-        return HARMONIC, 1 + M * (K - j)
-
-    y = [(ParamPolynomial.var("R") if r0 is None
-          else ParamPolynomial.const(r0)) * _FIRST]
-    dy = [iz_dz(y[0])]
-    d_y, d_dy = partials(y), partials(dy)
-    x_r, x_w = [_ZP], [_ZP]
-    xs = ((x_r, "R"), (x_w, PHASE)) if r0 is None else ((x_w, PHASE),)
-    radii = [ParamPolynomial.const(r0)] if r0 is not None else None
-    v_of_y = V.composition()
+    rec = _Recurrence(V, K, _FIRST.scaled(r0), (PHASE,), True)
+    (x_w, _), = rec.xs
+    radii = [ParamPolynomial.const(r0)]
     for k in range(1, K + 1):
-        r = lie_sum(xs, d_y, k, band(k))
-        source = (v_of_y.feed(y[k - 1], dy[k - 1], band=band(k - 1),
-                              out_band=band(k)) -
-                  lie_sum(xs, d_dy, k, band(k)) - iz_dz(r))
-        x_a, x_b, y_k = source.term_map(
-            HARMONIC, _homological_rule, (-1, 1, 0))
+        x_a, x_b, y_k = rec.source()
         # R_0 times [eps^k] of d log R/dt and of d theta/dt
         pairs = ((x_a, _W_INV), (x_b, _W))
         radial = dot(pairs).scaled(_HALF)
         phase = dot(pairs, (1, -1)).scaled(_HALF_OVER_I)
         if radial.exponents(PHASE) - {0}:
-            raise ThetaDependent(
-                "radial equation mixes theta; no phase-free limit cycle")
-        if r0 is None:
-            if radial and v is None:
-                return k, _over_radius(radial, None)
-            x_r.append(radial)
-        elif k > v:
+            raise ThetaDependent(_MIXES_THETA)
+        if k > v:
             # radial is affine in R_j, with a constant slope
             j = k - v
             parts = radial.split((_radius(j),))
             radii.append(parts.get((0,), _ZP).scaled(
                 -parts[1, ].as_constant().inverse()))
             bindings = {_radius(j): radii[j]}
-            for seq in (y, dy, x_w):
-                seq[j:] = [c.subs(bindings) for c in seq[j:]]
-            v_of_y.subs(bindings, j)
-            r, phase, y_k = (c.subs(bindings) for c in (r, phase, y_k))
+            rec.subs(bindings, j)
+            phase, y_k = phase.subs(bindings), y_k.subs(bindings)
         if k == K:      # X_K and y_K are not read
             break
-        x_w.append(_IW * _over_radius(phase, r0))
-        if r0 is not None:
-            y_k = y_k + ParamPolynomial.var(_radius(k)) * _FIRST
-        y.append(y_k)
-        dy.append(iz_dz(y_k) + r + dot(
-            [(x[k], d_y(0, name)) for x, name in xs], None, band(k)))
-    if r0 is None:
-        return v, None
+        rec.push((_IW * phase.scaled(r0.inverse()),),
+                 y_k + ParamPolynomial.var(_radius(k)) * _FIRST)
     drift = [(x * _W_INV).scaled(-I) for x in x_w[:K - v + 1]]
     return EpsilonSeries(K - v, radii), EpsilonSeries(K - v, drift)
-
-
-def _over_radius(p, r0):
-    """p / R_0: a term map that lowers the exponent of the free R, which
-    divides every term of p; a scaling once R_0 is known."""
-    if r0 is None:
-        return p.term_map("R", lambda e: (0, 1, 0, 1), (-1,))[0]
-    return p.scaled(r0.inverse())
 
 
 def _seed(lead):
@@ -480,20 +492,3 @@ def _seed(lead):
         raise DegenerateRoot(
             "leading radial equation has no simple positive rational root")
     return seeds[0]
-
-
-def _check_polarizable(V, K):
-    """NotPolarizable at the first order where the flow has a term with
-    no A or B.  Those terms are the flow of the forced response, the
-    solve at A = B = 0, until the first of them: there the z^{+-1} parts
-    of each order's source must vanish."""
-    v_of_y = V.composition()
-    y = dy = _ZP
-    for k in range(1, K + 1):
-        x_a, x_b, y = v_of_y.feed(y, dy).term_map(
-            HARMONIC, _homological_rule, (-1, 1, 0))
-        for x, name in ((x_a, "dAr/dt"), (x_b, "dBr/dt")):
-            if x:
-                raise NotPolarizable(f"{name} has the term {x} with no Ar "
-                                     f"or Br at eps^{k}: no polar form")
-        dy = iz_dz(y)

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from rgpert import cli
+from rgpert.algebra import Composition
 from rgpert.cli import main
 from rgpert.errors import RgpertError, ThetaDependent
 from rgpert.potential import parse_potential
@@ -57,6 +58,14 @@ SWEEP = [
     (["--potential", "i*y^2*y'"], range(4)),
     (["--potential", "y^3 + eps*cos(1t)"], range(5)),
     (["--potential", LARGE], range(4)),
+    # a cycle up to K = 2, then NotPolarizable at eps^3, past the seed
+    # order v = 1: only the solve at y_0 = 0 sees it
+    (["--potential", "(1-y^2)*y' + eps^2*cos(1t)"], range(6)),
+    # oracles.random_potential(6): the seed fails up to K = 3, and from
+    # K = 4 the flow run on past the seed order finds a theta-dependent
+    # radial equation, which comes first
+    (["--potential", "y' - i*E(-2)*y*y'*eps - 1/2*E(2)*y'^2*eps"],
+     range(7)),
 ]
 
 
@@ -96,6 +105,31 @@ def test_error_messages(capsys, options, K, message):
     code, out, err = run(capsys, ["limit-cycle", *options, "--order",
                                   str(K)])
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("options", [
+    ["--potential", "(1-y^2)^2*y'"],
+    ["--example", "duffing", "--bind", "g=1"],
+])
+def test_failed_seed_of_an_autonomous_potential_stops_at_the_seed(
+        capsys, monkeypatch, options):
+    # an autonomous flow has no theta-dependent radial equation and no
+    # term free of Ar and Br: the seed's error is raised at its order
+    # v = 1, with one order of V(y) fed, not K = 40.  A feed past it
+    # fails at once, not after the solve to K
+    fed = []
+    feed = Composition.feed
+
+    def counted(self, *xs, **bands):
+        fed.append(self.order)
+        assert self.order == 0, "fed past the seed order"
+        return feed(self, *xs, **bands)
+
+    monkeypatch.setattr(Composition, "feed", counted)
+    assert run(capsys, ["limit-cycle", *options, "--order", "40"]) == (
+        1, "", "error: leading radial equation has no simple positive "
+        "rational root\n")
+    assert fed == [0]
 
 
 def test_drift_at_the_leading_order_of_a_later_radial_equation(capsys):
