@@ -10,8 +10,8 @@ the polynomial multiply-accumulate kernel ``poly.dot`` over its pairs of
 coefficients.  ``Composition`` evaluates a polynomial at series one
 eps-order at a time on top of them, the naive form of online ("relaxed")
 multiplication (van der Hoeven, J. Symb. Comp. 2002), and sums the terms
-of each order with one more ``dot``; ``substitute`` and the potential's
-V(y) both use it.
+of each order with one more ``dot``; ``substitute``, the potential's
+V(y) and the root lift ``series_solve_root`` use it.
 """
 
 from ..errors import CapMismatch, DegenerateRoot, NonRationalRoot
@@ -115,21 +115,6 @@ class EpsilonSeries:
             return self
         return EpsilonSeries(self.cap,
                              ((_ZP,) * n + self.coeffs)[:self.cap + 1])
-
-    def inverse(self):
-        """Multiplicative inverse; the eps^0 term must be a nonzero constant."""
-        c0 = self.coeffs[0].as_constant()
-        if c0 is None or not c0:
-            raise ZeroDivisionError(
-                "series inverse needs a nonzero constant leading coefficient")
-        inv0 = c0.inverse()
-        # out_k = -inv0 * sum_{j>=1} c_j out_{k-j}
-        c = self.coeffs
-        out = [ParamPolynomial.const(inv0)]
-        for k in range(1, self.cap + 1):
-            acc = dot([(c[j], out[k - j]) for j in range(1, k + 1)])
-            out.append(acc.scaled(-inv0) if acc else _ZP)
-        return EpsilonSeries(self.cap, out)
 
     # -- structure --------------------------------------------------------
 
@@ -328,7 +313,7 @@ def substitute(obj, bindings):
 
 def series_solve_root(G, var, u0):
     """The root u(eps) of G(u(eps), eps) = 0 mod eps^(cap+1) that starts
-    at u0, by formal Newton iteration.
+    at u0, lifted one eps-order at a time.
 
     ``G`` is an EpsilonSeries whose coefficients are polynomials in the
     unknown ``var``.  Write v for its valuation (its lowest nonvanishing
@@ -336,34 +321,30 @@ def series_solve_root(G, var, u0):
     leading-order equation H_0(u) = 0, else NonRationalRoot, and a simple
     one, with H_0'(u0) a nonzero constant, else DegenerateRoot.  Returns
     u(eps) with cap = G.cap - v, unique given u0.
+
+    One Composition of H is fed u0, then ``var`` itself as u_j, where
+    [eps^j] H(u) = H_0'(u0) u_j + (terms in u_0, ..., u_(j-1)) is affine;
+    u_j is solved and substituted back (Composition.subs), so H(u) = 0
+    holds at every order by construction and no residual is checked.
     """
     v = G.valuation()
     if v is None:
         return EpsilonSeries.const(u0, G.cap)
-    H = EpsilonSeries(G.cap - v, G.coeffs[v:])
-    lead = H.coeffs[0]
-    if lead.subs({var: u0}).as_constant() != ZERO:
+    H = G.coeffs[v:]
+    if H[0].subs({var: u0}).as_constant() != ZERO:
         raise NonRationalRoot(
             f"{u0} is not a root of the leading-order equation")
-    dlead = lead.diff(var).subs({var: u0}).as_constant()
+    dlead = H[0].diff(var).subs({var: u0}).as_constant()
     if dlead is None or not dlead:
         raise DegenerateRoot(
             "leading-order derivative vanishes at the seed root")
-    Hp = H.diff(var)
-    # A Newton step from u correct mod eps^(c//2+1) gives u correct mod
-    # eps^(c+1), so each step works to its cap c only, with H, H' and u
-    # truncated to it: caps 1, ..., K//2, K, from the smallest up.
-    caps = [H.cap]
-    while caps[-1] > 1:
-        caps.append(caps[-1] // 2)
-    u = EpsilonSeries.const(u0, 0)
-    for cap in reversed(caps):
-        u = u.extend(cap)
-        gu = substitute(H.truncate(cap), {var: u})
-        if not gu.is_zero():
-            gpu = substitute(Hp.truncate(cap), {var: u})
-            u = u - gu * gpu.inverse()
-    residual = substitute(H, {var: u})
-    if not residual.is_zero():
-        raise DegenerateRoot("Newton iteration failed to converge")
-    return u
+    composition = Composition((n, exps, c) for n, h in enumerate(H)
+                              for exps, c in h.split((var,)).items())
+    u = [ParamPolynomial.const(u0)]
+    composition.feed(u[0])
+    unknown = ParamPolynomial.var(var)
+    for j in range(1, len(H)):
+        rest = composition.feed(unknown).split((var,)).get((0,), _ZP)
+        u.append(rest.scaled(-dlead.inverse()))
+        composition.subs({var: u[j]}, j)
+    return EpsilonSeries(len(H) - 1, u)

@@ -209,6 +209,8 @@ def cmd_mathieu(args, parser):
             if key not in ("eps", "N"):
                 parser.error(f"--crosscheck: unknown key {key!r}; "
                              "expected eps=v1:v2:...,N=n")
+            if key in opts:
+                parser.error(f"--crosscheck {key}: given more than once")
             opts[key] = value
         try:
             eps_list = [float(x) for x in opts["eps"].split(":")]

@@ -2,10 +2,10 @@
 
 The amplitude equation of the registry's potential is linear in one
 detuning g, and its matrix M is trace-free, so omega^2 = det M.  The
-band edges are the roots g(eps) of omega^2(g) = 0, one formal Newton
-solve per simple root of the leading order; with g = g1 + g2*eps + ...
-they are the two stability-band edges a = 1 + eps*g of the conventional
-coupling a.
+band edges are the roots g(eps) of omega^2(g) = 0, each simple root of
+the leading order lifted one eps-order at a time; with g = g1 + g2*eps
++ ... they are the two stability-band edges a = 1 + eps*g of the
+conventional coupling a.
 """
 
 from dataclasses import dataclass
@@ -90,8 +90,8 @@ def stability_boundaries(omega2):
 def _series_roots(W):
     """The coefficient lists of the roots g(eps) of W(g) = 0.
 
-    Each root r of lead_roots is lifted by Newton if it is simple, and a
-    multiple one continues in W(r + eps*g), whose valuation is higher;
+    Each simple root r of lead_roots is lifted by series_solve_root, and
+    a multiple one continues in W(r + eps*g), whose valuation is higher;
     the zero series ends a root."""
     v = W.valuation()
     if v is None:

@@ -250,6 +250,8 @@ class _Parser:
         at = self.here()
         if tok is None:
             raise ParseError("unexpected end of input", at)
+        if tok in ("+", "-", "*", "^", ")"):
+            raise ParseError("expected a term", at)
         if tok == "(":
             self.advance()
             value = self.expr()

@@ -7,8 +7,9 @@ composition forms of the functional relation and of the inversion,
 which ``rgpert.verify`` checks in generator form, the generator checks
 with the (G) products made per harmonic, which it makes once on the
 whole table, and the ODE residual on the t-dependent table, which it
-checks on the t-free slice.  Newton's root solve with every step at the
-full cap, which ``series_solve_root`` runs at doubling caps.  V(y) by
+checks on the t-free slice.  The root solve by formal Newton iteration,
+every step at the full cap with a series inverse, where
+``series_solve_root`` lifts the root one eps-order at a time.  V(y) by
 whole-series powers, which ``rgpert.potential`` builds online, the
 polynomial substitution as a sum of per-term products, which
 ``ParamPolynomial.subs`` makes as one ``dot`` over the parts of one
@@ -25,9 +26,9 @@ Mathieu potential with the detuning series g1 + g2*eps + ... in its
 table, which ``rgpert.mathieu`` substitutes after a solve in one g, and
 the order-by-order solve of omega^2 = 0 for g1, g2, ..., where
 ``rgpert.mathieu`` finds the roots g(eps) in the one g.  The limit cycle
-as the root of the polar flow's radial equation by Newton, and that of
-an autonomous potential by Poincare-Lindstedt in tau = w t, where
-``rgpert.rg.limit_cycle`` solves on the cycle.  And the scalar Hill
+as the root of the polar flow's radial equation by series_solve_root,
+and that of an autonomous potential by Poincare-Lindstedt in tau = w t,
+where ``rgpert.rg.limit_cycle`` solves on the cycle.  And the scalar Hill
 determinant and its one-root-at-a-time bisection, which
 ``rgpert.mathieu`` runs on arrays in lockstep.
 """
@@ -37,7 +38,7 @@ import random
 import numpy as np
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
-                            gr, grq, I, ZERO, Rat, GaussianRational,
+                            gr, grq, I, ZERO, Rat, GaussianRational, dot,
                             series_solve_root)
 from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
                                  _normalized, _reader)
@@ -267,9 +268,28 @@ def check_inversion_per_harmonic(Y):
                    generator_offenses_per_harmonic(Y, (1, -1)))
 
 
+def series_inverse(s):
+    """Reference oracle: the multiplicative inverse of the EpsilonSeries
+    ``s``, whose eps^0 term must be a nonzero constant, for the Newton
+    steps of series_solve_root_full_cap."""
+    c0 = s.coeffs[0].as_constant()
+    if c0 is None or not c0:
+        raise ZeroDivisionError(
+            "series inverse needs a nonzero constant leading coefficient")
+    inv0 = c0.inverse()
+    # out_k = -inv0 * sum_{j>=1} c_j out_{k-j}
+    c = s.coeffs
+    out = [ParamPolynomial.const(inv0)]
+    for k in range(1, s.cap + 1):
+        acc = dot([(c[j], out[k - j]) for j in range(1, k + 1)])
+        out.append(acc.scaled(-inv0) if acc else _ZERO_POLY)
+    return EpsilonSeries(s.cap, out)
+
+
 def series_solve_root_full_cap(G, var, u0):
-    """Reference oracle: series_solve_root with every Newton step at the
-    full cap, enough steps to double 1 correct order past cap + 1."""
+    """Reference oracle: series_solve_root by formal Newton iteration,
+    every step at the full cap, enough steps to double 1 correct order
+    past cap + 1."""
     v = G.valuation()
     if v is None:
         return EpsilonSeries.const(u0, G.cap)
@@ -293,7 +313,7 @@ def series_solve_root_full_cap(G, var, u0):
         if gu.is_zero():
             break
         gpu = substitute(Hp, {var: u})
-        u = u - gu * gpu.inverse()
+        u = u - gu * series_inverse(gpu)
     residual = substitute(H, {var: u})
     if not residual.is_zero():
         raise DegenerateRoot("Newton iteration failed to converge")

@@ -368,6 +368,8 @@ def test_non_finite_value_is_a_usage_error(capsys, command, option, value):
     ("eps=nan,N=12", "must be finite"),
     ("eps=0.05:inf,N=12", "must be finite"),
     ("eps=-inf,N=12", "must be finite"),
+    ("eps=0.1,eps=0.2,N=6", "--crosscheck eps: given more than once"),
+    ("eps=0.1,N=6,N=7", "--crosscheck N: given more than once"),
 ])
 def test_mathieu_crosscheck_bad_values_are_usage_errors(capsys, spec,
                                                          message):

@@ -1,5 +1,5 @@
 """limit-cycle solved on the cycle against the reference: the flow-only
-normal form, its polar form and a Newton solve of d log R/dt = 0
+normal form, its polar form and a root lift of d log R/dt = 0
 (``oracles.polar_limit_cycle``), through ``main``, in text and JSON.
 
 The reference's flow is solved once per potential at the sweep's top

@@ -163,7 +163,7 @@ def _in_parameters(W):
 
 @pytest.mark.parametrize("coeffs,want", [
     # (g - 2)^2 - eps^2: the double root 2 continues in
-    # W(2 + eps*g) = eps^2*(g^2 - 1), whose simple roots Newton lifts
+    # W(2 + eps*g) = eps^2*(g^2 - 1), whose simple roots are lifted
     ([(P("g") - 2) ** 2, 0, -1, 0],
      [(Rat(1), Rat(2), Rat(-1), Rat(0)), (Rat(1), Rat(2), Rat(1), Rat(0))]),
     # g^2*eps: W(eps*g) = g^2*eps^3 is zero at cap 2, which ends the root
@@ -185,8 +185,8 @@ def test_multiple_roots_continue_in_the_shifted_series(coeffs, want):
 
 def test_the_leading_equation_has_no_degree_cap():
     # a quartic leading coefficient: its simple roots -3 and 2 are lifted
-    # by Newton and its double root 1 continues in W(1 + eps*g), whose
-    # leading eps^2*(g - 4*g^2) has the simple roots 0 and 1/4
+    # and its double root 1 continues in W(1 + eps*g), whose leading
+    # eps^2*(g - 4*g^2) has the simple roots 0 and 1/4
     g = P("g")
     W = EpsilonSeries(3, [ParamPolynomial.zero() + c for c in
                           ((g - 1) ** 2 * (g + 3) * (g - 2), g - 1, 0, 0)])

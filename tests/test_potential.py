@@ -98,9 +98,12 @@ def test_mathieu_is_admissible():
 
 
 def test_parse_error_position():
-    with pytest.raises(ParseError) as exc:
-        parse_potential("y +* y'")
-    assert exc.value.position == 3
+    # an operator or ')' where a term is due is not an identifier
+    for text, at in [("y +* y'", 3), ("y' + -y^3", 5), ("*y", 0),
+                     ("y + )", 4), ("(^2)", 1), ("y*+y'", 2)]:
+        with pytest.raises(ParseError) as exc:
+            parse_potential(text)
+        assert str(exc.value) == f"expected a term (at position {at})"
     with pytest.raises(ParseError):
         parse_potential("q*y")        # unknown identifier
     with pytest.raises(ParseError):

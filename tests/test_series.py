@@ -6,7 +6,7 @@ from rgpert.algebra import (EpsilonSeries, ParamPolynomial, Composition, P,
 from rgpert.algebra.series import cauchy, square
 from rgpert.errors import CapMismatch, DegenerateRoot, NonRationalRoot
 
-from oracles import series_solve_root_full_cap
+from oracles import series_inverse, series_solve_root_full_cap
 
 
 u = P("u")
@@ -43,7 +43,7 @@ def test_truncated_multiplication():
 
 def test_inverse():
     one_minus = EpsilonSeries.const(gr(1), 4) - eps(4)
-    geom = one_minus.inverse()
+    geom = series_inverse(one_minus)
     expect = EpsilonSeries(4, [ParamPolynomial.const(1)] * 5)
     assert geom == expect
     assert (one_minus * geom) == EpsilonSeries.const(gr(1), 4)
@@ -120,19 +120,35 @@ def _solved(solve, G, u0):
         return type(exc), str(exc)
 
 
+def _param_geometric(cap):
+    """G(eps, u) = u - 1 - a*eps*u, whose root is u = 1/(1 - a*eps)."""
+    return (EpsilonSeries.from_poly(u, cap) - EpsilonSeries.const(gr(1), cap)
+            - EpsilonSeries.from_poly(P("a") * u, cap).shift(1))
+
+
 @pytest.mark.parametrize("G,u0", [
     (_geometric(4), gr(1)),
     (EpsilonSeries.from_poly(u ** 2, 3), gr(0)),
     (EpsilonSeries.from_poly(u - 2, 3), gr(1)),
-    *((_geometric(cap), gr(1)) for cap in (0, 1, 2, 3, 7, 8)),
+    *((_geometric(cap), gr(1)) for cap in (0, 1, 2, 3, 7, 8, 12)),
     # valuation 2, a cubic in u with the simple seed root 1
     (_geometric(9).shift(2) * EpsilonSeries.from_poly(u ** 2 + 3, 9), gr(1)),
+    # a coefficient that carries the parameter a
+    *((_param_geometric(cap), gr(1)) for cap in (5, 12)),
+    # valuation 1, a cubic with the simple negative seed root -2
+    (EpsilonSeries.from_poly((u + 2) * (u ** 2 + 1), 13, 1) +
+     EpsilonSeries.from_poly(u ** 3, 13, 2), gr(-2)),
     (EpsilonSeries(5), gr(3))])
 def test_solve_root_equals_the_full_cap_newton(G, u0):
-    # Newton at doubling caps gives the root, or the error, of Newton with
-    # every step at the full cap
-    assert (_solved(series_solve_root, G, u0) ==
-            _solved(series_solve_root_full_cap, G, u0))
+    # the lift gives the root, or the error, of Newton with every step at
+    # the full cap, and its root makes every order of H = G/eps^v vanish:
+    # the lift checks no residual, since it solves each order exactly
+    root = _solved(series_solve_root, G, u0)
+    assert root == _solved(series_solve_root_full_cap, G, u0)
+    if isinstance(root, EpsilonSeries):
+        v = G.valuation() or 0
+        H = EpsilonSeries(G.cap - v, G.coeffs[v:])
+        assert substitute(H, {"u": root}).is_zero()
 
 
 @given(series5(), series5(), series5())
