@@ -121,6 +121,33 @@ def test_high_order_limit_cycle_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+#: a potential with complex coefficients: its flow prints (a+b*i),
+#: (a-b*i), b*i and -b*i terms, which no real example reaches
+COMPLEX_FLOW = "(1/2+i)*y^2*y' - i*y^3 + y'*cos(2t)"
+
+
+@pytest.mark.parametrize("name,fmt", [("complex_rg_order3.txt", "text"),
+                                      ("complex_rg_order3.json", "json")])
+def test_complex_coefficient_golden(capsys, name, fmt):
+    code, out = run(capsys, "rg", "--potential", COMPLEX_FLOW, "--order",
+                    "3", "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name,argv", [
+    # 289 KB and 244 KB of JSON, each kept as the line of `sha256sum`
+    ("mathieu_order13_json.sha256", ["mathieu", "--order", "13"]),
+    ("vdp_expand_order8_json.sha256",
+     ["expand", "--example", "vdp", "--order", "8"]),
+])
+def test_json_digest(capsys, name, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    want = (GOLDEN / name).read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_expand_json(capsys):
     code, out = run(capsys, "expand", "--example", "vdp", "--order", "2",
                     "--format", "json")
