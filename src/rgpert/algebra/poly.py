@@ -29,7 +29,8 @@ results in one pass, with no split and no product.  The form is
 canonical (no zero numerators, ``gcd(den, all numerators) == 1``, and the
 zero polynomial has ``den == 1``), so equal polynomials have equal
 ``terms`` and ``den``.  ``GaussianRational`` remains the scalar type at
-the interface: constructors, ``items()``, rendering and JSON.
+the interface: constructors, ``items()`` and ``as_constant``; text and
+JSON are formatted from the numerators (``rationals.text``).
 
 At that interface a monomial is an exponent tuple over ``vars``, the
 variables that occur, in the fixed precedence
@@ -44,7 +45,8 @@ from itertools import repeat
 from math import gcd, lcm
 
 from ..errors import BudgetExceeded
-from .rationals import GaussianRational, ZERO, Rat
+from .rationals import (GaussianRational, ZERO, Rat, _parts, ratio,
+                        signed_sum, text, times)
 
 _CORE_PRECEDENCE = {"t": 0, "A": 1, "B": 2, "Ar": 3, "Br": 4, "R": 5}
 
@@ -286,7 +288,7 @@ class ParamPolynomial:
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is _ONE_POLY else out * base
             n >>= 1
             if n:
                 base = base * base
@@ -469,62 +471,29 @@ class ParamPolynomial:
     # -- rendering --------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms as in items(), in descending graded-lex order."""
-        def key(item):
-            exps = item[0]
-            return (sum(exps), exps)
-        return sorted(self.items(), key=key, reverse=True)
+        """(exponent tuple over ``vars``, (re, im)) for every term, the
+        numerators over ``den``, in descending graded-lex order."""
+        unpack = self._unpacker()
+        return sorted(((unpack(key), c) for key, c in self.terms.items()),
+                      key=lambda term: (sum(term[0]), term[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        vars = self.vars
-        for exps, c in self.sorted_terms():
-            mono = "*".join(
-                (n if e == 1 else f"{n}^{e}")
-                for n, e in zip(vars, exps) if e)
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    body = mono
-                elif cs == "-1":
-                    body = f"-{mono}"
-                else:
-                    body = f"{cs}*{mono}"
-            else:
-                body = cs
-            parts.append(body)
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        vars, den = self.vars, self.den
+        return signed_sum([
+            times(text(re, im, den), "*".join(
+                n if e == 1 else f"{n}^{e}" for n, e in zip(vars, exps) if e))
+            for exps, (re, im) in self.sorted_terms()])
 
     def __repr__(self):
         return f"<ParamPolynomial {self}>"
 
     def to_json(self):
+        den = self.den
         return {
             "vars": list(self.vars),
-            "terms": [[list(exps), *c.json_parts()]
-                      for exps, c in self.sorted_terms()],
+            "terms": [[list(exps), ratio(re, den), ratio(im, den)]
+                      for exps, (re, im) in self.sorted_terms()],
         }
-
-
-def _parts(c):
-    """(re, im, den) with c == (re + im*i)/den, den > 0, in lowest terms."""
-    if isinstance(c, int):
-        return c, 0, 1
-    if type(c) is not GaussianRational:
-        c = GaussianRational(c)
-    re, im = c.re, c.im
-    rd, idn = int(re.denominator), int(im.denominator)
-    den = lcm(rd, idn)
-    return (int(re.numerator) * (den // rd),
-            int(im.numerator) * (den // idn), den)
 
 
 def _scalar(re, im, den):

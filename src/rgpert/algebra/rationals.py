@@ -5,9 +5,11 @@ arbitrary-precision rational real and imaginary parts.  Arithmetic never
 rounds.  The rational type is the stdlib fractions.Fraction.
 GaussianRational is the scalar type at the edges of the polynomial
 kernel, whose inner loops work on integer numerators (see poly.py).
+The exact text form is made here, from those numerators.
 """
 
 from fractions import Fraction as Rat
+from math import gcd, lcm
 
 _RAT_ZERO = Rat(0)
 
@@ -95,28 +97,65 @@ class GaussianRational:
     # -- rendering --------------------------------------------------------
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{_imag_str(abs(self.im))})"
+        return text(*_parts(self))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
-    def json_parts(self):
-        """('p/q', 'r/s') strings for the JSON rendering of a term."""
-        return (f"{self.re.numerator}/{self.re.denominator}",
-                f"{self.im.numerator}/{self.im.denominator}")
+
+def _parts(c):
+    """(re, im, den) with c == (re + im*i)/den, den > 0, in lowest terms."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if type(c) is not GaussianRational:
+        c = GaussianRational(c)
+    re, im = c.re, c.im
+    den = lcm(re.denominator, im.denominator)
+    return (re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator), den)
 
 
-def _imag_str(im):
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}*i"
+# -- text form ------------------------------------------------------------
+
+def ratio(n, d):
+    """n/d, d > 0, as 'p/q' in lowest terms: a part of a JSON scalar."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
+def _rational(n, d):
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def text(re, im, den):
+    """(re + im*i)/den, den > 0, as text: p/q (p if q = 1), b*i, i, -i,
+    (a+b*i) or (a-b*i), every rational in lowest terms."""
+    if not im:
+        return _rational(re, den)
+    b = "i" if abs(im) == den else _rational(abs(im), den) + "*i"
+    if not re:
+        return b if im > 0 else "-" + b
+    return f"({_rational(re, den)}{'+' if im > 0 else '-'}{b})"
+
+
+def times(c, factor):
+    """The term c*factor from their texts: c for no factor, and a unit c
+    elided, factor for 1 and -factor for -1."""
+    if factor and c in ("1", "-1"):
+        return c[:-1] + factor
+    return f"{c}*{factor}" if factor else c
+
+
+def eps_power(k):
+    """The text of eps^k: '' for k = 0, 'eps' for k = 1."""
+    return "" if k == 0 else "eps" if k == 1 else f"eps^{k}"
+
+
+def signed_sum(terms):
+    """The text terms as a sum, '0' for none, with ' + -' as ' - '.  A
+    term holds no ' + -' of its own; a sum made here has none."""
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def _coerce(x):

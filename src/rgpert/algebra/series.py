@@ -16,7 +16,7 @@ V(y) and the root lift ``series_solve_root`` use it.
 
 from ..errors import CapMismatch, DegenerateRoot, NonRationalRoot
 from .poly import ParamPolynomial, _as_poly, dot
-from .rationals import GaussianRational, ZERO
+from .rationals import GaussianRational, ZERO, eps_power, signed_sum, times
 
 _ZP = ParamPolynomial.zero()
 _ONE = ParamPolynomial.const(1)
@@ -149,32 +149,10 @@ class EpsilonSeries:
     # -- rendering --------------------------------------------------------
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if k == 0:
-                parts.append(cs)
-            else:
-                epspow = "eps" if k == 1 else f"eps^{k}"
-                if len(c.terms) > 1:
-                    cs = f"({cs})"
-                if cs == "1":
-                    parts.append(epspow)
-                elif cs == "-1":
-                    parts.append(f"-{epspow}")
-                else:
-                    parts.append(f"{cs}*{epspow}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return signed_sum([
+            times(f"({c})" if k and len(c.terms) > 1 else str(c),
+                  eps_power(k))
+            for k, c in enumerate(self.coeffs) if c])
 
     def __repr__(self):
         return f"<EpsilonSeries cap={self.cap}: {self}>"

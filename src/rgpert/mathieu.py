@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import (ParamPolynomial, EpsilonSeries, Rat, substitute,
                       series_solve_root)
+from .algebra.rationals import eps_power, signed_sum
 from .errors import (BudgetExceeded, NotLinear, NotScalar, Underdetermined,
                      NonRationalRoot, RootNotBracketed, SeriesOverflow)
 from .registry import get_example
@@ -59,13 +60,8 @@ class Branch:
     a_coeffs: tuple         # a = sum a_coeffs[j] * eps^j; g_j = a_coeffs[j]
 
     def a_series_str(self):
-        parts = ["1"]
-        for j, c in enumerate(self.a_coeffs):
-            if j == 0 or not c:
-                continue
-            term = f"{abs(c)}*eps" if j == 1 else f"{abs(c)}*eps^{j}"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
+        return signed_sum(["1", *(f"{c}*{eps_power(j)}" for j, c in
+                                  enumerate(self.a_coeffs) if j and c)])
 
     def a_value(self, eps):
         try:
@@ -100,7 +96,7 @@ def _series_roots(W):
     if "g" not in lead.vars:
         raise Underdetermined(f"order eps^{v} gives the nonzero "
                               f"constraint {lead}")
-    seeds = lead_roots(W, "g")
+    seeds = lead_roots(lead, "g")
     if not seeds:
         raise NonRationalRoot(f"{lead} = 0 has no rational root in g")
     roots = []

@@ -376,12 +376,10 @@ def _horner(p, x):
     return v
 
 
-def lead_roots(G, var):
-    """(r, simple) for each rational root r, a GaussianRational, of the
-    leading coefficient of the nonzero series G in ``var``, in increasing
-    order; simple when the derivative in ``var`` does not vanish at r.
-    These are the seeds of series_solve_root."""
-    lead = G.coeffs[G.valuation()]
+def lead_roots(lead, var):
+    """(r, simple) for each rational root r, a GaussianRational, of
+    ``lead`` in ``var``, in increasing order; simple when the derivative
+    in ``var`` does not vanish at r: the seeds of series_solve_root."""
     dlead = lead.diff(var)
     return [(r, bool(dlead.subs({var: r}).as_constant()))
             for r in map(GaussianRational, rational_roots(lead, var))]
@@ -486,8 +484,7 @@ def _cycle_solve(V, K, v, r0):
 def _seed(lead):
     """The smallest positive simple rational root of the leading radial
     equation ``lead`` in R."""
-    seeds = [r for r, simple in lead_roots(EpsilonSeries(0, [lead]), "R")
-             if simple and r.re > 0]
+    seeds = [r for r, simple in lead_roots(lead, "R") if simple and r.re > 0]
     if not seeds:
         raise DegenerateRoot(
             "leading radial equation has no simple positive rational root")

@@ -27,6 +27,7 @@ offending (harmonic, eps-order, monomial) as a concrete counterexample.
 from dataclasses import dataclass
 
 from .algebra import EpsilonSeries, P
+from .algebra.rationals import text
 from .potential import eval_potential, harmonic, harmonics, iz_dz
 
 
@@ -46,18 +47,18 @@ class IdentityReport:
         return f"{self.name} @K={self.cap}: {status}{extra}"
 
 
-def _term(vars, exps, coeff):
-    """One term in the ``coeff*v^e*...`` counterexample format."""
-    mono = "*".join(f"{v}^{e}" for v, e in zip(vars, exps) if e)
-    return f"{coeff}*{mono}" if mono else str(coeff)
+def _term(p, exps, num):
+    """A term of p.sorted_terms() in the ``coeff*v^e*...`` format."""
+    coeff = text(*num, p.den)
+    mono = "*".join(f"{v}^{e}" for v, e in zip(p.vars, exps) if e)
+    return f"{coeff}*{mono}" if mono else coeff
 
 
 def _first_offense(n, diff):
     """(n, eps-order, monomial) of the first nonzero term of a series."""
     for k, c in enumerate(diff.coeffs):
         if not c.is_zero():
-            exps, coeff = c.sorted_terms()[0]
-            return (n, k, _term(c.vars, exps, coeff))
+            return (n, k, _term(c, *c.sorted_terms()[0]))
     return None
 
 
@@ -166,9 +167,8 @@ def check_secular_free(rgsys):
         for k, c in enumerate(harmonic(rgsys.expansion, n).coeffs):
             if c.degree_in("t") > 0:
                 i = c.vars.index("t")
-                exps, coeff = next(
-                    term for term in c.sorted_terms() if term[0][i])
-                offenses.append((n, k, _term(c.vars, exps, coeff)))
+                offenses.append((n, k, _term(c, *next(
+                    term for term in c.sorted_terms() if term[0][i]))))
                 break
         else:
             offenses.append(None)

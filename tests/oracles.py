@@ -30,7 +30,11 @@ as the root of the polar flow's radial equation by series_solve_root,
 and that of an autonomous potential by Poincare-Lindstedt in tau = w t,
 where ``rgpert.rg.limit_cycle`` solves on the cycle.  And the scalar Hill
 determinant and its one-root-at-a-time bisection, which
-``rgpert.mathieu`` runs on arrays in lockstep.
+``rgpert.mathieu`` runs on arrays in lockstep.  Last, the text and JSON
+forms of scalars, polynomials and series through ``items()``, one
+GaussianRational per term with its own sign and unit tests and a join
+loop per container, where ``rgpert.algebra`` formats the numerators
+through one ``text`` and one ``signed_sum``.
 """
 
 import random
@@ -401,7 +405,8 @@ def polar_limit_cycle(polar):
             "radial equation mixes theta; no phase-free limit cycle")
     if G.is_zero():
         raise DegenerateRoot("radial equation is identically zero")
-    seeds = [r for r, simple in lead_roots(G, "R") if simple and r.re > 0]
+    seeds = [r for r, simple in lead_roots(G.coeffs[G.valuation()], "R")
+             if simple and r.re > 0]
     if not seeds:
         raise DegenerateRoot(
             "leading radial equation has no simple positive rational root")
@@ -610,3 +615,81 @@ def find_boundary_root_scalar(eps, N, branch, bracket=(0.5, 1.5),
         if hi - lo < 1e-14:
             break
     return 0.5 * (lo + hi)
+
+
+def gaussian_str(c):
+    """Reference oracle: str of a GaussianRational, from its Fractions."""
+    def imag(im):
+        return "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    if not c.im:
+        return str(c.re)
+    if not c.re:
+        return imag(c.im)
+    sign = "+" if c.im > 0 else "-"
+    return f"({c.re}{sign}{imag(abs(c.im))})"
+
+
+def _sorted_items(p):
+    return sorted(p.items(), key=lambda item: (sum(item[0]), item[0]),
+                  reverse=True)
+
+
+def _signed_join(parts):
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        if part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out
+
+
+def poly_str(p):
+    """Reference oracle: str of a ParamPolynomial through items()."""
+    parts = []
+    for exps, c in _sorted_items(p):
+        mono = "*".join((n if e == 1 else f"{n}^{e}")
+                        for n, e in zip(p.vars, exps) if e)
+        cs = gaussian_str(c)
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{cs}*{mono}")
+    return _signed_join(parts)
+
+
+def poly_json(p):
+    """Reference oracle: ParamPolynomial.to_json through items()."""
+    return {"vars": list(p.vars),
+            "terms": [[list(exps), f"{c.re.numerator}/{c.re.denominator}",
+                       f"{c.im.numerator}/{c.im.denominator}"]
+                      for exps, c in _sorted_items(p)]}
+
+
+def series_str(s):
+    """Reference oracle: str of an EpsilonSeries, each coefficient by
+    poly_str."""
+    parts = []
+    for k, c in enumerate(s.coeffs):
+        if c.is_zero():
+            continue
+        cs = poly_str(c)
+        if k == 0:
+            parts.append(cs)
+            continue
+        epspow = "eps" if k == 1 else f"eps^{k}"
+        if len(c.terms) > 1:
+            cs = f"({cs})"
+        if cs == "1":
+            parts.append(epspow)
+        elif cs == "-1":
+            parts.append(f"-{epspow}")
+        else:
+            parts.append(f"{cs}*{epspow}")
+    return _signed_join(parts)

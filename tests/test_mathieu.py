@@ -238,6 +238,16 @@ def test_branch_a_series(analysis7):
     assert minus.a_series_str().startswith("1 - 1/3*eps^2 + 5/216*eps^4")
 
 
+def test_branch_text_keeps_unit_coefficients():
+    # a unit coefficient prints as 1*eps^j, and a negative one with its
+    # sign in the join; a_coeffs[0] is the 1 of a = 1 + eps*g
+    branch = mathieu.Branch("x", (Rat(1), Rat(1), Rat(-2, 3), Rat(0),
+                                  Rat(-1), Rat(5, 7)))
+    assert branch.a_series_str() == ("1 + 1*eps - 2/3*eps^2 - 1*eps^4 "
+                                     "+ 5/7*eps^5")
+    assert mathieu.Branch("0", (Rat(1),)).a_series_str() == "1"
+
+
 def test_branches_annihilate_omega_squared(analysis7):
     w2, branches = analysis7
     w2 = in_parameters(w2)

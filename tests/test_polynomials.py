@@ -1,15 +1,17 @@
 import itertools
+import json
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rgpert.algebra import (GaussianRational, ParamPolynomial, P, Rat, gr,
-                            grq, order_vars)
+from rgpert.algebra import (EpsilonSeries, GaussianRational, ParamPolynomial,
+                            P, Rat, gr, grq, order_vars, poly)
 from rgpert.algebra.poly import W, dot
 from rgpert.errors import BudgetExceeded
 
-from oracles import dot_reference, subs_reference
+from oracles import (dot_reference, poly_json, poly_str, series_str,
+                     subs_reference)
 
 
 A, B, t = P("A"), P("B"), P("t")
@@ -591,7 +593,8 @@ def test_power_squares_no_further_than_the_target(monkeypatch):
         return out
 
     monkeypatch.setattr(ParamPolynomial, "__mul__", spy)
-    for n in (1, 2, 5, 16):
+    # p ** 1 forms no product (test_power_starts_from_the_base)
+    for n in (2, 5, 16):
         degrees.clear()
         power = p ** n
         assert power.degree_in("A") == n
@@ -600,3 +603,78 @@ def test_power_squares_no_further_than_the_target(monkeypatch):
     assert p ** 0 == ParamPolynomial.const(1)
     assert p ** 1 == p
     assert p ** 5 == p * p * p * p * p
+
+
+def test_power_starts_from_the_base(monkeypatch):
+    p = 1 + A + grq(1, 2) * B
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dot(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "dot", counting)
+    assert p ** 1 is p and not calls
+    for n, products in ((2, 1), (3, 2)):
+        calls.clear()
+        p ** n
+        assert len(calls) == products
+    monkeypatch.undo()
+    assert p ** 3 == p * p * p
+
+
+# ---------------------------------------------------------------------------
+# The text and JSON forms against the items()-based reference
+# ---------------------------------------------------------------------------
+
+TEXT_VARS = ("t", "A", "Br", "R", "w", "g1", "z")
+UNITS = (gr(1), gr(-1), gr(0, 1), gr(0, -1), gr(0), grq(1, 2, -1, 1))
+
+
+def text_polys():
+    """Polynomials whose terms have complex, unit, negative or zero
+    coefficients and Laurent exponents."""
+    coeffs = st.one_of(
+        st.sampled_from(UNITS),
+        st.builds(grq, st.integers(-3, 3), st.integers(1, 4),
+                  st.integers(-3, 3), st.integers(1, 4)))
+    exps = st.dictionaries(st.sampled_from(TEXT_VARS), st.integers(-2, 3))
+    return st.lists(st.tuples(exps, coeffs), max_size=4).map(
+        lambda terms: sum((ParamPolynomial.monomial(c, **e)
+                           for e, c in terms), ParamPolynomial.zero()))
+
+
+def text_series():
+    """Series with zero, single-term and multi-term coefficients at
+    every order, the zero series among them."""
+    return st.integers(0, 3).flatmap(lambda cap: st.lists(
+        st.one_of(st.just(ParamPolynomial.zero()), text_polys()),
+        min_size=cap + 1, max_size=cap + 1).map(
+            lambda coeffs: EpsilonSeries(cap, coeffs)))
+
+
+@given(text_polys())
+def test_text_and_json_equal_the_items_reference(p):
+    assert str(p) == poly_str(p)
+    assert json.dumps(p.to_json()) == json.dumps(poly_json(p))
+
+
+@given(text_series())
+def test_series_text_and_json_equal_the_items_reference(s):
+    assert str(s) == series_str(s)
+    assert json.dumps(s.to_json()) == json.dumps(
+        {"cap": s.cap, "coeffs": [poly_json(c) for c in s.coeffs]})
+
+
+def test_text_and_json_build_no_scalar(monkeypatch):
+    p = (grq(1, 2, -3, 4) * A ** 2 * t - B + gr(0, 1)
+         + ParamPolynomial.var("w", -1, 2))
+    s = EpsilonSeries(2, [p, -A, p])
+    want = str(p), p.to_json(), str(s), s.to_json()
+
+    def refuse(*args):
+        raise AssertionError("a scalar was built per term")
+
+    monkeypatch.setattr(poly, "_scalar", refuse)
+    assert (str(p), p.to_json(), str(s), s.to_json()) == want
+    assert str(EpsilonSeries(3)) == "0"

@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rgpert.algebra import GaussianRational, Rat, gr, grq, ONE, I
+from rgpert.algebra.rationals import text
+
+from oracles import gaussian_str
 
 
 small = st.integers(-20, 20)
@@ -77,3 +80,17 @@ def test_inverse_roundtrip(z):
 def test_conjugation_is_a_homomorphism(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+
+@given(small, small, pos)
+def test_text_of_unreduced_numerators(re, im, den):
+    c = GaussianRational(Rat(re, den), Rat(im, den))
+    assert text(re, im, den) == str(c) == gaussian_str(c)
+
+
+def test_text_reduces_each_part():
+    assert text(2, -4, 4) == "(1/2-i)"
+    assert text(0, 6, 3) == "2*i"
+    assert text(-3, 3, 3) == "(-1+i)"
+    assert text(0, -5, 5) == "-i"
+    assert text(4, 0, 6) == "2/3"
