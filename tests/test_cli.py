@@ -121,6 +121,31 @@ def test_high_order_limit_cycle_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+#: repr(400 * math.pi): 200 periods, 40,001 rows, the benchmark's size
+TWO_HUNDRED_PERIODS = "1256.6370614359173"
+
+
+@pytest.mark.parametrize("name,argv", [
+    # 2.4 MB and 2.3 MB of CSV, each kept as the line of `sha256sum`
+    ("nonauto_compare_order4_200periods.sha256",
+     ["compare", "--example", "nonauto", "--order", "4", "--eps", "0.25",
+      "--R0", "0.2", "--theta0", "-0.1", "--rg-order", "2",
+      "--tmax", TWO_HUNDRED_PERIODS]),
+    ("vdp_ode_200periods.sha256",
+     ["simulate", "--example", "vdp", "--eps", "0.1", "--y0", "2",
+      "--dy0", "0", "--tmax", TWO_HUNDRED_PERIODS]),
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_long_csv_digest(capsys, tmp_path, name, argv, to_file):
+    want = (GOLDEN / name).read_text().split()[0]
+    out_file = tmp_path / "out.csv"
+    code, out = run(capsys, *argv, *(["--out", str(out_file)] if to_file
+                                     else []))
+    assert code == 0
+    text = out_file.read_bytes() if to_file else out.encode()
+    assert hashlib.sha256(text).hexdigest() == want
+
+
 #: a potential with complex coefficients: its flow prints (a+b*i),
 #: (a-b*i), b*i and -b*i terms, which no real example reaches
 COMPLEX_FLOW = "(1/2+i)*y^2*y' - i*y^3 + y'*cos(2t)"
