@@ -434,14 +434,6 @@ class ParamPolynomial:
             {e: (re, -im) for e, (re, im) in self.terms.items()},
             self.den, self.bound)
 
-    def items(self):
-        """(exponent tuple over ``vars``, GaussianRational coefficient) for
-        every term, in insertion order."""
-        unpack = self._unpacker()
-        den = self.den
-        return [(unpack(key), _scalar(re, im, den))
-                for key, (re, im) in self.terms.items()]
-
     def as_constant(self):
         """The value of a constant polynomial, or None."""
         if not self.terms:

@@ -4,7 +4,13 @@ Everything is deliberately deterministic: fixed step, no adaptivity, both
 systems sampled on the same uniform grid so comparisons never interpolate.
 """
 
+import errno
+import gc
 import math
+import os
+import signal
+import tempfile
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -347,7 +353,11 @@ def compare(a, b):
 
 #: Rows formatted per string operation: large enough to amortise the
 #: call, small enough that the text of one chunk stays well under a MiB.
+#: A CSV of at least two chunks is formatted in two processes.
 CSV_CHUNK_ROWS = 4096
+#: Bytes of the second process's text copied to ``out`` at a time: about
+#: the text of one chunk of four columns.
+_COPY_BYTES = 1 << 18
 
 
 def csv_lines(rows):
@@ -359,9 +369,72 @@ def csv_lines(rows):
         yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
+def _two_processes(n):
+    """Whether ``n`` rows are worth a second process and one may be
+    forked safely: at least two chunks, two CPUs and no other thread."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    return (n >= 2 * CSV_CHUNK_ROWS and hasattr(os, "fork") and cpus >= 2
+            and threading.active_count() == 1)
+
+
+def _fork_csv(rows):
+    """(pid, file) of a forked child that writes the CSV lines of
+    ``rows`` to the unlinked temporary ``file`` and exits 0, or None
+    where no temporary file or no process can be made."""
+    try:
+        tmp = tempfile.TemporaryFile()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        tmp.close()
+        return None
+    if pid:
+        return pid, tmp
+    # leave only through _exit: no buffer of the parent is flushed twice
+    # and no atexit hook runs; no collection runs a finaliser of an
+    # object the parent owns
+    code = 1
+    try:
+        gc.disable()
+        for text in csv_lines(rows):
+            tmp.write(text.encode("ascii"))
+        tmp.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def write_csv(out, rows, header="t,y_numeric,y_rg,diff"):
     """The header line and the CSV lines of ``rows`` to the open text
-    file ``out``."""
-    out.write(header + "\n")
-    out.writelines(csv_lines(rows))
+    file ``out``.
 
+    A large CSV is formatted in two processes: a forked child formats
+    the second half of the rows into an unlinked temporary file while
+    this process writes the first half, then the file is copied to
+    ``out``.  The bytes are the same either way.  The child is reaped
+    before this returns or raises, and never writes to ``out``.
+    """
+    out.write(header + "\n")
+    half = len(rows) // 2
+    child = _fork_csv(rows[half:]) if _two_processes(len(rows)) else None
+    if child is None:
+        out.writelines(csv_lines(rows))
+        return
+    pid, tmp = child
+    with tmp:
+        try:
+            out.writelines(csv_lines(rows[:half]))
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            raise OSError(errno.EIO, "the process formatting the second "
+                          f"half of the CSV exited with status {code}")
+        tmp.seek(0)
+        while data := tmp.read(_COPY_BYTES):
+            out.write(data.decode("ascii"))

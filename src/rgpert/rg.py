@@ -263,7 +263,8 @@ def rational_roots(poly, var):
     Raises NonRationalRoot if the coefficients are not all real
     rational, and Underdetermined if ``poly`` has variables besides
     ``var``.
-    With the coefficients cleared to integers c_0 != 0, ..., c_n, every
+    The numerators over the common denominator are integer
+    coefficients c_0 != 0, ..., c_n with the same roots, so every
     rational root is y/c_n for an integer root y of the monic integer
     polynomial c_n^(n-1) * f(y/c_n) (rational root theorem);
     _integer_roots finds those in time polynomial in n and the
@@ -273,15 +274,12 @@ def rational_roots(poly, var):
     if extra:
         raise Underdetermined(f"{poly} = 0 has variables other than "
                               f"{var}: {', '.join(extra)}")
-    coeffs = {}
-    for exps, c in poly.items():
-        if not c.is_real:
-            raise NonRationalRoot(f"{poly} = 0 has complex coefficients")
-        coeffs[exps[0] if exps else 0] = c.re
-    if not coeffs or max(coeffs) == 0:
+    terms = poly.sorted_terms()
+    if any(im for _, (_, im) in terms):
+        raise NonRationalRoot(f"{poly} = 0 has complex coefficients")
+    ic = {exps[0] if exps else 0: re for exps, (re, _) in terms}
+    if not ic or max(ic) == 0:
         return []
-    den = lcm(*(int(q.denominator) for q in coeffs.values()))
-    ic = {e: int(q * den) for e, q in coeffs.items() if q}
     low = min(ic)
     roots = [Rat(0)] if low > 0 else []
     ic = {e - low: c for e, c in ic.items()}

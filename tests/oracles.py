@@ -45,7 +45,7 @@ from rgpert.algebra import (ParamPolynomial, EpsilonSeries, substitute, P,
                             gr, grq, I, ZERO, Rat, GaussianRational, dot,
                             series_solve_root)
 from rgpert.algebra.poly import (_HALF, _MASK, _ZERO_POLY, _as_poly,
-                                 _normalized, _reader)
+                                 _normalized, _reader, _scalar)
 from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
                            RootNotBracketed, ThetaDependent, TrivialLinear,
                            Underdetermined)
@@ -484,9 +484,17 @@ def q_split(Y):
                  for n in (1, -1))
 
 
+def items(p):
+    """(exponent tuple over ``p.vars``, GaussianRational coefficient) for
+    every term of ``p``, in insertion order."""
+    unpack = p._unpacker()
+    return [(unpack(key), _scalar(re, im, p.den))
+            for key, (re, im) in p.terms.items()]
+
+
 def constant_term(p):
     """The coefficient of the monomial with all exponents 0."""
-    return dict(p.items()).get((0,) * len(p.vars), ZERO)
+    return dict(items(p)).get((0,) * len(p.vars), ZERO)
 
 
 def peak_amplitude(traj, t_min):
@@ -630,7 +638,7 @@ def gaussian_str(c):
 
 
 def _sorted_items(p):
-    return sorted(p.items(), key=lambda item: (sum(item[0]), item[0]),
+    return sorted(items(p), key=lambda item: (sum(item[0]), item[0]),
                   reverse=True)
 
 

@@ -1,5 +1,11 @@
 import cmath
+import errno
+import io
 import math
+import os
+import signal
+import tempfile
+import threading
 import tracemalloc
 import warnings
 
@@ -574,6 +580,167 @@ def test_csv_lines_match_float_repr(tmp_path):
     expected = "a,b,c,d\n" + "".join(
         ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
     assert path.read_text() == expected
+
+
+C = nm.CSV_CHUNK_ROWS
+#: float values whose repr the CSV must keep: sign of zero, subnormal,
+#: infinities, nan, the first integer past exact float spacing 1, 2/3
+CSV_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2 / 3]
+
+
+def _csv_rows(n, cols):
+    rng = np.random.default_rng(n * 10 + cols)
+    values = rng.standard_normal(n * cols) * 10.0 ** rng.integers(-8, 9,
+                                                                  n * cols)
+    values[::97][:len(CSV_SPECIALS)] = CSV_SPECIALS
+    values[-len(CSV_SPECIALS):] = CSV_SPECIALS
+    return values.reshape(n, cols)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children write_csv forks, counted; two CPUs whatever the host
+    has, so the two-process path runs; no child left after the test."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    yield calls
+    _assert_no_child()
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [2 * C - 1, 2 * C, 2 * C + 1, 3 * C + 7])
+def test_two_process_csv_is_byte_equal(forks, capfd, tmp_path, n):
+    for cols in range(1, 5):
+        rows = _csv_rows(n, cols)
+        header = ",".join(f"c{j}" for j in range(cols))
+        want = header + "\n" + "".join(nm.csv_lines(rows))
+        path = tmp_path / "rows.csv"
+        with open(path, "w") as fh:
+            nm.write_csv(fh, rows, header)
+        _assert_no_child()
+        assert path.read_text() == want, cols
+        buf = io.StringIO()
+        nm.write_csv(buf, rows, header)
+        _assert_no_child()
+        assert buf.getvalue() == want, cols
+    # one child per call at two chunks and more, none below
+    assert len(forks) == (8 if n >= 2 * C else 0)
+    # the child wrote nowhere but its temporary file
+    assert capfd.readouterr() == ("", "")
+
+
+def _no_resource(*args):
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("why", ["one cpu", "no fork", "a thread",
+                                 "fork fails", "no temporary file"])
+def test_one_process_when_a_fork_is_unsafe_or_useless(forks, monkeypatch,
+                                                      why):
+    if why == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+    elif why == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif why == "fork fails":
+        monkeypatch.setattr(os, "fork", _no_resource)
+    elif why == "no temporary file":
+        monkeypatch.setattr(tempfile, "TemporaryFile", _no_resource)
+    rows = _csv_rows(2 * C, 2)
+    buf = io.StringIO()
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if why == "a thread":
+        thread.start()
+    try:
+        nm.write_csv(buf, rows, "a,b")
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert buf.getvalue() == "a,b\n" + "".join(nm.csv_lines(rows))
+    assert forks == []
+
+
+class _FullAfterHeader(io.StringIO):
+    """A text file whose disk fills once the header is written."""
+
+    def write(self, text):
+        if self.tell():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("write_csv hung")
+
+
+def test_failed_write_reraises_and_reaps_the_child(forks):
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(20)
+    try:
+        out = _FullAfterHeader()
+        with pytest.raises(OSError) as info:
+            nm.write_csv(out, _csv_rows(3 * C + 7, 4))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert info.value.errno == errno.ENOSPC
+    assert out.getvalue() == "t,y_numeric,y_rg,diff\n"
+    assert len(forks) == 1
+
+
+def test_failed_child_fails_the_write(forks, monkeypatch, capfd):
+    parent = os.getpid()
+    lines = nm.csv_lines
+
+    def failing_in_the_child(rows):
+        if os.getpid() != parent:
+            raise MemoryError
+        return lines(rows)
+
+    monkeypatch.setattr(nm, "csv_lines", failing_in_the_child)
+    out = io.StringIO()
+    with pytest.raises(OSError, match="exited with status 1") as info:
+        nm.write_csv(out, _csv_rows(2 * C, 4))
+    assert info.value.errno == errno.EIO
+    assert len(forks) == 1
+    # no traceback, and no text of the child's half
+    assert capfd.readouterr() == ("", "")
+    assert out.getvalue().count("\n") == C + 1
+
+
+def test_parent_never_holds_the_childs_half(forks, tmp_path):
+    # the child's half of 3 chunks is about 1.5 chunks of text; the
+    # parent copies it in pieces, so its peak stays that of formatting
+    # and writing one chunk in one process
+    def peak(rows):
+        with open(tmp_path / "rows.csv", "w") as fh:
+            tracemalloc.start()
+            try:
+                nm.write_csv(fh, rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    one_chunk = peak(_csv_rows(C, 4))
+    assert forks == []
+    two_process = peak(_csv_rows(3 * C, 4))
+    assert len(forks) == 1
+    assert two_process < 1.25 * one_chunk
 
 
 def test_overflow_in_the_kernel_warns_nobody():
