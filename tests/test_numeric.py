@@ -583,8 +583,8 @@ def test_csv_lines_match_float_repr(tmp_path):
 
 
 C = nm.CSV_CHUNK_ROWS
-#: float values whose repr the CSV must keep: sign of zero, subnormal,
-#: infinities, nan, the first integer past exact float spacing 1, 2/3
+#: float values whose repr the CSV must keep: nan, the infinities, the
+#: sign of zero, the smallest subnormal, 1e16 (printed as 1e+16), 2/3
 CSV_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2 / 3]
 
 
