@@ -8,6 +8,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 from .algebra import Rat, GaussianRational
@@ -351,11 +352,6 @@ def cmd_compare(args, parser):
         # the orders read; --order only bounds them
         sysc = normal_form(V, max(args.rg_order, args.expansion_order))
         pol = to_polar(sysc)
-        amp = numeric.integrate_rg(pol, args.eps, args.rg_order, args.tmax,
-                                   args.dt, R0=args.R0, theta0=args.theta0)
-        numeric.require_whole(amp, "the amplitude flow")
-        y_rg = numeric.evaluate_expansion(sysc, amp, args.eps,
-                                          args.expansion_order)
         if direct:
             y0, dy0 = args.y0, args.dy0
         else:
@@ -364,8 +360,17 @@ def cmd_compare(args, parser):
             y0, dy0 = numeric.expansion_initial_conditions(
                 sysc, args.eps, args.rg_order, args.expansion_order,
                 Ar0=Ar0, Br0=Ar0.conjugate())
-        ode = numeric.integrate_ode(V, y0, dy0, args.eps, args.tmax,
-                                    args.dt)
+        # the direct ODE needs only its start, so it runs beside the flow;
+        # a diverging flow is still reported first
+        with numeric.ODEChild(V, y0, dy0, args.eps, args.tmax,
+                              args.dt) as child:
+            amp = numeric.integrate_rg(pol, args.eps, args.rg_order,
+                                       args.tmax, args.dt, R0=args.R0,
+                                       theta0=args.theta0)
+            numeric.require_whole(amp, "the amplitude flow")
+            y_rg = numeric.evaluate_expansion(sysc, amp, args.eps,
+                                              args.expansion_order)
+            ode = child.result()
         numeric.require_whole(ode, "the direct ODE")
         metrics, rows = numeric.compare(ode, y_rg)
         _emit_rows(args, parser, out, "t,y_numeric,y_rg,diff", rows)
@@ -432,9 +437,19 @@ def main(argv=None):
     args = parser.parse_args(
         _join_signed(sys.argv[1:] if argv is None else argv))
     try:
-        return handlers[args.command](args, parser)
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()
+        return code
     except RgpertError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone, as with `| head`: the rest goes
+        # to the null device, so that the flush at exit raises nothing
+        # (the "Note on SIGPIPE" of the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -263,7 +263,14 @@ def _evaluate(terms, *values, powers=None):
         for i, p in enumerate(exps):
             vp = powers.get((i, p))
             if vp is None:
-                vp = powers[i, p] = values[i] ** p
+                try:
+                    vp = values[i] ** p
+                except OverflowError:
+                    # complex ** int raises where a complex128 gives
+                    # inf or nan; take those, as _RHS.power does
+                    with np.errstate(all="ignore"):
+                        vp = complex(np.complex128(values[i]) ** p)
+                powers[i, p] = vp
             c = c * vp
         out += c
     return out
@@ -370,18 +377,19 @@ def csv_lines(rows):
 
 
 def _two_processes(n):
-    """Whether ``n`` rows are worth a second process and one may be
-    forked safely: at least two chunks, two CPUs and no other thread."""
+    """Whether work over ``n`` rows or steps is worth a second process
+    and one may be forked safely: at least two CSV chunks, two CPUs and
+    no other thread."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
     return (n >= 2 * CSV_CHUNK_ROWS and hasattr(os, "fork") and cpus >= 2
             and threading.active_count() == 1)
 
 
-def _fork_csv(rows):
-    """(pid, file) of a forked child that writes the CSV lines of
-    ``rows`` to the unlinked temporary ``file`` and exits 0, or None
-    where no temporary file or no process can be made."""
+def _fork(write):
+    """(pid, file) of a forked child that calls ``write(file)`` on the
+    unlinked temporary ``file`` and exits 0, or None where no temporary
+    file or no process can be made."""
     try:
         tmp = tempfile.TemporaryFile()
     except OSError:
@@ -399,12 +407,75 @@ def _fork_csv(rows):
     code = 1
     try:
         gc.disable()
-        for text in csv_lines(rows):
-            tmp.write(text.encode("ascii"))
+        write(tmp)
         tmp.flush()
         code = 0
     finally:
         os._exit(code)
+
+
+def _reap(pid, kill=False):
+    """Exit status of the child ``pid``, killed first if ``kill``."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+class ODEChild:
+    """``integrate_ode(V, y0, dy0, eps, t_max, h)`` in a forked child
+    while the caller works, as a context manager::
+
+        with ODEChild(V, y0, dy0, eps, t_max) as child:
+            ...                     # the caller's own work
+            ode = child.result()
+
+    Under the conditions of the two-process CSV writer the child sends
+    the truncation flag and the float64 state buffer through an unlinked
+    temporary file; elsewhere, or where the child fails, ``result`` runs
+    ``integrate_ode`` here, so the trajectory and any error are those of
+    ``integrate_ode``.  A child still running when the ``with`` block
+    is left is killed; every child is reaped before it ends.
+    """
+
+    def __init__(self, V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
+        self.args = (V, y0, dy0, eps, t_max, h)
+        self.grid = _grid(t_max, h)
+        self.child = None
+
+    def __enter__(self):
+        if _two_processes(len(self.grid)):
+            self.child = _fork(self._send)
+        return self
+
+    def _send(self, tmp):
+        traj = integrate_ode(*self.args)
+        tmp.write(bytes([traj.truncated]))
+        tmp.write(traj.values)
+
+    def result(self):
+        """The Trajectory of ``integrate_ode``: the child's, or one
+        integrated here where there is no child or it failed."""
+        if self.child is not None:
+            pid, tmp = self.child
+            code = _reap(pid)
+            self.child = None
+            with tmp:
+                if code == 0:
+                    tmp.seek(0)
+                    truncated = tmp.read(1) == b"\1"
+                    flat = array("d")
+                    flat.frombytes(tmp.read())
+                    values = np.frombuffer(flat).reshape(-1, 2)
+                    return Trajectory(self.grid[:len(values)], ("y", "dy"),
+                                      values, truncated=truncated)
+        return integrate_ode(*self.args)
+
+    def __exit__(self, *exc):
+        if self.child is not None:
+            pid, tmp = self.child
+            with tmp:
+                _reap(pid, kill=True)
+            self.child = None
 
 
 def write_csv(out, rows, header="t,y_numeric,y_rg,diff"):
@@ -419,7 +490,12 @@ def write_csv(out, rows, header="t,y_numeric,y_rg,diff"):
     """
     out.write(header + "\n")
     half = len(rows) // 2
-    child = _fork_csv(rows[half:]) if _two_processes(len(rows)) else None
+
+    def second_half(tmp):
+        for text in csv_lines(rows[half:]):
+            tmp.write(text.encode("ascii"))
+
+    child = _fork(second_half) if _two_processes(len(rows)) else None
     if child is None:
         out.writelines(csv_lines(rows))
         return
@@ -428,10 +504,9 @@ def write_csv(out, rows, header="t,y_numeric,y_rg,diff"):
         try:
             out.writelines(csv_lines(rows[:half]))
         except BaseException:
-            os.kill(pid, signal.SIGKILL)
+            _reap(pid, kill=True)
             raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        code = _reap(pid)
         if code:
             raise OSError(errno.EIO, "the process formatting the second "
                           f"half of the CSV exited with status {code}")

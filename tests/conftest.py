@@ -1,5 +1,7 @@
 """Shared oracle-building helpers for the test suite."""
 
+import os
+
 import pytest
 
 
@@ -115,3 +117,40 @@ def vdp_Y5():
 @pytest.fixture(scope="session")
 def nonauto_Y4():
     return example_expansion("nonauto", 4)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children that rgpert forks, counted; two CPUs whatever the
+    host has, so the two-process paths run; no child left after the
+    test."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    yield calls
+    assert_no_child()
+
+
+def assert_no_child():
+    """No child of this process runs or waits to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_a_child(f, act):
+    """``f``, except that a forked child calls ``act()`` first."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            act()
+        return f(*args)
+
+    return wrapped

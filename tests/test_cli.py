@@ -15,6 +15,8 @@ from rgpert import cli, mathieu, numeric
 from rgpert import potential as potential_mod
 from rgpert.cli import build_parser, main
 
+from conftest import in_a_child
+
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -125,15 +127,19 @@ def test_high_order_limit_cycle_digest(capsys):
 TWO_HUNDRED_PERIODS = "1256.6370614359173"
 
 
+#: the benchmark's headline compare and the direct ODE of van der Pol
+COMPARE_200 = ["compare", "--example", "nonauto", "--order", "4", "--eps",
+               "0.25", "--R0", "0.2", "--theta0", "-0.1", "--rg-order", "2",
+               "--tmax", TWO_HUNDRED_PERIODS]
+SIMULATE_200 = ["simulate", "--example", "vdp", "--eps", "0.1", "--y0", "2",
+                "--dy0", "0", "--tmax", TWO_HUNDRED_PERIODS]
+COMPARE_200_DIGEST = "nonauto_compare_order4_200periods.sha256"
+
+
 @pytest.mark.parametrize("name,argv", [
     # 2.4 MB and 2.3 MB of CSV, each kept as the line of `sha256sum`
-    ("nonauto_compare_order4_200periods.sha256",
-     ["compare", "--example", "nonauto", "--order", "4", "--eps", "0.25",
-      "--R0", "0.2", "--theta0", "-0.1", "--rg-order", "2",
-      "--tmax", TWO_HUNDRED_PERIODS]),
-    ("vdp_ode_200periods.sha256",
-     ["simulate", "--example", "vdp", "--eps", "0.1", "--y0", "2",
-      "--dy0", "0", "--tmax", TWO_HUNDRED_PERIODS]),
+    (COMPARE_200_DIGEST, COMPARE_200),
+    ("vdp_ode_200periods.sha256", SIMULATE_200),
 ])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_long_csv_digest(capsys, tmp_path, name, argv, to_file):
@@ -144,6 +150,51 @@ def test_long_csv_digest(capsys, tmp_path, name, argv, to_file):
     assert code == 0
     text = out_file.read_bytes() if to_file else out.encode()
     assert hashlib.sha256(text).hexdigest() == want
+
+
+def _compare_200_digest(capfd):
+    """sha256 of the headline compare's stdout through main, after
+    checking that only its metrics went to stderr."""
+    code = main(COMPARE_200)
+    out, err = capfd.readouterr()
+    assert code == 0
+    assert err.startswith("# max_abs_diff = ") and err.count("\n") == 2
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cpus,children", [({0, 1}, 2), ({0}, 0)],
+                         ids=["two cpus", "one cpu"])
+def test_compare_bytes_do_not_depend_on_the_path(forks, monkeypatch, capfd,
+                                                 cpus, children):
+    # two CPUs: the direct ODE and half of the CSV in forked children
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    want = (GOLDEN / COMPARE_200_DIGEST).read_text().split()[0]
+    assert _compare_200_digest(capfd) == want
+    assert len(forks) == children
+
+
+def _memory_error():
+    raise MemoryError
+
+
+def test_failed_ode_child_gives_the_same_csv(forks, monkeypatch, capfd):
+    monkeypatch.setattr(numeric, "integrate_ode", in_a_child(
+        numeric.integrate_ode, _memory_error))
+    want = (GOLDEN / COMPARE_200_DIGEST).read_text().split()[0]
+    assert _compare_200_digest(capfd) == want
+    assert len(forks) == 2
+
+
+def test_interrupted_compare_reaps_the_ode_child(forks, monkeypatch, capfd):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(numeric, "evaluate_expansion", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(COMPARE_200)
+    assert len(forks) == 1
+    assert capfd.readouterr() == ("", "")
 
 
 #: a potential with complex coefficients: its flow prints (a+b*i),
@@ -539,6 +590,22 @@ def test_compare_overflowing_eps_power_exit_1(capsys):
         "error: the amplitude flow diverged at t = 0.031415926535897934")
 
 
+@pytest.mark.parametrize("R0", ["1e200", "-1e120"])
+def test_compare_huge_amplitude_reports_the_flow(capsys, R0):
+    # the start of the direct ODE, computed before the flow, overflows a
+    # complex power: not an OverflowError, and the flow is named first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["compare", "--example", "vdp", "--order", "2",
+                     "--eps", "0.1", "--R0", R0, "--theta0", "0.5",
+                     "--tmax", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: the amplitude flow diverged at t = 0.031415926535897934")
+
+
 @pytest.mark.parametrize("potential,message", [
     ("y^100000", "exponent bound"),
     ("y^400*y'", "degree 401"),
@@ -556,11 +623,14 @@ def test_symbolic_budgets_exit_1_before_solving(capsys, monkeypatch,
     assert "budget" in captured.err and message in captured.err
 
 
-@pytest.mark.parametrize("argv,name", [
+DIVERGING = [
     (["--R0", "2", "--theta0", "0", "--rg-order", "2"], "amplitude flow"),
     (["--R0", "0.1", "--theta0", "0", "--rg-order", "0", "--y0", "30",
       "--dy0", "0"], "direct ODE"),
-], ids=["flow", "ode"])
+]
+
+
+@pytest.mark.parametrize("argv,name", DIVERGING, ids=["flow", "ode"])
 def test_compare_diverging_trajectory_exit_1(capsys, argv, name):
     # the truncated trajectory is named, with no numpy warning from
     # evaluating the expansion on non-finite amplitudes
@@ -572,6 +642,19 @@ def test_compare_diverging_trajectory_exit_1(capsys, argv, name):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: the {name} diverged at t = ")
+
+
+@pytest.mark.parametrize("argv,name", DIVERGING, ids=["flow", "ode"])
+def test_diverging_compare_reaps_the_ode_child(forks, capsys, argv, name):
+    # 300 is 9,549 steps, so the direct ODE runs in a child: killed when
+    # the flow diverges first, read when it diverges itself
+    code = main(["compare", "--potential", "y'^3", "--eps", "1",
+                 "--order", "2", "--tmax", "300", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the {name} diverged at t = ")
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("text,name", [
@@ -885,6 +968,14 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert len(built) == 1 + len(build_parser()[1])   # one per subcommand
 
 
+def _src_env():
+    """The environment, with this checkout's src/ first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
+
+
 def test_import_builds_no_parser():
     probe = ("import argparse\n"
              "built = []\n"
@@ -895,10 +986,59 @@ def test_import_builds_no_parser():
              "argparse.ArgumentParser.__init__ = counted\n"
              "import rgpert.cli\n"
              "print(len(built))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+#: main with stdout and stderr as the caller gives them: the forks are
+#: counted into the file named first, and two CPUs are reported whatever
+#: the host has; the exit status is main's, or 3 if a child is left
+PIPE_PROBE = """
+import os, sys
+from rgpert import cli
+forks = []
+fork = os.fork
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counting_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    code = 3
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(len(forks)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,children", [
+    (SIMULATE_200, 1),
+    (["expand", "--example", "vdp", "--order", "16"], 0),   # 844 KB
+    (COMPARE_200, 2),
+], ids=["simulate", "expand", "compare"])
+def test_closed_stdout_ends_quietly(tmp_path, argv, children):
+    # like `| head -c 50`: exit 1, no traceback, every child reaped
+    counted = tmp_path / "forks"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", PIPE_PROBE, str(counted), *argv],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        # stderr to its end: every process holding it has closed it
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert err == b""
+    assert counted.read_text() == str(children)

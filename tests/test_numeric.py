@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import errno
 import io
 import math
@@ -6,6 +7,7 @@ import os
 import signal
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 
 from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr, grq
-from rgpert.errors import (BudgetExceeded, ComplexPotential, GridMismatch,
-                           NotReal)
+from rgpert.errors import (BudgetExceeded, ComplexPotential, Diverged,
+                           GridMismatch, NotReal)
 from rgpert.potential import HARMONIC, harmonic, harmonics, parse_potential
 from rgpert.registry import get_example
 from rgpert.perturbation import expand
@@ -22,7 +24,7 @@ from rgpert.rg import (PHASE, PolarRG, derive_rg, normal_form, to_polar,
                        limit_cycle)
 from rgpert import numeric as nm
 
-from conftest import example_expansion
+from conftest import assert_no_child, example_expansion, in_a_child
 from oracles import peak_amplitude, polar_expansion
 
 
@@ -597,29 +599,6 @@ def _csv_rows(n, cols):
     return values.reshape(n, cols)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The children write_csv forks, counted; two CPUs whatever the host
-    has, so the two-process path runs; no child left after the test."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    yield calls
-    _assert_no_child()
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("n", [2 * C - 1, 2 * C, 2 * C + 1, 3 * C + 7])
 def test_two_process_csv_is_byte_equal(forks, capfd, tmp_path, n):
     for cols in range(1, 5):
@@ -629,11 +608,11 @@ def test_two_process_csv_is_byte_equal(forks, capfd, tmp_path, n):
         path = tmp_path / "rows.csv"
         with open(path, "w") as fh:
             nm.write_csv(fh, rows, header)
-        _assert_no_child()
+        assert_no_child()
         assert path.read_text() == want, cols
         buf = io.StringIO()
         nm.write_csv(buf, rows, header)
-        _assert_no_child()
+        assert_no_child()
         assert buf.getvalue() == want, cols
     # one child per call at two chunks and more, none below
     assert len(forks) == (8 if n >= 2 * C else 0)
@@ -645,10 +624,39 @@ def _no_resource(*args):
     raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
 
-@pytest.mark.parametrize("why", ["one cpu", "no fork", "a thread",
-                                 "fork fails", "no temporary file"])
+def _csv_in_one_process():
+    rows = _csv_rows(2 * C, 2)
+    buf = io.StringIO()
+    nm.write_csv(buf, rows, "a,b")
+    return buf.getvalue(), "a,b\n" + "".join(nm.csv_lines(rows))
+
+
+#: the van der Pol ODE over 2 CSV chunks of steps, the least that forks
+VDP_TWO_CHUNKS = (get_example("vdp").potential(), 2.0, 0.0, 0.1,
+                  2 * C * nm.DEFAULT_STEP)
+
+
+def _ode_in_one_process():
+    with nm.ODEChild(*VDP_TWO_CHUNKS) as child:
+        got = child.result()
+    return _raw(got), _raw(nm.integrate_ode(*VDP_TWO_CHUNKS))
+
+
+def _raw(traj):
+    """Every bit of a trajectory, and the layout of its states."""
+    v = traj.values
+    return (traj.t.tobytes(), traj.columns, v.tobytes(), v.shape, v.dtype,
+            v.flags.c_contiguous, traj.truncated)
+
+
+@pytest.mark.parametrize("why,caller", [
+    pytest.param(why, caller, id=why + suffix)
+    for caller, suffix in ((_csv_in_one_process, ""),
+                           (_ode_in_one_process, "-ode"))
+    for why in ("one cpu", "no fork", "a thread", "fork fails",
+                "no temporary file")])
 def test_one_process_when_a_fork_is_unsafe_or_useless(forks, monkeypatch,
-                                                      why):
+                                                      why, caller):
     if why == "one cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
@@ -658,20 +666,18 @@ def test_one_process_when_a_fork_is_unsafe_or_useless(forks, monkeypatch,
         monkeypatch.setattr(os, "fork", _no_resource)
     elif why == "no temporary file":
         monkeypatch.setattr(tempfile, "TemporaryFile", _no_resource)
-    rows = _csv_rows(2 * C, 2)
-    buf = io.StringIO()
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     if why == "a thread":
         thread.start()
     try:
-        nm.write_csv(buf, rows, "a,b")
+        got, want = caller()
     finally:
         done.set()
         if thread.is_alive():
             thread.join(timeout=10)
     assert not thread.is_alive()
-    assert buf.getvalue() == "a,b\n" + "".join(nm.csv_lines(rows))
+    assert got == want
     assert forks == []
 
 
@@ -685,34 +691,38 @@ class _FullAfterHeader(io.StringIO):
 
 
 def _raise_timeout(signum, frame):
-    raise TimeoutError("write_csv hung")
+    raise TimeoutError("a child was waited for, not killed")
 
 
-def test_failed_write_reraises_and_reaps_the_child(forks):
+@contextlib.contextmanager
+def _within(seconds):
+    """TimeoutError in the block once ``seconds`` have passed."""
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.alarm(20)
+    signal.alarm(seconds)
     try:
-        out = _FullAfterHeader()
-        with pytest.raises(OSError) as info:
-            nm.write_csv(out, _csv_rows(3 * C + 7, 4))
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _memory_error():
+    raise MemoryError
+
+
+def test_failed_write_reraises_and_reaps_the_child(forks):
+    with _within(20):
+        out = _FullAfterHeader()
+        with pytest.raises(OSError) as info:
+            nm.write_csv(out, _csv_rows(3 * C + 7, 4))
     assert info.value.errno == errno.ENOSPC
     assert out.getvalue() == "t,y_numeric,y_rg,diff\n"
     assert len(forks) == 1
 
 
 def test_failed_child_fails_the_write(forks, monkeypatch, capfd):
-    parent = os.getpid()
-    lines = nm.csv_lines
-
-    def failing_in_the_child(rows):
-        if os.getpid() != parent:
-            raise MemoryError
-        return lines(rows)
-
-    monkeypatch.setattr(nm, "csv_lines", failing_in_the_child)
+    monkeypatch.setattr(nm, "csv_lines", in_a_child(nm.csv_lines,
+                                                    _memory_error))
     out = io.StringIO()
     with pytest.raises(OSError, match="exited with status 1") as info:
         nm.write_csv(out, _csv_rows(2 * C, 4))
@@ -741,6 +751,54 @@ def test_parent_never_holds_the_childs_half(forks, tmp_path):
     two_process = peak(_csv_rows(3 * C, 4))
     assert len(forks) == 1
     assert two_process < 1.25 * one_chunk
+
+
+@pytest.mark.parametrize("args,truncated", [
+    (VDP_TWO_CHUNKS, False),
+    ((get_example("nonauto").potential(), 0.3, -0.1, 0.25,
+      (3 * C + 7) * nm.DEFAULT_STEP), False),
+    # y'' + y = y^2 from y = 2 leaves the box within 100 steps
+    ((parse_potential("y^2"), 2.0, 0.0, 1.0, 2 * C * nm.DEFAULT_STEP),
+     True),
+], ids=["vdp", "nonauto", "diverging"])
+def test_ode_child_is_integrate_ode_bit_for_bit(forks, capfd, args,
+                                                truncated):
+    with nm.ODEChild(*args) as child:
+        got = child.result()
+    assert len(forks) == 1
+    want = nm.integrate_ode(*args)
+    assert _raw(got) == _raw(want)
+    assert got.truncated is truncated
+    # a writable view of one float64 buffer, as _rk4 returns
+    assert got.values.flags.writeable
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("error", [Diverged("the amplitude flow"),
+                                   KeyboardInterrupt()],
+                         ids=["diverged", "interrupt"])
+def test_a_parent_that_raises_kills_and_reaps_the_ode_child(forks,
+                                                            monkeypatch,
+                                                            error):
+    # a child that would integrate for a minute: only a kill ends it
+    monkeypatch.setattr(nm, "integrate_ode", in_a_child(
+        nm.integrate_ode, lambda: time.sleep(60)))
+    with _within(20):
+        with pytest.raises(type(error)) as info:
+            with nm.ODEChild(*VDP_TWO_CHUNKS):
+                raise error
+    assert info.value is error
+    assert len(forks) == 1
+
+
+def test_overflowing_complex_power_is_not_a_number():
+    # complex ** int raises OverflowError; _evaluate takes the non-finite
+    # value of a complex128 instead, and the finite powers stay exact
+    z = complex(1e200, 1e100)
+    with pytest.raises(OverflowError):
+        z ** 3
+    assert nm._evaluate([((1,), 2j)], z) == 2j * z
+    assert not cmath.isfinite(nm._evaluate([((3,), 1 + 0j)], z))
 
 
 def test_overflow_in_the_kernel_warns_nobody():
