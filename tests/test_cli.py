@@ -134,12 +134,22 @@ COMPARE_200 = ["compare", "--example", "nonauto", "--order", "4", "--eps",
 SIMULATE_200 = ["simulate", "--example", "vdp", "--eps", "0.1", "--y0", "2",
                 "--dy0", "0", "--tmax", TWO_HUNDRED_PERIODS]
 COMPARE_200_DIGEST = "nonauto_compare_order4_200periods.sha256"
+#: the benchmark's other two long runs: the van der Pol amplitude flow at
+#: 200 periods and its compare at 100 periods
+FLOW_200 = ["simulate", "--example", "vdp", "--order", "4", "--eps", "0.1",
+            "--R0", "0.5", "--theta0", "0", "--rg-order", "4", "--tmax",
+            TWO_HUNDRED_PERIODS]
+COMPARE_VDP_100 = ["compare", "--example", "vdp", "--order", "4", "--eps",
+                   "0.1", "--R0", "1", "--theta0", "0", "--rg-order", "4",
+                   "--expansion-order", "4", "--tmax", "628.3185307179587"]
 
 
 @pytest.mark.parametrize("name,argv", [
-    # 2.4 MB and 2.3 MB of CSV, each kept as the line of `sha256sum`
+    # 2.4, 2.3, 2.3 and 1.6 MB of CSV, each kept as the line of `sha256sum`
     (COMPARE_200_DIGEST, COMPARE_200),
     ("vdp_ode_200periods.sha256", SIMULATE_200),
+    ("vdp_flow_order4_200periods.sha256", FLOW_200),
+    ("vdp_compare_order4_100periods.sha256", COMPARE_VDP_100),
 ])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_long_csv_digest(capsys, tmp_path, name, argv, to_file):
