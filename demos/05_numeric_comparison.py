@@ -24,27 +24,29 @@ polar = to_polar(system)
 Ar0 = R0 * complex(math.cos(THETA0), math.sin(THETA0))
 y0, dy0 = nm.expansion_initial_conditions(system, EPS, 1, 1,
                                           Ar0=Ar0, Br0=Ar0.conjugate())
-ode = nm.integrate_ode(system.potential, y0, dy0, EPS, T_MAX)
 
 for order in (1, 2):
-    amplitudes = nm.integrate_rg(polar, EPS, order, T_MAX,
-                                 R0=R0, theta0=THETA0)
-    y_rg = nm.evaluate_expansion(system, amplitudes, EPS, 1)
-    metrics, rows = nm.compare(ode, y_rg)
-    print(f"amplitude-flow order {order}: "
-          f"max|diff| = {metrics['max_abs_diff']:.4f}, "
-          f"rms = {metrics['rms_diff']:.4f}")
-    if order == 1:
-        # strict interior maxima of the sampled envelope
-        dR = np.diff(amplitudes.column("R"))
-        peaks = np.count_nonzero((dR[:-1] > 1e-12) & (dR[1:] < -1e-12))
-        print(f"  envelope peaks over the run: {peaks}")
-        with open("comparison.csv", "w") as fh:
-            nm.write_csv(fh, rows)
-        with open("comparison.gp", "w") as fh:
-            fh.write("set datafile separator ','\n"
-                     "set key autotitle columnhead\n"
-                     "plot 'comparison.csv' using 1:2 with lines, "
-                     "'comparison.csv' using 1:3 with lines\n")
-        print("  wrote comparison.csv and comparison.gp "
-              "(render with: gnuplot -p comparison.gp)")
+    # the direct ODE in the y_numeric column, the expansion along the
+    # flow in y_rg, and their difference: the rows `rgpert compare` writes
+    with nm.Comparison(system.potential, y0, dy0, system, EPS, 1,
+                       T_MAX) as rows:
+        amplitudes = nm.integrate_rg(polar, EPS, order, T_MAX, R0=R0,
+                                     theta0=THETA0, each=rows.chunk)
+        metrics = rows.metrics()
+        print(f"amplitude-flow order {order}: "
+              f"max|diff| = {metrics['max_abs_diff']:.4f}, "
+              f"rms = {metrics['rms_diff']:.4f}")
+        if order == 1:
+            # strict interior maxima of the sampled envelope
+            dR = np.diff(amplitudes.column("R"))
+            peaks = np.count_nonzero((dR[:-1] > 1e-12) & (dR[1:] < -1e-12))
+            print(f"  envelope peaks over the run: {peaks}")
+            with open("comparison.csv", "w") as fh:
+                nm.write_csv(fh, rows)
+            with open("comparison.gp", "w") as fh:
+                fh.write("set datafile separator ','\n"
+                         "set key autotitle columnhead\n"
+                         "plot 'comparison.csv' using 1:2 with lines, "
+                         "'comparison.csv' using 1:3 with lines\n")
+            print("  wrote comparison.csv and comparison.gp "
+                  "(render with: gnuplot -p comparison.gp)")

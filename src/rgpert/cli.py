@@ -325,18 +325,21 @@ def cmd_simulate(args, parser):
             args.rg_order = 1
         _check_orders(args, parser, "rg_order")
     with _open_out(args, parser) as out:
-        if direct:
-            traj = numeric.integrate_ode(V, args.y0, args.dy0, args.eps,
-                                         args.tmax, args.dt)
-        else:
+        if not direct:
             # the order read; --order only bounds it
             pol = to_polar(normal_form(V, args.rg_order, expansion=False))
-            traj = numeric.integrate_rg(pol, args.eps, args.rg_order,
-                                        args.tmax, args.dt,
-                                        R0=args.R0, theta0=args.theta0)
-        import numpy as np
-        rows = np.column_stack([traj.t, traj.values])
-        _emit_rows(args, parser, out, "t," + ",".join(traj.columns), rows)
+        with numeric.CSVRows(args.tmax, args.dt, 3) as rows:
+            if direct:
+                traj = numeric.integrate_ode(V, args.y0, args.dy0, args.eps,
+                                             args.tmax, args.dt,
+                                             each=rows.chunk)
+            else:
+                traj = numeric.integrate_rg(pol, args.eps, args.rg_order,
+                                            args.tmax, args.dt, R0=args.R0,
+                                            theta0=args.theta0,
+                                            each=rows.chunk)
+            _emit_rows(args, parser, out, "t," + ",".join(traj.columns),
+                       rows)
     if traj.truncated:
         print("# trajectory diverged and was truncated", file=sys.stderr)
     return 0
@@ -362,18 +365,15 @@ def cmd_compare(args, parser):
                 Ar0=Ar0, Br0=Ar0.conjugate())
         # the direct ODE needs only its start, so it runs beside the flow;
         # a diverging flow is still reported first
-        with numeric.ODEChild(V, y0, dy0, args.eps, args.tmax,
-                              args.dt) as child:
+        with numeric.Comparison(V, y0, dy0, sysc, args.eps,
+                                args.expansion_order, args.tmax,
+                                args.dt) as rows:
             amp = numeric.integrate_rg(pol, args.eps, args.rg_order,
                                        args.tmax, args.dt, R0=args.R0,
-                                       theta0=args.theta0)
+                                       theta0=args.theta0, each=rows.chunk)
             numeric.require_whole(amp, "the amplitude flow")
-            y_rg = numeric.evaluate_expansion(sysc, amp, args.eps,
-                                              args.expansion_order)
-            ode = child.result()
-        numeric.require_whole(ode, "the direct ODE")
-        metrics, rows = numeric.compare(ode, y_rg)
-        _emit_rows(args, parser, out, "t,y_numeric,y_rg,diff", rows)
+            metrics = rows.metrics()
+            _emit_rows(args, parser, out, "t,y_numeric,y_rg,diff", rows)
     print(f"# max_abs_diff = {metrics['max_abs_diff']!r}", file=sys.stderr)
     print(f"# rms_diff = {metrics['rms_diff']!r}", file=sys.stderr)
     return 0

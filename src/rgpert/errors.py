@@ -73,9 +73,5 @@ class NotReal(RgpertError):
     """Reconstructed signal has a non-negligible imaginary residue."""
 
 
-class GridMismatch(RgpertError):
-    """Trajectories to compare were sampled on different grids."""
-
-
 class Diverged(RgpertError):
     """A trajectory left the divergence box and was truncated."""

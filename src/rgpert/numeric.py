@@ -2,13 +2,18 @@
 
 Everything is deliberately deterministic: fixed step, no adaptivity, both
 systems sampled on the same uniform grid so comparisons never interpolate.
+The RK4 runs a CSV chunk of rows at a time, so that ``CSVRows`` can have
+each chunk formatted, in a second process, while the next is integrated;
+the floats and the bytes are those of one whole run.
 """
 
-import errno
 import gc
 import math
+import mmap
 import os
+import select
 import signal
+import struct
 import tempfile
 import threading
 from array import array
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BudgetExceeded, ComplexPotential, Diverged, NotReal,
-                     GridMismatch)
+                     SeriesOverflow)
 from .potential import HARMONIC, harmonic, harmonics
 from .rg import PHASE
 
@@ -151,16 +156,16 @@ def _fold(terms):
 
 
 def _kernel_source(rhs):
-    """One function running ``_n`` RK4 steps of ``rhs`` with inlined
-    stages; stages 2 and 3 share their time and so their ``time_lines``.
-    Step i starts at ``_t0 = i * h``, the float of the grid's
-    ``np.arange(n + 1) * h``, made only if ``time_lines`` read it.  Each
-    step appends the floats of its state, one at a time, through
-    ``_append``; the 2 of the update is the float 2.0 (see
+    """One function running the ``_n`` RK4 steps ``_i0 ... _i0 + _n - 1``
+    of ``rhs`` with inlined stages; stages 2 and 3 share their time and
+    so their ``time_lines``.  Step i starts at ``_t0 = i * h``, the float
+    of the grid's ``np.arange(n + 1) * h``, made only if ``time_lines``
+    read it.  Each step appends the floats of its state, one at a time,
+    through ``_append``; the 2 of the update is the float 2.0 (see
     ``_RHS.trig``)."""
     s = [f"_s{i}" for i in range(len(rhs.states))]
-    src = [f"def _kernel({', '.join(s)}, _n, _append):",
-           "    for _i in range(_n):"]
+    src = [f"def _kernel({', '.join(s)}, _i0, _n, _append):",
+           "    for _i in range(_i0, _i0 + _n):"]
     if rhs.time_lines:
         src.append("_t0 = _i * _h")
     stages = (("_t0", None), ("_t0 + _h2", "_h2"), (None, "_h2"),
@@ -183,13 +188,19 @@ def _kernel_source(rhs):
                      + ["    return False"])
 
 
-def _rk4(rhs, state0, grid):
+def _rk4(rhs, state0, grid, each=None):
     """Classical RK4 of the system ``rhs`` over a uniform grid: the states
     as one float64 array, a row per sample, viewing the one float64
     buffer that the kernel appends to, and whether the run was
     truncated.  Stops after the first step that leaves the box
     |x| <= DIVERGENCE_LIMIT, or turns nan, and reports it as truncated,
-    with fewer rows than the grid."""
+    with fewer rows than the grid.
+
+    The kernel runs a chunk of CSV_CHUNK_ROWS rows at a time; after each
+    chunk, ``each(start, values, truncated)``, if given, gets the index
+    of the chunk's first row, a copy of its states and whether the run
+    stops there truncated."""
+    k = len(state0)
     flat = array("d", state0)
     truncated = False
     if len(grid) > 1:
@@ -199,11 +210,22 @@ def _rk4(rhs, state0, grid):
                          cos=math.cos, sin=math.sin, nan=math.nan)
         exec(compile(_kernel_source(rhs), "<rk4 kernel>", "exec"),
              namespace)
-        # overflow to inf or nan is caught by the kernel's divergence check
-        with np.errstate(over="ignore", invalid="ignore"):
-            truncated = namespace["_kernel"](*state0, len(grid) - 1,
-                                             flat.append)
-    return np.frombuffer(flat).reshape(-1, len(state0)), truncated
+    rows = 1
+    for start in range(0, len(grid), CSV_CHUNK_ROWS):
+        end = min(start + CSV_CHUNK_ROWS, len(grid))
+        if end > rows:
+            # overflow to inf or nan is caught by the kernel's divergence
+            # check
+            with np.errstate(over="ignore", invalid="ignore"):
+                truncated = namespace["_kernel"](*flat[-k:], rows - 1,
+                                                 end - rows, flat.append)
+            rows = len(flat) // k
+        if each is not None:
+            each(start, np.frombuffer(flat[start * k:]).reshape(-1, k),
+                 truncated)
+        if truncated:
+            break
+    return np.frombuffer(flat).reshape(-1, k), truncated
 
 
 def check_real(V):
@@ -215,8 +237,9 @@ def check_real(V):
             "e^{ikt} is not the conjugate of that of e^{-ikt}")
 
 
-def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
-    """RK4 on y'' + y = eps*V for real initial data."""
+def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP, each=None):
+    """RK4 on y'' + y = eps*V for real initial data; ``each`` as in
+    ``_rk4``."""
     check_real(V)
     grid = _grid(t_max, h)
     series = V.series()
@@ -224,7 +247,7 @@ def integrate_ode(V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
     rhs.add_real_sum("_v", _compile(series, eps, series.cap, HARMONIC, "y",
                                     "y'"), "t", "y", "yp")
     rhs.derivs = ("yp", f"-y + {rhs.const(eps)} * _v")
-    values, truncated = _rk4(rhs, (float(y0), float(dy0)), grid)
+    values, truncated = _rk4(rhs, (float(y0), float(dy0)), grid, each)
     return Trajectory(grid[:len(values)], ("y", "dy"), values,
                       truncated=truncated)
 
@@ -276,8 +299,10 @@ def _evaluate(terms, *values, powers=None):
     return out
 
 
-def integrate_rg(polar, eps, order, t_max, h=DEFAULT_STEP, *, R0, theta0):
-    """RK4 on the truncated polar amplitude equation from (R0, theta0)."""
+def integrate_rg(polar, eps, order, t_max, h=DEFAULT_STEP, *, R0, theta0,
+                 each=None):
+    """RK4 on the truncated polar amplitude equation from (R0, theta0);
+    ``each`` as in ``_rk4``."""
     grid = _grid(t_max, h)
     rhs = _RHS(("R", "theta"))
     rhs.add_real_sum("_dlogR", _compile(polar.dlogR_dt, eps, order, PHASE,
@@ -285,7 +310,7 @@ def integrate_rg(polar, eps, order, t_max, h=DEFAULT_STEP, *, R0, theta0):
     rhs.add_real_sum("_dtheta", _compile(polar.dtheta_dt, eps, order, PHASE,
                                          "R"), "theta", "R")
     rhs.derivs = ("R * _dlogR", "_dtheta")
-    values, truncated = _rk4(rhs, (float(R0), float(theta0)), grid)
+    values, truncated = _rk4(rhs, (float(R0), float(theta0)), grid, each)
     return Trajectory(grid[:len(values)], ("R", "theta"), values,
                       truncated=truncated)
 
@@ -294,20 +319,48 @@ def evaluate_expansion(system, amplitudes, eps, expansion_order):
     """y_RG(t) from the expansion of the Cartesian RGSystem along the
     polar flow: Ar^a Br^b = R^(a+b) w^(a-b) at Ar = R*w, Br = R/w."""
     t = amplitudes.t
-    R = amplitudes.column("R")
-    w = np.exp(1j * amplitudes.column("theta"))
-    signal = np.zeros(len(t), dtype=complex)
-    powers = {}
+    signal = _signal(_expansion_terms(system, eps, expansion_order), t,
+                     amplitudes.column("R"), amplitudes.column("theta"))
+    _require_real(t, signal.real, signal.imag)
+    return Trajectory(t, ("y",), signal.real.reshape(-1, 1))
+
+
+def _expansion_terms(system, eps, expansion_order):
+    """[(n, compiled terms in (R, w))] of each harmonic e^{int} of the
+    expansion of the Cartesian RGSystem."""
+    out = []
     for n in harmonics(system.expansion):
         terms = [((a + b, a - b), c) for (a, b), c in _compile(
             harmonic(system.expansion, n), eps, expansion_order, "Ar", "Br")]
         if terms:
-            signal += (_evaluate(terms, R, w, powers=powers)
-                       * np.exp(1j * n * t))
-    resid = np.max(np.abs(signal.imag)) if len(signal) else 0.0
-    if resid > IMAG_TOL_EXPANSION * max(1.0, np.max(np.abs(signal.real))):
+            out.append((n, terms))
+    return out
+
+
+def _signal(terms, t, R, theta):
+    """The complex signal of ``_expansion_terms`` at the samples (t, R,
+    theta), each array power computed once for all harmonics; a value
+    that overflows is left inf or nan for ``_require_real``."""
+    signal = np.zeros(len(t), dtype=complex)
+    powers = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(1j * theta)
+        for n, ts in terms:
+            signal += _evaluate(ts, R, w, powers=powers) * np.exp(1j * n * t)
+    return signal
+
+
+def _require_real(t, real, imag):
+    """Raise SeriesOverflow where the signal real + i*imag at the times
+    ``t`` is not finite, or NotReal where its imaginary residue is not
+    negligible; a nan would pass the residue test."""
+    finite = np.isfinite(real) & np.isfinite(imag)
+    if not finite.all():
+        raise SeriesOverflow("the reconstructed signal overflows a float "
+                             f"at t = {float(t[np.argmin(finite)])!r}")
+    resid = np.max(np.abs(imag)) if len(imag) else 0.0
+    if resid > IMAG_TOL_EXPANSION * max(1.0, np.max(np.abs(real))):
         raise NotReal(f"imaginary residue {resid} in reconstructed signal")
-    return Trajectory(t, ("y",), signal.real.reshape(-1, 1))
 
 
 def expansion_initial_conditions(system, eps, rhs_order, expansion_order,
@@ -346,25 +399,17 @@ def require_whole(traj, name):
                        "nan")
 
 
-def compare(a, b):
-    """Metrics and CSV rows for two trajectories on the same grid."""
-    if len(a.t) != len(b.t) or not np.allclose(a.t, b.t, rtol=0, atol=1e-12):
-        raise GridMismatch("trajectories use different time grids")
-    ya = a.values[:, 0]
-    yb = b.values[:, 0]
-    diff = ya - yb
-    metrics = {"max_abs_diff": float(np.max(np.abs(diff))),
-               "rms_diff": float(np.sqrt(np.mean(diff ** 2)))}
-    return metrics, np.column_stack([a.t, ya, yb, diff])
-
-
-#: Rows formatted per string operation: large enough to amortise the
-#: call, small enough that the text of one chunk stays well under a MiB.
-#: A CSV of at least two chunks is formatted in two processes.
+#: Rows formatted per string operation, and rows integrated per kernel
+#: call: large enough to amortise the call, small enough that the text
+#: of one chunk stays well under a MiB.  A CSV of at least two chunks is
+#: formatted while it is computed, in a second process.
 CSV_CHUNK_ROWS = 4096
-#: Bytes of the second process's text copied to ``out`` at a time: about
-#: the text of one chunk of four columns.
-_COPY_BYTES = 1 << 18
+#: Two int64 on a pipe: a chunk of rows to format (start, end); the
+#: helper's first report (truncated, rows); a chunk it formatted (start,
+#: bytes of text).  Each write is whole and at most PIPE_BUF (4 KiB, 256
+#: tokens; MAX_STEPS makes at most 245 chunks), so it is atomic and each
+#: reader of a pipe gets whole tokens.
+_PAIR = struct.Struct("=qq")
 
 
 def csv_lines(rows):
@@ -377,41 +422,13 @@ def csv_lines(rows):
 
 
 def _two_processes(n):
-    """Whether work over ``n`` rows or steps is worth a second process
-    and one may be forked safely: at least two CSV chunks, two CPUs and
-    no other thread."""
+    """Whether a CSV of ``n`` rows is worth a second process and one may
+    be forked safely: at least two chunks, two CPUs and no other
+    thread."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
     return (n >= 2 * CSV_CHUNK_ROWS and hasattr(os, "fork") and cpus >= 2
             and threading.active_count() == 1)
-
-
-def _fork(write):
-    """(pid, file) of a forked child that calls ``write(file)`` on the
-    unlinked temporary ``file`` and exits 0, or None where no temporary
-    file or no process can be made."""
-    try:
-        tmp = tempfile.TemporaryFile()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        tmp.close()
-        return None
-    if pid:
-        return pid, tmp
-    # leave only through _exit: no buffer of the parent is flushed twice
-    # and no atexit hook runs; no collection runs a finaliser of an
-    # object the parent owns
-    code = 1
-    try:
-        gc.disable()
-        write(tmp)
-        tmp.flush()
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _reap(pid, kill=False):
@@ -421,95 +438,211 @@ def _reap(pid, kill=False):
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-class ODEChild:
-    """``integrate_ode(V, y0, dy0, eps, t_max, h)`` in a forked child
-    while the caller works, as a context manager::
+class CSVRows:
+    """The rows of one CSV on the grid of ``t_max`` and ``h``, formatted
+    while they are computed, as a context manager::
 
-        with ODEChild(V, y0, dy0, eps, t_max) as child:
-            ...                     # the caller's own work
-            ode = child.result()
+        with CSVRows(t_max, h, 3) as rows:
+            traj = integrate_ode(V, y0, dy0, eps, t_max, h, each=rows.chunk)
+            write_csv(out, rows, "t,y,dy")
 
-    Under the conditions of the two-process CSV writer the child sends
-    the truncation flag and the float64 state buffer through an unlinked
-    temporary file; elsewhere, or where the child fails, ``result`` runs
-    ``integrate_ode`` here, so the trajectory and any error are those of
-    ``integrate_ode``.  A child still running when the ``with`` block
-    is left is killed; every child is reaped before it ends.
+    ``values`` holds the rows, t first, as a float64 array in one shared
+    anonymous mmap.  The caller fills them a chunk at a time and ``send``s
+    each chunk.  Under ``_two_processes``, a helper forked on entry runs
+    ``first`` (if a subclass defines it), then pulls the chunks from a
+    pipe and formats them into an unlinked temporary file.  ``write_csv``
+    pulls from the same pipe what is left, then writes the header and the
+    chunks in order: this process's text, the helper's, or, where there
+    is no helper or it failed, text formatted here.  The bytes are the
+    same either way.  A helper still running when the block is left is
+    killed; every helper is reaped before it ends.
     """
 
-    def __init__(self, V, y0, dy0, eps, t_max, h=DEFAULT_STEP):
-        self.args = (V, y0, dy0, eps, t_max, h)
+    first = None
+
+    def __init__(self, t_max, h, columns):
         self.grid = _grid(t_max, h)
-        self.child = None
+        self.values = np.frombuffer(
+            mmap.mmap(-1, len(self.grid) * columns * 8)).reshape(
+                len(self.grid), columns)
+        self.values[:, 0] = self.grid
+        self.sent = []
+        self.texts = {}
+        self.reported = None
+        self.pid = self.tmp = None
+        self.fds = {}
 
     def __enter__(self):
         if _two_processes(len(self.grid)):
-            self.child = _fork(self._send)
+            self._fork()
         return self
 
-    def _send(self, tmp):
-        traj = integrate_ode(*self.args)
-        tmp.write(bytes([traj.truncated]))
-        tmp.write(traj.values)
+    def _fork(self):
+        try:
+            self.tmp = tempfile.TemporaryFile()
+            self.fds["tokens_r"], self.fds["tokens_w"] = os.pipe()
+            self.fds["status_r"], self.fds["status_w"] = os.pipe()
+            pid = os.fork()
+        except OSError:
+            self._close()
+            return
+        if pid:
+            self.pid = pid
+            os.close(self.fds.pop("status_w"))
+            return
+        # leave only through _exit: no buffer of the parent is flushed twice
+        # and no atexit hook runs; no collection runs a finaliser of an
+        # object the parent owns
+        code = 1
+        try:
+            gc.disable()
+            os.close(self.fds["tokens_w"])
+            os.close(self.fds["status_r"])
+            self._help(self.fds["tokens_r"], self.fds["status_w"])
+            code = 0
+        finally:
+            os._exit(code)
 
-    def result(self):
-        """The Trajectory of ``integrate_ode``: the child's, or one
-        integrated here where there is no child or it failed."""
-        if self.child is not None:
-            pid, tmp = self.child
-            code = _reap(pid)
-            self.child = None
-            with tmp:
-                if code == 0:
-                    tmp.seek(0)
-                    truncated = tmp.read(1) == b"\1"
-                    flat = array("d")
-                    flat.frombytes(tmp.read())
-                    values = np.frombuffer(flat).reshape(-1, 2)
-                    return Trajectory(self.grid[:len(values)], ("y", "dy"),
-                                      values, truncated=truncated)
-        return integrate_ode(*self.args)
+    def _help(self, tokens, status):
+        if self.first is not None:
+            os.write(status, _PAIR.pack(*self.first()))
+        index = []
+        while token := os.read(tokens, _PAIR.size):
+            start, end = _PAIR.unpack(token)
+            text = "".join(csv_lines(self.values[start:end])).encode("ascii")
+            self.tmp.write(text)
+            index.append(_PAIR.pack(start, len(text)))
+        self.tmp.flush()
+        os.write(status, b"".join(index))
+
+    def chunk(self, start, values, truncated):
+        """The ``each`` of ``_rk4``: the states of a chunk of rows as the
+        columns after t, sent to be formatted."""
+        self.values[start:start + len(values), 1:] = values
+        self.send(start, start + len(values))
+
+    def send(self, start, end):
+        """Rows ``start:end``, now final, to be formatted."""
+        self.sent.append((start, end))
+        if self.pid is not None:
+            os.write(self.fds["tokens_w"], _PAIR.pack(start, end))
+
+    def report(self, wait=True):
+        """What ``first`` returned, from the helper or, where there is none
+        or it failed, run here; without ``wait``, None until the helper
+        has reported."""
+        if self.reported is None:
+            if self.pid is not None and (wait or select.select(
+                    [self.fds["status_r"]], [], [], 0)[0]):
+                token = os.read(self.fds["status_r"], _PAIR.size)
+                if len(token) == _PAIR.size:
+                    self.reported = _PAIR.unpack(token)
+            if self.reported is None and wait:
+                self.reported = self.first()
+        return self.reported
+
+    def __len__(self):
+        return self.sent[-1][1] if self.sent else 0
+
+    def lines(self):
+        """The CSV text of the sent rows in chunks of whole lines: the
+        chunks left on the pipe are formatted here, then the helper is
+        reaped and its text read back where it exited 0."""
+        index = {}
+        if self.pid is not None:
+            os.close(self.fds.pop("tokens_w"))
+            while token := os.read(self.fds["tokens_r"], _PAIR.size):
+                start, end = _PAIR.unpack(token)
+                self.texts[start] = "".join(csv_lines(self.values[start:end]))
+            data = b"".join(iter(lambda: os.read(self.fds["status_r"],
+                                                 1 << 16), b""))
+            if _reap(self.pid) == 0:
+                index = dict(_PAIR.iter_unpack(data))
+            self.pid = None
+            self.tmp.seek(0)
+        for start, end in self.sent:
+            if start in self.texts:
+                yield self.texts.pop(start)
+            elif start in index:
+                # the helper's chunks, in the order it pulled them
+                yield self.tmp.read(index[start]).decode("ascii")
+            else:
+                yield from csv_lines(self.values[start:end])
+
+    def _close(self):
+        for fd in self.fds.values():
+            os.close(fd)
+        self.fds.clear()
+        if self.tmp is not None:
+            self.tmp.close()
 
     def __exit__(self, *exc):
-        if self.child is not None:
-            pid, tmp = self.child
-            with tmp:
-                _reap(pid, kill=True)
-            self.child = None
+        if self.pid is not None:
+            _reap(self.pid, kill=True)
+            self.pid = None
+        self._close()
+
+
+class Comparison(CSVRows):
+    """The rows t, y_numeric, y_rg, diff of ``compare``, as a CSVRows.
+
+    The helper first integrates the direct ODE from (y0, dy0) into the
+    y_numeric column.  ``chunk`` is the ``each`` of the amplitude flow:
+    it evaluates y_RG of the expansion of the Cartesian RGSystem on each
+    chunk, and once the direct ODE is in, sends the chunk with its diff.
+    ``metrics`` checks the full columns and raises in the order of
+    ``evaluate_expansion`` then ``require_whole`` of the direct ODE.
+    """
+
+    def __init__(self, V, y0, dy0, system, eps, expansion_order, t_max,
+                 h=DEFAULT_STEP):
+        super().__init__(t_max, h, 4)
+        self.ode_args = (V, y0, dy0, eps, t_max, h)
+        self.terms = _expansion_terms(system, eps, expansion_order)
+        self.imag = np.empty(len(self.grid))
+        self.pending = []
+
+    def first(self):
+        traj = integrate_ode(*self.ode_args)
+        self.values[:len(traj), 1] = traj.values[:, 0]
+        return traj.truncated, len(traj)
+
+    def chunk(self, start, values, truncated):
+        if truncated:
+            return          # the flow's Diverged comes first
+        end = start + len(values)
+        signal = _signal(self.terms, self.grid[start:end], values[:, 0],
+                         values[:, 1])
+        self.values[start:end, 2] = signal.real
+        self.imag[start:end] = signal.imag
+        self.pending.append((start, end))
+        if self.report(wait=False) is not None:
+            self._flush()
+
+    def _flush(self):
+        if not self.reported[0]:
+            v = self.values
+            for start, end in self.pending:
+                v[start:end, 3] = v[start:end, 1] - v[start:end, 2]
+                self.send(start, end)
+        self.pending.clear()
+
+    def metrics(self):
+        """max_abs_diff and rms_diff, once the whole flow is in."""
+        v = self.values
+        _require_real(self.grid, v[:, 2], self.imag)
+        truncated, n = self.report()
+        require_whole(Trajectory(self.grid[:n], ("y",), v[:n, 1:2],
+                                 truncated), "the direct ODE")
+        self._flush()
+        diff = v[:, 3]
+        return {"max_abs_diff": float(np.max(np.abs(diff))),
+                "rms_diff": float(np.sqrt(np.mean(diff ** 2)))}
 
 
 def write_csv(out, rows, header="t,y_numeric,y_rg,diff"):
-    """The header line and the CSV lines of ``rows`` to the open text
-    file ``out``.
-
-    A large CSV is formatted in two processes: a forked child formats
-    the second half of the rows into an unlinked temporary file while
-    this process writes the first half, then the file is copied to
-    ``out``.  The bytes are the same either way.  The child is reaped
-    before this returns or raises, and never writes to ``out``.
-    """
+    """The header line and the CSV lines of ``rows``, a 2-D float array
+    or the CSVRows that formatted them, to the open text file ``out``."""
     out.write(header + "\n")
-    half = len(rows) // 2
-
-    def second_half(tmp):
-        for text in csv_lines(rows[half:]):
-            tmp.write(text.encode("ascii"))
-
-    child = _fork(second_half) if _two_processes(len(rows)) else None
-    if child is None:
-        out.writelines(csv_lines(rows))
-        return
-    pid, tmp = child
-    with tmp:
-        try:
-            out.writelines(csv_lines(rows[:half]))
-        except BaseException:
-            _reap(pid, kill=True)
-            raise
-        code = _reap(pid)
-        if code:
-            raise OSError(errno.EIO, "the process formatting the second "
-                          f"half of the CSV exited with status {code}")
-        tmp.seek(0)
-        while data := tmp.read(_COPY_BYTES):
-            out.write(data.decode("ascii"))
+    out.writelines(rows.lines() if isinstance(rows, CSVRows)
+                   else csv_lines(rows))

@@ -148,9 +148,9 @@ def in_a_child(f, act):
     """``f``, except that a forked child calls ``act()`` first."""
     parent = os.getpid()
 
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         if os.getpid() != parent:
             act()
-        return f(*args)
+        return f(*args, **kwargs)
 
     return wrapped

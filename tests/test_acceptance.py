@@ -167,13 +167,12 @@ def test_criterion_10_modulation_regime():
     for order in (1, 2):
         amp = nm.integrate_rg(pol, eps, order, t_max, R0=R0, theta0=th0)
         y_rg = nm.evaluate_expansion(sysc, amp, eps, 1)
-        diffs[order], _ = nm.compare(ode, y_rg)
+        diffs[order] = np.max(np.abs(ode.column("y") - y_rg.column("y")))
         if order == 1:
             # strict interior maxima of the sampled envelope
             dR = np.diff(amp.column("R"))
             peaks = np.count_nonzero((dR[:-1] > 1e-12) & (dR[1:] < -1e-12))
-    d1 = diffs[1]["max_abs_diff"]
-    d2 = diffs[2]["max_abs_diff"]
+    d1, d2 = diffs[1], diffs[2]
     elapsed = time.perf_counter() - start
     report(10, "slow-modulation comparison",
            d1 > 0 and d2 < d1 / 2 and peaks == 1 and elapsed < 5.0)

@@ -172,11 +172,12 @@ def _compare_200_digest(capfd):
     return hashlib.sha256(out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("cpus,children", [({0, 1}, 2), ({0}, 0)],
+@pytest.mark.parametrize("cpus,children", [({0, 1}, 1), ({0}, 0)],
                          ids=["two cpus", "one cpu"])
 def test_compare_bytes_do_not_depend_on_the_path(forks, monkeypatch, capfd,
                                                  cpus, children):
-    # two CPUs: the direct ODE and half of the CSV in forked children
+    # two CPUs: the direct ODE, then CSV chunks as the flow makes them, in
+    # one forked helper
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
     want = (GOLDEN / COMPARE_200_DIGEST).read_text().split()[0]
@@ -193,14 +194,14 @@ def test_failed_ode_child_gives_the_same_csv(forks, monkeypatch, capfd):
         numeric.integrate_ode, _memory_error))
     want = (GOLDEN / COMPARE_200_DIGEST).read_text().split()[0]
     assert _compare_200_digest(capfd) == want
-    assert len(forks) == 2
+    assert len(forks) == 1
 
 
 def test_interrupted_compare_reaps_the_ode_child(forks, monkeypatch, capfd):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(numeric, "evaluate_expansion", interrupted)
+    monkeypatch.setattr(numeric, "_signal", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(COMPARE_200)
     assert len(forks) == 1
@@ -667,6 +668,56 @@ def test_diverging_compare_reaps_the_ode_child(forks, capsys, argv, name):
     assert len(forks) == 1
 
 
+#: a flow that stays in its box while R^39 of the order-19 expansion
+#: overflows a float, and a direct ODE that diverges
+OVERFLOWING_EXPANSION = ["compare", "--example", "vdp", "--order", "19",
+                         "--expansion-order", "19", "--rg-order", "1",
+                         "--eps", "1e-300", "--R0", "9.9e7", "--theta0", "0"]
+
+
+@pytest.mark.parametrize("argv,residue,message", [
+    # the flow first, whatever else fails
+    (DIVERGING[0][0] + ["--y0", "30", "--dy0", "0"], True,
+     "the amplitude flow diverged"),
+    # then the reconstructed signal: not finite, or not real
+    (OVERFLOWING_EXPANSION, False, "the reconstructed signal overflows"),
+    (DIVERGING[1][0], True, "imaginary residue"),
+    # then the direct ODE
+    (DIVERGING[1][0], False, "the direct ODE diverged"),
+], ids=["flow", "not finite", "not real", "ode"])
+def test_compare_error_precedence(forks, monkeypatch, capsys, tmp_path,
+                                  argv, residue, message):
+    # 300 is 9,549 steps, so the helper runs; with ``residue`` every
+    # signal counts as not real.  Nothing reaches --out.
+    if residue:
+        monkeypatch.setattr(numeric, "IMAG_TOL_EXPANSION", -1.0)
+    if argv[1] != "--example":
+        argv = ["compare", "--potential", "y'^3", "--eps", "1", "--order",
+                "2", *argv]
+    out_file = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--tmax", "300", "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert out_file.read_text() == ""
+    assert len(forks) == 1
+
+
+def test_overflowing_expansion_warns_nothing():
+    # the typed error alone on stderr: no numpy RuntimeWarning before it
+    proc = subprocess.run(
+        [sys.executable, "-m", "rgpert.cli", *OVERFLOWING_EXPANSION,
+         "--tmax", "1"], env=_src_env(), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the reconstructed signal overflows a "
+                           "float at t = 0.0\n")
+
+
 @pytest.mark.parametrize("text,name", [
     ("(A - y^2)*y'", "A"),              # would be read as the amplitude A
     ("(1 - y^2)*y' + eps*y^3", "eps"),  # would be read as the eps order
@@ -1033,7 +1084,7 @@ sys.exit(code)
 @pytest.mark.parametrize("argv,children", [
     (SIMULATE_200, 1),
     (["expand", "--example", "vdp", "--order", "16"], 0),   # 844 KB
-    (COMPARE_200, 2),
+    (COMPARE_200, 1),
 ], ids=["simulate", "expand", "compare"])
 def test_closed_stdout_ends_quietly(tmp_path, argv, children):
     # like `| head -c 50`: exit 1, no traceback, every child reaped

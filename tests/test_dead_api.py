@@ -14,8 +14,11 @@ SRC = ROOT / "src" / "rgpert"
 #: Wrapped by name by the benchmark's span tracer (perfbench/spans.py).
 #: particular_solution is also the step of the order-by-order oracle
 #: (tests/oracles.naive_expand): no code in src/ may solve in t order by
-#: order now that expand transports the normal form.
-TRACER_NAMES = {"HarmonicSeries", "HarmonicSeries.mul", "particular_solution"}
+#: order now that expand transports the normal form.  evaluate_expansion
+#: is y_RG of a whole flow for the tests; compare evaluates the same
+#: signal a chunk at a time.
+TRACER_NAMES = {"HarmonicSeries", "HarmonicSeries.mul", "particular_solution",
+                "evaluate_expansion"}
 
 
 def _names(node):

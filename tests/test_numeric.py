@@ -16,7 +16,7 @@ import pytest
 
 from rgpert.algebra import EpsilonSeries, ParamPolynomial, P, gr, grq
 from rgpert.errors import (BudgetExceeded, ComplexPotential, Diverged,
-                           GridMismatch, NotReal)
+                           NotReal, SeriesOverflow)
 from rgpert.potential import HARMONIC, harmonic, harmonics, parse_potential
 from rgpert.registry import get_example
 from rgpert.perturbation import expand
@@ -153,8 +153,8 @@ def test_slow_modulation_regime():
     for order in (1, 2):
         amp = nm.integrate_rg(pol, eps, order, t_max, R0=R0, theta0=th0)
         y_rg = nm.evaluate_expansion(sysc, amp, eps, 1)
-        metrics, _ = nm.compare(ode, y_rg)
-        discrepancy[order] = metrics["max_abs_diff"]
+        discrepancy[order] = np.max(np.abs(ode.column("y")
+                                           - y_rg.column("y")))
         if order == 1:
             # one strict interior maximum of the sampled envelope
             dR = np.diff(amp.column("R"))
@@ -164,15 +164,19 @@ def test_slow_modulation_regime():
     assert discrepancy[2] < discrepancy[1] / 2
 
 
-def test_compare_identical_and_mismatch():
-    grid = np.linspace(0, 1, 11)
-    a = nm.Trajectory(grid, ("y",), np.sin(grid).reshape(-1, 1))
-    metrics, rows = nm.compare(a, a)
-    assert metrics["max_abs_diff"] == 0.0 and metrics["rms_diff"] == 0.0
-    assert rows.shape == (11, 4)
-    b = nm.Trajectory(grid[:-1], ("y",), np.sin(grid[:-1]).reshape(-1, 1))
-    with pytest.raises(GridMismatch):
-        nm.compare(a, b)
+def test_comparison_metrics_are_those_of_the_columns():
+    # one CSV chunk: no helper; the diff column and both metrics are
+    # those of the direct ODE and the expansion, float for float
+    sysc = _nonauto_system()
+    text, metrics = _pipelined("compare", 1000)
+    assert (text, metrics) == _whole("compare", 1000)
+    assert metrics["max_abs_diff"] > 0 and metrics["rms_diff"] > 0
+    # the same start on both sides: the rows agree at t = 0
+    with nm.Comparison(NONAUTO, 0.2, 0.0, sysc, 0.25, 0, 1.0) as rows:
+        nm.integrate_rg(to_polar(sysc), 0.25, 2, 1.0, R0=0.1, theta0=0.0,
+                        each=rows.chunk)
+        rows.metrics()
+        assert rows.values[0].tolist() == [0.0, 0.2, 0.2, 0.0]
 
 
 def test_not_real_detection():
@@ -599,24 +603,154 @@ def _csv_rows(n, cols):
     return values.reshape(n, cols)
 
 
+def _nonauto_system():
+    return derive_rg(example_expansion("nonauto", 4))
+
+
+#: the runs whose CSV goes through the pipeline: the direct ODE of
+#: nonauto, whose kernel reads the time of each step; the van der Pol
+#: amplitude flow; compare on nonauto; and random rows with the values
+#: whose repr the CSV must keep, as the columns after t
+KINDS = ["simulate-direct", "simulate-flow", "compare", "specials"]
+
+
+def _pipelined(kind, n):
+    """The CSV text of ``kind`` over ``n`` grid points, through the
+    pipeline of CSVRows."""
+    t_max = (n - 1) * nm.DEFAULT_STEP
+    out = io.StringIO()
+    if kind == "compare":
+        sysc = _nonauto_system()
+        with nm.Comparison(NONAUTO, 0.3, -0.1, sysc, 0.25, 2, t_max) as rows:
+            nm.integrate_rg(to_polar(sysc), 0.25, 2, t_max, R0=0.2,
+                            theta0=-0.1, each=rows.chunk)
+            metrics = rows.metrics()
+            nm.write_csv(out, rows)
+        return out.getvalue(), metrics
+    with nm.CSVRows(t_max, nm.DEFAULT_STEP, 3) as rows:
+        if kind == "simulate-direct":
+            nm.integrate_ode(NONAUTO, 0.3, -0.1, 0.25, t_max, each=rows.chunk)
+        elif kind == "simulate-flow":
+            nm.integrate_rg(to_polar(derive_rg(example_expansion("vdp", 4))),
+                            0.1, 4, t_max, R0=0.5, theta0=0.0,
+                            each=rows.chunk)
+        else:
+            values = _csv_rows(n, 2)
+            for start in range(0, n, C):
+                rows.chunk(start, values[start:start + C], False)
+        nm.write_csv(out, rows, "t,a,b")
+    return out.getvalue(), None
+
+
+def _whole(kind, n):
+    """The same text from whole arrays, integrated, evaluated and
+    formatted one after the other, and compare's metrics from them."""
+    t_max = (n - 1) * nm.DEFAULT_STEP
+    if kind == "compare":
+        sysc = _nonauto_system()
+        ode = nm.integrate_ode(NONAUTO, 0.3, -0.1, 0.25, t_max)
+        amp = nm.integrate_rg(to_polar(sysc), 0.25, 2, t_max, R0=0.2,
+                              theta0=-0.1)
+        ya, yb = ode.column("y"), nm.evaluate_expansion(sysc, amp, 0.25,
+                                                        2).column("y")
+        diff = ya - yb
+        rows = np.column_stack([ode.t, ya, yb, diff])
+        metrics = {"max_abs_diff": float(np.max(np.abs(diff))),
+                   "rms_diff": float(np.sqrt(np.mean(diff ** 2)))}
+        return "t,y_numeric,y_rg,diff\n" + "".join(nm.csv_lines(rows)), \
+            metrics
+    if kind == "simulate-direct":
+        traj = nm.integrate_ode(NONAUTO, 0.3, -0.1, 0.25, t_max)
+    elif kind == "simulate-flow":
+        traj = nm.integrate_rg(to_polar(derive_rg(example_expansion("vdp",
+                                                                    4))),
+                               0.1, 4, t_max, R0=0.5, theta0=0.0)
+    else:
+        traj = nm.Trajectory(nm._grid(t_max, nm.DEFAULT_STEP), ("a", "b"),
+                             _csv_rows(n, 2))
+    rows = np.column_stack([traj.t, traj.values])
+    return "t,a,b\n" + "".join(nm.csv_lines(rows)), None
+
+
+@contextlib.contextmanager
+def _one_cpu():
+    """``os.sched_getaffinity`` patched to one CPU for the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        yield
+
+
 @pytest.mark.parametrize("n", [2 * C - 1, 2 * C, 2 * C + 1, 3 * C + 7])
-def test_two_process_csv_is_byte_equal(forks, capfd, tmp_path, n):
-    for cols in range(1, 5):
-        rows = _csv_rows(n, cols)
-        header = ",".join(f"c{j}" for j in range(cols))
-        want = header + "\n" + "".join(nm.csv_lines(rows))
-        path = tmp_path / "rows.csv"
-        with open(path, "w") as fh:
-            nm.write_csv(fh, rows, header)
+def test_two_process_csv_is_byte_equal(forks, capfd, n):
+    # the helper formats while the rows are computed; the bytes, and
+    # compare's metrics, are those of one process and of whole arrays
+    for kind in KINDS:
+        two = _pipelined(kind, n)
         assert_no_child()
-        assert path.read_text() == want, cols
-        buf = io.StringIO()
-        nm.write_csv(buf, rows, header)
+        with _one_cpu():
+            one = _pipelined(kind, n)
+        assert two == one == _whole(kind, n), kind
+    # one helper per run at two chunks and more, none below
+    assert len(forks) == (len(KINDS) if n >= 2 * C else 0)
+    # the helper wrote nowhere but its temporary file
+    assert capfd.readouterr() == ("", "")
+
+
+#: the amplitude flow of y'' + y = eps*y'^3 at order 1: d log R/dt =
+#: 3/8 eps R^2 and d theta/dt = 0, so R grows strictly from R0
+GROWTH = (to_polar(derive_rg(expand(parse_potential("y'^3"), 1))), 0.1, 1,
+          (3 * C - 1) * nm.DEFAULT_STEP)
+
+
+@pytest.mark.parametrize("row", [C + 100, 2 * C - 1, 2 * C],
+                         ids=["inside a chunk", "last row of a chunk",
+                              "first row of a chunk"])
+def test_truncated_run_gives_the_same_bytes(forks, monkeypatch, capfd, row):
+    # the box ends where the state of ``row`` leaves it: the run stops
+    # there, and the CSV holds its rows up to that one
+    def flow(**kwargs):
+        return nm.integrate_rg(*GROWTH, R0=0.1, theta0=0.0, **kwargs)
+
+    monkeypatch.setattr(nm, "DIVERGENCE_LIMIT", flow().column("R")[row - 1])
+    want = flow()
+    assert want.truncated and len(want) == row + 1
+    texts = []
+    for pin in (contextlib.nullcontext, _one_cpu):
+        with pin():
+            with nm.CSVRows(GROWTH[-1], nm.DEFAULT_STEP, 3) as rows:
+                traj = flow(each=rows.chunk)
+                out = io.StringIO()
+                nm.write_csv(out, rows, "t,R,theta")
         assert_no_child()
-        assert buf.getvalue() == want, cols
-    # one child per call at two chunks and more, none below
-    assert len(forks) == (8 if n >= 2 * C else 0)
-    # the child wrote nowhere but its temporary file
+        assert traj.truncated and len(rows) == row + 1
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1] == "t,R,theta\n" + "".join(nm.csv_lines(
+        np.column_stack([want.t, want.values])))
+    assert len(forks) == 1
+    assert capfd.readouterr() == ("", "")
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _memory_error():
+    raise MemoryError
+
+
+@pytest.mark.parametrize("how", [_memory_error, _killed],
+                         ids=["exits 1", "killed"])
+@pytest.mark.parametrize("where", ["csv_lines", "integrate_ode"])
+def test_a_failed_helper_gives_the_same_bytes(forks, monkeypatch, capfd,
+                                              where, how):
+    # a helper that fails formatting (or, in compare, integrating the
+    # direct ODE) leaves its work to this process: no error, same bytes
+    monkeypatch.setattr(nm, where, in_a_child(getattr(nm, where), how))
+    for kind in KINDS:
+        assert _pipelined(kind, 3 * C + 7) == _whole(kind, 3 * C + 7), kind
+        assert_no_child()
+    assert len(forks) == len(KINDS)
+    # no traceback from the helper
     assert capfd.readouterr() == ("", "")
 
 
@@ -625,28 +759,16 @@ def _no_resource(*args):
 
 
 def _csv_in_one_process():
-    rows = _csv_rows(2 * C, 2)
-    buf = io.StringIO()
-    nm.write_csv(buf, rows, "a,b")
-    return buf.getvalue(), "a,b\n" + "".join(nm.csv_lines(rows))
+    return _pipelined("simulate-flow", 2 * C), _whole("simulate-flow", 2 * C)
 
 
 #: the van der Pol ODE over 2 CSV chunks of steps, the least that forks
 VDP_TWO_CHUNKS = (get_example("vdp").potential(), 2.0, 0.0, 0.1,
-                  2 * C * nm.DEFAULT_STEP)
+                  (2 * C - 1) * nm.DEFAULT_STEP)
 
 
 def _ode_in_one_process():
-    with nm.ODEChild(*VDP_TWO_CHUNKS) as child:
-        got = child.result()
-    return _raw(got), _raw(nm.integrate_ode(*VDP_TWO_CHUNKS))
-
-
-def _raw(traj):
-    """Every bit of a trajectory, and the layout of its states."""
-    v = traj.values
-    return (traj.t.tobytes(), traj.columns, v.tobytes(), v.shape, v.dtype,
-            v.flags.c_contiguous, traj.truncated)
+    return _pipelined("compare", 2 * C), _whole("compare", 2 * C)
 
 
 @pytest.mark.parametrize("why,caller", [
@@ -690,6 +812,13 @@ class _FullAfterHeader(io.StringIO):
         return super().write(text)
 
 
+class _Full(io.StringIO):
+    """A text file on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def _raise_timeout(signum, frame):
     raise TimeoutError("a child was waited for, not killed")
 
@@ -706,51 +835,65 @@ def _within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _memory_error():
-    raise MemoryError
-
-
 def test_failed_write_reraises_and_reaps_the_child(forks):
-    with _within(20):
-        out = _FullAfterHeader()
-        with pytest.raises(OSError) as info:
-            nm.write_csv(out, _csv_rows(3 * C + 7, 4))
-    assert info.value.errno == errno.ENOSPC
-    assert out.getvalue() == "t,y_numeric,y_rg,diff\n"
-    assert len(forks) == 1
+    # the helper is still running when the header fails (it waits for
+    # the last chunk), and done when a chunk fails
+    for out, text in ((_Full(), ""), (_FullAfterHeader(), "t,y,dy\n")):
+        with _within(20):
+            with pytest.raises(OSError) as info:
+                with nm.CSVRows(VDP_TWO_CHUNKS[-1], nm.DEFAULT_STEP,
+                                3) as rows:
+                    nm.integrate_ode(*VDP_TWO_CHUNKS, each=rows.chunk)
+                    nm.write_csv(out, rows, "t,y,dy")
+        assert info.value.errno == errno.ENOSPC
+        assert out.getvalue() == text
+        assert_no_child()
+    assert len(forks) == 2
 
 
-def test_failed_child_fails_the_write(forks, monkeypatch, capfd):
-    monkeypatch.setattr(nm, "csv_lines", in_a_child(nm.csv_lines,
-                                                    _memory_error))
-    out = io.StringIO()
-    with pytest.raises(OSError, match="exited with status 1") as info:
-        nm.write_csv(out, _csv_rows(2 * C, 4))
-    assert info.value.errno == errno.EIO
-    assert len(forks) == 1
-    # no traceback, and no text of the child's half
-    assert capfd.readouterr() == ("", "")
-    assert out.getvalue().count("\n") == C + 1
+def test_parent_never_holds_the_childs_half(forks, monkeypatch, tmp_path):
+    # this process keeps the text of the chunks it formats itself, and
+    # reads the helper's back one chunk at a time: its peak is that of
+    # formatting and writing one chunk, and its own texts
+    parent = os.getpid()
+    own = []
+    lines = nm.csv_lines
 
+    def counted(rows):
+        for text in lines(rows):
+            if os.getpid() == parent:
+                own.append(len(text))
+            yield text
 
-def test_parent_never_holds_the_childs_half(forks, tmp_path):
-    # the child's half of 3 chunks is about 1.5 chunks of text; the
-    # parent copies it in pieces, so its peak stays that of formatting
-    # and writing one chunk in one process
-    def peak(rows):
-        with open(tmp_path / "rows.csv", "w") as fh:
-            tracemalloc.start()
-            try:
-                nm.write_csv(fh, rows)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    monkeypatch.setattr(nm, "csv_lines", counted)
 
-    one_chunk = peak(_csv_rows(C, 4))
+    def peak(n):
+        values = _csv_rows(n, 3)
+        with nm.CSVRows((n - 1) * nm.DEFAULT_STEP, nm.DEFAULT_STEP,
+                        4) as rows:
+            for start in range(0, n, C):
+                rows.chunk(start, values[start:start + C], False)
+            # the helper takes what it can while this process waits
+            time.sleep(0.1)
+            own.clear()
+            with open(tmp_path / "rows.csv", "w") as fh:
+                tracemalloc.start()
+                try:
+                    nm.write_csv(fh, rows)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+    one_chunk = peak(C)
     assert forks == []
-    two_process = peak(_csv_rows(3 * C, 4))
+    three = peak(3 * C)
     assert len(forks) == 1
-    assert two_process < 1.25 * one_chunk
+    assert three < 1.25 * one_chunk + sum(own)
+
+
+#: the Cartesian RGSystem of van der Pol, for a Comparison that runs no
+#: flow
+VDP_SYSTEM = normal_form(get_example("vdp").potential(), 1)
 
 
 @pytest.mark.parametrize("args,truncated", [
@@ -763,14 +906,15 @@ def test_parent_never_holds_the_childs_half(forks, tmp_path):
 ], ids=["vdp", "nonauto", "diverging"])
 def test_ode_child_is_integrate_ode_bit_for_bit(forks, capfd, args,
                                                 truncated):
-    with nm.ODEChild(*args) as child:
-        got = child.result()
+    V, y0, dy0, eps, t_max = args
+    with nm.Comparison(V, y0, dy0, VDP_SYSTEM, eps, 1, t_max) as rows:
+        got, n = rows.report()
+        y = rows.values[:n, 1].tobytes()
     assert len(forks) == 1
     want = nm.integrate_ode(*args)
-    assert _raw(got) == _raw(want)
-    assert got.truncated is truncated
-    # a writable view of one float64 buffer, as _rk4 returns
-    assert got.values.flags.writeable
+    assert n == len(want)
+    assert y == want.column("y").tobytes()
+    assert bool(got) is want.truncated is truncated
     assert capfd.readouterr() == ("", "")
 
 
@@ -783,12 +927,27 @@ def test_a_parent_that_raises_kills_and_reaps_the_ode_child(forks,
     # a child that would integrate for a minute: only a kill ends it
     monkeypatch.setattr(nm, "integrate_ode", in_a_child(
         nm.integrate_ode, lambda: time.sleep(60)))
+    V, y0, dy0, eps, t_max = VDP_TWO_CHUNKS
     with _within(20):
         with pytest.raises(type(error)) as info:
-            with nm.ODEChild(*VDP_TWO_CHUNKS):
+            with nm.Comparison(V, y0, dy0, VDP_SYSTEM, eps, 1, t_max):
                 raise error
     assert info.value is error
     assert len(forks) == 1
+
+
+def test_overflowing_expansion_is_a_typed_error_without_warnings():
+    # R^39 overflows a float on a flow that stays in its box: the signal
+    # is not finite, which the residue test (False for nan) would miss
+    sysc = normal_form(get_example("vdp").potential(), 19)
+    grid = np.linspace(0, 1, 5)
+    values = np.column_stack([np.full_like(grid, 9.9e7),
+                              np.zeros_like(grid)])
+    amp = nm.Trajectory(grid, ("R", "theta"), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesOverflow, match="at t = 0.0$"):
+            nm.evaluate_expansion(sysc, amp, 1e-300, 19)
 
 
 def test_overflowing_complex_power_is_not_a_number():
