@@ -8,8 +8,11 @@ kernel, whose inner loops work on integer numerators (see poly.py).
 The exact text form is made here, from those numerators.
 """
 
+import sys
 from fractions import Fraction as Rat
-from math import gcd, lcm
+from math import gcd, lcm, log10
+
+from ..errors import BudgetExceeded
 
 _RAT_ZERO = Rat(0)
 
@@ -119,13 +122,29 @@ def _parts(c):
 
 def ratio(n, d):
     """n/d, d > 0, as 'p/q' in lowest terms: a part of a JSON scalar."""
-    g = gcd(n, d)
-    return f"{n // g}/{d // g}"
+    return _rational(n, d, "/1")
 
 
-def _rational(n, d):
+def _rational(n, d, one=""):
+    """n/d, d > 0, as 'p/q' in lowest terms, 'p' + ``one`` for q = 1;
+    BudgetExceeded where p or q has more digits than the interpreter
+    converts to text (``sys.get_int_max_str_digits()``)."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    p, q = n // g, d // g
+    try:
+        return f"{p}{one}" if q == 1 else f"{p}/{q}"
+    except ValueError:
+        # log10 gives the digit count but within a float's error of 10^k,
+        # where a comparison decides; 10^k costs more than the number did,
+        # so it is made only there
+        m = max(abs(p), q)
+        x = log10(m)
+        k = round(x)
+        digits = k + (m >= 10 ** k) if abs(x - k) < 1e-6 else int(x) + 1
+        raise BudgetExceeded(
+            f"an exact number of {digits} digits exceeds the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} digits for printing "
+            "an integer") from None
 
 
 def text(re, im, den):

@@ -93,6 +93,25 @@ def _add_potential_args(p):
                    help="truncation order in eps (default 3)")
 
 
+def _digit_limit():
+    """The interpreter's int-to-str limit, or its default where the limit
+    is lifted (0): an exponent still needs a bound."""
+    return (sys.get_int_max_str_digits()
+            or sys.int_info.default_max_str_digits)
+
+
+def _too_long(value):
+    """Whether the number text ``value`` has more digits, or an exponent
+    of larger magnitude, than ``_digit_limit``: Fraction computes
+    10^exponent before any check, in time that grows with it."""
+    limit = _digit_limit()
+    mantissa, _, exponent = value.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    return (sum(c.isdecimal() for c in mantissa) > limit
+            or len(exponent) > len(str(limit))
+            or exponent.isdecimal() and int(exponent) > limit)
+
+
 def _resolve_potential(args, parser):
     if args.example:
         if args.params:
@@ -111,6 +130,10 @@ def _resolve_potential(args, parser):
             parser.error(f"--bind expects NAME=VALUE, got {item!r}")
         if name in bindings:
             parser.error(f"--bind {name}: given more than once")
+        if _too_long(value):
+            parser.error(f"--bind {name}: the value has more digits, or an "
+                         "exponent larger, than the interpreter's limit of "
+                         f"{_digit_limit()} digits")
         try:
             bindings[name] = GaussianRational(Rat(value))
         except (ValueError, ZeroDivisionError):
@@ -135,8 +158,9 @@ def _print_series(pairs, fmt):
     if fmt == "json":
         print(json.dumps({k: v.to_json() for k, v in pairs}, indent=2))
     else:
-        for k, v in pairs:
-            print(f"{k} = {v}")
+        # the whole text first: a number too long to print fails the run
+        # before any line is written
+        print("\n".join(f"{k} = {v}" for k, v in pairs))
 
 
 def cmd_expand(args, parser):
@@ -152,12 +176,14 @@ def cmd_expand(args, parser):
                           for n in harmonics}}
         print(json.dumps(data, indent=2))
         return 0
-    # table layout: rows = eps order, columns = harmonic
+    # table layout: rows = eps order, columns = harmonic; the whole text
+    # first, as in _print_series
+    lines = []
     for k, row in enumerate(rows):
         if row:
-            print(f"eps^{k}:")
-            for n in sorted(row):
-                print(f"  f[{n},{k}] = {row[n]}")
+            lines.append(f"eps^{k}:")
+            lines += [f"  f[{n},{k}] = {row[n]}" for n in sorted(row)]
+    print("\n".join(lines))
     return 0
 
 
@@ -236,12 +262,12 @@ def cmd_mathieu(args, parser):
         print(json.dumps(
             {"omega2": mathieu_mod.in_parameters(omega2).to_json(),
              "branches": [{"label": b.label,
-                           "a": [str(c) for c in b.a_coeffs]}
+                           "a": b.a_texts()}
                           for b in branches]}, indent=2))
     else:
-        print(f"omega^2 = {mathieu_mod.in_parameters(omega2)}")
-        for b in branches:
-            print(f"a{b.label} = {b.a_series_str()}")
+        print("\n".join([f"omega^2 = {mathieu_mod.in_parameters(omega2)}"]
+                        + [f"a{b.label} = {b.a_series_str()}"
+                           for b in branches]))
     return 0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import (ParamPolynomial, EpsilonSeries, Rat, substitute,
                       series_solve_root)
-from .algebra.rationals import eps_power, signed_sum
+from .algebra.rationals import eps_power, signed_sum, text
 from .errors import (BudgetExceeded, NotLinear, NotScalar, Underdetermined,
                      NonRationalRoot, RootNotBracketed, SeriesOverflow)
 from .registry import get_example
@@ -59,9 +59,14 @@ class Branch:
     label: str
     a_coeffs: tuple         # a = sum a_coeffs[j] * eps^j; g_j = a_coeffs[j]
 
+    def a_texts(self):
+        """The exact text of each of a_coeffs."""
+        return [text(c.numerator, 0, c.denominator) for c in self.a_coeffs]
+
     def a_series_str(self):
         return signed_sum(["1", *(f"{c}*{eps_power(j)}" for j, c in
-                                  enumerate(self.a_coeffs) if j and c)])
+                                  enumerate(self.a_texts())
+                                  if j and c != "0")])
 
     def a_value(self, eps):
         try:

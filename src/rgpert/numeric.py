@@ -11,7 +11,6 @@ import gc
 import math
 import mmap
 import os
-import select
 import signal
 import struct
 import tempfile
@@ -453,9 +452,10 @@ class CSVRows:
     pipe and formats them into an unlinked temporary file.  ``write_csv``
     pulls from the same pipe what is left, then writes the header and the
     chunks in order: this process's text, the helper's, or, where there
-    is no helper or it failed, text formatted here.  The bytes are the
-    same either way.  A helper still running when the block is left is
-    killed; every helper is reaped before it ends.
+    is no helper or it failed, text formatted here.  The one process that
+    formats a chunk reads it through ``rows``; the bytes are the same
+    either way.  A helper still running when the block is left is killed;
+    every helper is reaped before it ends.
     """
 
     first = None
@@ -509,7 +509,7 @@ class CSVRows:
         index = []
         while token := os.read(tokens, _PAIR.size):
             start, end = _PAIR.unpack(token)
-            text = "".join(csv_lines(self.values[start:end])).encode("ascii")
+            text = "".join(csv_lines(self.rows(start, end))).encode("ascii")
             self.tmp.write(text)
             index.append(_PAIR.pack(start, len(text)))
         self.tmp.flush()
@@ -527,19 +527,21 @@ class CSVRows:
         if self.pid is not None:
             os.write(self.fds["tokens_w"], _PAIR.pack(start, end))
 
-    def report(self, wait=True):
+    def report(self):
         """What ``first`` returned, from the helper or, where there is none
-        or it failed, run here; without ``wait``, None until the helper
-        has reported."""
+        or it failed, run here."""
         if self.reported is None:
-            if self.pid is not None and (wait or select.select(
-                    [self.fds["status_r"]], [], [], 0)[0]):
+            if self.pid is not None:
                 token = os.read(self.fds["status_r"], _PAIR.size)
                 if len(token) == _PAIR.size:
                     self.reported = _PAIR.unpack(token)
-            if self.reported is None and wait:
+            if self.reported is None:
                 self.reported = self.first()
         return self.reported
+
+    def rows(self, start, end):
+        """Rows ``start:end`` as they are formatted."""
+        return self.values[start:end]
 
     def __len__(self):
         return self.sent[-1][1] if self.sent else 0
@@ -553,7 +555,7 @@ class CSVRows:
             os.close(self.fds.pop("tokens_w"))
             while token := os.read(self.fds["tokens_r"], _PAIR.size):
                 start, end = _PAIR.unpack(token)
-                self.texts[start] = "".join(csv_lines(self.values[start:end]))
+                self.texts[start] = "".join(csv_lines(self.rows(start, end)))
             data = b"".join(iter(lambda: os.read(self.fds["status_r"],
                                                  1 << 16), b""))
             if _reap(self.pid) == 0:
@@ -567,7 +569,7 @@ class CSVRows:
                 # the helper's chunks, in the order it pulled them
                 yield self.tmp.read(index[start]).decode("ascii")
             else:
-                yield from csv_lines(self.values[start:end])
+                yield from csv_lines(self.rows(start, end))
 
     def _close(self):
         for fd in self.fds.values():
@@ -589,7 +591,9 @@ class Comparison(CSVRows):
     The helper first integrates the direct ODE from (y0, dy0) into the
     y_numeric column.  ``chunk`` is the ``each`` of the amplitude flow:
     it evaluates y_RG of the expansion of the Cartesian RGSystem on each
-    chunk, and once the direct ODE is in, sends the chunk with its diff.
+    chunk and sends it at once.  ``rows`` fills a chunk's diff where it
+    is formatted, once the direct ODE is in: the helper runs it before it
+    pulls a chunk, and this process formats only after ``metrics``.
     ``metrics`` checks the full columns and raises in the order of
     ``evaluate_expansion`` then ``require_whole`` of the direct ODE.
     """
@@ -600,7 +604,6 @@ class Comparison(CSVRows):
         self.ode_args = (V, y0, dy0, eps, t_max, h)
         self.terms = _expansion_terms(system, eps, expansion_order)
         self.imag = np.empty(len(self.grid))
-        self.pending = []
 
     def first(self):
         traj = integrate_ode(*self.ode_args)
@@ -615,17 +618,12 @@ class Comparison(CSVRows):
                          values[:, 1])
         self.values[start:end, 2] = signal.real
         self.imag[start:end] = signal.imag
-        self.pending.append((start, end))
-        if self.report(wait=False) is not None:
-            self._flush()
+        self.send(start, end)
 
-    def _flush(self):
-        if not self.reported[0]:
-            v = self.values
-            for start, end in self.pending:
-                v[start:end, 3] = v[start:end, 1] - v[start:end, 2]
-                self.send(start, end)
-        self.pending.clear()
+    def rows(self, start, end):
+        v = self.values[start:end]
+        v[:, 3] = v[:, 1] - v[:, 2]
+        return v
 
     def metrics(self):
         """max_abs_diff and rms_diff, once the whole flow is in."""
@@ -634,15 +632,13 @@ class Comparison(CSVRows):
         truncated, n = self.report()
         require_whole(Trajectory(self.grid[:n], ("y",), v[:n, 1:2],
                                  truncated), "the direct ODE")
-        self._flush()
-        diff = v[:, 3]
+        diff = v[:, 1] - v[:, 2]
         return {"max_abs_diff": float(np.max(np.abs(diff))),
                 "rms_diff": float(np.sqrt(np.mean(diff ** 2)))}
 
 
 def write_csv(out, rows, header="t,y_numeric,y_rg,diff"):
-    """The header line and the CSV lines of ``rows``, a 2-D float array
-    or the CSVRows that formatted them, to the open text file ``out``."""
+    """The header line and the CSV lines of the CSVRows ``rows`` to the
+    open text file ``out``."""
     out.write(header + "\n")
-    out.writelines(rows.lines() if isinstance(rows, CSVRows)
-                   else csv_lines(rows))
+    out.writelines(rows.lines())

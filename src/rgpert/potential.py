@@ -11,6 +11,7 @@ is split into this table.
 """
 
 import re as _re
+import sys
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       Composition, I, Rat, dot, grq)
@@ -229,7 +230,7 @@ class _Parser:
             tok, at = self.advance() if self.peek() else (None, self.here())
             if tok is None or not tok.isdigit():
                 raise ParseError("expected a nonnegative integer exponent", at)
-            value = value ** int(tok)
+            value = value ** _number(tok, at)
         return value
 
     def _int(self):
@@ -243,7 +244,7 @@ class _Parser:
                    else (None, self.here()))
         if tok is None or not tok.isdigit():
             raise ParseError("expected an integer", at)
-        return sign * int(tok)
+        return sign * _number(tok, at)
 
     def atom(self):
         tok = self.peek()
@@ -260,12 +261,12 @@ class _Parser:
         if tok[0].isdigit():
             self.advance()
             if "/" in tok:
-                num, den = tok.split("/")
-                if not int(den):
+                num, den = (_number(part, at) for part in tok.split("/"))
+                if not den:
                     raise ParseError("zero denominator", at)
-                c = GaussianRational(Rat(int(num), int(den)))
+                c = GaussianRational(Rat(num, den))
             else:
-                c = GaussianRational(int(tok))
+                c = GaussianRational(_number(tok, at))
             return ParamPolynomial.const(c)
         if tok == "i":
             self.advance()
@@ -300,6 +301,19 @@ class _Parser:
             self.advance()
             return ParamPolynomial.var(tok)
         raise ParseError(f"unknown identifier {tok!r}", at)
+
+
+def _number(tok, at):
+    """The int of the digits ``tok`` at position ``at``; a ParseError where
+    they are more than the interpreter converts
+    (``sys.get_int_max_str_digits()``)."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"a number of {len(tok)} digits exceeds the "
+                         "interpreter's limit of "
+                         f"{sys.get_int_max_str_digits()} digits",
+                         at) from None
 
 
 def parse_potential(text, params=()):

@@ -634,6 +634,47 @@ def test_symbolic_budgets_exit_1_before_solving(capsys, monkeypatch,
     assert "budget" in captured.err and message in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["polar", "--potential", "2^20000*y^3"],
+    ["polar", "--example", "duffing", "--bind", "g=1e4300"],
+], ids=["literal", "bind"])
+def test_too_long_to_print_exit_1(capsys, argv, fmt):
+    # a coefficient past the interpreter's int-to-str limit: a budget
+    # error, and no line of the output before it; g = 10^4300 is within
+    # the limit for --bind, its 4,301 digits are not for printing
+    code = main(argv + ["--order", "1", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: an exact number of ")
+    assert captured.err.endswith(" digits exceeds the interpreter's limit "
+                                 "of 4300 digits for printing an integer\n")
+
+
+def test_too_long_to_parse_exit_1(capsys):
+    code = main(["polar", "--potential", "E(" + "1" * 5000 + ")*y^3"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: a number of 5000 digits exceeds the interpreter's limit of "
+        "4300 digits (at position 2)\n")
+
+
+@pytest.mark.parametrize("value", ["1e100000", "-2.5E-0004301",
+                                   "1" * 4301 + "/3", "1_0e+99_999"],
+                         ids=["exponent", "negative-exponent", "digits",
+                              "underscores"])
+def test_bind_past_the_digit_limit_is_a_usage_error(capsys, value):
+    # refused before Fraction computes 10^exponent, whose time grows with
+    # it: 1e100000 alone takes milliseconds, 1e999999999 would take hours
+    with pytest.raises(SystemExit) as exc:
+        main(["polar", "--example", "duffing", "--bind", f"g={value}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: --bind g: the value has more digits, or an exponent larger, "
+        "than the interpreter's limit of 4300 digits\n")
+
+
 DIVERGING = [
     (["--R0", "2", "--theta0", "0", "--rg-order", "2"], "amplitude flow"),
     (["--R0", "0.1", "--theta0", "0", "--rg-order", "0", "--y0", "30",

@@ -6,8 +6,9 @@ import pytest
 from rgpert import mathieu
 from rgpert.algebra import (EpsilonSeries, ParamPolynomial, P, gr, grq, Rat,
                             substitute)
-from rgpert.errors import (NonRationalRoot, NotLinear, NotScalar,
-                           RootNotBracketed, SeriesOverflow, Underdetermined)
+from rgpert.errors import (BudgetExceeded, NonRationalRoot, NotLinear,
+                           NotScalar, RootNotBracketed, SeriesOverflow,
+                           Underdetermined)
 from rgpert.mathieu import (linear_matrix, omega_squared,
                             stability_boundaries, hill_determinant,
                             find_boundary_roots,
@@ -246,6 +247,13 @@ def test_branch_text_keeps_unit_coefficients():
     assert branch.a_series_str() == ("1 + 1*eps - 2/3*eps^2 - 1*eps^4 "
                                      "+ 5/7*eps^5")
     assert mathieu.Branch("0", (Rat(1),)).a_series_str() == "1"
+
+
+def test_band_edge_too_long_to_print_is_a_budget_error():
+    branch = mathieu.Branch("+", (Rat(1), Rat(1, 10 ** 5000)))
+    for method in (branch.a_texts, branch.a_series_str):
+        with pytest.raises(BudgetExceeded, match="5001 digits"):
+            method()
 
 
 def test_branches_annihilate_omega_squared(analysis7):

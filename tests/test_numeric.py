@@ -176,6 +176,8 @@ def test_comparison_metrics_are_those_of_the_columns():
         nm.integrate_rg(to_polar(sysc), 0.25, 2, 1.0, R0=0.1, theta0=0.0,
                         each=rows.chunk)
         rows.metrics()
+        nm.write_csv(io.StringIO(), rows)
+        # diff is filled where a row is formatted
         assert rows.values[0].tolist() == [0.0, 0.2, 0.2, 0.0]
 
 
@@ -223,14 +225,10 @@ def test_expansion_through_exponent_map_is_bit_identical(name, bindings, K):
         assert np.array_equal(got, want.real), order
 
 
-def test_csv_emission(tmp_path):
+def test_csv_emission():
     rows = np.array([[0.0, 1.0, 1.0, 0.0], [0.1, 0.9, 0.8, 0.1]])
-    csv = tmp_path / "out.csv"
-    with open(csv, "w") as fh:
-        nm.write_csv(fh, rows)
-    lines = csv.read_text().splitlines()
-    assert lines[0] == "t,y_numeric,y_rg,diff"
-    assert len(lines) == 3
+    assert "".join(nm.csv_lines(rows)).splitlines() == [
+        "0.0,1.0,1.0,0.0", "0.1,0.9,0.8,0.1"]
 
 
 def test_divergence_flag():
@@ -577,15 +575,12 @@ def test_complex_potential_is_rejected():
     nm.check_real(SIN_EPS)
 
 
-def test_csv_lines_match_float_repr(tmp_path):
+def test_csv_lines_match_float_repr():
     rows = np.array([[0.0, -0.0, 1e-300, 2.0 / 3],
                      [math.inf, -math.inf, math.nan, 123456789.125]])
-    path = tmp_path / "rows.csv"
-    with open(path, "w") as fh:
-        nm.write_csv(fh, rows, "a,b,c,d")
-    expected = "a,b,c,d\n" + "".join(
+    expected = "".join(
         ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
-    assert path.read_text() == expected
+    assert "".join(nm.csv_lines(rows)) == expected
 
 
 C = nm.CSV_CHUNK_ROWS
@@ -934,6 +929,23 @@ def test_a_parent_that_raises_kills_and_reaps_the_ode_child(forks,
                 raise error
     assert info.value is error
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_each_chunk_is_sent_as_the_flow_makes_it(forks, monkeypatch, cpus):
+    # the direct ODE would take a minute in the helper: every chunk of
+    # the flow is sent all the same, before the ODE is in, and leaving
+    # the block kills and reaps the helper
+    monkeypatch.setattr(nm, "integrate_ode", in_a_child(
+        nm.integrate_ode, lambda: time.sleep(60)))
+    V, y0, dy0, eps, t_max = VDP_TWO_CHUNKS
+    with _within(20), _one_cpu() if cpus == 1 else contextlib.nullcontext():
+        with nm.Comparison(V, y0, dy0, VDP_SYSTEM, eps, 1, t_max) as rows:
+            nm.integrate_rg(to_polar(VDP_SYSTEM), eps, 1, t_max, R0=2.0,
+                            theta0=0.0, each=rows.chunk)
+            assert len(rows) == len(rows.grid) == 2 * C
+    assert_no_child()
+    assert len(forks) == (1 if cpus == 2 else 0)
 
 
 def test_overflowing_expansion_is_a_typed_error_without_warnings():

@@ -113,6 +113,19 @@ def test_parse_error_position():
     assert exc.value.position == 0
 
 
+@pytest.mark.parametrize("template,at", [
+    ("{}*y^3", 0), ("3/{}*y^3", 0), ("{}/3*y^3", 0), ("E({})*y^3", 2),
+    ("cos(-{}t)*y^3", 5), ("y^{}", 2)])
+def test_number_past_the_digit_limit_is_a_parse_error(template, at):
+    # int() of more digits than the interpreter converts raises
+    # ValueError; the parser names the token instead
+    with pytest.raises(ParseError) as exc:
+        parse_potential(template.format("1" * 5000))
+    assert str(exc.value) == ("a number of 5000 digits exceeds the "
+                              "interpreter's limit of 4300 digits "
+                              f"(at position {at})")
+
+
 def test_conjugation_symmetry():
     assert parse_potential("(1 - y^2)*y'").is_conjugation_symmetric()
     assert parse_potential("2*y*y'*cos(1t)").is_conjugation_symmetric()

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rgpert.algebra import GaussianRational, Rat, gr, grq, ONE, I
-from rgpert.algebra.rationals import text
+from rgpert.algebra.rationals import ratio, text
+from rgpert.errors import BudgetExceeded
 
 from oracles import gaussian_str
 
@@ -94,3 +95,20 @@ def test_text_reduces_each_part():
     assert text(-3, 3, 3) == "(-1+i)"
     assert text(0, -5, 5) == "-i"
     assert text(4, 0, 6) == "2/3"
+
+
+@pytest.mark.parametrize("n,digits", [(10 ** 5000, 5001),
+                                      (10 ** 5000 - 1, 5000),
+                                      (-(2 ** 20000), 6021)],
+                         ids=["10^5000", "10^5000-1", "-2^20000"])
+def test_too_long_to_print_names_its_digits(n, digits):
+    # past the interpreter's int-to-str limit a coefficient is a budget
+    # error naming its digit count and the limit, in text and JSON, as a
+    # numerator and as a denominator
+    message = (f"an exact number of {digits} digits exceeds the "
+               "interpreter's limit of 4300 digits for printing an integer")
+    for make in (lambda: text(n, 0, 1), lambda: text(1, n, 3),
+                 lambda: ratio(n, 7), lambda: ratio(3, abs(n))):
+        with pytest.raises(BudgetExceeded) as exc:
+            make()
+        assert str(exc.value) == message
