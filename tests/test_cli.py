@@ -660,6 +660,18 @@ def test_too_long_to_parse_exit_1(capsys):
         "4300 digits (at position 2)\n")
 
 
+@pytest.mark.parametrize("potential,err", [
+    ("y^2^3*y'", "trailing input '^' (at position 3)"),
+    ("cos(1x)*y", "expected 't' inside cos(..)/sin(..) (at position 5)"),
+])
+def test_parse_error_exit_1(capsys, potential, err):
+    code = main(["polar", "--potential", potential])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("value", ["1e100000", "-2.5E-0004301",
                                    "1" * 4301 + "/3", "1_0e+99_999"],
                          ids=["exponent", "negative-exponent", "digits",

@@ -113,6 +113,58 @@ def test_parse_error_position():
     assert exc.value.position == 0
 
 
+PARSE_ERRORS = [
+    ("y y'", "trailing input \"y'\"", 2),
+    ("y)", "trailing input ')'", 1),
+    ("y^2^3*y'", "trailing input '^'", 3),
+    ("y^3 )", "trailing input ')'", 4),
+    ("y^", "expected a nonnegative integer exponent", 2),
+    ("y^ ", "expected a nonnegative integer exponent", 3),
+    ("y^-1", "expected a nonnegative integer exponent", 2),
+    ("y^+2", "expected a nonnegative integer exponent", 2),
+    ("y^y", "expected a nonnegative integer exponent", 2),
+    ("E()", "expected an integer", 2),
+    ("E(+)", "expected an integer", 3),
+    ("E(-)", "expected an integer", 3),
+    ("E(-+2)*y", "expected an integer", 3),
+    ("cos(t)*y", "expected an integer", 4),
+    ("cos(", "expected an integer", 4),
+    ("cos(1x)*y", "expected 't' inside cos(..)/sin(..)", 5),
+    ("cos(1", "expected 't' inside cos(..)/sin(..)", 5),
+    ("cos", "expected '('", 3),
+    ("E 1", "expected '('", 2),
+    ("(y", "expected ')'", 2),
+    ("E(1*y", "expected ')'", 3),
+    ("cos(1t", "expected ')'", 6),
+    ("y*", "unexpected end of input", 2),
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+    ("-", "unexpected end of input", 1),
+    ("(", "unexpected end of input", 1),
+    ("()", "expected a term", 1),
+    ("q*y", "unknown identifier 'q'", 0),
+    ("1/2/3*y", "unexpected character '/'", 3),
+    ("$", "unexpected character '$'", 0),
+    ("1/0*y'", "zero denominator", 0),
+]
+
+
+@pytest.mark.parametrize("text,message,at", PARSE_ERRORS,
+                         ids=[repr(text) for text, *_ in PARSE_ERRORS])
+def test_parse_error_pins(text, message, at):
+    with pytest.raises(ParseError) as exc:
+        parse_potential(text)
+    assert str(exc.value) == f"{message} (at position {at})"
+    assert exc.value.position == at
+
+
+@pytest.mark.parametrize("text,same", [
+    ("E(+2)*y", "E(2)*y"), ("y^ 2", "y^2"), ("cos(2 t)*y", "cos(2t)*y"),
+    (" y ^ 3 * y' ", "y^3*y'")])
+def test_spaces_and_plus_signs_parse(text, same):
+    assert parse_potential(text) == parse_potential(same)
+
+
 @pytest.mark.parametrize("template,at", [
     ("{}*y^3", 0), ("3/{}*y^3", 0), ("{}/3*y^3", 0), ("E({})*y^3", 2),
     ("cos(-{}t)*y^3", 5), ("y^{}", 2)])
