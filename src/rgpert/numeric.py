@@ -256,7 +256,8 @@ def _compile(series, eps, order, *names):
     eps-orders k <= order of a series in the variables ``names``, each
     order's terms sorted by exponent tuple: the floats and the order of
     every float sum built on them depend on the exact values only, not
-    on the order in which the terms of a polynomial were made."""
+    on the order in which the terms of a polynomial were made.
+    SeriesOverflow where a coefficient is past the range of a float."""
     terms = []
     for k in range(min(order, series.cap) + 1):
         c = series.coeffs[k]
@@ -269,8 +270,12 @@ def _compile(series, eps, order, *names):
         except OverflowError:
             # the +-inf of a float64, as a float: see _RHS.power
             epsk = math.copysign(math.inf, eps) ** k
-        terms += [(exps, coeff.as_constant().to_complex() * epsk)
-                  for exps, coeff in sorted(c.split(names).items())]
+        try:
+            terms += [(exps, coeff.as_constant().to_complex() * epsk)
+                      for exps, coeff in sorted(c.split(names).items())]
+        except OverflowError:
+            raise SeriesOverflow(f"a coefficient at eps-order {k} overflows "
+                                 "a float") from None
     return terms
 
 

@@ -12,6 +12,7 @@ is split into this table.
 
 import re as _re
 import sys
+from itertools import chain
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       Composition, I, Rat, dot, grq)
@@ -38,6 +39,14 @@ _QUARTET = ("E", "y", "y'", "eps")
 #: README and benchmark expand.  The lists of powers and products of
 #: Potential.composition grow with it.
 MAX_DEGREE = 64
+
+#: Largest n * b of a DSL power ``base^n``, b the largest bit length
+#: among the numerators and the denominator of its base: 26x the 40,000
+#: of ``2^20000``, the largest power of a constant that the tests build
+#: (to reach the 4,300-digit printing limit).  A power at the budget
+#: builds numbers of about a million bits: 0.08 s for (3^32767)^20
+#: (Python 3.11, one core of a 2-vCPU VM).
+MAX_CONSTANT_BITS = 1 << 20
 
 
 class Potential:
@@ -154,62 +163,65 @@ class Potential:
 #         | "cos(" int "t)" | "sin(" int "t)" | ident | "(" expr ")"
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = _re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*'?|[-+*^()])")
+_TOKEN_RE = _re.compile(
+    r"\s*(?:(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*'?|[-+*^()])|(\S))")
 
 
 def _tokenize(text):
+    """The tokens (text, position) of ``text``, then the end token
+    (None, len(text))."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        if m[2]:
+            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
+    return tokens + [(None, len(text))]
 
 
 class _Parser:
-    def __init__(self, tokens, params, text_len):
+    def __init__(self, tokens, params):
         self.tokens = tokens
         self.params = params
         self.pos = 0
-        self.text_len = text_len
 
     def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def here(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return self.text_len
+        return self.tokens[self.pos][0]
 
     def advance(self):
+        """The next token; the end token stays next once reached."""
         tok = self.tokens[self.pos]
-        self.pos += 1
+        if tok[0] is not None:
+            self.pos += 1
         return tok
 
-    def expect(self, want):
+    def accept(self, want):
+        """Whether the next token is ``want``, taken if so."""
         if self.peek() != want:
-            raise ParseError(f"expected {want!r}", self.here())
-        return self.advance()
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, want):
+        tok, at = self.advance()
+        if tok != want:
+            raise ParseError(f"expected {want!r}", at)
+
+    def digits(self, message):
+        """The next token's int and position; ParseError if not digits."""
+        tok, at = self.advance()
+        if tok is None or not tok.isdigit():
+            raise ParseError(message, at)
+        return _number(tok, at), at
 
     def parse(self):
         value = self.expr()
-        if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input {self.peek()!r}", self.here())
+        tok, at = self.advance()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok!r}", at)
         return value
 
     def expr(self):
-        if self.peek() == "-":
-            self.advance()
-            value = -self.term()
-        else:
-            value = self.term()
+        value = -self.term() if self.accept("-") else self.term()
         while self.peek() in ("+", "-"):
             op, _ = self.advance()
             rhs = self.term()
@@ -218,74 +230,58 @@ class _Parser:
 
     def term(self):
         value = self.factor()
-        while self.peek() == "*":
-            self.advance()
+        while self.accept("*"):
             value = value * self.factor()
         return value
 
     def factor(self):
         value = self.atom()
-        if self.peek() == "^":
-            self.advance()
-            tok, at = self.advance() if self.peek() else (None, self.here())
-            if tok is None or not tok.isdigit():
-                raise ParseError("expected a nonnegative integer exponent", at)
-            value = value ** _number(tok, at)
+        if self.accept("^"):
+            n, at = self.digits("expected a nonnegative integer exponent")
+            bits = max(x.bit_length()
+                       for x in (value.den, *chain(*value.terms.values())))
+            if n * bits > MAX_CONSTANT_BITS:
+                raise BudgetExceeded(
+                    f"the exponent times the {bits} bits of the base's "
+                    "largest numerator or denominator exceeds the budget "
+                    f"of {MAX_CONSTANT_BITS} bits (at position {at})")
+            value = value ** n
         return value
 
     def _int(self):
-        sign = 1
-        if self.peek() == "-":
-            self.advance()
-            sign = -1
-        elif self.peek() == "+":
-            self.advance()
-        tok, at = (self.advance() if self.peek() is not None
-                   else (None, self.here()))
-        if tok is None or not tok.isdigit():
-            raise ParseError("expected an integer", at)
-        return sign * _number(tok, at)
+        negative = self.accept("-")
+        if not negative:
+            self.accept("+")
+        k, _ = self.digits("expected an integer")
+        return -k if negative else k
 
     def atom(self):
-        tok = self.peek()
-        at = self.here()
+        tok, at = self.advance()
         if tok is None:
             raise ParseError("unexpected end of input", at)
         if tok in ("+", "-", "*", "^", ")"):
             raise ParseError("expected a term", at)
         if tok == "(":
-            self.advance()
             value = self.expr()
             self.expect(")")
             return value
         if tok[0].isdigit():
-            self.advance()
-            if "/" in tok:
-                num, den = (_number(part, at) for part in tok.split("/"))
-                if not den:
-                    raise ParseError("zero denominator", at)
-                c = GaussianRational(Rat(num, den))
-            else:
-                c = GaussianRational(_number(tok, at))
-            return ParamPolynomial.const(c)
+            num, _, den = tok.partition("/")
+            num, den = _number(num, at), _number(den or "1", at)
+            if not den:
+                raise ParseError("zero denominator", at)
+            return ParamPolynomial.const(GaussianRational(Rat(num, den)))
         if tok == "i":
-            self.advance()
             return ParamPolynomial.const(I)
-        if tok in ("eps", "y", "y'"):
-            self.advance()
-            return ParamPolynomial.var(tok)
         if tok == "E":
-            self.advance()
             self.expect("(")
             k = self._int()
             self.expect(")")
             return ParamPolynomial.var("E", k)
         if tok in ("cos", "sin"):
-            self.advance()
             self.expect("(")
             k = self._int()
-            tname, tat = (self.advance() if self.peek() is not None
-                          else (None, self.here()))
+            tname, tat = self.advance()
             if tname != "t":
                 raise ParseError("expected 't' inside cos(..)/sin(..)", tat)
             self.expect(")")
@@ -297,8 +293,7 @@ class _Parser:
         if tok == "t":
             raise NotInClass(
                 "bare polynomial t-dependence is outside the class")
-        if tok in self.params:
-            self.advance()
+        if tok in ("eps", "y", "y'") or tok in self.params:
             return ParamPolynomial.var(tok)
         raise ParseError(f"unknown identifier {tok!r}", at)
 
@@ -318,7 +313,7 @@ def _number(tok, at):
 
 def parse_potential(text, params=()):
     """Parse the DSL into a validated quartet table."""
-    value = _Parser(_tokenize(text), tuple(params), len(text)).parse()
+    value = _Parser(_tokenize(text), tuple(params)).parse()
     return Potential(value.split(_QUARTET), params)
 
 

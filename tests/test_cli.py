@@ -620,6 +620,9 @@ def test_compare_huge_amplitude_reports_the_flow(capsys, R0):
 @pytest.mark.parametrize("potential,message", [
     ("y^100000", "exponent bound"),
     ("y^400*y'", "degree 401"),
+    # a power whose constant would have 983 million bits, refused before
+    # it is built
+    ("(2^32767)^30000*y^3", "budget of 1048576 bits (at position 10)"),
 ])
 def test_symbolic_budgets_exit_1_before_solving(capsys, monkeypatch,
                                                 potential, message):
@@ -757,6 +760,25 @@ def test_compare_error_precedence(forks, monkeypatch, capsys, tmp_path,
     assert captured.err.startswith(f"error: {message}")
     assert out_file.read_text() == ""
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("argv,k", [
+    (["simulate", "--potential", "2^1100*y^3 + y'", "--eps", "1e-300",
+      "--y0", "1", "--dy0", "0"], 0),
+    (["compare", "--potential", "2^1100*y^3 - y'", "--order", "1", "--eps",
+      "0.1", "--R0", "1", "--theta0", "0"], 1),
+], ids=["simulate", "compare"])
+def test_coefficient_past_a_float_exit_1(capsys, tmp_path, argv, k):
+    # 2^1100 is exact, but no float holds it: simulate compiles V at
+    # eps-order 0, compare the amplitude equations at eps-order 1
+    out_file = tmp_path / "out.csv"
+    code = main([*argv, "--tmax", "1", "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: a coefficient at eps-order {k} "
+                            "overflows a float\n")
+    assert out_file.read_text() == ""
 
 
 def test_overflowing_expansion_warns_nothing():

@@ -1,12 +1,16 @@
+import math
+import re
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rgpert.algebra import ParamPolynomial, EpsilonSeries, P, gr, grq
 from rgpert.errors import (BudgetExceeded, CapMismatch, ParseError,
-                           NotInClass, TrivialLinear)
+                           NotInClass, RgpertError, TrivialLinear)
 from rgpert.perturbation import expand
 from rgpert.potential import (Potential, parse_potential, eval_potential,
-                              HARMONIC, MAX_DEGREE, RESERVED_NAMES,
-                              harmonic, harmonics, lie)
+                              HARMONIC, MAX_CONSTANT_BITS, MAX_DEGREE,
+                              RESERVED_NAMES, harmonic, harmonics, lie)
 from rgpert.registry import EXAMPLES, get_example
 from rgpert.rg import _homological_solve
 
@@ -100,17 +104,10 @@ def test_mathieu_is_admissible():
 def test_parse_error_position():
     # an operator or ')' where a term is due is not an identifier
     for text, at in [("y +* y'", 3), ("y' + -y^3", 5), ("*y", 0),
-                     ("y + )", 4), ("(^2)", 1), ("y*+y'", 2)]:
+                     ("y + )", 4), ("(^2)", 1), ("y*+y'", 2), ("()", 1)]:
         with pytest.raises(ParseError) as exc:
             parse_potential(text)
         assert str(exc.value) == f"expected a term (at position {at})"
-    with pytest.raises(ParseError):
-        parse_potential("q*y")        # unknown identifier
-    with pytest.raises(ParseError):
-        parse_potential("(y")
-    with pytest.raises(ParseError) as exc:
-        parse_potential("1/0*y'")
-    assert exc.value.position == 0
 
 
 PARSE_ERRORS = [
@@ -141,10 +138,12 @@ PARSE_ERRORS = [
     ("   ", "unexpected end of input", 3),
     ("-", "unexpected end of input", 1),
     ("(", "unexpected end of input", 1),
-    ("()", "expected a term", 1),
     ("q*y", "unknown identifier 'q'", 0),
     ("1/2/3*y", "unexpected character '/'", 3),
     ("$", "unexpected character '$'", 0),
+    # the character itself, not the space before it
+    ("y $ y", "unexpected character '$'", 2),
+    ("y^3 +  @", "unexpected character '@'", 7),
     ("1/0*y'", "zero denominator", 0),
 ]
 
@@ -165,6 +164,25 @@ def test_spaces_and_plus_signs_parse(text, same):
     assert parse_potential(text) == parse_potential(same)
 
 
+@pytest.mark.parametrize("text,bits,at", [
+    ("(2^32767)^30000*y^3", 32768, 10), ("((2^32767)^32767)^2", 32768, 11),
+    ("y + (1/3*y)^524289", 2, 12), ("y^2000000", 1, 2)])
+def test_power_past_the_constant_budget(text, bits, at):
+    # refused before the power is built: (2^32767)^30000 alone would be a
+    # 983-million-bit integer
+    with pytest.raises(BudgetExceeded) as exc:
+        parse_potential(text)
+    assert str(exc.value) == (
+        f"the exponent times the {bits} bits of the base's largest "
+        "numerator or denominator exceeds the budget of "
+        f"{MAX_CONSTANT_BITS} bits (at position {at})")
+
+
+def test_power_at_the_constant_budget():
+    V = parse_potential(f"(2^32767)^{MAX_CONSTANT_BITS // 32768}*y^3")
+    assert V.coeffs == {(0, 3, 0, 0): one * 2 ** (MAX_CONSTANT_BITS - 32)}
+
+
 @pytest.mark.parametrize("template,at", [
     ("{}*y^3", 0), ("3/{}*y^3", 0), ("{}/3*y^3", 0), ("E({})*y^3", 2),
     ("cos(-{}t)*y^3", 5), ("y^{}", 2)])
@@ -176,6 +194,91 @@ def test_number_past_the_digit_limit_is_a_parse_error(template, at):
     assert str(exc.value) == ("a number of 5000 digits exceeds the "
                               "interpreter's limit of 4300 digits "
                               f"(at position {at})")
+
+
+#: Fuzzed DSL input: pieces drawn from every character and word of the
+#: DSL and one stray character.
+DSL_PIECES = [*"0123456789/+-*^()' ", "y", "y'", "eps", "E", "cos", "sin",
+              "t", "i", "g"]
+DSL_TEXTS = st.characters().flatmap(
+    lambda stray: st.lists(st.sampled_from([*DSL_PIECES, stray]),
+                           max_size=24).map("".join))
+
+
+def _exponent_product(text):
+    """The product of every exponent written in ``text``: a bound on the
+    nesting of its powers, and so on the size of their expansions."""
+    return math.prod(int(n) for n in re.findall(r"\^\s*(\d+)", text))
+
+
+def _parse_or_typed_error(text):
+    """parse_potential(text), or None where it raises an RgpertError; no
+    other exception passes."""
+    try:
+        V = parse_potential(text, ("g",))
+    except RgpertError:
+        return None
+    assert isinstance(V, Potential)
+    return V
+
+
+@settings(max_examples=300, deadline=None)
+@given(DSL_TEXTS)
+def test_fuzzed_text_parses_or_raises_a_typed_error(text):
+    # the exponents stay small, so each example takes milliseconds
+    assume(_exponent_product(text) <= 8)
+    _parse_or_typed_error(text)
+
+
+#: An int in E(..), cos(..) or sin(..), with its sign as its own token.
+_INTS = st.sampled_from([[], ["-"], ["+"]]).flatmap(
+    lambda sign: st.integers(0, 3).map(lambda k: [*sign, str(k)]))
+_ATOMS = st.one_of(
+    st.sampled_from(["y", "y'", "eps", "i", "g"]).map(lambda w: [w]),
+    st.integers(0, 99).map(lambda n: [str(n)]),
+    st.tuples(st.integers(0, 99), st.integers(0, 9)).map(
+        lambda pq: ["{}/{}".format(*pq)]),
+    _INTS.map(lambda k: ["E", "(", *k, ")"]),
+    st.tuples(st.sampled_from(["cos", "sin"]), _INTS).map(
+        lambda f: [f[0], "(", *f[1], "t", ")"]),
+)
+
+
+@st.composite
+def expressions(draw, depth=2, budget=3):
+    """The tokens of a well-formed DSL expression whose powers, along any
+    chain of nested parentheses, multiply to at most ``budget``."""
+    def factor():
+        n = draw(st.none() | st.integers(0, budget))
+        if depth and draw(st.booleans()):
+            inner = draw(expressions(depth - 1, budget // (n or 1)))
+            tokens = ["(", *inner, ")"]
+        else:
+            tokens = draw(_ATOMS)
+        return tokens if n is None else [*tokens, "^", str(n)]
+
+    def term():
+        tokens = factor()
+        if draw(st.booleans()):
+            tokens += ["*", *factor()]
+        return tokens
+
+    tokens = ["-", *term()] if draw(st.booleans()) else term()
+    for _ in range(draw(st.integers(0, 2))):
+        tokens += [draw(st.sampled_from("+-")), *term()]
+    return tokens
+
+
+@settings(max_examples=100, deadline=None)
+@given(expressions(), st.randoms(use_true_random=False))
+def test_well_formed_expressions_parse_with_any_spacing(tokens, rnd):
+    # a Potential or a typed error (a zero denominator, a trivial or
+    # linear potential), the same with spaces between the tokens; and
+    # a prefix, which may end anywhere inside the grammar
+    spaced = "".join(tok + " " * rnd.randint(0, 2) for tok in tokens)
+    V = _parse_or_typed_error("".join(tokens))
+    assert _parse_or_typed_error(spaced) == V
+    _parse_or_typed_error("".join(tokens[:rnd.randint(0, len(tokens))]))
 
 
 def test_conjugation_symmetry():
