@@ -61,6 +61,20 @@ def _join_signed(argv):
     return out
 
 
+def _split_dashes(argv):
+    """``argv`` with each "--name=--" split in two.  argparse (3.10, 3.11)
+    drops that "--" and stores an empty list as the value, which no
+    handler reads; split, it is the usage error of a missing value."""
+    out = []
+    for arg in argv:
+        name, _, value = arg.partition("=")
+        if value == "--" and name.startswith("--"):
+            out += [name, value]
+        else:
+            out.append(arg)
+    return out
+
+
 def _step(text):
     """Argument type of a time step: a positive finite float."""
     value = float(text)
@@ -229,6 +243,9 @@ def cmd_verify(args, parser):
 
 def cmd_mathieu(args, parser):
     if args.crosscheck:
+        if args.format == "json":
+            parser.error("--format json does not apply to --crosscheck, "
+                         "which prints CSV")
         opts = {}
         for part in args.crosscheck.split(","):
             key, _, value = part.partition("=")
@@ -323,6 +340,10 @@ def _emit_rows(args, parser, out, header, rows):
         numeric.write_csv(out, rows, header)
         out.close()
     except OSError as exc:
+        # closed first: a close raises the failed flush once, and then the
+        # file is closed, so the with block's close raises nothing
+        with contextlib.suppress(OSError):
+            out.close()
         parser.error(f"--out {args.out}: {exc.strerror}")
     print(f"wrote {len(rows)} rows to {args.out}")
 
@@ -414,65 +435,88 @@ def cmd_examples(args, parser):
     return 0
 
 
+def _symbolic_args(p):
+    _add_potential_args(p)
+    p.add_argument("--format", default="text", choices=["text", "json"],
+                   help="output format")
+
+
+def _mathieu_args(p):
+    p.add_argument("--order", type=_order, default=5)
+    p.add_argument("--branch", choices=["+", "-"])
+    p.add_argument("--crosscheck", metavar="eps=v1:v2,N=n")
+    p.add_argument("--format", default="text", choices=["text", "json"])
+
+
+def _simulate_args(p):
+    _add_potential_args(p)
+    _common_sim_args(p)
+    p.set_defaults(order=None, rg_order=None)
+
+
+def _compare_args(p):
+    _add_potential_args(p)
+    _common_sim_args(p)
+    p.add_argument("--expansion-order", type=_order, default=1)
+
+
+#: Each command's handler and the function adding its arguments, in the
+#: order of the help.  The numeric commands print only CSV, so they take
+#: no --format.
+COMMANDS = {
+    "expand": (cmd_expand, _symbolic_args),
+    "rg": (cmd_rg, _symbolic_args),
+    "polar": (cmd_polar, _symbolic_args),
+    "limit-cycle": (cmd_limit_cycle, _symbolic_args),
+    "verify": (cmd_verify, _symbolic_args),
+    "mathieu": (cmd_mathieu, _mathieu_args),
+    "simulate": (cmd_simulate, _simulate_args),
+    "compare": (cmd_compare, _compare_args),
+    "examples": (cmd_examples, lambda p: None),
+}
+
+
 @functools.cache
-def build_parser():
-    """The parser and the handler map, built once per process on the
-    first call; parsing leaves no state on them."""
+def build_parser(command=None):
+    """The parser with the subparser of ``command`` only, or of every
+    command where it is None, built once per process and key; parsing
+    leaves no state on it.  With one command, the subparsers' metavar
+    names all nine, so the usage line that errors print is the full
+    parser's."""
     parser = argparse.ArgumentParser(
         prog="rgpert",
         description="Exact renormalization-group perturbation theory "
                     "for weakly nonlinear oscillators y'' + y = eps*V.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    handlers = {}
-
-    def add(name, fn, sim=False):
-        """A potential command; the numeric ones (sim) print only CSV."""
-        p = sub.add_parser(name)
-        _add_potential_args(p)
-        if sim:
-            _common_sim_args(p)
-        else:
-            p.add_argument("--format", default="text",
-                           choices=["text", "json"], help="output format")
-        handlers[name] = fn
-        return p
-
-    add("expand", cmd_expand)
-    add("rg", cmd_rg)
-    add("polar", cmd_polar)
-    add("limit-cycle", cmd_limit_cycle)
-    add("verify", cmd_verify)
-    pm = sub.add_parser("mathieu")
-    pm.add_argument("--order", type=_order, default=5)
-    pm.add_argument("--branch", choices=["+", "-"])
-    pm.add_argument("--crosscheck", metavar="eps=v1:v2,N=n")
-    pm.add_argument("--format", default="text", choices=["text", "json"])
-    handlers["mathieu"] = cmd_mathieu
-    add("simulate", cmd_simulate, sim=True).set_defaults(order=None,
-                                                         rg_order=None)
-    add("compare", cmd_compare, sim=True).add_argument(
-        "--expansion-order", type=_order, default=1)
-    sub.add_parser("examples")
-    handlers["examples"] = cmd_examples
-    return parser, handlers
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in [command] if command else COMMANDS:
+        COMMANDS[name][1](sub.add_parser(name))
+    return parser
 
 
 def main(argv=None):
-    parser, handlers = build_parser()
-    args = parser.parse_args(
-        _join_signed(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    argv = _join_signed(_split_dashes(argv))
+    # only the named command's subparser; help and a missing or unknown
+    # command need them all
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    args = parser.parse_args(argv)
     try:
-        code = handlers[args.command](args, parser)
+        code = COMMANDS[args.command][0](args, parser)
         sys.stdout.flush()
         return code
     except RgpertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader of stdout has gone, as with `| head`: the rest goes
+    except OSError as exc:
+        # a failed write to stdout, the one OSError that gets here (an
+        # --out file's is a usage error).  A reader gone, as with
+        # `| head`, ends quietly; a full device is named.  The rest goes
         # to the null device, so that the flush at exit raises nothing
         # (the "Note on SIGPIPE" of the signal module's docs)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: stdout: {exc.strerror}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -10,10 +11,12 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rgpert import cli, mathieu, numeric
 from rgpert import potential as potential_mod
 from rgpert.cli import build_parser, main
+from rgpert.registry import EXAMPLES
 
 from conftest import in_a_child
 
@@ -308,6 +311,8 @@ SIM_FLOW = ["simulate", "--example", "vdp", "--order", "2", "--eps", "0.1",
             "--R0", "1", "--theta0", "0"]
 COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
            "--R0", "1", "--theta0", "0"]
+MATHIEU_CROSSCHECK = ["mathieu", "--order", "3", "--crosscheck",
+                      "eps=0.1,N=6"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,6 +355,7 @@ COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
     SIM_FLOW + ["--expansion-order", "1"],
     SIM_ODE + ["--order", "3"],
     SIM_ODE + ["--rg-order", "1"],
+    MATHIEU_CROSSCHECK + ["--format", "json"],
 ], ids=["bind-not-rational", "bind-zero-denominator", "bind-undeclared",
         "negative-order", "mathieu-negative-order", "format-csv",
         "format-table", "bind-malformed", "numerics-unbound-parameter",
@@ -362,7 +368,7 @@ COMPARE = ["compare", "--example", "vdp", "--order", "2", "--eps", "0.1",
         "compare-dy0-without-y0", "simulate-flow-with-y0",
         "simulate-both-starts", "simulate-format", "compare-format",
         "simulate-expansion-order", "simulate-direct-order",
-        "simulate-direct-rg-order"])
+        "simulate-direct-rg-order", "mathieu-crosscheck-format-json"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -385,6 +391,8 @@ def test_bad_input_is_a_usage_error(capsys, argv):
      "--order applies only to the amplitude flow (--R0/--theta0)"),
     (SIM_ODE + ["--rg-order", "1"],
      "--rg-order applies only to the amplitude flow (--R0/--theta0)"),
+    (MATHIEU_CROSSCHECK + ["--format", "json"],
+     "--format json does not apply to --crosscheck, which prints CSV"),
 ])
 def test_ignored_input_is_named(capsys, argv, message):
     with pytest.raises(SystemExit):
@@ -434,6 +442,42 @@ def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, argv):
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         f"error: --out {GOLDEN}: Is a directory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rg", "--potential", "y'", "--bind=--"],
+    ["polar", "--potential", "y'", "--params=--"],
+    ["expand", "--example", "vdp", "--order=--"],
+    SIM_ODE + ["--tmax=--"],
+    COMPARE + ["--eps=--"],
+    ["mathieu", "--crosscheck=--"],
+])
+def test_option_given_dashes_is_a_usage_error(capsys, argv):
+    # argparse would store an empty list as the value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    name = argv[-1].partition("=")[0]
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {name}: expected one argument\n")
+
+
+DEV_FULL = pathlib.Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(),
+                                    reason="no /dev/full on this system")
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [SIM_ODE, COMPARE],
+                         ids=["simulate", "compare"])
+def test_out_failing_past_its_first_buffer_is_a_usage_error(capsys, argv):
+    # 4,001 rows: the write fails in write_csv, not in the last flush
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tmax", "200", "--out", str(DEV_FULL)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: --out {DEV_FULL}: {NO_SPACE}\n")
 
 
 def test_zero_denominator_exit_1(capsys):
@@ -1076,7 +1120,9 @@ REUSE_SEQUENCE = [
 def test_reused_parser_leaves_no_state(capsys):
     build_parser.cache_clear()
     shared = [outcome(capsys, argv) for argv in REUSE_SEQUENCE]
-    assert build_parser.cache_info().misses == 1
+    # one parser per command named first, and the full one for --help
+    assert build_parser.cache_info().misses == len(
+        {argv[0] for argv in REUSE_SEQUENCE})
     fresh = []
     for argv in REUSE_SEQUENCE:
         build_parser.cache_clear()
@@ -1100,8 +1146,52 @@ def test_parser_is_built_once(capsys, monkeypatch):
     build_parser.cache_clear()
     for _ in range(3):
         assert run(capsys, "examples")[0] == 0
+    assert built == ["rgpert", "rgpert examples"]   # its subparser only
+    built.clear()
+    build_parser(None)
     assert built.count("rgpert") == 1
-    assert len(built) == 1 + len(build_parser()[1])   # one per subcommand
+    assert len(built) == 1 + len(cli.COMMANDS)       # one per subcommand
+
+
+#: for each command: a valid argv, a usage error of its subparser and one
+#: of its handler (None where it has none)
+ONE_COMMAND_CASES = {
+    "expand": (["--example", "vdp", "--order", "2"], ["--order", "-1"],
+               ["--example", "vdp", "--params", "a"]),
+    "rg": (["--potential", "y'", "--format", "json"], ["--format", "csv"],
+           []),
+    "polar": (["--example", "duffing", "--bind", "g=1"],
+              ["--example", "nope"], ["--example", "duffing", "--bind", "g"]),
+    "limit-cycle": (["--example", "vdp"], ["--order", "x"],
+                    ["--example", "vdp", "--bind", "a=1"]),
+    "verify": (["--example", "vdp", "--order", "2"],
+               ["--example", "vdp", "--potential", "y'"], []),
+    "mathieu": (["--order", "3", "--branch", "+"], ["--branch", "0"],
+                ["--crosscheck", "eps=0.1,M=3"]),
+    "simulate": (SIM_FLOW[1:] + ["--dt", "0.1"], SIM_ODE[1:] + ["--dt", "0"],
+                 SIM_ODE[1:] + ["--order", "3"]),
+    "compare": (COMPARE[1:] + ["--expansion-order", "2"], ["--eps", "x"],
+                COMPARE[1:] + ["--y0", "5"]),
+    "examples": ([], None, None),
+}
+
+
+@pytest.mark.parametrize("name", ONE_COMMAND_CASES)
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch,
+                                                    name):
+    assert list(ONE_COMMAND_CASES) == list(cli.COMMANDS)
+    valid, sub_error, handler_error = ONE_COMMAND_CASES[name]
+    full, one = build_parser(None), build_parser(name)
+    assert one.parse_args([name] + valid) == full.parse_args([name] + valid)
+    cases = [["--help"], ["--order", "1", "extra"]]   # extra: top-level error
+    cases += [case for case in (sub_error, handler_error) if case is not None]
+    for args in cases:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda command: full)
+            want = outcome(capsys, [name] + args)
+        assert outcome(capsys, [name] + args) == want
+        assert want[0] == (0 if args == ["--help"] else 2)
+    assert want[2].startswith("usage: rgpert [-h]\n              {expand,rg,")
 
 
 def _src_env():
@@ -1156,6 +1246,25 @@ sys.exit(code)
 """
 
 
+@needs_dev_full
+@pytest.mark.parametrize("argv,children", [
+    (["examples"], 0),
+    (SIMULATE_200, 1),
+    (["expand", "--example", "vdp", "--order", "16"], 0),
+    (COMPARE_200, 1),
+], ids=["examples", "simulate", "expand", "compare"])
+def test_full_stdout_is_named(tmp_path, argv, children):
+    # like `> /dev/full`: exit 1, one error line, every child reaped
+    counted = tmp_path / "forks"
+    with open(DEV_FULL, "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", PIPE_PROBE, str(counted), *argv],
+            env=_src_env(), stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: stdout: {NO_SPACE}\n".encode()
+    assert counted.read_text() == str(children)
+
+
 @pytest.mark.parametrize("argv,children", [
     (SIMULATE_200, 1),
     (["expand", "--example", "vdp", "--order", "16"], 0),   # 844 KB
@@ -1178,3 +1287,122 @@ def test_closed_stdout_ends_quietly(tmp_path, argv, children):
     assert proc.returncode == 1
     assert err == b""
     assert counted.read_text() == str(children)
+
+
+# Option values through main: each command from a valid call, with some of
+# its options given again, last wins, with values from negatives, nan, inf,
+# 1e309, empty strings, junk text and long digit strings.  Orders stay at
+# most 2 (mathieu's at most 5) and --tmax/--dt at most 2,000 steps: a
+# larger order or run is slow, not wrong.
+
+#: text no float or integer reads: it holds no decimal digit
+JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+#: values any option may be given, drawn for about half of them
+SPECIAL = st.sampled_from(["", "nan", "-nan", "inf", "-inf", "1e309",
+                           "-1e309", "1/0", "=", "--", " "])
+#: neither a nonnegative integer nor a finite float
+INVALID = st.one_of(
+    SPECIAL,
+    st.integers(310, 5000).map(lambda k: "-" + "9" * k),
+    JUNK,
+)
+#: a float past the largest one: an infinity, not an order
+HUGE = st.integers(310, 5000).map(lambda k: "9" * k)
+NUMBER = st.one_of(
+    INVALID,
+    HUGE,
+    st.floats().map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.text(max_size=8),
+    st.integers(1, 400).map(lambda k: "0." + "0" * k + "1"),
+)
+
+
+def _order_values(top):
+    return st.one_of(
+        st.integers(0, top).map(str),
+        st.integers(1, 400).map(lambda k: "0" * k + "1"),   # long digits
+        st.integers(-10 ** 6, -1).map(str),
+        st.floats(0, top).map(repr),
+        INVALID,
+    )
+
+
+ORDER = _order_values(2)
+#: at most 60 time units: 1,910 steps at the default step
+TMAX = st.one_of(st.floats(0, 60).map(repr), st.floats(max_value=0).map(repr),
+                 INVALID, HUGE)
+#: at least 0.03 with --tmax 60: 2,000 steps
+DT = st.one_of(st.floats(0.03, 1e300).map(repr),
+               st.floats(max_value=0).map(repr), INVALID, HUGE)
+POTENTIAL = st.one_of(
+    st.sampled_from(sorted(EXAMPLES)).map(lambda name: ["--example", name]),
+    st.sampled_from(["y^3", "(1-y^2)*y'", "-y' - a*y^3", "y^3+y*cos(2t)",
+                     "y'^2*y", "2^40*y^3"]).map(lambda v: ["--potential", v]),
+)
+FORMAT = st.one_of(st.sampled_from(["text", "json"]), JUNK)
+POTENTIAL_OPTIONS = {
+    "--example": st.one_of(st.sampled_from(sorted(EXAMPLES)), JUNK),
+    "--potential": st.one_of(JUNK, st.text(max_size=8)),
+    "--params": st.one_of(st.sampled_from(["a", "a,b", "", ","]), JUNK),
+    "--bind": st.one_of(
+        st.tuples(st.sampled_from(["g", "a", "mu", ""]), NUMBER).map(
+            "=".join),
+        NUMBER),
+    "--order": ORDER,
+}
+NUMERIC_OPTIONS = {**POTENTIAL_OPTIONS, "--eps": NUMBER, "--tmax": TMAX,
+                   "--dt": DT, "--rg-order": ORDER, "--R0": NUMBER,
+                   "--theta0": NUMBER, "--y0": NUMBER, "--dy0": NUMBER,
+                   "--out": st.sampled_from(["", str(GOLDEN)])}
+CROSSCHECK = st.tuples(
+    st.lists(NUMBER, min_size=1, max_size=3).map(":".join),
+    st.one_of(st.integers(3, 10).map(str), INVALID,
+              st.integers(-10, 2).map(str), st.just("99999")),
+).map(lambda p: f"eps={p[0]},N={p[1]}")
+SIMULATE_START = st.sampled_from([["--y0", "1", "--dy0", "0"],
+                                  ["--R0", "1", "--theta0", "0"]])
+#: each command's valid call, as a strategy, and the values of its options
+FUZZ = {
+    **{name: (POTENTIAL, {**POTENTIAL_OPTIONS, "--format": FORMAT})
+       for name in ("expand", "rg", "polar", "limit-cycle", "verify")},
+    "mathieu": (st.just(["--order", "3"]),
+                {"--order": _order_values(5),
+                 "--branch": st.one_of(st.sampled_from(["+", "-"]), JUNK),
+                 "--crosscheck": st.one_of(CROSSCHECK, NUMBER),
+                 "--format": FORMAT}),
+    "simulate": (st.tuples(POTENTIAL, SIMULATE_START).map(
+        lambda p: p[0] + p[1] + ["--eps", "0.1", "--tmax", "6"]),
+        NUMERIC_OPTIONS),
+    "compare": (POTENTIAL.map(lambda p: p + COMPARE[3:] + ["--tmax", "6"]),
+                {**NUMERIC_OPTIONS, "--expansion-order": ORDER}),
+    "examples": (st.just([]), {}),
+}
+
+
+@st.composite
+def fuzz_argv(draw, command):
+    valid, options = FUZZ[command]
+    argv = [command] + draw(valid)
+    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=3,
+                              unique=True) if options else st.just([])):
+        value = draw(st.one_of(SPECIAL, options[name]))
+        argv += ([f"{name}={value}"] if draw(st.booleans())
+                 else [name, value])
+    return argv
+
+
+@pytest.mark.parametrize("command", FUZZ)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_option_values_end_in_an_exit_code(capsys, monkeypatch, tmp_path,
+                                           command, data):
+    assert list(FUZZ) == list(cli.COMMANDS)
+    monkeypatch.chdir(tmp_path)   # an --out drawn as "nan" is a file name
+    argv = data.draw(fuzz_argv(command), label="argv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = outcome(capsys, argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
