@@ -25,9 +25,10 @@ Cauchy sum or a Lie derivative, goes into one term table over one
 denominator, and a lone ``a * b`` is its one-pair case; ``subs`` is
 one call over the parts of one split.  ``term_map`` scales the terms
 by a scalar per exponent of one variable and sorts them into several
-results in one pass, with no split and no product.  The form is
-canonical (no zero numerators, ``gcd(den, all numerators) == 1``, and the
-zero polynomial has ``den == 1``), so equal polynomials have equal
+results in one pass, with no split and no product; ``exponent_map``
+moves the exponents of some variables to others in one pass.  The form
+is canonical (no zero numerators, ``gcd(den, all numerators) == 1``, and
+the zero polynomial has ``den == 1``), so equal polynomials have equal
 ``terms`` and ``den``.  ``GaussianRational`` remains the scalar type at
 the interface: constructors, ``items()`` and ``as_constant``; text and
 JSON are formatted from the numerators (``rationals.text``).
@@ -139,7 +140,8 @@ class ParamPolynomial:
     The coefficient of the monomial with key ``k`` is
     ``(re + im*i) / den`` where ``terms[k] == (re, im)``.  ``_groups``,
     set by the first banded ``dot`` that reads the polynomial, keeps its
-    terms grouped by the banded exponent.
+    terms as one list sorted by the banded exponent, with the exponent
+    of each.
     """
 
     __slots__ = ("terms", "den", "bound", "_groups")
@@ -354,6 +356,31 @@ class ParamPolynomial:
                             else self.bound)
                 for terms, s, step in zip(parts, scale, steps)]
 
+    def exponent_map(self, names, rule):
+        """The terms, each with its monomial in ``names`` of exponents e
+        replaced by the monomial ``rule(e)``, a dict {name: exponent}, in
+        one pass; ``rule`` is called once per distinct e, in term order.
+        No two terms may meet (ValueError)."""
+        shifts = [W * _slot(n) for n in names]
+        half, mask = _HALF_UPTO[-1], sum(_MASK << s for s in shifts)
+        moves, reach, terms = {}, 0, {}
+        for key, c in self.terms.items():
+            digits = (key + half) & mask
+            move = moves.get(digits)
+            if move is None:
+                exps = [(digits >> s & _MASK) - _HALF for s in shifts]
+                image = rule(tuple(exps))
+                reach = max([reach, *map(abs, image.values())])
+                move = moves[digits] = (_pack(image, image.values())
+                                        - _pack(names, exps))
+            terms[key + move] = c
+        if len(terms) < len(self.terms):
+            raise ValueError("exponent_map sent two terms to one monomial")
+        bound = self.bound + reach
+        if bound >= _HALF:
+            bound = _checked(_remeasured(self) + reach)
+        return ParamPolynomial._raw(terms, self.den, bound)
+
     # -- substitution and extraction -------------------------------------
 
     def subs(self, bindings):
@@ -524,10 +551,11 @@ def dot(pairs, weights=None, band=None):
 
     ``band = (name, w)`` forms only the products whose exponent n of
     ``name`` has |n| <= w, which gives the sum with its terms past the
-    band dropped.  Each operand's terms are grouped by n once, and the
-    groups are kept on it; the loop then runs over the group pairs that
-    land in the band.  Grouping costs more than it saves on the few
-    terms of most calls, so a call with no band keeps the plain loop.
+    band dropped.  Each operand's terms are sorted by n once, and the
+    sorted list is kept on it; the loop then runs over one block per
+    run of equal n in a, against the slice of b's list that lands in
+    the band.  Sorting costs more than it saves on the few terms of
+    most calls, so a call with no band keeps the plain loop.
     """
     live, den, bound = [], 1, 0
     for (a, b), w in zip(pairs, repeat(1) if weights is None else weights):
@@ -539,16 +567,16 @@ def dot(pairs, weights=None, band=None):
                 pb = _remeasured(a, b)
             if pb > bound:
                 bound = pb
-            live.append((a.terms, b.terms, d, w) if band is None
-                        else (a, b, d, w))
+            live.append((a.terms.items(), b.terms.items(), d, w)
+                        if band is None else (a, b, d, w))
     if band is not None:
         live = _band_blocks(live, *band)
     terms = {}
     get = terms.get
     for at, bt, d, w in live:
         f = den // d * w
-        bt = list(bt.items())
-        for ka, (ar, ai) in at.items():
+        bt = list(bt)
+        for ka, (ar, ai) in at:
             if f != 1:
                 ar *= f
                 ai *= f
@@ -570,34 +598,36 @@ def dot(pairs, weights=None, band=None):
 
 
 def _band_blocks(live, name, width):
-    """The pairs ``live`` of dot as pairs of term groups by the exponent
-    of ``name``, only those whose products land in [-width, width]."""
+    """The pairs ``live`` of dot as blocks of (key, (re, im)) lists: one
+    per run of equal exponent n of ``name`` in a's sorted terms, against
+    the slice of b's whose products with it land in [-width, width].
+    The blocks are made as the loop takes them, so one slice at a time
+    is held."""
     shift, half = _reader(name)
-    blocks = []
     for a, b, d, w in live:
-        exps_b, groups_b = _grouped(b, shift, half)
-        for na, at in zip(*_grouped(a, shift, half)):
-            lo = bisect_left(exps_b, -width - na)
-            hi = bisect_right(exps_b, width - na)
-            blocks += [(at, bt, d, w) for bt in groups_b[lo:hi]]
-    return blocks
+        exps_a, items_a = _by_exponent(a, shift, half)
+        exps_b, items_b = _by_exponent(b, shift, half)
+        i, size = 0, len(exps_a)
+        while i < size:
+            n = exps_a[i]
+            j = bisect_right(exps_a, n, i)
+            lo = bisect_left(exps_b, -width - n)
+            hi = bisect_right(exps_b, width - n)
+            if lo < hi:
+                yield items_a[i:j], items_b[lo:hi], d, w
+            i = j
 
 
-def _grouped(p, shift, half):
-    """(sorted exponents, the terms of each) of the field at ``shift``,
-    made once per polynomial and field and kept on it."""
+def _by_exponent(p, shift, half):
+    """(exponents, items): the terms of ``p`` as (key, (re, im)), sorted
+    stably by the exponent of the field at ``shift``, and the exponent of
+    each; made once per polynomial and field and kept on it."""
     g = getattr(p, "_groups", None)
     if g is None or g[0] != shift:
-        by = {}
-        for key, c in p.terms.items():
-            e = ((key + half) >> shift & _MASK) - _HALF
-            group = by.get(e)
-            if group is None:
-                by[e] = {key: c}
-            else:
-                group[key] = c
-        exps = sorted(by)
-        g = p._groups = shift, exps, [by[e] for e in exps]
+        items = sorted(p.terms.items(),
+                       key=lambda item: (item[0] + half) >> shift & _MASK)
+        g = p._groups = (shift, [((key + half) >> shift & _MASK) - _HALF
+                                 for key, _ in items], items)
     return g[1:]
 
 

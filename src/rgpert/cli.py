@@ -476,6 +476,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help text that cannot be written
+    raises the OSError, which argparse ignores, so that ``main`` reports
+    a full stdout."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 @functools.cache
 def build_parser(command=None):
     """The parser with the subparser of ``command`` only, or of every
@@ -483,7 +494,7 @@ def build_parser(command=None):
     leaves no state on it.  With one command, the subparsers' metavar
     names all nine, so the usage line that errors print is the full
     parser's."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rgpert",
         description="Exact renormalization-group perturbation theory "
                     "for weakly nonlinear oscillators y'' + y = eps*V.")
@@ -501,8 +512,8 @@ def main(argv=None):
     # only the named command's subparser; help and a missing or unknown
     # command need them all
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         code = COMMANDS[args.command][0](args, parser)
         sys.stdout.flush()
         return code

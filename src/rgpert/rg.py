@@ -239,22 +239,23 @@ def _polar_order(k, x_a, x_b):
         d theta/dt = (X_A/Ar - X_B/Br)/(2i),
 
     where a term over Ar maps to c*R^(a+b-1)*w^(a-b-1) and over Br to
-    c*R^(a+b-1)*w^(a-b+1).  It splits X_A and X_B once and makes both
-    sums as two dot calls over the same pairs; a term with a + b = 0
-    raises NotPolarizable."""
-    pairs, signs = [], []
-    # (equation, w-step, theta sign) of X_A/Ar and of X_B/Br
-    for x, name, step, sign in ((x_a, "dAr/dt", -1, 1),
-                                (x_b, "dBr/dt", 1, -1)):
-        for (a, b), part in x.split(("Ar", "Br")).items():
+    c*R^(a+b-1)*w^(a-b+1).  Each of X_A and X_B is mapped in one pass
+    over its terms (ParamPolynomial.exponent_map), and (a, b) ->
+    (a+b-1, a-b+-1) is injective, so no two terms of one side meet; a
+    term with a + b = 0 raises NotPolarizable."""
+    over = []
+    for x, name, step in ((x_a, "dAr/dt", -1), (x_b, "dBr/dt", 1)):
+        def image(exps):        # called within this iteration's map
+            a, b = exps
             if a + b == 0:
                 raise NotPolarizable(
-                    f"{name} has the term {part} with no Ar or Br at "
-                    f"eps^{k}: no polar form")
-            pairs.append((part, ParamPolynomial.monomial(
-                1, **{"R": a + b - 1, PHASE: a - b + step})))
-            signs.append(sign)
-    return dot(pairs).scaled(_HALF), dot(pairs, signs).scaled(_HALF_OVER_I)
+                    f"{name} has the term {x.split(('Ar', 'Br'))[exps]} "
+                    f"with no Ar or Br at eps^{k}: no polar form")
+            return {"R": a + b - 1, PHASE: a - b + step}
+        over.append(x.exponent_map(("Ar", "Br"), image))
+    over_a, over_b = over
+    return ((over_a + over_b).scaled(_HALF),
+            (over_a - over_b).scaled(_HALF_OVER_I))
 
 
 def rational_roots(poly, var):

@@ -1265,6 +1265,20 @@ def test_full_stdout_is_named(tmp_path, argv, children):
     assert counted.read_text() == str(children)
 
 
+@needs_dev_full
+@pytest.mark.parametrize("argv", [["--help"], ["polar", "--help"],
+                                  ["compare", "-h"]])
+def test_help_to_a_full_stdout_is_named(argv):
+    # argparse ignores a failed write of its help text; the command does
+    # not: exit 1 and one error line, as for any other output
+    with open(DEV_FULL, "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "rgpert.cli", *argv],
+                              env=_src_env(), stdout=full,
+                              stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: stdout: {NO_SPACE}\n".encode()
+
+
 @pytest.mark.parametrize("argv,children", [
     (SIMULATE_200, 1),
     (["expand", "--example", "vdp", "--order", "16"], 0),   # 844 KB

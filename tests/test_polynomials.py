@@ -441,6 +441,37 @@ def test_term_map_is_the_sum_over_exponents(terms):
     assert seen == sorted(p.exponents("z"))
 
 
+@given(laurent_terms(("z", "A", "t")))
+def test_exponent_map_is_the_sum_over_exponent_tuples(terms):
+    p, _ = built(terms)
+    parts = p.split(("A", "z"))
+    want = ParamPolynomial.zero()
+    for (a, z), part in parts.items():
+        want = want + part * ParamPolynomial.monomial(1, w=a + z,
+                                                      q=a - z - 1)
+    seen = []
+
+    def rule(exps):
+        seen.append(exps)
+        a, z = exps
+        return {"w": a + z, "q": a - z - 1}
+
+    got = p.exponent_map(("A", "z"), rule)
+    assert got.den == want.den and got.terms == want.terms
+    assert got.bound >= max((abs(e) for exps, _ in got.sorted_terms()
+                             for e in exps), default=0)
+    # once per distinct tuple
+    assert sorted(seen) == sorted(parts)
+    # a map that drops A and z meets two terms where their rests meet
+    rests = [key for part in parts.values() for key in part.terms]
+    if len(set(rests)) < len(rests):
+        with pytest.raises(ValueError):
+            p.exponent_map(("A", "z"), lambda exps: {})
+    else:
+        assert p.exponent_map(("A", "z"), lambda exps: {}) == sum(
+            parts.values(), ParamPolynomial.zero())
+
+
 def binding_values():
     """Zero, constant, monomial and multi-term substitution values."""
     coeffs = st.builds(lambda c, k: c * gr(k),
@@ -552,6 +583,37 @@ def test_banded_dot_drops_the_terms_past_the_band(case, width):
         assert_canonical(got)
         assert got.den == want.den and got.terms == want.terms
         assert got == want
+
+
+@given(banded_dot_cases())
+def test_band_blocks_form_exactly_the_products_in_the_band(case):
+    pairs, _ = case
+    # each pair's index in the place of its denominator tags its blocks
+    live = [(a, b, i, 1) for i, (a, b) in enumerate(pairs)
+            if a.terms and b.terms]
+    # z, A, then z again: the operands' kept lists are of another
+    # variable, then of the same one; every width up to past the edges
+    for name, width in itertools.product(("z", "A", "z"), range(8)):
+        shift, half = poly._reader(name)
+
+        def n(key):
+            return ((key + half) >> shift & poly._MASK) - poly._HALF
+
+        blocks = list(poly._band_blocks(live, name, width))
+        formed = [(i, ka, kb) for at, bt, i, _ in blocks
+                  for ka, _ in at for kb, _ in bt]
+        assert all(abs(n(ka) + n(kb)) <= width for _, ka, kb in formed)
+        in_band = [(i, ka, kb) for a, b, i, _ in live
+                   for ka in a.terms for kb in b.terms
+                   if abs(n(ka) + n(kb)) <= width]
+        assert sum(len(at) * len(bt) for at, bt, _, _ in blocks) == len(
+            in_band)
+        assert sorted(formed) == sorted(in_band)
+        # one block per run of equal n in a
+        for at, _, i, _ in blocks:
+            assert len({n(ka) for ka, _ in at}) == 1
+        runs = [(i, n(at[0][0])) for at, _, i, _ in blocks]
+        assert len(set(runs)) == len(runs)
 
 
 @given(mixed_polys(), mixed_polys())

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from rgpert.algebra import (ParamPolynomial, EpsilonSeries, P, Rat, gr, grq,
                             substitute)
-from rgpert.errors import (DegenerateRoot, NonRationalRoot, ThetaDependent,
-                           Underdetermined)
+from rgpert.errors import (DegenerateRoot, NonRationalRoot, NotPolarizable,
+                           ThetaDependent, Underdetermined)
 from rgpert.perturbation import expand
 from rgpert.registry import EXAMPLES, get_example
 from rgpert.cli import main
@@ -427,6 +427,71 @@ def test_to_polar_maps_exponents_as_substitution_does(case, K):
     sysc = normal_form(V, K)
     got, want = to_polar(sysc), polar_by_substitution(sysc)
     assert got.cap == want.cap == K
+    assert got.dlogR_dt == want.dlogR_dt
+    assert got.dtheta_dt == want.dtheta_dt
+
+
+def random_flow_orders():
+    """(X_A,k, X_B,k) lists for k = 0..K: terms c*Ar^a*Br^b*g^m with a
+    parameter g, a + b >= 1 unless ``constant``, where one order also
+    gets a term free of Ar and Br.  With ``mirror``, X_B also has
+    s*c*Ar^(a-1)*Br^(b+1) for each X_A term with a >= 1, which X_B/Br
+    maps onto the image of that term in X_A/Ar: the pair cancels in
+    d log R/dt (s = -1) or in d theta/dt (s = 1)."""
+    coeff = st.builds(grq, st.integers(-3, 3).filter(bool),
+                      st.integers(1, 3), st.integers(-2, 2),
+                      st.integers(1, 3))
+    term = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                     st.integers(0, 2), coeff).filter(
+                         lambda abmc: abmc[0] + abmc[1] >= 1)
+    side = st.lists(term, max_size=4)
+    order = st.tuples(side, side, st.sampled_from([0, -1, 1]))
+
+    def poly(terms):
+        return sum((ParamPolynomial.monomial(c, Ar=a, Br=b, g=m)
+                    for a, b, m, c in terms), ParamPolynomial.zero())
+
+    def build(orders, constant):
+        x_a, x_b = [], []
+        for terms_a, terms_b, mirror in orders:
+            x_a.append(poly(terms_a))
+            x_b.append(poly(terms_b) + poly(
+                [(a - 1, b + 1, m, c * mirror)
+                 for a, b, m, c in terms_a if a and mirror]))
+        if constant is not None:
+            k, side, c = constant
+            xs = (x_a, x_b)[side]
+            k %= len(xs)
+            xs[k] = xs[k] + ParamPolynomial.monomial(c, g=k % 2)
+        return x_a, x_b
+
+    constant = st.none() | st.tuples(st.integers(0, 4), st.integers(0, 1),
+                                     coeff)
+    return st.builds(build, st.lists(order, min_size=1, max_size=4),
+                     constant)
+
+
+@given(random_flow_orders())
+def test_to_polar_equals_substitution_on_random_flows(orders):
+    x_a, x_b = orders
+    K = len(x_a) - 1
+    sysc = RGSystem(K, EpsilonSeries(K, x_a), EpsilonSeries(K, x_b), None)
+    free = [(k, name, x.subs({"Ar": 0, "Br": 0}))
+            for k, (a, b) in enumerate(zip(x_a, x_b))
+            for name, x in (("dAr/dt", a), ("dBr/dt", b))]
+    free = [(k, name, part) for k, name, part in free if part]
+    if free:
+        # the first term free of Ar and Br, in X_A before X_B
+        k, name, part = free[0]
+        with pytest.raises(NotPolarizable) as raised:
+            to_polar(sysc)
+        assert str(raised.value) == (
+            f"{name} has the term {part} with no Ar or Br at eps^{k}: no "
+            f"polar form")
+        with pytest.raises(NotPolarizable):
+            polar_by_substitution(sysc)
+        return
+    got, want = to_polar(sysc), polar_by_substitution(sysc)
     assert got.dlogR_dt == want.dlogR_dt
     assert got.dtheta_dt == want.dtheta_dt
 
