@@ -22,8 +22,10 @@ loops of multiplication and addition therefore do integer arithmetic
 only, and each result is normalised with one gcd sweep.  Products run
 on one multiply-accumulate kernel, ``dot``: a sum of products, such as a
 Cauchy sum or a Lie derivative, goes into one term table over one
-denominator, and a lone ``a * b`` is its one-pair case; ``subs`` is
-one call over the parts of one split.  ``term_map`` scales the terms
+denominator, and a lone ``a * b`` is its one-pair case.  ``split`` and
+``subs`` group the terms by their packed digits of some variables in
+one pass, and ``subs`` runs the groups through ``dot``'s loop, with no
+polynomial made per group.  ``term_map`` scales the terms
 by a scalar per exponent of one variable and sorts them into several
 results in one pass, with no split and no product; ``exponent_map``
 moves the exponents of some variables to others in one pass.  The form
@@ -119,15 +121,15 @@ def _occurring(terms):
 
 
 def _remeasured(*factors):
-    """The largest |e| that a product of ``factors`` can have, from their
-    exponent ranges field by field.  Stored bounds only grow, and may
-    exceed the exponents they bound; they are measured again before a
-    field overflow is reported."""
+    """The largest |e| that a product of ``factors``, given by their keys,
+    can have, from their exponent ranges field by field.  Stored bounds
+    only grow, and may exceed the exponents they bound; they are
+    measured again before a field overflow is reported."""
     half, n = _HALF_UPTO[-1], len(_NAMES)
     lo, hi = [0] * n, [0] * n
     for p in factors:
         exps = [[((key + half) >> W * i & _MASK) - _HALF for i in range(n)]
-                for key in p.terms]
+                for key in p]
         for i, col in enumerate(zip(*exps)):
             lo[i] += min(col)
             hi[i] += max(col)
@@ -199,7 +201,7 @@ class ParamPolynomial:
         bound = self.bound + abs(step)
         if bound < _HALF:
             return bound
-        return _remeasured(self, ParamPolynomial.var(name, step))
+        return _remeasured(self.terms, ParamPolynomial.var(name, step).terms)
 
     def _unpacker(self):
         """key -> exponent tuple over ``vars``."""
@@ -378,7 +380,7 @@ class ParamPolynomial:
             raise ValueError("exponent_map sent two terms to one monomial")
         bound = self.bound + reach
         if bound >= _HALF:
-            bound = _checked(_remeasured(self) + reach)
+            bound = _checked(_remeasured(self.terms) + reach)
         return ParamPolynomial._raw(terms, self.den, bound)
 
     # -- substitution and extraction -------------------------------------
@@ -388,12 +390,12 @@ class ParamPolynomial:
 
         A bound variable with a negative exponent raises ValueError.
 
-        One ``dot`` over the parts of ``split(bindings)``, each times the
-        product of the bound values' powers for its exponent tuple; each
-        power is made once.
+        Each group of ``_by_digits(bindings)`` times its image, the
+        product of the bound values' powers (each made once) with the
+        group's key taken off, in one ``_accumulate`` and one gcd sweep.
         """
-        parts = self.split(bindings)
-        if not any(map(any, parts)):
+        groups = self._by_digits(bindings)
+        if not any(off for _, off, _ in groups):
             return self
         values = [_as_poly(v) for v in bindings.values()]
         powers = {}
@@ -408,22 +410,42 @@ class ParamPolynomial:
                     out = p if out is _ONE_POLY else out * p
             return out
 
-        return dot([(part, image(exps)) for exps, part in parts.items()])
+        # every image first: a negative power raises before any bound
+        live, den, bound = [], 1, 0
+        for (_, off, items), b in zip(groups, [image(g[0]) for g in groups]):
+            if b.terms:
+                d = self.den * b.den
+                den = lcm(den, d)
+                pb = self.bound + b.bound
+                if pb >= _HALF:     # the rest's, not the bound exponents
+                    pb = _remeasured([key - off for key, _ in items],
+                                     b.terms)
+                bound = max(bound, pb)
+                live.append((items, [(key - off, c)
+                                     for key, c in b.terms.items()], d, 1))
+        return _normalized(_accumulate(live, den), den, bound)
 
     def split(self, names):
         """{exponent tuple over ``names``: polynomial in the other
         variables}, the terms summed per tuple, in order of first
         occurrence."""
-        readers = [_reader(n) for n in names]
+        return {exps: _normalized({key - off: c for key, c in items},
+                                  self.den, self.bound)
+                for exps, off, items in self._by_digits(names)}
+
+    def _by_digits(self, names):
+        """[(exponent tuple over ``names``, its key, [(key, (re, im))])]:
+        the terms grouped by their monomial in ``names``, in order of
+        first occurrence.  Each key's packed digits of ``names`` are read
+        once; the tuple and key are made once per group."""
+        shifts = [W * _slot(n) for n in names]
+        half, mask = _HALF_UPTO[-1], sum(_MASK << s for s in shifts)
         groups = {}
-        for key, c in self.terms.items():
-            exps = tuple(((key + half) >> shift & _MASK) - _HALF
-                         for shift, half in readers)
-            rest = key - sum(e << shift
-                             for e, (shift, _) in zip(exps, readers))
-            groups.setdefault(exps, {})[rest] = c
-        return {exps: _normalized(terms, self.den, self.bound)
-                for exps, terms in groups.items()}
+        for item in self.terms.items():
+            groups.setdefault((item[0] + half) & mask, []).append(item)
+        lift = half & mask
+        return [(tuple((digits >> s & _MASK) - _HALF for s in shifts),
+                 digits - lift, items) for digits, items in groups.items()]
 
     def rename(self, mapping):
         """Rename variables (bijective on the occurring names)."""
@@ -564,18 +586,24 @@ def dot(pairs, weights=None, band=None):
             den = lcm(den, d)
             pb = a.bound + b.bound
             if pb >= _HALF:
-                pb = _remeasured(a, b)
+                pb = _remeasured(a.terms, b.terms)
             if pb > bound:
                 bound = pb
-            live.append((a.terms.items(), b.terms.items(), d, w)
+            live.append((a.terms.items(), list(b.terms.items()), d, w)
                         if band is None else (a, b, d, w))
     if band is not None:
         live = _band_blocks(live, *band)
+    return _normalized(_accumulate(live, den), den, bound)
+
+
+def _accumulate(blocks, den):
+    """The loop of ``dot`` and ``subs``: the terms of sum(w * a * b) over
+    ``den``, for the ``blocks`` (a's terms, a list of b's, the a.den *
+    b.den of their products, w), terms as (key, (re, im))."""
     terms = {}
     get = terms.get
-    for at, bt, d, w in live:
+    for at, bt, d, w in blocks:
         f = den // d * w
-        bt = list(bt)
         for ka, (ar, ai) in at:
             if f != 1:
                 ar *= f
@@ -594,7 +622,7 @@ def dot(pairs, weights=None, band=None):
                         terms[key] = (re, im)
                     else:
                         del terms[key]
-    return _normalized(terms, den, bound)
+    return terms
 
 
 def _band_blocks(live, name, width):

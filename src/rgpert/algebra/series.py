@@ -261,12 +261,24 @@ class Composition:
                 pairs.append((c, lists[exps][j - n]))
         return dot(pairs, None, out_band)
 
-    def subs(self, bindings, since=0):
+    def subs(self, bindings, since=0, memo=None):
         """Substitute ``bindings`` in every list coefficient of order
         ``since`` and up: a variable in the fed coefficients that is
-        bound later."""
+        bound later.  Each distinct coefficient is substituted once, also
+        across the calls that share ``memo`` (``subs_once``)."""
+        memo = {} if memo is None else memo
         for coeffs in self.lists.values():
-            coeffs[since:] = [c.subs(bindings) for c in coeffs[since:]]
+            coeffs[since:] = [subs_once(c, bindings, memo)
+                              for c in coeffs[since:]]
+
+
+def subs_once(c, bindings, memo):
+    """``c.subs(bindings)``, once per object c: ``memo`` maps id(c) to
+    (c, result), and holds c, so no id is reused while it lives."""
+    hit = memo.get(id(c))
+    if hit is None:
+        hit = memo[id(c)] = c, c.subs(bindings)
+    return hit[1]
 
 
 def substitute(obj, bindings):

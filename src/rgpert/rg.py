@@ -46,6 +46,7 @@ from math import lcm
 
 from .algebra import (GaussianRational, ParamPolynomial, EpsilonSeries,
                       dot, grq, Rat, I)
+from .algebra.series import subs_once
 from .errors import (NotPolarizable, ThetaDependent, DegenerateRoot,
                      NonRationalRoot, Underdetermined)
 from .potential import HARMONIC, iz_dz, lie_sum, partials
@@ -194,11 +195,15 @@ class _Recurrence:
 
     def subs(self, bindings, since):
         """Substitute ``bindings`` in every coefficient of order ``since``
-        and up, in V(y)'s power lists and the pending R_k too."""
+        and up, in V(y)'s power lists and the pending R_k too.  Each
+        distinct coefficient is substituted once: V(y)'s base lists hold
+        the same y_j and (Dy)_j objects as ``y`` and ``dy``, and keep
+        sharing them."""
+        memo = {}
         for seq in (self.y, self.dy, *(x for x, _ in self.xs)):
-            seq[since:] = [c.subs(bindings) for c in seq[since:]]
-        self.v_of_y.subs(bindings, since)
-        self.r = self.r.subs(bindings)
+            seq[since:] = [subs_once(c, bindings, memo) for c in seq[since:]]
+        self.v_of_y.subs(bindings, since, memo)
+        self.r = subs_once(self.r, bindings, memo)
 
     def flow(self):
         """Yield (k, X_A,k, X_B,k) of two amplitudes for k = 1, ..., K,

@@ -118,12 +118,15 @@ def test_high_order_mathieu_digest(capsys):
 
 def test_high_order_limit_cycle_digest(capsys):
     # the line of `sha256sum` over the stdout, checked once against
-    # oracles.poincare_lindstedt at K = 40
-    code, out = run(capsys, "limit-cycle", "--example", "vdp", "--order",
-                    "40")
-    assert code == 0
-    want = (GOLDEN / "vdp_limit_cycle_order40.sha256").read_text().split()[0]
-    assert hashlib.sha256(out.encode()).hexdigest() == want
+    # oracles.poincare_lindstedt at K = 40 for vdp; rayleigh pins the
+    # cycle solve on a second potential
+    for name, order in (("vdp", "40"), ("rayleigh", "25")):
+        code, out = run(capsys, "limit-cycle", "--example", name, "--order",
+                        order)
+        assert code == 0
+        want = (GOLDEN / f"{name}_limit_cycle_order{order}.sha256"
+                ).read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 #: repr(400 * math.pi): 200 periods, 40,001 rows, the benchmark's size

@@ -11,11 +11,12 @@ import json
 
 import pytest
 
-from rgpert import cli
-from rgpert.algebra import Composition
+from rgpert import cli, rg
+from rgpert.algebra import Composition, ParamPolynomial
 from rgpert.cli import main
 from rgpert.errors import RgpertError, ThetaDependent
 from rgpert.potential import parse_potential
+from rgpert.registry import get_example
 from rgpert.rg import RGSystem, limit_cycle, normal_form, to_polar
 
 from oracles import polar_limit_cycle, random_potential
@@ -180,3 +181,30 @@ def test_theta_dependence_that_vanishes_at_the_seed():
     for K in (3, 4):
         with pytest.raises(ThetaDependent):
             limit_cycle(V, K)
+
+
+def test_each_coefficient_is_substituted_once_per_radius(monkeypatch):
+    # V(y)'s base lists hold the y_j and (Dy)_j of the recurrence: each
+    # _Recurrence.subs substitutes every distinct object once.  The
+    # inputs are held, so no id is reused while one call is recorded
+    steps, current = [], []
+    subs, rec_subs = ParamPolynomial.subs, rg._Recurrence.subs
+
+    def recorded(self, bindings):
+        if current:
+            current[-1].append(self)
+        return subs(self, bindings)
+
+    def step(self, bindings, since):
+        current.append([])
+        try:
+            rec_subs(self, bindings, since)
+        finally:
+            steps.append(current.pop())
+
+    monkeypatch.setattr(ParamPolynomial, "subs", recorded)
+    monkeypatch.setattr(rg._Recurrence, "subs", step)
+    limit_cycle(get_example("vdp").potential(), 9)
+    assert len(steps) == 8 and all(steps)
+    for held in steps:
+        assert len({id(p) for p in held}) == len(held)

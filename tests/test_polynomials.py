@@ -497,6 +497,37 @@ def test_subs_matches_the_term_by_term_reference(pt, q, bindings):
     assert got.terms == want.terms
 
 
+@given(laurent_terms(("z", "A", "t")), st.permutations(("z", "A", "y")))
+def test_split_matches_the_term_by_term_reference(terms, names):
+    # negative exponents of z, A and t; y occurs nowhere and reads 0
+    p, _ = built(terms)
+    want = {}
+    for exps, c in items(p):
+        rest = dict(zip(p.vars, exps))
+        tup = tuple(rest.pop(n, 0) for n in names)
+        want[tup] = want.get(tup, ParamPolynomial.zero()) + \
+            ParamPolynomial.monomial(c, **rest)
+    got = p.split(names)
+    # the groups in order of first occurrence
+    assert list(got) == list(want)
+    for tup, part in got.items():
+        assert_canonical(part)
+        assert (part.terms, part.den) == (want[tup].terms, want[tup].den)
+
+
+@given(laurent_terms(("z", "t")),
+       st.dictionaries(st.sampled_from(("A", "w")), binding_values(),
+                       max_size=2))
+def test_subs_without_a_bound_variable_is_the_same_object(terms, bindings):
+    p, _ = built(terms)
+    assert p.subs(bindings) is p
+    # so the sort kept by a banded dot is kept too
+    q = (t * P("z") + ParamPolynomial.var("z", -1)) ** 2
+    dot([(q, q)], band=("z", 1))
+    groups = q._groups
+    assert q.subs(bindings) is q and q._groups is groups
+
+
 def test_subs_refuses_negative_powers_and_field_overflow():
     for value in (0, gr(2), t * B, A + 1):
         with pytest.raises(ValueError):
@@ -510,6 +541,11 @@ def test_subs_refuses_negative_powers_and_field_overflow():
     # a loose stored bound is measured before refusing
     inv = ParamPolynomial.var("y", -20000)
     assert (x ** 2 * inv).subs({"x": y ** 10000}) == ParamPolynomial.const(1)
+    # only the rest's exponents count toward the bound: the bound x^30000
+    # is gone, and x^3000 * y is far below the budget
+    u = P("u")
+    assert ((x ** 30000 + u * y).subs({"x": 2, "u": x ** 3000}) ==
+            2 ** 30000 + x ** 3000 * y)
 
 
 # ---------------------------------------------------------------------------
